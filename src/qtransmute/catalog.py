@@ -7,7 +7,6 @@ golden suite is reachable from `catalog selftest`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable
 
 from .classical import asymmetric_distances, css17_classical_pair, css_build
@@ -18,7 +17,7 @@ from .pauli import PauliOp, enumerate_paulis, errors_up_to_weight, parse_pauli
 from .qet import (AdmissibleSet, check_general_qet, effective_distance,
                   strong_conditions_hold)
 from .stabilizer import (StabilizerCode, code_distance, complete_logical_basis,
-                         min_weight_in_class, validate_code)
+                         min_weight_in_class, scan_zero_syndrome, validate_code)
 
 TABLE1_GENERATORS = ["XXYYZIZ", "IZXYYXY", "IIIIIZZ", "ZZIIZIZ", "ZZZZIII"]
 TABLE1_LOGICAL_X = ["IXXIXII", "IIXXIIZ"]
@@ -81,13 +80,16 @@ def css17_code() -> StabilizerCode:
     base = css_build(ca, cb)
 
     def first_x_logical(wt: int) -> PauliOp:
-        for support in combinations(range(17), wt):
-            x = 0
-            for q in support:
-                x |= 1 << q
-            if base.syndrome_bits(x, 0) == 0 and not base.in_stabilizer_bits(x, 0):
-                return PauliOp(17, x, 0)
-        raise QTError(f"no weight-{wt} pure-X logical found")
+        found: list[PauliOp] = []
+
+        def visit(x: int, z: int) -> bool:
+            if not base.in_stabilizer_bits(x, z):
+                found.append(PauliOp(17, x, z))
+            return bool(found)
+
+        if not scan_zero_syndrome(base, wt, visit, pure="x"):
+            raise QTError(f"no weight-{wt} pure-X logical found")
+        return found[0]
 
     seeds = [first_x_logical(3), first_x_logical(4)]
     xs, zs = complete_logical_basis(base.generators, seed_x=seeds)

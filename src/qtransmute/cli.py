@@ -36,6 +36,23 @@ EXIT_USAGE = 2
 EXIT_CAPPED = 3
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of --cap/--scan-cap: a weight cap, at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap must be >= 0, got {value}")
+    return value
+
+
+def _torus_size(text: str) -> tuple[int, int]:
+    """argparse type of --L: the torus size as A,B."""
+    try:
+        lx, ly = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A,B (two integers), got {text!r}") from None
+    return lx, ly
+
+
 def _load_catalog_code(spec: str) -> CatalogCode:
     if os.path.exists(spec):
         return CatalogCode(spec, load_code_file(spec))
@@ -250,7 +267,7 @@ def _cmd_lattice(args) -> int:
         for p in diag.problems:
             print(f"problem: {p}")
         return EXIT_FAIL
-    lx, ly = (int(v) for v in args.size.split(","))
+    lx, ly = args.size
     torus = instantiate_torus(cell, lx, ly)
     print(f"{lx}x{ly} torus: n={torus.code.n} k={torus.code.k} "
           f"(dropped {torus.dropped_rows} dependent rows)")
@@ -377,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--class", dest="cls", help="target class (Z1Z2 or logical string)")
     p.add_argument("--pure", choices=["x", "z"])
-    p.add_argument("--cap", type=int, required=True)
+    p.add_argument("--cap", type=nonnegative_int, required=True)
     p.add_argument("--require-exact", action="store_true")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_distance)
@@ -385,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deff", help="effective distance for an admissible set")
     p.add_argument("--code", required=True)
     p.add_argument("--admissible", required=True)
-    p.add_argument("--cap", type=int, required=True)
+    p.add_argument("--cap", type=nonnegative_int, required=True)
     p.add_argument("--require-exact", action="store_true")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_deff)
@@ -394,14 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["build"])
     p.add_argument("--c1", required=True, help="cyclic:<n>:<poly> or generator file")
     p.add_argument("--c2", required=True)
-    p.add_argument("--cap", type=int, default=6, help="asymmetric distance cap")
+    p.add_argument("--cap", type=nonnegative_int, default=6, help="asymmetric distance cap")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_css)
 
     p = sub.add_parser("classical", help="classical code utilities")
     p.add_argument("action", choices=["distance"])
     p.add_argument("--code", required=True)
-    p.add_argument("--cap", type=int, default=0)
+    p.add_argument("--cap", type=nonnegative_int, default=0)
     p.add_argument("--require-exact", action="store_true")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_classical)
@@ -409,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="unit-cell validation and torus instantiation")
     p.add_argument("action", choices=["check", "torus"])
     p.add_argument("--cell", required=True, help="cell file, or builtin eq16/eq20")
-    p.add_argument("--L", dest="size", default="4,4", help="torus size A,B")
+    p.add_argument("--L", dest="size", type=_torus_size, default="4,4",
+                   help="torus size A,B")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_lattice)
 
@@ -417,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
     p.add_argument("--admissible", help="admissible set for the excluded-weight scan")
-    p.add_argument("--scan-cap", type=int, default=0)
+    p.add_argument("--scan-cap", type=nonnegative_int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_concat)
 

@@ -17,7 +17,8 @@ from .errors import DimensionMismatch
 from .f2 import parity
 from .pauli import PauliOp, enumerate_paulis, render, weight as pauli_weight
 from .stabilizer import (DistanceResult, StabilizerCode,
-                         class_bits_from_string, class_bits_to_string)
+                         class_bits_from_string, class_bits_to_string,
+                         scan_zero_syndrome)
 
 
 @dataclass(frozen=True)
@@ -132,24 +133,19 @@ def check_group_qet(code: StabilizerCode, adm: AdmissibleSet,
                     errors) -> Verdict:
     """Group-case conditions: every same-syndrome pair product class admissible.
 
-    For a closed admissible set this holds iff every class difference against
-    the bucket reference is admissible, so the first violating pair in
-    enumeration order is always (reference, offender).
+    For a closed admissible set this is the general check: a class difference
+    inside the set keeps every reference option, one outside empties them all
+    at once, so the first violating pair is always (reference, offender).
     """
     if not adm.is_group:
         raise ValueError("admissible set is not a group; use check_general_qet")
-    return _check_buckets(code, adm, errors, group=True)
+    return check_general_qet(code, adm, errors)
 
 
 def check_general_qet(code: StabilizerCode, adm: AdmissibleSet,
                       errors) -> Verdict:
     """General-case conditions: per bucket, some admissible reference image
     keeps every forced assignment admissible."""
-    return _check_buckets(code, adm, errors, group=False)
-
-
-def _check_buckets(code: StabilizerCode, adm: AdmissibleSet, errors,
-                   group: bool) -> Verdict:
     if adm.k != code.k:
         raise ValueError(f"admissible set has k={adm.k}, code has k={code.k}")
     errs = _dedupe(code, errors)
@@ -164,15 +160,11 @@ def _check_buckets(code: StabilizerCode, adm: AdmissibleSet, errors,
             options[syn] = set(classes)
             continue
         diff = code.class_bits(ref.x ^ e.x, ref.z ^ e.z)
-        if group:
-            if diff not in classes:
-                return Verdict(False, witness=(ref, e), checked=tuple(errs))
-        else:
-            opts = options[syn]
-            dead = [o for o in opts if o ^ diff not in classes]
-            opts.difference_update(dead)
-            if not opts:
-                return Verdict(False, witness=(ref, e), checked=tuple(errs))
+        opts = options[syn]
+        dead = [o for o in opts if o ^ diff not in classes]
+        opts.difference_update(dead)
+        if not opts:
+            return Verdict(False, witness=(ref, e), checked=tuple(errs))
     pi = {syn: PiBucket(refs[syn], tuple(sorted(options[syn])))
           for syn in refs}
     return Verdict(True, pi_maps=pi, checked=tuple(errs))
@@ -239,58 +231,18 @@ def deff_lower_bound(code: StabilizerCode, adm: AdmissibleSet,
     """Minimum weight of an N(S) element whose class is not admissible."""
     if adm.k != code.k:
         raise ValueError(f"admissible set has k={adm.k}, code has k={code.k}")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     cap = min(cap, code.n)
     classes = adm.classes
-    hits: list[tuple[int, int]] = []
 
-    def visit(x: int, z: int) -> None:
-        if code.class_bits(x, z) not in classes:
-            hits.append((x, z))
+    def excluded(x: int, z: int) -> bool:
+        return code.class_bits(x, z) not in classes
 
     for w in range(1, cap + 1):
-        scan_zero_syndrome(code, w, visit)
-        if hits:
+        if scan_zero_syndrome(code, w, excluded):
             return DistanceResult(w, True, cap)
     return DistanceResult(cap + 1, False, cap)
-
-
-def scan_zero_syndrome(code: StabilizerCode, w: int, visit,
-                       pure: str | None = None) -> None:
-    """Call visit(x, z) for every zero-syndrome Pauli of exact weight w.
-
-    Depth-first over supports with incremental syndrome accumulation; the
-    innermost level only tests one XOR per letter, which keeps exhaustive
-    scans over tens of millions of candidates tractable.
-    """
-    n = code.n
-    if w == 0 or w > n:
-        return
-    tables = []
-    for q in range(n):
-        sx = code._syn_x[q]
-        sz = code._syn_z[q]
-        opts = []
-        if pure in (None, "x"):
-            opts.append((sx, 1 << q, 0))
-        if pure is None:
-            opts.append((sx ^ sz, 1 << q, 1 << q))
-        if pure in (None, "z"):
-            opts.append((sz, 0, 1 << q))
-        tables.append(opts)
-
-    def rec(start: int, level: int, syn: int, x: int, z: int) -> None:
-        if level == w - 1:
-            for q in range(start, n):
-                for dsyn, dx, dz in tables[q]:
-                    if syn == dsyn:
-                        visit(x | dx, z | dz)
-        else:
-            stop = n - (w - level) + 1
-            for q in range(start, stop):
-                for dsyn, dx, dz in tables[q]:
-                    rec(q + 1, level + 1, syn ^ dsyn, x | dx, z | dz)
-
-    rec(0, 0, 0, 0, 0)
 
 
 # -- logical relabeling ---------------------------------------------------------

@@ -10,7 +10,7 @@ has a 1 in slot k+i. Generator signs are not modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import CodeConstructionError, DimensionMismatch, ParseError
 from .f2 import BitMatrix, BitVec, F2Span, kernel_basis, parity, reduce_against, rref, solve
@@ -379,6 +379,45 @@ def standard_form(generators: list[PauliOp]) -> StabilizerCode:
 # -- minimum-weight searches ---------------------------------------------------
 
 
+def scan_zero_syndrome(code: StabilizerCode, w: int, visit,
+                       pure: str | None = None) -> bool:
+    """Call visit(x, z) for zero-syndrome Paulis of exact weight w until a
+    call returns a truthy value; True iff the scan stopped that way.
+
+    Depth-first over supports, qubit by qubit with letters X, Y, Z: the order
+    is lexicographic in the (qubit, letter) sequence, so a pure scan visits
+    supports in itertools.combinations order. The syndrome accumulates
+    incrementally and the innermost level only tests one XOR per letter,
+    which keeps exhaustive scans over tens of millions of candidates
+    tractable. `pure` restricts to X-only or Z-only errors.
+    """
+    if pure not in _PURE_LETTERS:
+        raise ValueError("pure must be None, 'x', or 'z'")
+    n = code.n
+    if not 1 <= w <= n:
+        return False
+    tables = []
+    for q in range(n):
+        sx, sz, bit = code._syn_x[q], code._syn_z[q], 1 << q
+        row = {"X": (sx, bit, 0), "Y": (sx ^ sz, bit, bit), "Z": (sz, 0, bit)}
+        tables.append([row[letter] for letter in _PURE_LETTERS[pure]])
+
+    def rec(start: int, level: int, syn: int, x: int, z: int) -> bool:
+        if level == w - 1:
+            for q in range(start, n):
+                for dsyn, dx, dz in tables[q]:
+                    if syn == dsyn and visit(x | dx, z | dz):
+                        return True
+            return False
+        for q in range(start, n - (w - level) + 1):
+            for dsyn, dx, dz in tables[q]:
+                if rec(q + 1, level + 1, syn ^ dsyn, x | dx, z | dz):
+                    return True
+        return False
+
+    return rec(0, 0, 0, 0, 0)
+
+
 def min_weight_in_class(
     code: StabilizerCode,
     target: LogicalClass | int | None,
@@ -387,31 +426,19 @@ def min_weight_in_class(
 ) -> DistanceResult:
     """Minimum weight over N(S) elements of the given class, or over all of
     N(S)\\S when target is None. `pure` restricts to X-only or Z-only errors."""
-    if cap > code.n:
-        cap = code.n
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     if pure not in _PURE_LETTERS:
         raise ValueError("pure must be None, 'x', or 'z'")
+    cap = min(cap, code.n)
     bits = target.bits if isinstance(target, LogicalClass) else target
     if bits == 0:
         return DistanceResult(0, True, cap)
-    letters = _PURE_LETTERS[pure]
-    n = code.n
+    found = ((lambda x, z: not code.in_stabilizer_bits(x, z)) if bits is None
+             else (lambda x, z: code.class_bits(x, z) == bits))
     for w in range(1, cap + 1):
-        for support in combinations(range(n), w):
-            for assign in product(letters, repeat=w):
-                x = z = 0
-                for q, letter in zip(support, assign):
-                    if letter != "Z":
-                        x |= 1 << q
-                    if letter != "X":
-                        z |= 1 << q
-                if code.syndrome_bits(x, z):
-                    continue
-                if bits is None:
-                    if not code.in_stabilizer_bits(x, z):
-                        return DistanceResult(w, True, cap)
-                elif code.class_bits(x, z) == bits:
-                    return DistanceResult(w, True, cap)
+        if scan_zero_syndrome(code, w, found, pure):
+            return DistanceResult(w, True, cap)
     return DistanceResult(cap + 1, False, cap)
 
 
@@ -436,7 +463,8 @@ def dumps(code: StabilizerCode) -> str:
 
 def loads(text: str) -> StabilizerCode:
     """Parse the code file format: 'n k', n-k generator lines, then optional
-    XL / ZL sections of k lines each. '#' starts a comment line."""
+    XL / ZL sections of k lines each. '#' starts a comment line. A code that
+    fails validate_code raises ParseError naming its first problem."""
     entries: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
@@ -489,16 +517,21 @@ def loads(text: str) -> StabilizerCode:
     if idx < len(entries):
         raise ParseError("unexpected trailing content", line=entries[idx][0])
 
-    if k == 0:
-        return StabilizerCode(gens, [], [])
-    if xl is not None and zl is not None:
-        return StabilizerCode(gens, xl, zl)
-    if zl is not None:
-        # complete partners for the given Z operators, then swap roles back
-        partners, seeds = complete_logical_basis(gens, seed_x=zl)
-        return StabilizerCode(gens, seeds, partners)
-    xs, zs = complete_logical_basis(gens, seed_x=xl or [])
-    return StabilizerCode(gens, xs, zs)
+    try:
+        if xl is not None and zl is not None:
+            code = StabilizerCode(gens, xl, zl)
+        elif zl is not None:
+            # complete partners for the given Z operators, then swap roles back
+            partners, seeds = complete_logical_basis(gens, seed_x=zl)
+            code = StabilizerCode(gens, seeds, partners)
+        else:
+            code = StabilizerCode(gens, *complete_logical_basis(gens, seed_x=xl or []))
+    except CodeConstructionError as exc:
+        raise ParseError(f"invalid code: {exc}") from None
+    problems = validate_code(code).problems
+    if problems:
+        raise ParseError(f"invalid code: {problems[0]}")
+    return code
 
 
 def load_file(path) -> StabilizerCode:

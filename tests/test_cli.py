@@ -209,3 +209,37 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_unknown_catalog_entry_exit_code(capsys):
     code, _, err = run(capsys, "distance", "--code", "nope", "--cap", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("distance", "--code", "toric:3", "--cap", "-2"), "argument --cap: a cap must be >= 0"),
+    (("distance", "--code", "toric:3", "--cap", "two"), "argument --cap: invalid nonnegative_int value: 'two'"),
+    (("deff", "--code", "table1-7q", "--admissible", "ZI", "--cap", "-1"),
+     "argument --cap: a cap must be >= 0"),
+    (("concat", "--outer", "table1-7q", "--inner", "inner-5q", "--admissible", "ZI",
+      "--scan-cap", "-3"), "argument --scan-cap: a cap must be >= 0"),
+    (("css", "build", "--c1", "cyclic:7:1+x+x^3", "--c2", "cyclic:7:1+x+x^3", "--cap", "-1"),
+     "argument --cap: a cap must be >= 0"),
+    (("classical", "distance", "--code", "cyclic:7:1+x+x^3", "--cap", "-1"),
+     "argument --cap: a cap must be >= 0"),
+    (("lattice", "torus", "--cell", "eq16", "--L", "4"), "argument --L: expected A,B"),
+    (("lattice", "torus", "--cell", "eq16", "--L", "4,4,4"), "argument --L: expected A,B"),
+])
+def test_bad_numeric_input_exit_code(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("distance", "--cap", "3"),
+    ("verify", "qet", "--admissible", "Z", "--max-weight", "1"),
+])
+def test_invalid_code_file_exit_code(tmp_path, capsys, argv):
+    bad = tmp_path / "anticommuting.code"
+    bad.write_text("3 1\nXII\nZII\nXL\nIXI\nZL\nIZI\n")
+    code, out, err = run(capsys, *argv, "--code", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "parse error: invalid code: generators 0 and 1 anticommute" in err

@@ -56,6 +56,18 @@ def brute_force_qec_ok(code, errors):
     return ok
 
 
+def brute_force_group_witness(code, adm, errors):
+    """Group-case condition, pair by pair: the first error whose product with
+    an earlier same-syndrome error has an inadmissible class, paired with the
+    first error of its syndrome; None when every pair is admissible."""
+    for j, b in enumerate(errors):
+        same = [a for a in errors[:j]
+                if code.syndrome_bits(a.x, a.z) == code.syndrome_bits(b.x, b.z)]
+        if any(code.class_bits(a.x ^ b.x, a.z ^ b.z) not in adm.classes for a in same):
+            return same[0], b
+    return None
+
+
 # -- admissible sets --------------------------------------------------------------
 
 
@@ -170,6 +182,7 @@ def test_group_and_general_agree_on_groups():
         a = check_group_qet(code, adm, errs)
         b = check_general_qet(code, adm, errs)
         assert a.passed == b.passed
+        assert a.witness == b.witness == brute_force_group_witness(code, adm, errs)
 
 
 def test_strong_implies_general():
@@ -242,6 +255,28 @@ def test_deff_lower_bound_golden(table1):
     assert not capped.exact  # nothing is excluded
     trivial = deff_lower_bound(table1, AdmissibleSet.trivial(2), 7)
     assert trivial.value == code_distance(table1, 7).value
+
+
+def test_deff_lower_bound_rejects_negative_cap(table1):
+    with pytest.raises(ValueError, match="cap"):
+        deff_lower_bound(table1, PHASE1, -1)
+
+
+def test_deff_lower_bound_matches_brute_force():
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randrange(2, 7)
+        k = rng.randrange(1, min(3, n))
+        code = random_code(rng, n, k)
+        adm = random_admissible(rng, k, group=rng.random() < 0.5)
+        weights = [(x | z).bit_count() for x in range(1 << n) for z in range(1 << n)
+                   if code.syndrome_bits(x, z) == 0
+                   and code.class_bits(x, z) not in adm.classes]
+        got = deff_lower_bound(code, adm, n)
+        if weights:
+            assert (got.value, got.exact) == (min(weights), True)
+        else:
+            assert (got.value, got.exact) == (n + 1, False)
 
 
 def test_strong_conditions_below_lower_bound(table1, table2):

@@ -1,15 +1,20 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qtransmute.catalog import table1_code
 from qtransmute.errors import CodeConstructionError, ParseError
 from qtransmute.pauli import (PauliOp, enumerate_paulis, identity, multiply,
                               parse_pauli, render, weight)
+from qtransmute.search import sample_generators
 from qtransmute.stabilizer import (LogicalClass, StabilizerCode, code_distance,
                                    complete_logical_basis, dumps, loads,
                                    logical_class, min_weight_in_class,
-                                   standard_form, syndrome, validate_code)
+                                   scan_zero_syndrome, standard_form, syndrome,
+                                   validate_code)
 
 
 def all_paulis(n):
@@ -217,6 +222,13 @@ def test_file_comments_ignored(table1):
     ("2 1\nXXX\n", "expected 2"),
     ("2 0\nXX\nZZ\nXY\n", "trailing"),
     ("2 1\nXQ\n", "invalid Pauli"),
+    ("3 1\nXII\nZII\n", "generators 0 and 1 anticommute"),
+    ("3 1\nXII\nZII\nXL\nIXI\nZL\nIZI\n", "generators 0 and 1 anticommute"),
+    ("3 1\nXII\nXII\n", "dependent"),
+    ("3 1\nXII\nXII\nXL\nIXI\nZL\nIZI\n", "dependent"),
+    ("2 1\nZZ\nXL\nXI\n", "outside N(S)"),
+    ("2 1\nZZ\nXL\nXI\nZL\nZZ\n", "logical X1 anticommutes with generator 0"),
+    ("3 1\nZZI\nIZZ\nXL\nXXX\nZL\nXXX\n", "bad pairing: X1 vs Z1"),
 ])
 def test_file_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
@@ -238,3 +250,112 @@ def test_seeded_completion_keeps_seed(table1):
     xs, zs = complete_logical_basis(table1.generators, seed_x=[seed])
     assert xs[0] == seed
     assert validate_code(StabilizerCode(table1.generators, xs, zs)).ok
+
+
+# -- the zero-syndrome enumerator -------------------------------------------------
+
+
+def test_min_weight_rejects_negative_cap(table1):
+    with pytest.raises(ValueError, match="cap"):
+        min_weight_in_class(table1, None, -1)
+
+
+def test_scan_rejects_unknown_pure(table1):
+    with pytest.raises(ValueError, match="pure"):
+        scan_zero_syndrome(table1, 2, lambda x, z: None, pure="X")
+    with pytest.raises(ValueError, match="pure"):
+        min_weight_in_class(table1, None, 3, pure="X")
+
+
+def _in_scan_order(n, w, pure):
+    """Every Pauli of exact weight w, ordered by its (qubit, letter) sequence."""
+    letters = {None: "XYZ", "x": "X", "z": "Z"}[pure]
+    out = []
+    for support in combinations(range(n), w):
+        for assign in product(letters, repeat=w):
+            x = sum(1 << q for q, a in zip(support, assign) if a != "Z")
+            z = sum(1 << q for q, a in zip(support, assign) if a != "X")
+            out.append((tuple(zip(support, assign)), (x, z)))
+    return [xz for _, xz in sorted(out)]
+
+
+def _free_code(n):
+    """k = n: no generators, so every Pauli has zero syndrome."""
+    return StabilizerCode([], [PauliOp(n, 1 << q, 0) for q in range(n)],
+                          [PauliOp(n, 0, 1 << q) for q in range(n)])
+
+
+@pytest.mark.parametrize("pure", [None, "x", "z"])
+@pytest.mark.parametrize("w", [1, 2, 3, 7])
+@pytest.mark.parametrize("code", [table1_code(), _free_code(5)], ids=["table1", "free5"])
+def test_scan_visits_every_zero_syndrome_pauli_in_order(code, w, pure):
+    seen = []
+    assert scan_zero_syndrome(code, w, lambda x, z: seen.append((x, z)), pure) is False
+    assert seen == [(x, z) for x, z in _in_scan_order(code.n, w, pure)
+                    if code.syndrome_bits(x, z) == 0]
+
+
+def test_scan_stops_at_first_truthy_visit(table1):
+    everything = []
+    scan_zero_syndrome(table1, 3, lambda x, z: everything.append((x, z)))
+    assert len(everything) > 3
+    seen = []
+
+    def visit(x, z):
+        seen.append((x, z))
+        return len(seen) == 3
+
+    assert scan_zero_syndrome(table1, 3, visit) is True
+    assert seen == everything[:3]
+    assert scan_zero_syndrome(table1, 0, visit) is False
+    assert scan_zero_syndrome(table1, 8, visit) is False
+
+
+def _random_small_code(rng, n, k):
+    """standard_form of sampled standard-form generators on shuffled qubits."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+
+    def shuffle(bits):
+        return sum(1 << perm[q] for q in range(n) if (bits >> q) & 1)
+
+    gens = [PauliOp(n, shuffle(g.x), shuffle(g.z)) for g in sample_generators(n, k, rng)]
+    return standard_form(gens)
+
+
+def _brute_minima(code):
+    """Least weights over all 4^n Paulis, keyed by (pure, class) for class
+    targets and (pure, None) for N(S) minus S."""
+    best = {}
+    n = code.n
+    for x in range(1 << n):
+        for z in range(1 << n):
+            if (x, z) == (0, 0) or code.syndrome_bits(x, z):
+                continue
+            w = (x | z).bit_count()
+            keys = [code.class_bits(x, z)]
+            if not code.in_stabilizer_bits(x, z):
+                keys.append(None)
+            pures = [None] + (["x"] if z == 0 else []) + (["z"] if x == 0 else [])
+            for pure in pures:
+                for key in keys:
+                    best[pure, key] = min(w, best.get((pure, key), w))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_min_weight_matches_brute_force_on_random_codes(n, k, seed):
+    assume(k < n)
+    code = _random_small_code(random.Random(seed), n, k)
+    best = _brute_minima(code)
+    for pure in (None, "x", "z"):
+        for target in [None] + list(range(1, 1 << (2 * k))):
+            result = min_weight_in_class(code, target, n, pure=pure)
+            want = best.get((pure, target))
+            if want is None:
+                assert (result.value, result.exact) == (n + 1, False)
+            else:
+                assert (result.value, result.exact) == (want, True)
+            capped = min_weight_in_class(code, target, n - 1, pure=pure)
+            assert capped.exact == (want is not None and want <= n - 1)
