@@ -6,7 +6,6 @@ Exit codes: 0 success/pass, 1 verification failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -24,7 +23,7 @@ from .pauli import errors_up_to_weight, parse_pauli, render
 from .qet import (AdmissibleSet, build_recovery, check_general_qet,
                   deff_lower_bound, dumps_admissible, effective_distance,
                   loads_admissible, relabel_search)
-from .search import SearchSpec, run_search
+from .search import SearchSpec, read_checkpoint, run_search, write_checkpoint
 from .stabilizer import (LogicalClass, class_bits_from_string,
                          dumps as dump_code, load_file as load_code_file,
                          min_weight_in_class, validate_code)
@@ -41,6 +40,14 @@ def nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"a cap must be >= 0, got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type of --trials/--budget/--limit: a count, at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"a count must be >= 1, got {value}")
     return value
 
 
@@ -305,8 +312,7 @@ def _cmd_search(args) -> int:
                       seed=args.seed, budget=args.budget, limit=args.limit)
     start = 0
     if args.checkpoint and os.path.exists(args.checkpoint):
-        with open(args.checkpoint, "r", encoding="utf-8") as fh:
-            start = json.load(fh).get("next_index", 0)
+        start = read_checkpoint(args.checkpoint, spec)
         print(f"resuming exhaustive scan at index {start}")
 
     def progress(examined, index):
@@ -317,8 +323,7 @@ def _cmd_search(args) -> int:
           f"{out.detection_passed} detected all single errors; "
           f"{len(out.found)} passed")
     if args.checkpoint:
-        with open(args.checkpoint, "w", encoding="utf-8") as fh:
-            json.dump({"next_index": out.next_index, "exhausted": out.exhausted}, fh)
+        write_checkpoint(args.checkpoint, spec, out)
     for code, verdict in out.found:
         sys.stdout.write(dump_code(code))
     if args.mode == "exhaustive" and out.exhausted:
@@ -445,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True, help="admissible pattern (inline or file)")
     p.add_argument("--mode", choices=["random", "exhaustive"], default="random")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10000)
-    p.add_argument("--limit", type=int, default=1)
+    p.add_argument("--budget", type=positive_int, default=10000)
+    p.add_argument("--limit", type=positive_int, default=1)
     p.add_argument("--error-weight", type=int, default=1)
     p.add_argument("--checkpoint", help="resume/progress file for exhaustive scans")
     p.add_argument("--expect-empty", action="store_true",
@@ -458,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--admissible", default="catalog")
     p.add_argument("--model", required=True,
                    help="uniform1, depol:<p>, or a channel file")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-weight", type=int, default=1,
                    help="verified error-support weight")

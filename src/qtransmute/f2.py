@@ -15,6 +15,17 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+def transpose_rows(rows: Sequence[int], width: int) -> list[int]:
+    """Transpose of packed rows that are `width` bits wide."""
+    out = [0] * width
+    for i, r in enumerate(rows):
+        while r:
+            j = (r & -r).bit_length() - 1
+            out[j] |= 1 << i
+            r &= r - 1
+    return out
+
+
 @dataclass(frozen=True)
 class BitVec:
     """A length-`n` vector over GF(2), packed into an int (bit i = entry i)."""
@@ -118,13 +129,7 @@ class BitMatrix:
         return BitVec(self.nrows, out)
 
     def transpose(self) -> "BitMatrix":
-        out = [0] * self.cols
-        for i, r in enumerate(self.rows):
-            while r:
-                j = (r & -r).bit_length() - 1
-                out[j] |= 1 << i
-                r &= r - 1
-        return BitMatrix(tuple(out), self.nrows)
+        return BitMatrix(tuple(transpose_rows(self.rows, self.cols)), self.nrows)
 
     def vstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.cols:

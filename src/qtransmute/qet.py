@@ -11,7 +11,7 @@ so feasibility reduces to scanning candidate reference assignments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import DimensionMismatch
 from .f2 import parity
@@ -109,11 +109,10 @@ class Verdict:
     pi_maps: dict[int, PiBucket] | None = None
     checked: tuple[PauliOp, ...] = ()
 
-    def pi_assignment(self, code: StabilizerCode, syn: int, option: int,
-                      error: PauliOp) -> int:
-        """Class assigned to `error` once the bucket reference maps to `option`."""
-        ref = self.pi_maps[syn].reference
-        return option ^ code.class_bits(ref.x ^ error.x, ref.z ^ error.z)
+
+def _check_k(code: StabilizerCode, adm: AdmissibleSet) -> None:
+    if adm.k != code.k:
+        raise ValueError(f"admissible set has k={adm.k}, code has k={code.k}")
 
 
 def _dedupe(code: StabilizerCode, errors) -> list[PauliOp]:
@@ -127,6 +126,30 @@ def _dedupe(code: StabilizerCode, errors) -> list[PauliOp]:
             seen.add(key)
             out.append(e)
     return out
+
+
+def _bucket_pairs(code: StabilizerCode, errors, refs: dict[int, PauliOp]):
+    """Bucket errors by syndrome in input order. The first error of each
+    syndrome becomes its reference in `refs`; every later error is yielded as
+    (syndrome, error, class of reference·error)."""
+    for e in errors:
+        syn = code.syndrome_bits(e.x, e.z)
+        ref = refs.setdefault(syn, e)
+        if ref is not e:
+            yield syn, e, code.class_bits(ref.x ^ e.x, ref.z ^ e.z)
+
+
+def _narrow(classes: frozenset[int], pairs, options: dict[int, set[int]]):
+    """Keep, per syndrome, the reference images o with o ^ diff admissible for
+    every class difference seen; return the first pair that leaves none, or
+    None. A syndrome with no pair keeps every image and gets no entry."""
+    for pair in pairs:
+        syn, _, diff = pair
+        opts = options[syn] = {o for o in options.get(syn, classes)
+                               if o ^ diff in classes}
+        if not opts:
+            return pair
+    return None
 
 
 def check_group_qet(code: StabilizerCode, adm: AdmissibleSet,
@@ -146,27 +169,14 @@ def check_general_qet(code: StabilizerCode, adm: AdmissibleSet,
                       errors) -> Verdict:
     """General-case conditions: per bucket, some admissible reference image
     keeps every forced assignment admissible."""
-    if adm.k != code.k:
-        raise ValueError(f"admissible set has k={adm.k}, code has k={code.k}")
+    _check_k(code, adm)
     errs = _dedupe(code, errors)
-    classes = adm.classes
-    refs: dict[int, PauliOp] = {}
-    options: dict[int, set[int]] = {}
-    for e in errs:
-        syn = code.syndrome_bits(e.x, e.z)
-        ref = refs.get(syn)
-        if ref is None:
-            refs[syn] = e
-            options[syn] = set(classes)
-            continue
-        diff = code.class_bits(ref.x ^ e.x, ref.z ^ e.z)
-        opts = options[syn]
-        dead = [o for o in opts if o ^ diff not in classes]
-        opts.difference_update(dead)
-        if not opts:
-            return Verdict(False, witness=(ref, e), checked=tuple(errs))
-    pi = {syn: PiBucket(refs[syn], tuple(sorted(options[syn])))
-          for syn in refs}
+    refs, options = {}, {}
+    hit = _narrow(adm.classes, _bucket_pairs(code, errs, refs), options)
+    if hit is not None:
+        return Verdict(False, witness=(refs[hit[0]], hit[1]), checked=tuple(errs))
+    pi = {syn: PiBucket(ref, tuple(sorted(options.get(syn, adm.classes))))
+          for syn, ref in refs.items()}
     return Verdict(True, pi_maps=pi, checked=tuple(errs))
 
 
@@ -175,62 +185,37 @@ def strong_conditions_hold(code: StabilizerCode, adm: AdmissibleSet,
     """Every same-syndrome pair product class admissible, with no relabeling
     of references: sufficient for the general conditions, necessary only for
     closed admissible sets."""
-    if adm.k != code.k:
-        raise ValueError(f"admissible set has k={adm.k}, code has k={code.k}")
-    errs = _dedupe(code, errors)
+    _check_k(code, adm)
     classes = adm.classes
-    refs: dict[int, tuple[int, int]] = {}
     diffs: dict[int, list[int]] = {}
-    for e in errs:
-        syn = code.syndrome_bits(e.x, e.z)
-        if syn not in refs:
-            refs[syn] = (e.x, e.z)
-            diffs[syn] = [0]
-            continue
-        rx, rz = refs[syn]
-        # A pair (i, j) has product class diff_i ^ diff_j, so checking the new
-        # diff against every stored one covers each pair exactly once.
-        d = code.class_bits(rx ^ e.x, rz ^ e.z)
-        for other in diffs[syn]:
-            if other ^ d not in classes:
-                return False
-        diffs[syn].append(d)
+    for syn, _, d in _bucket_pairs(code, _dedupe(code, errors), {}):
+        # A pair (i, j) has product class diff_i ^ diff_j (the reference has 0),
+        # so checking each new diff against the stored ones covers each pair once.
+        seen = diffs.setdefault(syn, [0])
+        if any(other ^ d not in classes for other in seen):
+            return False
+        seen.append(d)
     return True
 
 
 def effective_distance(code: StabilizerCode, adm: AdmissibleSet,
                        cap: int) -> DistanceResult:
     """2w+1 for the largest w <= cap with all weight <= w errors transmutable."""
-    if adm.k != code.k:
-        raise ValueError(f"admissible set has k={adm.k}, code has k={code.k}")
+    _check_k(code, adm)
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     cap = min(cap, code.n)
-    classes = adm.classes
-    refs: dict[int, tuple[int, int]] = {}
-    options: dict[int, set[int]] = {}
-    refs[0] = (0, 0)  # the identity error occupies the zero bucket
-    options[0] = set(classes)
-    for e in enumerate_paulis(code.n, cap):
-        w = pauli_weight(e)
-        syn = code.syndrome_bits(e.x, e.z)
-        ref = refs.get(syn)
-        if ref is None:
-            refs[syn] = (e.x, e.z)
-            options[syn] = set(classes)
-            continue
-        diff = code.class_bits(ref[0] ^ e.x, ref[1] ^ e.z)
-        opts = options[syn]
-        dead = [o for o in opts if o ^ diff not in classes]
-        opts.difference_update(dead)
-        if not opts:
-            return DistanceResult(2 * (w - 1) + 1, True, cap)
+    errors = chain([PauliOp(code.n, 0, 0)], enumerate_paulis(code.n, cap))
+    hit = _narrow(adm.classes, _bucket_pairs(code, errors, {}), {})
+    if hit is not None:
+        return DistanceResult(2 * pauli_weight(hit[1]) - 1, True, cap)
     return DistanceResult(2 * cap + 1, cap >= code.n, cap)
 
 
 def deff_lower_bound(code: StabilizerCode, adm: AdmissibleSet,
                      cap: int) -> DistanceResult:
     """Minimum weight of an N(S) element whose class is not admissible."""
-    if adm.k != code.k:
-        raise ValueError(f"admissible set has k={adm.k}, code has k={code.k}")
+    _check_k(code, adm)
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     cap = min(cap, code.n)
@@ -299,8 +284,7 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
     Exhausts the symplectic group for k <= 3; beyond that a caller-supplied
     basis is required. Returns the relabeled code and its verdict, or None.
     """
-    if pattern.k != code.k:
-        raise ValueError("pattern k does not match the code")
+    _check_k(code, pattern)
     if user_basis is not None:
         candidate = code.with_logicals(*user_basis)
         verdict = check_general_qet(candidate, pattern, errors)
@@ -310,19 +294,10 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
                          "supply user_basis for larger codes")
 
     errs = _dedupe(code, errors)
-    buckets: dict[int, tuple[tuple[int, int], list[int]]] = {}
-    for e in errs:
-        syn = code.syndrome_bits(e.x, e.z)
-        if syn not in buckets:
-            buckets[syn] = ((e.x, e.z), [])
-        else:
-            ref, diffs = buckets[syn]
-            diffs.append(code.class_bits(ref[0] ^ e.x, ref[1] ^ e.z))
-    diff_lists = [diffs for _, diffs in buckets.values() if diffs]
-
+    pairs = list(_bucket_pairs(code, errs, {}))
     for cols in symplectic_transforms(code.k):
         mapped = frozenset(apply_transform(cols, p) for p in pattern.classes)
-        if _feasible(mapped, diff_lists):
+        if _narrow(mapped, pairs, {}) is None:
             new_x = [code.class_representative(cols[i]) for i in range(code.k)]
             new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]
             candidate = code.with_logicals(new_x, new_z)
@@ -331,16 +306,6 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
                 raise AssertionError("relabel replay disagrees with direct check")
             return candidate, verdict
     return None
-
-
-def _feasible(classes: frozenset[int], diff_lists: list[list[int]]) -> bool:
-    for diffs in diff_lists:
-        opts = classes
-        for d in diffs:
-            opts = frozenset(o for o in opts if o ^ d in classes)
-            if not opts:
-                return False
-    return True
 
 
 # -- recovery -------------------------------------------------------------------

@@ -15,11 +15,13 @@ exhausts the property space.
 """
 from __future__ import annotations
 
+import json
+import os
 import random
 from dataclasses import dataclass, field
 
-from .errors import CodeConstructionError
-from .f2 import parity
+from .errors import CodeConstructionError, QTError
+from .f2 import parity, transpose_rows
 from .pauli import PauliOp, errors_up_to_weight
 from .qet import AdmissibleSet, Verdict, relabel_search
 from .stabilizer import StabilizerCode, complete_logical_basis
@@ -57,19 +59,39 @@ class SearchOutcome:
     exhausted: bool = False
 
 
+def _index_fields(spec: SearchSpec) -> dict:
+    """The spec fields that fix what a stored scan index means."""
+    return {"n": spec.n, "k": spec.k, "pattern": sorted(spec.pattern.classes),
+            "error_weight": spec.error_weight, "mode": spec.mode}
+
+
+def read_checkpoint(path: str, spec: SearchSpec) -> int:
+    """The resume index stored at `path`; refuses a file written for another spec."""
+    with open(path, "r", encoding="utf-8") as fh:
+        saved = json.load(fh)
+    saved = saved if isinstance(saved, dict) else {}
+    for name, value in _index_fields(spec).items():
+        if saved.get(name) != value:
+            raise QTError(f"checkpoint {path} is for another search: "
+                          f"{name} is {saved.get(name)!r} there, {value!r} here")
+    index = saved.get("next_index")
+    if not isinstance(index, int) or index < 0:
+        raise QTError(f"checkpoint {path}: next_index must be an integer >= 0")
+    return index
+
+
+def write_checkpoint(path: str, spec: SearchSpec, outcome: SearchOutcome) -> None:
+    """Replace `path` atomically, so an interrupted write keeps the old file."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump({**_index_fields(spec), "next_index": outcome.next_index,
+                   "exhausted": outcome.exhausted}, fh)
+    os.replace(tmp, path)
+
+
 def _mul_bt(a_rows: list[int], b_rows: list[int]) -> list[int]:
     """A B^T over GF(2) for bit-packed rows."""
     return [sum(parity(ar & br) << j for j, br in enumerate(b_rows)) for ar in a_rows]
-
-
-def _transpose(rows: list[int], width: int) -> list[int]:
-    out = [0] * width
-    for i, r in enumerate(rows):
-        while r:
-            j = (r & -r).bit_length() - 1
-            out[j] |= 1 << i
-            r &= r - 1
-    return out
 
 
 def _xor_rows(a: list[int], b: list[int]) -> list[int]:
@@ -83,9 +105,9 @@ def standard_form_generators(n: int, k: int, r: int, a1: list[int], a2: list[int
     m = n - k
     w = m - r
     dt = _xor_rows(a1, _mul_bt(a2, e)) if r else []  # r x w
-    d = _transpose(dt, w)  # w x r
+    d = transpose_rows(dt, w)  # w x r
     nmat = _xor_rows(_mul_bt(a1, c1), _mul_bt(a2, c2)) if r else []
-    b = _xor_rows(_transpose(nmat, r), s0) if r else []
+    b = _xor_rows(transpose_rows(nmat, r), s0) if r else []
     gens = []
     for i in range(r):
         x = (1 << i) | (a1[i] << r) | (a2[i] << m)

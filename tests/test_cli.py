@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from qtransmute import report
@@ -167,21 +169,64 @@ def test_search_cli(capsys):
     assert "passed" in out
 
 
+EXHAUSTIVE_N4 = ("search", "--n", "4", "--k", "2", "--pattern", "ZI,IZ",
+                 "--mode", "exhaustive", "--expect-empty")
+
+
 def test_search_checkpoint(tmp_path, capsys):
     ckpt = tmp_path / "scan.json"
-    code, out, _ = run(capsys, "search", "--n", "4", "--k", "2",
-                       "--pattern", "ZI,IZ", "--mode", "exhaustive",
-                       "--budget", "100", "--expect-empty",
-                       "--checkpoint", str(ckpt))
+    code, out, _ = run(capsys, *EXHAUSTIVE_N4, "--budget", "100", "--checkpoint", str(ckpt))
     assert code == 0
-    assert ckpt.exists()
-    code, out, _ = run(capsys, "search", "--n", "4", "--k", "2",
-                       "--pattern", "ZI,IZ", "--mode", "exhaustive",
-                       "--budget", "10000", "--expect-empty",
-                       "--checkpoint", str(ckpt))
+    assert json.loads(ckpt.read_text()) == {
+        "n": 4, "k": 2, "pattern": [0, 4, 8], "error_weight": 1, "mode": "exhaustive",
+        "next_index": 100, "exhausted": False}
+    assert [p.name for p in tmp_path.iterdir()] == ["scan.json"]  # no temp file left
+    code, out, _ = run(capsys, *EXHAUSTIVE_N4, "--budget", "10000", "--checkpoint", str(ckpt))
     assert code == 0
-    assert "resuming" in out
+    assert "resuming exhaustive scan at index 100\n" in out
+    assert "examined 2476 candidates" in out
     assert "exhausted" in out
+    assert json.loads(ckpt.read_text())["next_index"] == 2576
+
+
+@pytest.mark.parametrize("argv,field", [
+    (("search", "--n", "5", "--k", "2", "--pattern", "ZI", "--mode", "exhaustive"),
+     "n is 4 there, 5 here"),
+    (("search", "--n", "4", "--k", "1", "--pattern", "Z", "--mode", "exhaustive"),
+     "k is 2 there, 1 here"),
+    (("search", "--n", "4", "--k", "2", "--pattern", "ZI", "--mode", "exhaustive"),
+     "pattern is [0, 4, 8] there, [0, 4] here"),
+    (("search", "--n", "4", "--k", "2", "--pattern", "ZI,IZ", "--mode", "exhaustive",
+      "--error-weight", "2"), "error_weight is 1 there, 2 here"),
+    (("search", "--n", "4", "--k", "2", "--pattern", "ZI,IZ", "--mode", "random"),
+     "mode is 'exhaustive' there, 'random' here"),
+])
+def test_search_checkpoint_refuses_other_spec(tmp_path, capsys, argv, field):
+    ckpt = tmp_path / "scan.json"
+    code, _, _ = run(capsys, *EXHAUSTIVE_N4, "--budget", "100", "--checkpoint", str(ckpt))
+    assert code == 0
+    before = ckpt.read_bytes()
+    code, out, err = run(capsys, *argv, "--budget", "100", "--expect-empty",
+                         "--checkpoint", str(ckpt))
+    assert code == 2
+    assert "resuming" not in out
+    assert f"is for another search: {field}" in err
+    assert ckpt.read_bytes() == before
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"next_index": 100, "exhausted": false}', "n is None there, 4 here"),
+    ("[100]", "n is None there, 4 here"),
+    ('{"n": 4, "k": 2, "pattern": [0, 4, 8], "error_weight": 1, "mode": "exhaustive", '
+     '"next_index": -1}', "next_index must be an integer >= 0"),
+])
+def test_search_checkpoint_refuses_specless_file(tmp_path, capsys, text, message):
+    ckpt = tmp_path / "old.json"
+    ckpt.write_text(text)
+    code, out, err = run(capsys, *EXHAUSTIVE_N4, "--budget", "100", "--checkpoint", str(ckpt))
+    assert code == 2
+    assert message in err
+    assert ckpt.read_text() == text
 
 
 def test_simulate(tmp_path, capsys):
@@ -224,6 +269,18 @@ def test_unknown_catalog_entry_exit_code(capsys):
      "argument --cap: a cap must be >= 0"),
     (("lattice", "torus", "--cell", "eq16", "--L", "4"), "argument --L: expected A,B"),
     (("lattice", "torus", "--cell", "eq16", "--L", "4,4,4"), "argument --L: expected A,B"),
+    (("simulate", "--code", "table1-7q", "--admissible", "ZI", "--model", "uniform1",
+      "--trials", "-5", "--seed", "1", "--threads", "1"),
+     "argument --trials: a count must be >= 1, got -5"),
+    (("simulate", "--code", "table1-7q", "--admissible", "ZI", "--model", "uniform1",
+      "--trials", "0", "--seed", "1", "--threads", "1"),
+     "argument --trials: a count must be >= 1, got 0"),
+    (("search", "--n", "6", "--k", "2", "--pattern", "ZI,IZ", "--budget", "-3"),
+     "argument --budget: a count must be >= 1, got -3"),
+    (("search", "--n", "6", "--k", "2", "--pattern", "ZI,IZ", "--limit", "0"),
+     "argument --limit: a count must be >= 1, got 0"),
+    (("search", "--n", "6", "--k", "2", "--pattern", "ZI,IZ", "--limit", "one"),
+     "argument --limit: invalid positive_int value: 'one'"),
 ])
 def test_bad_numeric_input_exit_code(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qtransmute.errors import CodeConstructionError
 from qtransmute.pauli import (PauliOp, enumerate_paulis, errors_up_to_weight,
@@ -13,7 +15,7 @@ from qtransmute.qet import (AdmissibleSet, apply_transform, build_recovery,
                             symplectic_transforms)
 from qtransmute.search import sample_generators
 from qtransmute.stabilizer import (StabilizerCode, code_distance,
-                                   complete_logical_basis, logical_class,
+                                   complete_logical_basis, loads, logical_class,
                                    standard_form, validate_code)
 
 PHASE1 = AdmissibleSet.group_generated(2, ["ZI"])
@@ -66,6 +68,50 @@ def brute_force_group_witness(code, adm, errors):
         if any(code.class_bits(a.x ^ b.x, a.z ^ b.z) not in adm.classes for a in same):
             return same[0], b
     return None
+
+
+def brute_force_general(code, adm, errors):
+    """General-case condition straight from its definition, bucket by bucket:
+    the witness is the first error, in input order, whose bucket prefix has no
+    reference image o with o ^ class(ref.e) admissible for every e in it; the
+    pi-maps are each bucket's images computed over the whole bucket."""
+    buckets = {}
+    for e in errors:
+        members = buckets.setdefault(code.syndrome_bits(e.x, e.z), [])
+        if (e.x, e.z) in {(f.x, f.z) for f in members}:
+            continue
+        members.append(e)
+        if not reference_images(code, adm, members):
+            return (members[0], e), None
+    return None, {syn: (m[0], reference_images(code, adm, m)) for syn, m in buckets.items()}
+
+
+def reference_images(code, adm, members):
+    ref = members[0]
+    return tuple(o for o in sorted(adm.classes)
+                 if all(o ^ code.class_bits(ref.x ^ e.x, ref.z ^ e.z) in adm.classes
+                        for e in members))
+
+
+def spread_admissible(rng, k, group):
+    """A set whose size is spread over the whole range, so that passing
+    verdicts and partly narrowed pi-maps are common: each class is drawn with
+    a random density, then closed under XOR when `group`."""
+    density = rng.random()
+    classes = {0} | {c for c in range(1, 1 << (2 * k)) if rng.random() < density}
+    while group and any(a ^ b not in classes for a in classes for b in classes):
+        classes |= {a ^ b for a in classes for b in classes}
+    return AdmissibleSet(k, frozenset(classes))
+
+
+def shuffled_errors(rng, n, w):
+    errs = errors_up_to_weight(n, w)
+    rng.shuffle(errs)
+    return errs + errs[:rng.randrange(3)]
+
+
+random_instances = given(n=st.integers(2, 6), k=st.integers(1, 2), group=st.booleans(),
+                         seed=st.integers(0, 2 ** 32 - 1))
 
 
 # -- admissible sets --------------------------------------------------------------
@@ -153,9 +199,11 @@ def test_table2_pi_map_realizes_products(table2):
     bucket = verdict.pi_maps[syn]
     z1 = logical_class(table2, table2.logical_z[0]).bits
     z2 = logical_class(table2, table2.logical_z[1]).bits
+    ref = bucket.reference
     for option in bucket.options:
-        img5 = verdict.pi_assignment(table2, syn, option, y5)
-        img6 = verdict.pi_assignment(table2, syn, option, y6)
+        # fixing the reference image forces every other assignment
+        img5 = option ^ table2.class_bits(ref.x ^ y5.x, ref.z ^ y5.z)
+        img6 = option ^ table2.class_bits(ref.x ^ y6.x, ref.z ^ y6.z)
         assert img5 ^ img6 == z1 ^ z2  # products of assignments match Y5.Y6
         assert {img5, img6} <= BOTH_PHASES.classes
 
@@ -206,6 +254,79 @@ def test_qec_specialization_matches_brute_force():
         errs = errors_up_to_weight(n, 1)
         fast = check_group_qet(code, AdmissibleSet.trivial(k), errs).passed
         assert fast == brute_force_qec_ok(code, errs)
+
+
+@settings(max_examples=100, deadline=None)
+@random_instances
+def test_general_check_matches_definition(n, k, group, seed):
+    assume(k < n)
+    rng = random.Random(seed)
+    code = random_code(rng, n, k)
+    adm = spread_admissible(rng, k, group)
+    errs = shuffled_errors(rng, n, rng.choice([1, 2]))
+    witness, pi = brute_force_general(code, adm, errs)
+    verdict = check_general_qet(code, adm, errs)
+    assert verdict.witness == witness
+    assert verdict.passed == (witness is None)
+    if pi is not None:
+        assert {syn: (b.reference, b.options) for syn, b in verdict.pi_maps.items()} == pi
+        assert list(verdict.pi_maps) == list(pi)
+
+
+@settings(max_examples=60, deadline=None)
+@random_instances
+def test_strong_conditions_match_definition(n, k, group, seed):
+    assume(k < n)
+    rng = random.Random(seed)
+    code = random_code(rng, n, k)
+    adm = spread_admissible(rng, k, group)
+    errs = shuffled_errors(rng, n, rng.choice([1, 2]))
+    want = all(code.class_bits(a.x ^ b.x, a.z ^ b.z) in adm.classes
+               for a, b in combinations(errs, 2)
+               if code.syndrome_bits(a.x, a.z) == code.syndrome_bits(b.x, b.z))
+    assert strong_conditions_hold(code, adm, errs) == want
+
+
+@settings(max_examples=40, deadline=None)
+@random_instances
+def test_effective_distance_matches_layered_checks(n, k, group, seed):
+    assume(k < n)
+    rng = random.Random(seed)
+    code = random_code(rng, n, k)
+    adm = spread_admissible(rng, k, group)
+    cap = rng.randrange(n + 1)
+    want = (2 * cap + 1, cap >= n)
+    for w in range(1, cap + 1):
+        if not check_general_qet(code, adm, errors_up_to_weight(n, w)).passed:
+            want = (2 * w - 1, True)
+            break
+    got = effective_distance(code, adm, cap)
+    assert (got.value, got.exact, got.cap) == (*want, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@random_instances
+def test_relabel_search_returns_first_passing_transform(n, k, group, seed):
+    assume(k < n)
+    rng = random.Random(seed)
+    code = random_code(rng, n, k)
+    adm = spread_admissible(rng, k, group)
+    errs = shuffled_errors(rng, n, 1)
+    want = None
+    for cols in symplectic_transforms(k):
+        relabeled = code.with_logicals(
+            [code.class_representative(cols[i]) for i in range(k)],
+            [code.class_representative(cols[k + i]) for i in range(k)])
+        if brute_force_general(relabeled, adm, errs)[0] is None:
+            want = relabeled
+            break
+    hit = relabel_search(code, adm, errs)
+    if want is None:
+        assert hit is None
+    else:
+        got, verdict = hit
+        assert (got.logical_x, got.logical_z) == (want.logical_x, want.logical_z)
+        assert verdict.passed
 
 
 def test_relabeling_invariance(table2):
@@ -260,6 +381,22 @@ def test_deff_lower_bound_golden(table1):
 def test_deff_lower_bound_rejects_negative_cap(table1):
     with pytest.raises(ValueError, match="cap"):
         deff_lower_bound(table1, PHASE1, -1)
+
+
+def test_effective_distance_identity_is_zero_bucket_reference():
+    # Single Z errors are undetectable here, with classes ZI, ZZ and IZ
+    # relative to the identity; no admissible image of the identity keeps all
+    # three admissible, while the detectable single errors pass.
+    code = loads("3 2\nZZZ\nXL\nXXI\nIXX\nZL\nZII\nZZI\n")
+    adm = AdmissibleSet.from_strings(2, ["XI", "ZI", "YI", "ZX", "IZ", "XZ", "IY", "ZY"])
+    result = effective_distance(code, adm, 2)
+    assert (result.value, result.exact) == (1, True)
+    assert not check_general_qet(code, adm, errors_up_to_weight(3, 1)).passed
+
+
+def test_effective_distance_rejects_negative_cap(table1):
+    with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
+        effective_distance(table1, PHASE1, -1)
 
 
 def test_deff_lower_bound_matches_brute_force():
