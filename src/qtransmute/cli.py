@@ -36,7 +36,7 @@ EXIT_CAPPED = 3
 
 
 def nonnegative_int(text: str) -> int:
-    """argparse type of --cap/--scan-cap: a weight cap, at least 0."""
+    """argparse type of --cap/--scan-cap/--max-weight/--error-weight: a weight cap, at least 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"a cap must be >= 0, got {value}")
@@ -44,7 +44,7 @@ def nonnegative_int(text: str) -> int:
 
 
 def positive_int(text: str) -> int:
-    """argparse type of --trials/--budget/--limit: a count, at least 1."""
+    """argparse type of --trials/--threads/--budget/--limit: a count, at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"a count must be >= 1, got {value}")
@@ -299,6 +299,9 @@ def _cmd_concat(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.checkpoint and args.mode == "random":
+        raise QTError("checkpoints resume exhaustive scans only: "
+                      "drop --checkpoint or use --mode exhaustive")
     pattern_spec = args.pattern
     if os.path.exists(pattern_spec):
         with open(pattern_spec, "r", encoding="utf-8") as fh:
@@ -389,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--admissible", default="catalog",
                    help="file, inline 'ZI,IZ', or 'catalog' (default)")
-    p.add_argument("--max-weight", type=int, default=1)
+    p.add_argument("--max-weight", type=nonnegative_int, default=1)
     p.add_argument("--relabel", action="store_true",
                    help="search logical relabelings (k <= 3)")
     p.add_argument("--report")
@@ -452,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=positive_int, default=10000)
     p.add_argument("--limit", type=positive_int, default=1)
-    p.add_argument("--error-weight", type=int, default=1)
+    p.add_argument("--error-weight", type=nonnegative_int, default=1)
     p.add_argument("--checkpoint", help="resume/progress file for exhaustive scans")
     p.add_argument("--expect-empty", action="store_true",
                    help="exit 0 even when nothing is found")
@@ -465,9 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uniform1, depol:<p>, or a channel file")
     p.add_argument("--trials", type=positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-weight", type=int, default=1,
+    p.add_argument("--max-weight", type=nonnegative_int, default=1,
                    help="verified error-support weight")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=positive_int, default=os.cpu_count() or 1)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_simulate)
 

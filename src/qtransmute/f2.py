@@ -1,8 +1,9 @@
-"""Dense bit-packed linear algebra over GF(2).
+"""Dense bit-packed linear algebra over GF(2), and the symplectic form.
 
 Vectors and matrix rows are Python ints used as bit masks (bit i = entry i),
-so a row operation is a single XOR regardless of width. All arithmetic is
-mod 2; values are immutable after construction.
+so a row operation is a single XOR regardless of width. A Pauli operator on
+n qubits packs as the 2n-bit vector `x | z << n`. All arithmetic is mod 2;
+values are immutable after construction.
 """
 from __future__ import annotations
 
@@ -26,55 +27,17 @@ def transpose_rows(rows: Sequence[int], width: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class BitVec:
-    """A length-`n` vector over GF(2), packed into an int (bit i = entry i)."""
+def symplectic(u: int, v: int, half: int) -> int:
+    """Symplectic form of two packed `x | z << half` vectors: 1 iff they anticommute.
 
-    n: int
-    bits: int = 0
+    Both vectors must fit in 2 * half bits.
+    """
+    return parity((u & (v >> half)) ^ ((u >> half) & v))
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("length must be nonnegative")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError("payload has bits set beyond the stated length")
 
-    @classmethod
-    def from_ints(cls, entries: Iterable[int]) -> "BitVec":
-        entries = list(entries)
-        bits = 0
-        for i, e in enumerate(entries):
-            if e & 1:
-                bits |= 1 << i
-        return cls(len(entries), bits)
-
-    @classmethod
-    def from_string(cls, s: str) -> "BitVec":
-        return cls.from_ints(int(c) for c in s)
-
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVec(self.n, self.bits ^ other.bits)
-
-    def dot(self, other: "BitVec") -> int:
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return parity(self.bits & other.bits)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def to01(self) -> str:
-        return "".join(str((self.bits >> i) & 1) for i in range(self.n))
+def mul_bt(a_rows: Sequence[int], b_rows: Sequence[int]) -> list[int]:
+    """A B^T over GF(2): entry (i, j) is the dot product of a_rows[i] and b_rows[j]."""
+    return [sum(parity(a & b) << j for j, b in enumerate(b_rows)) for a in a_rows]
 
 
 @dataclass(frozen=True)
@@ -91,50 +54,9 @@ class BitMatrix:
             if r < 0 or r >> self.cols:
                 raise ValueError("row has bits set beyond the stated width")
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "BitMatrix":
-        packed, cols = [], 0
-        for row in rows:
-            v = BitVec.from_ints(row)
-            packed.append(v.bits)
-            cols = max(cols, v.n)
-        return cls(tuple(packed), cols)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls((0,) * nrows, ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(tuple(1 << i for i in range(n)), n)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def get(self, i: int, j: int) -> int:
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        return (self.rows[i] >> j) & 1
-
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self.rows[i])
-
-    def matvec(self, v: BitVec) -> BitVec:
-        if v.n != self.cols:
-            raise ValueError("dimension mismatch")
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= parity(r & v.bits) << i
-        return BitVec(self.nrows, out)
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(tuple(transpose_rows(self.rows, self.cols)), self.nrows)
-
-    def vstack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.cols:
-            raise ValueError("width mismatch")
-        return BitMatrix(self.rows + other.rows, self.cols)
 
 
 @dataclass(frozen=True)
@@ -182,12 +104,15 @@ def kernel_basis(m: BitMatrix) -> BitMatrix:
     return BitMatrix(tuple(basis), m.cols)
 
 
-def solve(m: BitMatrix, b: BitVec) -> BitVec | None:
-    """One solution x of m x = b, or None if the system is inconsistent."""
-    if b.n != m.nrows:
-        raise ValueError("right-hand side length must equal the row count")
+def solve(m: BitMatrix, b: int) -> int | None:
+    """One solution x of m x = b, or None if the system is inconsistent.
+
+    b holds one bit per row of m; x holds one bit per column.
+    """
+    if b < 0 or b >> m.nrows:
+        raise ValueError("right-hand side has bits set beyond the row count")
     # Augment with b as an extra column and reduce.
-    aug_rows = [m.rows[i] | (((b.bits >> i) & 1) << m.cols) for i in range(m.nrows)]
+    aug_rows = [m.rows[i] | (((b >> i) & 1) << m.cols) for i in range(m.nrows)]
     red = rref(BitMatrix(tuple(aug_rows), m.cols + 1))
     x = 0
     for row, pcol in zip(red.reduced.rows, red.pivots):
@@ -195,7 +120,7 @@ def solve(m: BitMatrix, b: BitVec) -> BitVec | None:
             return None  # pivot in the augmented column: inconsistent
         if (row >> m.cols) & 1:
             x |= 1 << pcol
-    return BitVec(m.cols, x)
+    return x
 
 
 def reduce_against(rref_rows: Sequence[int], v: int) -> int:
@@ -205,13 +130,6 @@ def reduce_against(rref_rows: Sequence[int], v: int) -> int:
         if v & low:
             v ^= row
     return v
-
-
-def in_row_space(m: BitMatrix, v: BitVec) -> bool:
-    """True iff v lies in the row space of m."""
-    if v.n != m.cols:
-        raise ValueError("dimension mismatch")
-    return reduce_against(rref(m).reduced.rows, v.bits) == 0
 
 
 class F2Span:

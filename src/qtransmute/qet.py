@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 from .errors import DimensionMismatch
-from .f2 import parity
+from .f2 import symplectic
 from .pauli import PauliOp, enumerate_paulis, render, weight as pauli_weight
 from .stabilizer import (DistanceResult, StabilizerCode,
                          class_bits_from_string, class_bits_to_string,
@@ -240,10 +240,6 @@ def symplectic_transforms(k: int):
     vectors, expressed in the old basis. The identity comes first.
     """
     dim = 2 * k
-    mask = (1 << k) - 1
-
-    def sympl(u: int, v: int) -> int:
-        return parity((u & mask) & (v >> k)) ^ parity((u >> k) & (v & mask))
 
     def rec(pairs: list[tuple[int, int]]):
         if len(pairs) == k:
@@ -252,12 +248,12 @@ def symplectic_transforms(k: int):
             return
         chosen = [c for p in pairs for c in p]
         for u in range(1, 1 << dim):
-            if any(sympl(u, c) for c in chosen):
+            if any(symplectic(u, c, k) for c in chosen):
                 continue
             for v in range(1, 1 << dim):
-                if sympl(u, v) != 1:
+                if symplectic(u, v, k) != 1:
                     continue
-                if any(sympl(v, c) for c in chosen):
+                if any(symplectic(v, c, k) for c in chosen):
                     continue
                 yield from rec(pairs + [(u, v)])
 

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import CodeConstructionError, QTError
-from .f2 import parity, transpose_rows
+from .f2 import mul_bt, transpose_rows
 from .pauli import PauliOp, errors_up_to_weight
 from .qet import AdmissibleSet, Verdict, relabel_search
 from .stabilizer import StabilizerCode, complete_logical_basis
@@ -89,11 +89,6 @@ def write_checkpoint(path: str, spec: SearchSpec, outcome: SearchOutcome) -> Non
     os.replace(tmp, path)
 
 
-def _mul_bt(a_rows: list[int], b_rows: list[int]) -> list[int]:
-    """A B^T over GF(2) for bit-packed rows."""
-    return [sum(parity(ar & br) << j for j, br in enumerate(b_rows)) for ar in a_rows]
-
-
 def _xor_rows(a: list[int], b: list[int]) -> list[int]:
     return [x ^ y for x, y in zip(a, b)]
 
@@ -104,9 +99,9 @@ def standard_form_generators(n: int, k: int, r: int, a1: list[int], a2: list[int
     """Assemble generators from the free blocks of the standard form."""
     m = n - k
     w = m - r
-    dt = _xor_rows(a1, _mul_bt(a2, e)) if r else []  # r x w
+    dt = _xor_rows(a1, mul_bt(a2, e)) if r else []  # r x w
     d = transpose_rows(dt, w)  # w x r
-    nmat = _xor_rows(_mul_bt(a1, c1), _mul_bt(a2, c2)) if r else []
+    nmat = _xor_rows(mul_bt(a1, c1), mul_bt(a2, c2)) if r else []
     b = _xor_rows(transpose_rows(nmat, r), s0) if r else []
     gens = []
     for i in range(r):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import CodeConstructionError, DimensionMismatch, ParseError
-from .f2 import BitMatrix, BitVec, F2Span, kernel_basis, parity, reduce_against, rref, solve
+from .f2 import BitMatrix, F2Span, kernel_basis, mul_bt, reduce_against, rref, solve, symplectic
 from .pauli import PauliOp, parse_pauli, render, symplectic_product
 
 _PURE_LETTERS = {None: ("X", "Y", "Z"), "x": ("X",), "z": ("Z",)}
@@ -208,11 +208,11 @@ class StabilizerCode:
         return StabilizerCode(self.generators, logical_x, logical_z)
 
 
-def syndrome(code: StabilizerCode, p: PauliOp) -> BitVec:
-    """Anticommutation pattern of p against the generators, one bit per generator."""
+def syndrome(code: StabilizerCode, p: PauliOp) -> int:
+    """Anticommutation pattern of p against the generators, packed (bit l = generator l)."""
     if p.n != code.n:
         raise DimensionMismatch(f"operator on {p.n} qubits, code on {code.n}")
-    return BitVec(code.n - code.k, code.syndrome_bits(p.x, p.z))
+    return code.syndrome_bits(p.x, p.z)
 
 
 def logical_class(code: StabilizerCode, p: PauliOp) -> LogicalClass:
@@ -284,52 +284,43 @@ def complete_logical_basis(
     if gen_rows.rank < len(generators):
         raise CodeConstructionError("generators are dependent")
     kern = kernel_basis(BitMatrix(tuple(_sym_twist(g) for g in generators), 2 * n))
-    xmask = (1 << n) - 1
 
-    def sympl(u: int, v: int) -> int:
-        return parity((u & xmask) & (v >> n)) ^ parity((u >> n) & (v & xmask))
-
-    gen_twists = [_sym_twist(g) for g in generators]
     xs = [_sym_vec(p) for p in seed_x]
     zs = [_sym_vec(p) for p in seed_z]
     for v in xs + zs:
-        if any(parity(t & v) for t in gen_twists):
+        if any(symplectic(_sym_vec(g), v, n) for g in generators):
             raise CodeConstructionError("seed operator is outside N(S)")
     for i, j in combinations(range(len(xs)), 2):
-        if sympl(xs[i], xs[j]):
+        if symplectic(xs[i], xs[j], n):
             raise CodeConstructionError(f"seed X operators {i} and {j} anticommute")
     for i in range(len(zs)):
         for j in range(len(xs)):
-            if sympl(xs[j], zs[i]) != (1 if i == j else 0):
+            if symplectic(xs[j], zs[i], n) != (1 if i == j else 0):
                 raise CodeConstructionError("seed X/Z pairing violated")
         for j in range(i):
-            if sympl(zs[i], zs[j]):
+            if symplectic(zs[i], zs[j], n):
                 raise CodeConstructionError(f"seed Z operators {i} and {j} anticommute")
     seed_span = F2Span(gen_rows.reduced.rows)
     for v in xs + zs:
         if not seed_span.insert(v):
             raise CodeConstructionError("seed operators are dependent modulo the stabilizer")
 
-    # Solve for missing Z partners: sympl(x_j, z_i) = delta_ij over the kernel,
-    # then Gram-Schmidt z_i against earlier partners.
+    # Solve for missing Z partners: symplectic(x_j, z_i) = delta_ij over the
+    # kernel, then Gram-Schmidt z_i against earlier partners. Row j of the
+    # constraints holds x_j's symplectic form with each kernel row.
+    constraints = BitMatrix(tuple(mul_bt([_sym_twist(p) for p in seed_x], kern.rows)),
+                            kern.nrows)
     for i in range(len(zs), len(xs)):
-        constraint_rows = BitMatrix(
-            tuple(
-                sum(sympl(xs[j], kern.rows[m]) << m for m in range(kern.nrows))
-                for j in range(len(xs))
-            ),
-            kern.nrows,
-        )
-        coeffs = solve(constraint_rows, BitVec(len(xs), 1 << i))
+        coeffs = solve(constraints, 1 << i)
         if coeffs is None:
             raise CodeConstructionError("no symplectic partner for seed operator "
                                         f"{i}: seeds not independent in N(S)/S")
         z = 0
         for m in range(kern.nrows):
-            if coeffs.get(m):
+            if (coeffs >> m) & 1:
                 z ^= kern.rows[m]
         for l in range(i):
-            if sympl(z, zs[l]):
+            if symplectic(z, zs[l], n):
                 z ^= xs[l]
         zs.append(z)
 
@@ -341,16 +332,16 @@ def complete_logical_basis(
         pool = []
         for v in kern.rows:
             for x, z in zip(xs, zs):
-                if sympl(v, z):
+                if symplectic(v, z, n):
                     v ^= x
-                if sympl(v, x):
+                if symplectic(v, x, n):
                     v ^= z
             if span.insert(v):
                 pool.append(v)
         if not pool:
             raise CodeConstructionError("cannot complete basis: kernel exhausted")
         a = pool[0]
-        b = next((c for c in pool[1:] if sympl(a, c)), None)
+        b = next((c for c in pool[1:] if symplectic(a, c, n)), None)
         if b is None:
             raise CodeConstructionError("degenerate symplectic form on the quotient")
         xs.append(a)

@@ -198,8 +198,6 @@ def test_search_checkpoint(tmp_path, capsys):
      "pattern is [0, 4, 8] there, [0, 4] here"),
     (("search", "--n", "4", "--k", "2", "--pattern", "ZI,IZ", "--mode", "exhaustive",
       "--error-weight", "2"), "error_weight is 1 there, 2 here"),
-    (("search", "--n", "4", "--k", "2", "--pattern", "ZI,IZ", "--mode", "random"),
-     "mode is 'exhaustive' there, 'random' here"),
 ])
 def test_search_checkpoint_refuses_other_spec(tmp_path, capsys, argv, field):
     ckpt = tmp_path / "scan.json"
@@ -212,6 +210,23 @@ def test_search_checkpoint_refuses_other_spec(tmp_path, capsys, argv, field):
     assert "resuming" not in out
     assert f"is for another search: {field}" in err
     assert ckpt.read_bytes() == before
+
+
+def test_search_checkpoint_refuses_random_mode(tmp_path, capsys):
+    # A random scan has no resume index, so it neither reads nor writes a checkpoint.
+    old, new = tmp_path / "scan.json", tmp_path / "new.json"
+    code, _, _ = run(capsys, *EXHAUSTIVE_N4, "--budget", "100", "--checkpoint", str(old))
+    assert code == 0
+    before = old.read_bytes()
+    for path in (old, new):
+        code, out, err = run(capsys, "search", "--n", "4", "--k", "2", "--pattern", "ZI,IZ",
+                             "--mode", "random", "--seed", "3", "--budget", "5",
+                             "--expect-empty", "--checkpoint", str(path))
+        assert code == 2
+        assert out == ""
+        assert "checkpoints resume exhaustive scans only" in err
+    assert old.read_bytes() == before
+    assert not new.exists()
 
 
 @pytest.mark.parametrize("text,message", [
@@ -281,6 +296,19 @@ def test_unknown_catalog_entry_exit_code(capsys):
      "argument --limit: a count must be >= 1, got 0"),
     (("search", "--n", "6", "--k", "2", "--pattern", "ZI,IZ", "--limit", "one"),
      "argument --limit: invalid positive_int value: 'one'"),
+    (("simulate", "--code", "table1-7q", "--admissible", "ZI", "--model", "uniform1",
+      "--trials", "10", "--seed", "1", "--threads", "0"),
+     "argument --threads: a count must be >= 1, got 0"),
+    (("simulate", "--code", "table1-7q", "--admissible", "ZI", "--model", "uniform1",
+      "--trials", "10", "--seed", "1", "--threads", "-3"),
+     "argument --threads: a count must be >= 1, got -3"),
+    (("verify", "qet", "--code", "table1-7q", "--admissible", "ZI", "--max-weight", "-1"),
+     "argument --max-weight: a cap must be >= 0, got -1"),
+    (("simulate", "--code", "table1-7q", "--admissible", "ZI", "--model", "uniform1",
+      "--trials", "10", "--seed", "1", "--max-weight", "-2"),
+     "argument --max-weight: a cap must be >= 0, got -2"),
+    (("search", "--n", "6", "--k", "2", "--pattern", "ZI,IZ", "--error-weight", "-1"),
+     "argument --error-weight: a cap must be >= 0, got -1"),
 ])
 def test_bad_numeric_input_exit_code(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

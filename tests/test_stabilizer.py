@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtransmute.catalog import table1_code
-from qtransmute.errors import CodeConstructionError, ParseError
+from qtransmute.errors import CodeConstructionError, DimensionMismatch, ParseError
 from qtransmute.pauli import (PauliOp, enumerate_paulis, identity, multiply,
                               parse_pauli, render, weight)
 from qtransmute.search import sample_generators
@@ -44,12 +44,17 @@ def test_duplicated_generator_fails_rank(table1):
 
 
 def test_syndrome_identity_zero(table1):
-    assert syndrome(table1, identity(7)).is_zero()
+    assert syndrome(table1, identity(7)) == 0
+
+
+def test_syndrome_rejects_other_qubit_count(table1):
+    with pytest.raises(DimensionMismatch):
+        syndrome(table1, identity(6))
 
 
 def test_single_errors_detected(table1, table2):
-    assert all(not syndrome(table1, p).is_zero() for p in enumerate_paulis(7, 1))
-    assert all(not syndrome(table2, p).is_zero() for p in enumerate_paulis(6, 1))
+    assert all(syndrome(table1, p) for p in enumerate_paulis(7, 1))
+    assert all(syndrome(table2, p) for p in enumerate_paulis(6, 1))
 
 
 def test_syndrome_homomorphism(table1):
@@ -57,8 +62,9 @@ def test_syndrome_homomorphism(table1):
     for _ in range(200):
         a = PauliOp(7, rng.getrandbits(7), rng.getrandbits(7))
         b = PauliOp(7, rng.getrandbits(7), rng.getrandbits(7))
-        assert (syndrome(table1, multiply(a, b)).bits
-                == syndrome(table1, a).bits ^ syndrome(table1, b).bits)
+        assert (syndrome(table1, multiply(a, b))
+                == syndrome(table1, a) ^ syndrome(table1, b))
+        assert syndrome(table1, a) == table1.syndrome_bits(a.x, a.z)
 
 
 def test_logical_class_golden(table1, table2):
@@ -90,7 +96,7 @@ def test_class_vanishes_exactly_on_stabilizer(table1):
     elems = stabilizer_elements(table1)
     seen = 0
     for p in all_paulis(7):
-        if not syndrome(table1, p).is_zero():
+        if syndrome(table1, p):
             continue
         seen += 1
         cls = logical_class(table1, p)
@@ -100,11 +106,11 @@ def test_class_vanishes_exactly_on_stabilizer(table1):
 
 def test_weight2_normalizer_elements(table1, table2):
     w2_t1 = sorted(render(p) for p in enumerate_paulis(7, 2)
-                   if weight(p) == 2 and syndrome(table1, p).is_zero()
+                   if weight(p) == 2 and syndrome(table1, p) == 0
                    and not table1.contains_stabilizer(p))
     assert w2_t1 == sorted(["ZZIIIII", "IIZZIII", "IIIIZZI", "IIIIZIZ"])
     w2_t2 = sorted(render(p) for p in enumerate_paulis(6, 2)
-                   if weight(p) == 2 and syndrome(table2, p).is_zero()
+                   if weight(p) == 2 and syndrome(table2, p) == 0
                    and not table2.contains_stabilizer(p))
     assert w2_t2 == sorted(["ZZIIII", "IIZZII", "IIIIZZ", "IIIIXX", "IIIIYY"])
 
@@ -152,7 +158,7 @@ def _brute_force_distance(code):
     elems = stabilizer_elements(code)
     best = None
     for p in all_paulis(code.n):
-        if p.is_identity() or not syndrome(code, p).is_zero():
+        if p.is_identity() or syndrome(code, p):
             continue
         if (p.x, p.z) in elems:
             continue
@@ -321,6 +327,27 @@ def _random_small_code(rng, n, k):
 
     gens = [PauliOp(n, shuffle(g.x), shuffle(g.z)) for g in sample_generators(n, k, rng)]
     return standard_form(gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), k=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_seeded_completion_on_random_codes(n, k, seed):
+    # Seeds are logical X operators mixed with later ones and with random
+    # stabilizer elements, so solving for their Z partners uses the kernel.
+    assume(k < n)
+    rng = random.Random(seed)
+    code = _random_small_code(rng, n, k)
+    seeds = []
+    for i in range(rng.randint(1, k)):
+        x = z = 0
+        for op in [code.logical_x[i]] + [g for g in code.logical_x[i + 1:] + code.generators
+                                         if rng.random() < 0.5]:
+            x, z = x ^ op.x, z ^ op.z
+        seeds.append(PauliOp(n, x, z))
+    xs, zs = complete_logical_basis(code.generators, seed_x=seeds)
+    assert xs[:len(seeds)] == seeds
+    assert validate_code(StabilizerCode(code.generators, xs, zs)).ok
+    assert complete_logical_basis(code.generators, seed_x=seeds) == (xs, zs)
 
 
 def _brute_minima(code):
