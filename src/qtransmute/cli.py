@@ -51,6 +51,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def _within_qubits(flag: str, weight: int, n: int) -> int:
+    """An error weight from `flag`, refused (exit 2) above the qubit count n."""
+    if weight > n:
+        raise QTError(f"{flag} {weight} exceeds the qubit count n = {n}")
+    return weight
+
+
 def _torus_size(text: str) -> tuple[int, int]:
     """argparse type of --L: the torus size as A,B."""
     try:
@@ -180,7 +187,7 @@ def _cmd_verify(args) -> int:
         adm = AdmissibleSet.trivial(code.k)
     else:
         adm = _load_admissible(args.admissible, cc)
-    errors = errors_up_to_weight(code.n, args.max_weight)
+    errors = errors_up_to_weight(code.n, _within_qubits("--max-weight", args.max_weight, code.n))
     if args.relabel:
         hit = relabel_search(code, adm, errors)
         if hit is None:
@@ -311,7 +318,8 @@ def _cmd_search(args) -> int:
         strings = [s for s in pattern_spec.split(",") if s]
     pattern = AdmissibleSet.from_strings(args.k, strings)
     spec = SearchSpec(n=args.n, k=args.k, pattern=pattern,
-                      error_weight=args.error_weight, mode=args.mode,
+                      error_weight=_within_qubits("--error-weight", args.error_weight, args.n),
+                      mode=args.mode,
                       seed=args.seed, budget=args.budget, limit=args.limit)
     start = 0
     if args.checkpoint and os.path.exists(args.checkpoint):
@@ -355,7 +363,7 @@ def _cmd_simulate(args) -> int:
                                      line=lineno)
                 pairs.append((parse_pauli(parts[0], line=lineno), float(parts[1])))
         model = ExplicitChannel(code.n, tuple(pairs))
-    errors = errors_up_to_weight(code.n, args.max_weight)
+    errors = errors_up_to_weight(code.n, _within_qubits("--max-weight", args.max_weight, code.n))
     verdict = check_general_qet(code, adm, errors)
     if not verdict.passed:
         a, b = verdict.witness
@@ -394,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file, inline 'ZI,IZ', or 'catalog' (default)")
     p.add_argument("--max-weight", type=nonnegative_int, default=1)
     p.add_argument("--relabel", action="store_true",
-                   help="search logical relabelings (k <= 3)")
+                   help="search logical relabelings (k <= 3); for k <= 2 each distinct "
+                        "image of the pattern under the symplectic group is tried once")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_verify)
 

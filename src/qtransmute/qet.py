@@ -11,6 +11,7 @@ so feasibility reduces to scanning candidate reference assignments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, combinations
 
 from .errors import DimensionMismatch
@@ -272,12 +273,34 @@ def apply_transform(cols: tuple[int, ...], bits: int) -> int:
     return out
 
 
+def _transformed(k: int, classes: frozenset[int]):
+    """(image of `classes`, transform) for every transform, in
+    `symplectic_transforms(k)` order."""
+    for cols in symplectic_transforms(k):
+        yield frozenset(apply_transform(cols, c) for c in classes), cols
+
+
+@lru_cache(maxsize=8)
+def _pattern_images(k: int, classes: frozenset[int]):
+    """The distinct images of `classes` under Sp(2k,2), in order of first
+    occurrence along `symplectic_transforms(k)`, each paired with the first
+    transform that produces it. Built on first use and kept per (k, classes)."""
+    images: dict[frozenset[int], tuple[int, ...]] = {}
+    for mapped, cols in _transformed(k, classes):
+        images.setdefault(mapped, cols)
+    return tuple(images.items())
+
+
 def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
                    user_basis: tuple[list[PauliOp], list[PauliOp]] | None = None,
                    ) -> tuple[StabilizerCode, Verdict] | None:
     """Search logical relabelings for one under which the pattern passes.
 
-    Exhausts the symplectic group for k <= 3; beyond that a caller-supplied
+    Walks the symplectic group in `symplectic_transforms` order for k <= 3 and
+    relabels with the first transform under which the pattern passes. For
+    k <= 2 each distinct image of the pattern is tried once, from a list built
+    once per process for each (k, pattern); at k=3 the transforms are walked
+    per code and the walk stops at the first pass. Beyond k=3 a caller-supplied
     basis is required. Returns the relabeled code and its verdict, or None.
     """
     _check_k(code, pattern)
@@ -291,8 +314,10 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
 
     errs = _dedupe(code, errors)
     pairs = list(_bucket_pairs(code, errs, {}))
-    for cols in symplectic_transforms(code.k):
-        mapped = frozenset(apply_transform(cols, p) for p in pattern.classes)
+    # Sp(4,2) has 720 elements; Sp(6,2) has 1,451,520, too many to walk up front.
+    images = (_pattern_images(code.k, pattern.classes) if code.k <= 2
+              else _transformed(code.k, pattern.classes))
+    for mapped, cols in images:
         if _narrow(mapped, pairs, {}) is None:
             new_x = [code.class_representative(cols[i]) for i in range(code.k)]
             new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]

@@ -46,6 +46,8 @@ class SearchSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 < self.k < self.n:
             raise ValueError("need 0 < k < n")
+        if not 0 <= self.error_weight <= self.n:
+            raise ValueError(f"error_weight must be in 0..{self.n}, got {self.error_weight}")
         if self.mode == "exhaustive" and self.n > _EXHAUSTIVE_N_LIMIT:
             raise ValueError(f"exhaustive mode is limited to n <= {_EXHAUSTIVE_N_LIMIT}")
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from qtransmute.errors import CodeConstructionError
 from qtransmute.pauli import (PauliOp, enumerate_paulis, errors_up_to_weight,
                               identity, multiply, parse_pauli, render)
-from qtransmute.qet import (AdmissibleSet, apply_transform, build_recovery,
-                            check_general_qet, check_group_qet,
+from qtransmute.qet import (AdmissibleSet, _pattern_images, apply_transform,
+                            build_recovery, check_general_qet, check_group_qet,
                             deff_lower_bound, effective_distance,
                             relabel_search, strong_conditions_hold,
                             symplectic_transforms)
@@ -453,6 +453,38 @@ def test_relabel_search_user_basis(table2):
     hit = relabel_search(sf, BOTH_PHASES, errors_up_to_weight(6, 1),
                          user_basis=(table2.logical_x, table2.logical_z))
     assert hit is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 2), group=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_pattern_images_are_first_occurrences(k, group, seed):
+    pattern = spread_admissible(random.Random(seed), k, group)
+    transforms = list(symplectic_transforms(k))
+    mapped = [frozenset(apply_transform(cols, c) for c in pattern.classes)
+              for cols in transforms]
+    images = _pattern_images(k, pattern.classes)
+    got = [image for image, _ in images]
+    assert len(set(got)) == len(got)
+    assert got == sorted(got, key=mapped.index)
+    for image, cols in images:
+        assert cols == transforms[mapped.index(image)]
+    assert set(got) == set(mapped)
+
+
+def test_pattern_image_counts():
+    assert len(_pattern_images(2, BOTH_PHASES.classes)) == 45
+    assert len(_pattern_images(2, PHASE1.classes)) == 15
+    assert len(_pattern_images(2, AdmissibleSet.full(2).classes)) == 1
+
+
+def test_relabel_search_k3_stops_at_the_first_passing_transform():
+    # the full set passes under the identity, the first of Sp(6,2)'s
+    # 1,451,520 transforms; no k=3 image list is built
+    code = random_code(random.Random(5), 6, 3)
+    before = _pattern_images.cache_info()
+    hit = relabel_search(code, AdmissibleSet.full(3), errors_up_to_weight(6, 1))
+    assert hit is not None and hit[1].passed
+    assert _pattern_images.cache_info() == before
 
 
 def test_symplectic_group_sizes():

@@ -108,6 +108,12 @@ def test_exhaustive_guard():
         SearchSpec(n=13, k=2, pattern=AdmissibleSet.trivial(2), mode="exhaustive")
 
 
+@pytest.mark.parametrize("weight", [-1, 5])
+def test_spec_refuses_error_weight_outside_qubit_range(weight):
+    with pytest.raises(ValueError, match=f"error_weight must be in 0..4, got {weight}"):
+        SearchSpec(n=4, k=2, pattern=BOTH_PHASES, error_weight=weight)
+
+
 def test_exhaustive_n4_finds_no_table2_predicate_match():
     # the n=4 slice of the nonexistence scan; n=5 runs in the slow acceptance test
     spec = SearchSpec(n=4, k=2, pattern=BOTH_PHASES, error_weight=1,
