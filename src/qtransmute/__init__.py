@@ -2,8 +2,8 @@
 
 from .pauli import PauliOp, commutes, enumerate_paulis, errors_up_to_weight, \
     multiply, parse_pauli, render, weight
-from .stabilizer import (DistanceResult, LogicalClass, StabilizerCode,
-                         code_distance, complete_logical_basis, logical_class,
+from .stabilizer import (DistanceResult, StabilizerCode, code_distance,
+                         complete_logical_basis, logical_class,
                          min_weight_in_class, standard_form, syndrome,
                          validate_code)
 from .stabilizer import dumps as dumps_code, loads as loads_code, \

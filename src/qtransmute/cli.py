@@ -24,9 +24,8 @@ from .qet import (AdmissibleSet, build_recovery, check_general_qet,
                   deff_lower_bound, dumps_admissible, effective_distance,
                   loads_admissible, relabel_search)
 from .search import SearchSpec, read_checkpoint, run_search, write_checkpoint
-from .stabilizer import (LogicalClass, class_bits_from_string,
-                         dumps as dump_code, load_file as load_code_file,
-                         min_weight_in_class, validate_code)
+from .stabilizer import (class_bits_from_string, dumps as dump_code,
+                         load_file as load_code_file, min_weight_in_class, validate_code)
 from .transforms import concatenate
 
 EXIT_PASS = 0
@@ -74,11 +73,15 @@ def _load_catalog_code(spec: str) -> CatalogCode:
 
 
 def _load_admissible(spec: str, cc: CatalogCode) -> AdmissibleSet:
-    k = cc.code.k
     if spec == "catalog":
         if cc.admissible is None:
             raise QTError(f"{cc.name} has no canonical admissible set")
         return cc.admissible
+    return _read_admissible(spec, cc.code.k)
+
+
+def _read_admissible(spec: str, k: int) -> AdmissibleSet:
+    """An admissible set over k logical qubits from a file or inline 'ZI,IZ'."""
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return loads_admissible(fh.read(), k)
@@ -88,7 +91,7 @@ def _load_admissible(spec: str, cc: CatalogCode) -> AdmissibleSet:
 _NAMED_CLASS = re.compile(r"^([XZ]\d+)+$")
 
 
-def _parse_class(spec: str, code) -> LogicalClass:
+def _parse_class(spec: str, code) -> int:
     """Either a product of named basis operators (Z1Z2, X1) or a logical
     Pauli string over the k logical qubits."""
     if _NAMED_CLASS.match(spec):
@@ -98,8 +101,8 @@ def _parse_class(spec: str, code) -> LogicalClass:
             if not 0 <= i < code.k:
                 raise QTError(f"logical qubit {idx} out of range (k={code.k})")
             bits ^= (1 << i) if letter == "X" else (1 << (code.k + i))
-        return LogicalClass(code.k, bits)
-    return LogicalClass(code.k, class_bits_from_string(spec, code.k))
+        return bits
+    return class_bits_from_string(spec, code.k)
 
 
 def _load_classical(spec: str) -> LinearCode:
@@ -309,15 +312,7 @@ def _cmd_search(args) -> int:
     if args.checkpoint and args.mode == "random":
         raise QTError("checkpoints resume exhaustive scans only: "
                       "drop --checkpoint or use --mode exhaustive")
-    pattern_spec = args.pattern
-    if os.path.exists(pattern_spec):
-        with open(pattern_spec, "r", encoding="utf-8") as fh:
-            strings = [ln.strip() for ln in fh
-                       if ln.strip() and not ln.strip().startswith("#")]
-    else:
-        strings = [s for s in pattern_spec.split(",") if s]
-    pattern = AdmissibleSet.from_strings(args.k, strings)
-    spec = SearchSpec(n=args.n, k=args.k, pattern=pattern,
+    spec = SearchSpec(n=args.n, k=args.k, pattern=_read_admissible(args.pattern, args.k),
                       error_weight=_within_qubits("--error-weight", args.error_weight, args.n),
                       mode=args.mode,
                       seed=args.seed, budget=args.budget, limit=args.limit)
@@ -402,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file, inline 'ZI,IZ', or 'catalog' (default)")
     p.add_argument("--max-weight", type=nonnegative_int, default=1)
     p.add_argument("--relabel", action="store_true",
-                   help="search logical relabelings (k <= 3); for k <= 2 each distinct "
-                        "image of the pattern under the symplectic group is tried once")
+                   help="search logical relabelings (k <= 3): each distinct image of the "
+                        "pattern under the symplectic group is tried once")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_verify)
 

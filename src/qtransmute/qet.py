@@ -10,9 +10,10 @@ so feasibility reduces to scanning candidate reference assignments.
 """
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, tee
 
 from .errors import DimensionMismatch
 from .f2 import symplectic
@@ -90,9 +91,14 @@ def dumps_admissible(adm: AdmissibleSet) -> str:
 
 
 def loads_admissible(text: str, k: int) -> AdmissibleSet:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    return AdmissibleSet.from_strings(k, lines)
+    """Parse `dumps_admissible` output; blank and '#' lines are skipped, and a
+    parse error names its line."""
+    bits = {0}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        s = raw.strip()
+        if s and not s.startswith("#"):
+            bits.add(class_bits_from_string(s, k, line=lineno))
+    return AdmissibleSet(k, frozenset(bits))
 
 
 @dataclass(frozen=True)
@@ -273,22 +279,41 @@ def apply_transform(cols: tuple[int, ...], bits: int) -> int:
     return out
 
 
-def _transformed(k: int, classes: frozenset[int]):
-    """(image of `classes`, transform) for every transform, in
-    `symplectic_transforms(k)` order."""
-    for cols in symplectic_transforms(k):
-        yield frozenset(apply_transform(cols, c) for c in classes), cols
+def _breadth_first_orbit(k: int, classes: frozenset[int]):
+    """The distinct images of `classes` under Sp(2k,2), breadth-first from the
+    identity under the transvections (u -> u ^ v when u and v anticommute),
+    which generate the group. Each image comes with the column-tuple transform
+    that first reaches it."""
+    try:
+        size = 1 << (2 * k)
+        moves = [[u ^ v if symplectic(u, v, k) else u for u in range(size)]
+                 for v in range(1, size)]
+        queue = [(classes, tuple(1 << i for i in range(2 * k)))]
+        seen = {classes}
+        for image, cols in queue:
+            yield image, cols
+            for move in moves:
+                nxt = frozenset(move[u] for u in image)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append((nxt, tuple(move[c] for c in cols)))
+    except (Exception, KeyboardInterrupt):
+        _orbit.cache_clear()  # a dead generator would replay a truncated orbit
+        raise
 
 
 @lru_cache(maxsize=8)
+def _orbit(k: int, classes: frozenset[int]):
+    """The replay cache for (k, classes): a tee that is never advanced, so it
+    keeps every image found so far."""
+    return tee(_breadth_first_orbit(k, classes), 1)[0]
+
+
 def _pattern_images(k: int, classes: frozenset[int]):
-    """The distinct images of `classes` under Sp(2k,2), in order of first
-    occurrence along `symplectic_transforms(k)`, each paired with the first
-    transform that produces it. Built on first use and kept per (k, classes)."""
-    images: dict[frozenset[int], tuple[int, ...]] = {}
-    for mapped, cols in _transformed(k, classes):
-        images.setdefault(mapped, cols)
-    return tuple(images.items())
+    """(image, transform) pairs in `_breadth_first_orbit` order. Replays the
+    images found by earlier calls and extends the search only as far as the
+    caller reads."""
+    return copy(_orbit(k, classes))
 
 
 def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
@@ -296,11 +321,9 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
                    ) -> tuple[StabilizerCode, Verdict] | None:
     """Search logical relabelings for one under which the pattern passes.
 
-    Walks the symplectic group in `symplectic_transforms` order for k <= 3 and
-    relabels with the first transform under which the pattern passes. For
-    k <= 2 each distinct image of the pattern is tried once, from a list built
-    once per process for each (k, pattern); at k=3 the transforms are walked
-    per code and the walk stops at the first pass. Beyond k=3 a caller-supplied
+    For k <= 3, tries each distinct image of the pattern under Sp(2k,2) once,
+    in `_pattern_images` order, and relabels with the transform stored for the
+    first image under which the pattern passes. Beyond k=3 a caller-supplied
     basis is required. Returns the relabeled code and its verdict, or None.
     """
     _check_k(code, pattern)
@@ -314,10 +337,7 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
 
     errs = _dedupe(code, errors)
     pairs = list(_bucket_pairs(code, errs, {}))
-    # Sp(4,2) has 720 elements; Sp(6,2) has 1,451,520, too many to walk up front.
-    images = (_pattern_images(code.k, pattern.classes) if code.k <= 2
-              else _transformed(code.k, pattern.classes))
-    for mapped, cols in images:
+    for mapped, cols in _pattern_images(code.k, pattern.classes):
         if _narrow(mapped, pairs, {}) is None:
             new_x = [code.class_representative(cols[i]) for i in range(code.k)]
             new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]

@@ -19,29 +19,6 @@ from .pauli import PauliOp, parse_pauli, render, symplectic_product
 _PURE_LETTERS = {None: ("X", "Y", "Z"), "x": ("X",), "z": ("Z",)}
 
 
-@dataclass(frozen=True)
-class LogicalClass:
-    """Image of an N(S) element in N(S)/S, as a 2k-bit anticommutation pattern."""
-
-    k: int
-    bits: int = 0
-
-    def __post_init__(self):
-        if self.bits >> (2 * self.k) or self.bits < 0:
-            raise ValueError("class bits exceed 2k")
-
-    def __xor__(self, other: "LogicalClass") -> "LogicalClass":
-        if self.k != other.k:
-            raise ValueError("logical qubit count mismatch")
-        return LogicalClass(self.k, self.bits ^ other.bits)
-
-    def is_trivial(self) -> bool:
-        return self.bits == 0
-
-    def to_string(self) -> str:
-        return class_bits_to_string(self.k, self.bits)
-
-
 def class_bits_to_string(k: int, bits: int) -> str:
     """Render class bits as a logical Pauli string over k qubits."""
     return "".join("IXZY"[((bits >> i) & 1) + 2 * ((bits >> (k + i)) & 1)]
@@ -215,13 +192,13 @@ def syndrome(code: StabilizerCode, p: PauliOp) -> int:
     return code.syndrome_bits(p.x, p.z)
 
 
-def logical_class(code: StabilizerCode, p: PauliOp) -> LogicalClass:
-    """Class of an N(S) element; raises if p has a nonzero syndrome."""
+def logical_class(code: StabilizerCode, p: PauliOp) -> int:
+    """Class bits of an N(S) element; raises if p has a nonzero syndrome."""
     if p.n != code.n:
         raise DimensionMismatch(f"operator on {p.n} qubits, code on {code.n}")
     if code.syndrome_bits(p.x, p.z):
         raise ValueError(f"{render(p)} is not in N(S): nonzero syndrome")
-    return LogicalClass(code.k, code.class_bits(p.x, p.z))
+    return code.class_bits(p.x, p.z)
 
 
 def validate_code(code: StabilizerCode) -> Diagnostics:
@@ -411,7 +388,7 @@ def scan_zero_syndrome(code: StabilizerCode, w: int, visit,
 
 def min_weight_in_class(
     code: StabilizerCode,
-    target: LogicalClass | int | None,
+    target: int | None,
     cap: int,
     pure: str | None = None,
 ) -> DistanceResult:
@@ -421,12 +398,13 @@ def min_weight_in_class(
         raise ValueError(f"cap must be >= 0, got {cap}")
     if pure not in _PURE_LETTERS:
         raise ValueError("pure must be None, 'x', or 'z'")
+    if target is not None and not 0 <= target < 1 << (2 * code.k):
+        raise ValueError(f"class bits {target} exceed 2k = {2 * code.k}")
     cap = min(cap, code.n)
-    bits = target.bits if isinstance(target, LogicalClass) else target
-    if bits == 0:
+    if target == 0:
         return DistanceResult(0, True, cap)
-    found = ((lambda x, z: not code.in_stabilizer_bits(x, z)) if bits is None
-             else (lambda x, z: code.class_bits(x, z) == bits))
+    found = ((lambda x, z: not code.in_stabilizer_bits(x, z)) if target is None
+             else (lambda x, z: code.class_bits(x, z) == target))
     for w in range(1, cap + 1):
         if scan_zero_syndrome(code, w, found, pure):
             return DistanceResult(w, True, cap)

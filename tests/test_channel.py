@@ -62,8 +62,8 @@ def test_table2_residual_classes(table2):
     table = recovery_for(table2, BOTH_PHASES)
     rep = run_trials(table2, BOTH_PHASES, table, uniform_single_error_channel(6),
                      trials=50_000, seed=9)
-    z1 = logical_class(table2, table2.logical_z[0]).bits
-    z2 = logical_class(table2, table2.logical_z[1]).bits
+    z1 = logical_class(table2, table2.logical_z[0])
+    z2 = logical_class(table2, table2.logical_z[1])
     assert set(rep.class_counts) <= {0, z1, z2}
     assert z1 ^ z2 not in rep.class_counts  # the excluded product class never appears
 

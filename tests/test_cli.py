@@ -342,3 +342,16 @@ def test_invalid_code_file_exit_code(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert "parse error: invalid code: generators 0 and 1 anticommute" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "qet", "--code", "table2-6q", "--admissible"),
+    ("search", "--n", "4", "--k", "2", "--budget", "3", "--pattern"),
+])
+def test_bad_admissible_file_names_the_line(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.adm"
+    bad.write_text("ZI\n# comment\n\nIQ\n")
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == 2
+    assert out == ""
+    assert "parse error: invalid Pauli letter 'Q' at line 4, position 1" in err

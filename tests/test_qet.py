@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qtransmute import qet
 from qtransmute.errors import CodeConstructionError
+from qtransmute.f2 import symplectic
 from qtransmute.pauli import (PauliOp, enumerate_paulis, errors_up_to_weight,
                               identity, multiply, parse_pauli, render)
 from qtransmute.qet import (AdmissibleSet, _pattern_images, apply_transform,
@@ -14,12 +16,13 @@ from qtransmute.qet import (AdmissibleSet, _pattern_images, apply_transform,
                             relabel_search, strong_conditions_hold,
                             symplectic_transforms)
 from qtransmute.search import sample_generators
-from qtransmute.stabilizer import (StabilizerCode, code_distance,
-                                   complete_logical_basis, loads, logical_class,
-                                   standard_form, validate_code)
+from qtransmute.stabilizer import (StabilizerCode, class_bits_to_string,
+                                   code_distance, complete_logical_basis, loads,
+                                   logical_class, standard_form, validate_code)
 
 PHASE1 = AdmissibleSet.group_generated(2, ["ZI"])
 BOTH_PHASES = AdmissibleSet.from_strings(2, ["ZI", "IZ"])
+PHASES3 = AdmissibleSet.from_strings(3, ["ZII", "IZI", "IIZ"])
 
 
 def random_code(rng, n, k):
@@ -44,6 +47,16 @@ def random_admissible(rng, k, group):
         for _ in range(rng.randrange(1, 4)):
             classes.add(rng.randrange(1 << (2 * k)))
     return AdmissibleSet(k, frozenset(classes))
+
+
+def relabeled(code, cols):
+    """`code` with the logical basis that the column-tuple transform names."""
+    return code.with_logicals([code.class_representative(c) for c in cols[:code.k]],
+                              [code.class_representative(c) for c in cols[code.k:]])
+
+
+def image_of(cols, pattern):
+    return frozenset(apply_transform(cols, c) for c in pattern.classes)
 
 
 def brute_force_qec_ok(code, errors):
@@ -163,7 +176,7 @@ def test_table1_fails_plain_qec(table1):
     assert {render(a), render(b)} == {"ZIIIIII", "IZIIIII"}
     # the witness is recheckable: same syndrome, product class inadmissible
     assert (table1.syndrome_bits(a.x, a.z) == table1.syndrome_bits(b.x, b.z))
-    assert not logical_class(table1, multiply(a, b)).is_trivial()
+    assert logical_class(table1, multiply(a, b)) != 0
 
 
 def test_identity_only_error_set_passes(table1):
@@ -197,8 +210,8 @@ def test_table2_pi_map_realizes_products(table2):
     syn = table2.syndrome_bits(y5.x, y5.z)
     assert syn == table2.syndrome_bits(y6.x, y6.z)
     bucket = verdict.pi_maps[syn]
-    z1 = logical_class(table2, table2.logical_z[0]).bits
-    z2 = logical_class(table2, table2.logical_z[1]).bits
+    z1 = logical_class(table2, table2.logical_z[0])
+    z2 = logical_class(table2, table2.logical_z[1])
     ref = bucket.reference
     for option in bucket.options:
         # fixing the reference image forces every other assignment
@@ -307,25 +320,26 @@ def test_effective_distance_matches_layered_checks(n, k, group, seed):
 @settings(max_examples=60, deadline=None)
 @random_instances
 def test_relabel_search_returns_first_passing_transform(n, k, group, seed):
+    # a hit exists iff brute force over all of Sp(2k,2) finds a passing
+    # relabeling, and it is the one stored for the first passing image
     assume(k < n)
     rng = random.Random(seed)
     code = random_code(rng, n, k)
     adm = spread_admissible(rng, k, group)
     errs = shuffled_errors(rng, n, 1)
-    want = None
-    for cols in symplectic_transforms(k):
-        relabeled = code.with_logicals(
-            [code.class_representative(cols[i]) for i in range(k)],
-            [code.class_representative(cols[k + i]) for i in range(k)])
-        if brute_force_general(relabeled, adm, errs)[0] is None:
-            want = relabeled
-            break
+
+    def passes(cols):
+        return brute_force_general(relabeled(code, cols), adm, errs)[0] is None
+
+    exists = any(passes(cols) for cols in symplectic_transforms(k))
+    first = next((cols for _, cols in _pattern_images(k, adm.classes) if passes(cols)), None)
     hit = relabel_search(code, adm, errs)
-    if want is None:
-        assert hit is None
-    else:
+    assert (hit is not None) == exists == (first is not None)
+    if hit is not None:
         got, verdict = hit
+        want = relabeled(code, first)
         assert (got.logical_x, got.logical_z) == (want.logical_x, want.logical_z)
+        assert validate_code(got).ok
         assert verdict.passed
 
 
@@ -457,34 +471,86 @@ def test_relabel_search_user_basis(table2):
 
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(1, 2), group=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_pattern_images_are_first_occurrences(k, group, seed):
+def test_pattern_images_are_the_orbit(k, group, seed):
     pattern = spread_admissible(random.Random(seed), k, group)
-    transforms = list(symplectic_transforms(k))
-    mapped = [frozenset(apply_transform(cols, c) for c in pattern.classes)
-              for cols in transforms]
-    images = _pattern_images(k, pattern.classes)
+    transforms = set(symplectic_transforms(k))
+    images = list(_pattern_images(k, pattern.classes))
     got = [image for image, _ in images]
     assert len(set(got)) == len(got)
-    assert got == sorted(got, key=mapped.index)
     for image, cols in images:
-        assert cols == transforms[mapped.index(image)]
-    assert set(got) == set(mapped)
+        assert cols in transforms
+        assert image_of(cols, pattern) == image
+    assert set(got) == {image_of(cols, pattern) for cols in transforms}
 
 
 def test_pattern_image_counts():
-    assert len(_pattern_images(2, BOTH_PHASES.classes)) == 45
-    assert len(_pattern_images(2, PHASE1.classes)) == 15
-    assert len(_pattern_images(2, AdmissibleSet.full(2).classes)) == 1
+    for k, pattern, size in ((2, BOTH_PHASES, 45), (2, PHASE1, 15),
+                             (2, AdmissibleSet.full(2), 1), (3, PHASES3, 3780),
+                             (3, AdmissibleSet.group_generated(3, ["ZII", "IZI"]), 315),
+                             (3, AdmissibleSet.full(3), 1)):
+        assert sum(1 for _ in _pattern_images(k, pattern.classes)) == size
 
 
-def test_relabel_search_k3_stops_at_the_first_passing_transform():
-    # the full set passes under the identity, the first of Sp(6,2)'s
-    # 1,451,520 transforms; no k=3 image list is built
-    code = random_code(random.Random(5), 6, 3)
-    before = _pattern_images.cache_info()
-    hit = relabel_search(code, AdmissibleSet.full(3), errors_up_to_weight(6, 1))
+def test_relabel_search_k3_stops_at_the_first_passing_transform(monkeypatch):
+    # the orbit is read lazily: a pass early in the 3,780 images of
+    # {I,Z1,Z2,Z3} returns before the rest are found
+    pulled = []
+    search_orbit = qet._breadth_first_orbit
+
+    def counted(k, classes):
+        for item in search_orbit(k, classes):
+            pulled.append(item)
+            yield item
+
+    monkeypatch.setattr(qet, "_breadth_first_orbit", counted)
+    qet._orbit.cache_clear()
+    code = random_code(random.Random(0), 6, 3)
+    errs = [e for e in errors_up_to_weight(6, 1) if (e.x | e.z) < 8]  # on qubits 0-2
+    hit = relabel_search(code, PHASES3, errs)
+    qet._orbit.cache_clear()
     assert hit is not None and hit[1].passed
-    assert _pattern_images.cache_info() == before
+    assert 1 < len(pulled) < 3780
+
+
+def test_an_interrupted_orbit_search_starts_again(monkeypatch):
+    # a generator stopped by an exception is dead; replaying its cache
+    # would give a truncated orbit
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    qet._orbit.cache_clear()
+    monkeypatch.setattr(qet, "symplectic", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        next(_pattern_images(2, BOTH_PHASES.classes))
+    monkeypatch.undo()
+    assert sum(1 for _ in _pattern_images(2, BOTH_PHASES.classes)) == 45
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(4, 6), kind=st.sampled_from(["few", "all but one", "group"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_relabel_search_k3_finds_sampled_relabelings(n, kind, seed):
+    # Sp(6,2) elements sampled as products of transvections: each maps the
+    # pattern into its orbit, and a passing one means relabel_search has a hit.
+    # The patterns are kinds whose orbits are small enough to read whole.
+    rng = random.Random(seed)
+    code = random_code(rng, n, 3)
+    picks = [rng.randrange(1, 64) for _ in range(rng.randrange(1, 3))]
+    pattern = {"few": AdmissibleSet(3, frozenset([0, *picks])),
+               "all but one": AdmissibleSet(3, frozenset(range(64)) - {picks[0]}),
+               "group": AdmissibleSet.group_generated(
+                   3, [class_bits_to_string(3, c) for c in picks])}[kind]
+    errs = rng.sample(errors_up_to_weight(n, 1), rng.randrange(1, 3 * n + 2))
+    orbit = {image for image, _ in _pattern_images(3, pattern.classes)}
+    hit = relabel_search(code, pattern, errs)
+    for _ in range(10):
+        cols = tuple(1 << i for i in range(6))
+        for _ in range(rng.randrange(12)):
+            v = rng.randrange(1, 64)
+            cols = tuple(c ^ v if symplectic(c, v, 3) else c for c in cols)
+        assert image_of(cols, pattern) in orbit
+        if check_general_qet(relabeled(code, cols), pattern, errs).passed:
+            assert hit is not None
 
 
 def test_symplectic_group_sizes():

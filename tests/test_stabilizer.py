@@ -10,7 +10,7 @@ from qtransmute.errors import CodeConstructionError, DimensionMismatch, ParseErr
 from qtransmute.pauli import (PauliOp, enumerate_paulis, identity, multiply,
                               parse_pauli, render, weight)
 from qtransmute.search import sample_generators
-from qtransmute.stabilizer import (LogicalClass, StabilizerCode, code_distance,
+from qtransmute.stabilizer import (StabilizerCode, code_distance,
                                    complete_logical_basis, dumps, loads,
                                    logical_class, min_weight_in_class,
                                    scan_zero_syndrome, standard_form, syndrome,
@@ -84,7 +84,7 @@ def test_logical_class_golden(table1, table2):
 
 def test_generators_have_zero_class(table1):
     for g in table1.generators:
-        assert logical_class(table1, g).is_trivial()
+        assert logical_class(table1, g) == 0
 
 
 def test_logical_class_rejects_detected_errors(table1):
@@ -100,7 +100,7 @@ def test_class_vanishes_exactly_on_stabilizer(table1):
             continue
         seen += 1
         cls = logical_class(table1, p)
-        assert cls.is_trivial() == ((p.x, p.z) in elems)
+        assert (cls == 0) == ((p.x, p.z) in elems)
     assert seen == 2 ** 5 * 2 ** 4  # |S| * |logical group|
 
 
@@ -181,7 +181,13 @@ def test_distance_cap_marker(five_qubit):
 
 
 def test_min_weight_in_trivial_class(table1):
-    assert min_weight_in_class(table1, LogicalClass(2, 0), 7).value == 0
+    assert min_weight_in_class(table1, 0, 7).value == 0
+
+
+@pytest.mark.parametrize("target", [-1, 16, 99])
+def test_min_weight_rejects_class_bits_beyond_2k(table1, target):
+    with pytest.raises(ValueError, match="exceed 2k = 4"):
+        min_weight_in_class(table1, target, 7)
 
 
 def test_min_weight_pure_restriction(table1):
