@@ -17,7 +17,7 @@ from .classical import (LinearCode, Poly2, asymmetric_distances, classical_dista
 from .lattice import (LPoly, LaurentVec, UnitCellCode, compact_encoding,
                       instantiate_torus, symplectic_form, toric_code,
                       validate_unit_cell)
-from .transforms import ConcatenatedCode, concatenate
+from .transforms import concatenate
 from .channel import (DepolarizingChannel, ExplicitChannel, TrialReport,
                       run_trials, uniform_single_error_channel)
 from .search import SearchSpec, run_search

@@ -32,8 +32,8 @@ class ExplicitChannel:
         for e, p in self.errors:
             if e.n != self.n:
                 raise ValueError("channel error acts on the wrong number of qubits")
-            if p < 0:
-                raise ValueError("negative probability")
+            if not p >= 0:
+                raise ValueError(f"probability must be a number >= 0, got {p}")
             total += p
         if total > 1.0 + 1e-9:
             raise ValueError(f"probabilities sum to {total} > 1")
@@ -74,7 +74,6 @@ class TrialReport:
     trials: int = 0
     seed: str = ""
     class_counts: dict[int, int] = field(default_factory=dict)
-    syndrome_counts: dict[int, int] = field(default_factory=dict)
     uncovered: int = 0
 
     def merge(self, other: "TrialReport") -> None:
@@ -82,8 +81,6 @@ class TrialReport:
         self.uncovered += other.uncovered
         for c, v in other.class_counts.items():
             self.class_counts[c] = self.class_counts.get(c, 0) + v
-        for s, v in other.syndrome_counts.items():
-            self.syndrome_counts[s] = self.syndrome_counts.get(s, 0) + v
 
     def admissible_rate(self, adm: AdmissibleSet) -> float:
         if self.trials == 0:
@@ -134,16 +131,12 @@ def _run_chunk(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
         cumulative = list(accumulate(p for _, p in model.errors))
     report = TrialReport(trials=count, seed=chunk_seed)
     classes = report.class_counts
-    syndromes = report.syndrome_counts
     for _ in range(count):
         ex, ez = _sample_error(model, rng, cumulative)
-        syn = code.syndrome_bits(ex, ez)
-        syndromes[syn] = syndromes.get(syn, 0) + 1
         if (ex, ez) not in table.support:
             report.uncovered += 1
             continue
-        entry = table.entries[syn]
-        comps = entry.components
+        comps = table.entries[code.syndrome_bits(ex, ez)].components
         if len(comps) == 1:
             _, _, corr = comps[0]
         else:

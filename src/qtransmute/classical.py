@@ -6,7 +6,6 @@ full-rank parity-check matrix with G P^T = 0.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import CodeConstructionError, ParseError
@@ -158,40 +157,35 @@ def dual(code: LinearCode) -> LinearCode:
 _EXHAUSTIVE_K_LIMIT = 25
 
 
-def classical_distance(code: LinearCode, cap: int, *,
-                       samples: int = 20000, seed: int = 0) -> DistanceResult:
+def classical_distance(code: LinearCode, cap: int) -> DistanceResult:
     """Minimum Hamming weight of a nonzero codeword.
 
     Exhaustive (Gray-code walk over all 2^k codewords) for k <= 25; beyond
-    that, seeded random information sampling reports the best weight found
-    as a non-exact bound.
+    that, the capped zero-syndrome scan, which is exact up to `cap` and
+    otherwise reports cap+1 as a non-exact bound.
     """
     k = code.k
-    if k == 0:
-        return DistanceResult(code.n + 1, True, cap)
-    if k <= _EXHAUSTIVE_K_LIMIT:
-        best = code.n + 1
-        word = 0
-        prev = 0
-        for t in range(1, 1 << k):
-            gray = t ^ (t >> 1)
-            idx = (gray ^ prev).bit_length() - 1
-            word ^= code.generator[idx]
-            prev = gray
-            w = word.bit_count()
-            if w < best:
-                best = w
-        return DistanceResult(best, True, cap)
-    rng = random.Random(seed)
+    if k > _EXHAUSTIVE_K_LIMIT:
+        return _capped_distance(code, cap)
     best = code.n + 1
-    for _ in range(samples):
-        m = rng.getrandbits(k)
-        if m == 0:
-            continue
-        w = code.codeword(m).bit_count()
+    word = 0
+    prev = 0
+    for t in range(1, 1 << k):
+        gray = t ^ (t >> 1)
+        idx = (gray ^ prev).bit_length() - 1
+        word ^= code.generator[idx]
+        prev = gray
+        w = word.bit_count()
         if w < best:
             best = w
-    return DistanceResult(best, False, cap)
+    return DistanceResult(best, True, cap)
+
+
+def _capped_distance(code: LinearCode, cap: int) -> DistanceResult:
+    """Minimum codeword weight up to `cap`: the pure-X distance of the parity checks' Z code."""
+    gens = [PauliOp(code.n, 0, row) for row in code.parity_check]
+    z_code = StabilizerCode(gens, *complete_logical_basis(gens, n=code.n))
+    return min_weight_in_class(z_code, None, cap, pure="x")
 
 
 def css_build(c1: LinearCode, c2: LinearCode) -> StabilizerCode:

@@ -295,16 +295,16 @@ def _cmd_lattice(args) -> int:
 def _cmd_concat(args) -> int:
     outer = _load_catalog_code(args.outer)
     inner = _load_catalog_code(args.inner)
-    result = concatenate(outer.code, inner.code)
-    print(f"concatenated code: [{result.result.n},{result.result.k}]")
+    code = concatenate(outer.code, inner.code)
+    print(f"concatenated code: [{code.n},{code.k}]")
     if args.scan_cap:
         adm = _load_admissible(args.admissible, outer) if args.admissible else outer.admissible
         if adm is None:
             raise QTError("concat scan needs an admissible set (--admissible)")
-        bound = deff_lower_bound(result.result, adm, args.scan_cap)
+        bound = deff_lower_bound(code, adm, args.scan_cap)
         kind = "exact" if bound.exact else "bound"
         print(f"min excluded weight: {bound} [{kind}]")
-    _emit_code(result.result, args.out)
+    _emit_code(code, args.out)
     return EXIT_PASS
 
 
@@ -356,7 +356,14 @@ def _cmd_simulate(args) -> int:
                 if len(parts) != 2:
                     raise ParseError("channel lines are '<pauli> <probability>'",
                                      line=lineno)
-                pairs.append((parse_pauli(parts[0], line=lineno), float(parts[1])))
+                try:
+                    p = float(parts[1])
+                except ValueError:
+                    p = None
+                if p is None or not p >= 0:
+                    raise ParseError(f"probability must be a number >= 0, got {parts[1]!r}",
+                                     line=lineno)
+                pairs.append((parse_pauli(parts[0], line=lineno), p))
         model = ExplicitChannel(code.n, tuple(pairs))
     errors = errors_up_to_weight(code.n, _within_qubits("--max-weight", args.max_weight, code.n))
     verdict = check_general_qet(code, adm, errors)
@@ -430,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classical", help="classical code utilities")
     p.add_argument("action", choices=["distance"])
     p.add_argument("--code", required=True)
-    p.add_argument("--cap", type=nonnegative_int, default=0)
+    p.add_argument("--cap", type=nonnegative_int, default=0,
+                   help="largest codeword weight scanned when k > 25 (k <= 25 is exhaustive)")
     p.add_argument("--require-exact", action="store_true")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_classical)

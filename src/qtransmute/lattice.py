@@ -22,13 +22,6 @@ class LPoly:
     terms: frozenset[tuple[int, int]] = frozenset()
 
     @classmethod
-    def from_terms(cls, terms) -> "LPoly":
-        acc: set[tuple[int, int]] = set()
-        for t in terms:
-            acc.symmetric_difference_update([tuple(t)])
-        return cls(frozenset(acc))
-
-    @classmethod
     def zero(cls) -> "LPoly":
         return cls(frozenset())
 
@@ -36,15 +29,8 @@ class LPoly:
     def one(cls) -> "LPoly":
         return cls(frozenset([(0, 0)]))
 
-    @classmethod
-    def monomial(cls, ex: int, ey: int) -> "LPoly":
-        return cls(frozenset([(ex, ey)]))
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant_term(self) -> int:
-        return 1 if (0, 0) in self.terms else 0
 
     def __add__(self, other: "LPoly") -> "LPoly":
         return LPoly(self.terms ^ other.terms)
@@ -213,9 +199,6 @@ class TorusCode:
     cell_qubits: int
     dropped_rows: int
 
-    def qubit_index(self, cx: int, cy: int, q: int) -> int:
-        return ((cy % self.ly) * self.lx + (cx % self.lx)) * self.cell_qubits + q
-
     def place(self, vec: LaurentVec, cx: int = 0, cy: int = 0) -> PauliOp:
         """The (cx, cy)-translate of a unit-cell operator on this torus."""
         return _instantiate_vec(vec, self.lx, self.ly, cx, cy, self.cell_qubits)
@@ -319,9 +302,6 @@ class CompactEncoding:
     length: int
     vertex_qubits: tuple[int, ...]
     face_qubits: tuple[int, ...]
-
-    def vertex_index(self, x: int, y: int) -> int:
-        return (y % self.length) * self.length + (x % self.length)
 
 
 def compact_encoding(length: int) -> CompactEncoding:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, tee
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ParseError
 from .f2 import symplectic
 from .pauli import PauliOp, enumerate_paulis, render, weight as pauli_weight
 from .stabilizer import (DistanceResult, StabilizerCode,
@@ -43,10 +43,7 @@ class AdmissibleSet:
 
     @classmethod
     def from_strings(cls, k: int, strings) -> "AdmissibleSet":
-        bits = {0}
-        for s in strings:
-            bits.add(class_bits_from_string(s.strip(), k))
-        return cls(k, frozenset(bits))
+        return cls(k, frozenset([0, *_item_bits(k, strings)]))
 
     @classmethod
     def from_operators(cls, code: StabilizerCode, ops) -> "AdmissibleSet":
@@ -61,7 +58,7 @@ class AdmissibleSet:
     @classmethod
     def group_generated(cls, k: int, strings) -> "AdmissibleSet":
         """XOR-closure of the given logical Pauli strings."""
-        gens = [class_bits_from_string(s.strip(), k) for s in strings]
+        gens = _item_bits(k, strings)
         closed = {0}
         frontier = [0]
         while frontier:
@@ -83,6 +80,17 @@ class AdmissibleSet:
 
     def strings(self) -> list[str]:
         return [class_bits_to_string(self.k, c) for c in sorted(self.classes)]
+
+
+def _item_bits(k: int, strings) -> list[int]:
+    """Class bits of each logical string; a parse error names the 1-based item."""
+    out = []
+    for i, s in enumerate((s.strip() for s in strings), start=1):
+        try:
+            out.append(class_bits_from_string(s, k))
+        except ParseError as exc:
+            raise ParseError(f"admissible item {i} {s!r}: {exc}") from None
+    return out
 
 
 def dumps_admissible(adm: AdmissibleSet) -> str:
@@ -363,9 +371,6 @@ class RecoveryTable:
     k: int
     entries: dict[int, RecoveryEntry] = field(default_factory=dict)
     support: frozenset[tuple[int, int]] = frozenset()
-
-    def covers(self, e: PauliOp) -> bool:
-        return (e.x, e.z) in self.support
 
 
 def build_recovery(code: StabilizerCode, adm: AdmissibleSet, verdict: Verdict,

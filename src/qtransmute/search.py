@@ -27,6 +27,7 @@ from .qet import AdmissibleSet, Verdict, relabel_search
 from .stabilizer import StabilizerCode, complete_logical_basis
 
 _EXHAUSTIVE_N_LIMIT = 12
+_PROGRESS_EVERY = 50_000  # candidates between run_search progress callbacks
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class SearchSpec:
     k: int
     pattern: AdmissibleSet
     error_weight: int = 1
-    require_detection: bool = True
     mode: str = "random"  # "random" | "exhaustive"
     seed: int = 0
     budget: int = 10_000
@@ -190,11 +190,10 @@ def detects_single_errors(generators: list[PauliOp], n: int) -> bool:
     return (col_x & col_z & col_y) == need
 
 
-def run_search(spec: SearchSpec, start_index: int = 0,
-               progress=None, progress_every: int = 50_000) -> SearchOutcome:
+def run_search(spec: SearchSpec, start_index: int = 0, progress=None) -> SearchOutcome:
     """Hunt for codes whose weight-1 errors detect and whose classes admit the
     pattern under some relabeling. Replay-deterministic under a fixed seed;
-    `progress(examined, index)` fires every `progress_every` candidates."""
+    `progress(examined, index)` fires every `_PROGRESS_EVERY` candidates."""
     outcome = SearchOutcome(next_index=start_index)
     errors = errors_up_to_weight(spec.n, spec.error_weight)
     space = parameter_space_size(spec.n, spec.k) if spec.mode == "exhaustive" else None
@@ -211,9 +210,9 @@ def run_search(spec: SearchSpec, start_index: int = 0,
         else:
             gens = sample_generators(spec.n, spec.k, rng)
         outcome.examined += 1
-        if progress and outcome.examined % progress_every == 0:
+        if progress and outcome.examined % _PROGRESS_EVERY == 0:
             progress(outcome.examined, index)
-        if spec.require_detection and not detects_single_errors(gens, spec.n):
+        if not detects_single_errors(gens, spec.n):
             continue
         outcome.detection_passed += 1
         try:

@@ -53,9 +53,6 @@ class Diagnostics:
     def ok(self) -> bool:
         return not self.problems
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def add(self, msg: str) -> None:
         self.problems.append(msg)
 
@@ -236,19 +233,14 @@ def validate_code(code: StabilizerCode) -> Diagnostics:
 def complete_logical_basis(
     generators: list[PauliOp],
     seed_x: list[PauliOp] | None = None,
-    seed_z: list[PauliOp] | None = None,
     n: int | None = None,
 ) -> tuple[list[PauliOp], list[PauliOp]]:
-    """Extend seeds to a full logical basis (X_i, Z_i) for the given stabilizer.
+    """Extend seed X operators to a full logical basis (X_i, Z_i) for the stabilizer.
 
     Seeds must commute with the generators and among themselves, and be
-    independent modulo the stabilizer; seed_z[i] is taken as the partner of
-    seed_x[i] when both are given. Deterministic for fixed inputs.
+    independent modulo the stabilizer. Deterministic for fixed inputs.
     """
     seed_x = list(seed_x or [])
-    seed_z = list(seed_z or [])
-    if seed_z and len(seed_z) != len(seed_x):
-        raise CodeConstructionError("seed_z must pair one-to-one with seed_x")
     if n is None:
         if not generators and not seed_x:
             raise CodeConstructionError("cannot infer the qubit count: pass n")
@@ -263,31 +255,24 @@ def complete_logical_basis(
     kern = kernel_basis(BitMatrix(tuple(_sym_twist(g) for g in generators), 2 * n))
 
     xs = [_sym_vec(p) for p in seed_x]
-    zs = [_sym_vec(p) for p in seed_z]
-    for v in xs + zs:
+    for v in xs:
         if any(symplectic(_sym_vec(g), v, n) for g in generators):
             raise CodeConstructionError("seed operator is outside N(S)")
     for i, j in combinations(range(len(xs)), 2):
         if symplectic(xs[i], xs[j], n):
             raise CodeConstructionError(f"seed X operators {i} and {j} anticommute")
-    for i in range(len(zs)):
-        for j in range(len(xs)):
-            if symplectic(xs[j], zs[i], n) != (1 if i == j else 0):
-                raise CodeConstructionError("seed X/Z pairing violated")
-        for j in range(i):
-            if symplectic(zs[i], zs[j], n):
-                raise CodeConstructionError(f"seed Z operators {i} and {j} anticommute")
     seed_span = F2Span(gen_rows.reduced.rows)
-    for v in xs + zs:
+    for v in xs:
         if not seed_span.insert(v):
             raise CodeConstructionError("seed operators are dependent modulo the stabilizer")
 
-    # Solve for missing Z partners: symplectic(x_j, z_i) = delta_ij over the
+    # Solve for the Z partners: symplectic(x_j, z_i) = delta_ij over the
     # kernel, then Gram-Schmidt z_i against earlier partners. Row j of the
     # constraints holds x_j's symplectic form with each kernel row.
     constraints = BitMatrix(tuple(mul_bt([_sym_twist(p) for p in seed_x], kern.rows)),
                             kern.nrows)
-    for i in range(len(zs), len(xs)):
+    zs: list[int] = []
+    for i in range(len(xs)):
         coeffs = solve(constraints, 1 << i)
         if coeffs is None:
             raise CodeConstructionError("no symplectic partner for seed operator "
@@ -506,8 +491,3 @@ def loads(text: str) -> StabilizerCode:
 def load_file(path) -> StabilizerCode:
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
-
-
-def dump_file(code: StabilizerCode, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(code))

@@ -1,18 +1,9 @@
 """Code-building transforms: concatenation with an [n2, 1] inner code."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CodeConstructionError
 from .pauli import PauliOp
 from .stabilizer import StabilizerCode, validate_code
-
-
-@dataclass(frozen=True)
-class ConcatenatedCode:
-    outer: StabilizerCode
-    inner: StabilizerCode
-    result: StabilizerCode
 
 
 def _embed(p: PauliOp, block: int, block_size: int, total: int) -> PauliOp:
@@ -37,7 +28,7 @@ def _lift(op: PauliOp, inner: StabilizerCode, total: int) -> PauliOp:
     return PauliOp(total, xm, zm)
 
 
-def concatenate(outer: StabilizerCode, inner: StabilizerCode) -> ConcatenatedCode:
+def concatenate(outer: StabilizerCode, inner: StabilizerCode) -> StabilizerCode:
     """Encode each physical qubit of `outer` as the logical qubit of `inner`.
 
     The result is an [n1*n2, k1] code whose stabilizer is the per-block inner
@@ -60,5 +51,4 @@ def concatenate(outer: StabilizerCode, inner: StabilizerCode) -> ConcatenatedCod
         gens.append(_lift(g, inner, total))
     logical_x = [_lift(p, inner, total) for p in outer.logical_x]
     logical_z = [_lift(p, inner, total) for p in outer.logical_z]
-    result = StabilizerCode(gens, logical_x, logical_z)
-    return ConcatenatedCode(outer, inner, result)
+    return StabilizerCode(gens, logical_x, logical_z)

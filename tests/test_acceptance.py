@@ -237,9 +237,9 @@ def test_criterion_08_toric_class_distances():
 def test_criterion_09_concatenation_bound():
     budget = Budget(600.0)
     cc = concatenate(table1_code(), five_qubit_code())
-    assert (cc.result.n, cc.result.k) == (35, 2)
-    assert validate_code(cc.result).ok
-    bound = deff_lower_bound(cc.result, PHASE1, 5)
+    assert (cc.n, cc.k) == (35, 2)
+    assert validate_code(cc).ok
+    bound = deff_lower_bound(cc, PHASE1, 5)
     assert not bound.exact  # explicitly a bound, not an exact value
     assert bound.value == 6  # nothing outside the lifted set at weight <= 5
     elapsed = budget.check()

@@ -30,6 +30,9 @@ def test_explicit_channel_validation():
         ExplicitChannel(2, ((identity(2), 1.5),))
     with pytest.raises(ValueError):
         ExplicitChannel(2, ((identity(3), 0.1),))
+    for p in (float("nan"), -0.1):
+        with pytest.raises(ValueError, match="probability must be a number >= 0"):
+            ExplicitChannel(2, ((parse_pauli("XI"), p),))
 
 
 def test_exact_admissibility_table1(table1):
@@ -93,7 +96,6 @@ def test_merge_independent_of_worker_count(table1):
     serial = run_trials(table1, PHASE1, table, model, trials=45_000, seed=5, threads=1)
     parallel = run_trials(table1, PHASE1, table, model, trials=45_000, seed=5, threads=2)
     assert serial.class_counts == parallel.class_counts
-    assert serial.syndrome_counts == parallel.syndrome_counts
     assert serial.uncovered == parallel.uncovered
 
 
@@ -112,7 +114,6 @@ def test_counts_sum_to_trials(table1):
     rep = run_trials(table1, PHASE1, table, DepolarizingChannel(7, 0.05),
                      trials=5000, seed=13)
     assert sum(rep.class_counts.values()) + rep.uncovered == rep.trials
-    assert sum(rep.syndrome_counts.values()) == rep.trials
 
 
 def test_report_render_has_seed(table1):

@@ -1,9 +1,11 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtransmute.classical import (LinearCode, Poly2, asymmetric_distances,
-                                  classical_distance, css17_classical_pair,
+from qtransmute.classical import (LinearCode, Poly2, _capped_distance,
+                                  asymmetric_distances, classical_distance, css17_classical_pair,
                                   css_build, cyclic_code, dual, qr17_code,
                                   subcode_from_rows, x_power_minus_one)
 from qtransmute.errors import CodeConstructionError
@@ -106,6 +108,38 @@ def test_classical_distance_odometer_oracle():
                 i += 1
             best = min(best, word.bit_count())
         assert classical_distance(code, n).value == best
+
+
+def test_hamming31_beyond_k25_is_exact_or_capped():
+    # k = 26 > 25 takes the capped scan; d = 3
+    code = cyclic_code(31, Poly2.parse("1+x^2+x^5"))
+    assert code.k == 26
+    exact = classical_distance(code, 3)
+    assert (exact.value, exact.exact) == (3, True)
+    capped = classical_distance(code, 2)
+    assert (capped.value, capped.exact, capped.cap) == (3, False, 2)
+    assert str(capped) == ">=3 (cap 2)"
+
+
+@st.composite
+def generator_matrices(draw):
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=n))
+    independent = []
+    span = {0}
+    for row in rows:
+        if row not in span:
+            independent.append(row)
+            span |= {v ^ row for v in span}
+    return LinearCode.from_generator_rows(n, independent)
+
+
+@given(generator_matrices())
+@settings(max_examples=200, deadline=None)
+def test_capped_scan_matches_gray_walk(code):
+    scanned = _capped_distance(code, code.n)
+    walked = classical_distance(code, code.n)
+    assert (scanned.value, scanned.exact) == (walked.value, walked.exact)
 
 
 def test_repetition_distance():

@@ -355,3 +355,40 @@ def test_bad_admissible_file_names_the_line(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert "parse error: invalid Pauli letter 'Q' at line 4, position 1" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "qet", "--code", "table2-6q", "--admissible", "ZI,IQ"),
+     "parse error: admissible item 2 'IQ': invalid Pauli letter 'Q' at position 1"),
+    (("search", "--n", "4", "--k", "2", "--budget", "3", "--pattern", "ZI,IZI"),
+     "parse error: admissible item 2 'IZI': logical string has 3 letters, expected 2"),
+])
+def test_bad_inline_admissible_names_the_item(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.1", "x"])
+def test_bad_channel_probability_names_the_line(tmp_path, capsys, value):
+    channel = tmp_path / "bad.channel"
+    channel.write_text(f"# weights\nXIIIIII 0.1\nZIIIIII {value}\n")
+    code, out, err = run(capsys, "simulate", "--code", "table1-7q", "--admissible", "ZI",
+                         "--model", str(channel), "--trials", "100", "--seed", "1",
+                         "--threads", "1")
+    assert code == 2
+    assert out == ""
+    assert (f"parse error: probability must be a number >= 0, got {value!r} at line 3"
+            in err)
+
+
+@pytest.mark.parametrize("cap, printed, exit_code", [
+    ("3", "[31,26] distance = 3\n", 0),
+    ("2", "[31,26] distance = >=3 (cap 2)\n", 3),
+])
+def test_classical_distance_beyond_k25_is_exact_or_capped(capsys, cap, printed, exit_code):
+    code, out, _ = run(capsys, "classical", "distance", "--code", "cyclic:31:1+x^2+x^5",
+                       "--cap", cap, "--require-exact")
+    assert code == exit_code
+    assert out == printed

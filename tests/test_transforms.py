@@ -13,16 +13,16 @@ def trivial_inner():
 
 def test_concatenate_shape(table1, five_qubit):
     cc = concatenate(table1, five_qubit)
-    assert (cc.result.n, cc.result.k) == (35, 2)
-    assert len(cc.result.generators) == 33
-    assert validate_code(cc.result).ok
+    assert (cc.n, cc.k) == (35, 2)
+    assert len(cc.generators) == 33
+    assert validate_code(cc).ok
 
 
 def test_trivial_inner_returns_original(table1):
     cc = concatenate(table1, trivial_inner())
-    assert cc.result.generators == table1.generators
-    assert cc.result.logical_x == table1.logical_x
-    assert cc.result.logical_z == table1.logical_z
+    assert cc.generators == table1.generators
+    assert cc.logical_x == table1.logical_x
+    assert cc.logical_z == table1.logical_z
 
 
 def test_inner_must_encode_one_qubit(table1, table2):
@@ -32,7 +32,7 @@ def test_inner_must_encode_one_qubit(table1, table2):
 
 def test_lifted_logicals_preserve_pairings(table1, five_qubit):
     cc = concatenate(table1, five_qubit)
-    outer, result = cc.outer, cc.result
+    outer, result = table1, cc
     ops_outer = outer.logical_x + outer.logical_z
     ops_lifted = result.logical_x + result.logical_z
     for i, a in enumerate(ops_outer):
@@ -45,9 +45,9 @@ def test_lifted_classes_carry_over(table1, five_qubit):
     cc = concatenate(table1, five_qubit)
     # the lift of an outer logical has the same class bits in the new code
     for i, op in enumerate(table1.logical_z):
-        lifted = cc.result.logical_z[i]
-        assert cc.result.syndrome_bits(lifted.x, lifted.z) == 0
-        assert cc.result.class_bits(lifted.x, lifted.z) \
+        lifted = cc.logical_z[i]
+        assert cc.syndrome_bits(lifted.x, lifted.z) == 0
+        assert cc.class_bits(lifted.x, lifted.z) \
             == table1.class_bits(op.x, op.z)
 
 
@@ -57,6 +57,6 @@ def test_capped_scan_respects_block_bound(table1, five_qubit):
     # acceptance suite)
     cc = concatenate(table1, five_qubit)
     adm = AdmissibleSet.group_generated(2, ["ZI"])
-    bound = deff_lower_bound(cc.result, adm, 3)
+    bound = deff_lower_bound(cc, adm, 3)
     assert not bound.exact
     assert bound.value == 4
