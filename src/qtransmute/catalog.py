@@ -154,7 +154,7 @@ def _selftest_css17(cc: CatalogCode):
 
 
 def _build_eq16(arg: str | None = None) -> CatalogCode:
-    lx, ly = _parse_dims(arg, default=(4, 4))
+    lx, ly = _parse_dims("eq16-lattice", arg, default=(4, 4))
     cell = rate_two_thirds_cell()
     torus = instantiate_torus(cell, lx, ly)
     adm = AdmissibleSet.from_operators(torus.code, torus.translates(cell.logical_z[0]))
@@ -174,7 +174,7 @@ def _selftest_eq16(cc: CatalogCode):
 
 
 def _build_eq20(arg: str | None = None) -> CatalogCode:
-    lx, ly = _parse_dims(arg, default=(4, 4))
+    lx, ly = _parse_dims("eq20-lattice", arg, default=(4, 4))
     torus = instantiate_torus(rate_half_cell(), lx, ly)
     return CatalogCode(f"eq20-lattice:{lx}x{ly}", torus.code, AdmissibleSet.trivial(torus.code.k),
                        extras={"torus": torus})
@@ -189,7 +189,7 @@ def _selftest_eq20(cc: CatalogCode):
 
 
 def _build_compact(arg: str | None = None) -> CatalogCode:
-    length = int(arg) if arg else 4
+    length = _int_param("compact", arg) if arg else 4
     enc = compact_encoding(length)
     adm = AdmissibleSet.from_operators(
         enc.code, [PauliOp(enc.code.n, 0, 1 << q) for q in enc.vertex_qubits])
@@ -209,7 +209,7 @@ def _selftest_compact(cc: CatalogCode):
 
 
 def _build_toric(arg: str | None = None) -> CatalogCode:
-    length = int(arg) if arg else 3
+    length = _int_param("toric", arg) if arg else 3
     code = toric_code(length)
     return CatalogCode(f"toric:{length}", code, AdmissibleSet.trivial(2),
                        extras={"length": length})
@@ -228,7 +228,7 @@ def _selftest_toric(cc: CatalogCode):
 
 
 def _build_rep(arg: str | None = None) -> CatalogCode:
-    n = int(arg) if arg else 3
+    n = _int_param("rep", arg) if arg else 3
     if n < 2:
         raise QTError("repetition code needs n >= 2")
     return CatalogCode(f"rep:{n}", repetition_code(n),
@@ -261,14 +261,26 @@ def _selftest_inner5(cc: CatalogCode):
     return out
 
 
-def _parse_dims(arg: str | None, default: tuple[int, int]) -> tuple[int, int]:
+def _int_param(entry: str, arg: str) -> int:
+    try:
+        return int(arg)
+    except ValueError:
+        raise QTError(f"catalog entry {entry!r} needs an integer parameter, "
+                      f"got {arg!r}") from None
+
+
+def _parse_dims(entry: str, arg: str | None,
+                default: tuple[int, int]) -> tuple[int, int]:
+    """Torus size from 'L', 'AxB' or 'A,B'."""
     if not arg:
         return default
-    sep = "x" if "x" in arg else ","
-    parts = arg.split(sep)
-    if len(parts) == 1:
-        return int(parts[0]), int(parts[0])
-    return int(parts[0]), int(parts[1])
+    try:
+        dims = [int(v) for v in arg.split("x" if "x" in arg else ",")]
+    except ValueError:
+        dims = []
+    if len(dims) not in (1, 2):
+        raise QTError(f"catalog entry {entry!r} needs a size L or AxB (integers), got {arg!r}")
+    return dims[0], dims[-1]
 
 
 ENTRIES: dict[str, CatalogEntry] = {

@@ -1,9 +1,10 @@
 """Monte Carlo validation of recovery at the symplectic level.
 
-Trials sample a Pauli error, apply the syndrome-conditioned correction from
-a recovery table, and tally the residual logical class. Everything happens
-on symplectic bit masks; no state vectors are involved. Chunked seeding
-makes reports independent of worker count.
+Trials sample a Pauli error, look up its syndrome's entry in a recovery
+table, draw one admissible image, and tally the residual logical class
+image ^ class(reference·error); no correction operator is built. Everything
+happens on symplectic bit masks; no state vectors are involved. Chunked
+seeding makes reports independent of worker count.
 """
 from __future__ import annotations
 
@@ -136,22 +137,23 @@ def _run_chunk(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
         if (ex, ez) not in table.support:
             report.uncovered += 1
             continue
-        comps = table.entries[code.syndrome_bits(ex, ez)].components
+        entry = table.entries[code.syndrome_bits(ex, ez)]
+        comps = entry.components
         if len(comps) == 1:
-            _, _, corr = comps[0]
+            image = comps[0][0]
         else:
             u = rng.random()
             acc = 0.0
-            corr = comps[-1][2]
-            for _, wgt, cand in comps:
+            image = comps[-1][0]
+            for cand, wgt in comps:
                 acc += wgt
                 if u < acc:
-                    corr = cand
+                    image = cand
                     break
-        rx, rz = corr.x ^ ex, corr.z ^ ez
+        rx, rz = entry.reference.x ^ ex, entry.reference.z ^ ez
         if code.syndrome_bits(rx, rz):
-            raise AssertionError("recovery left a nonzero syndrome; table is corrupt")
-        cls = code.class_bits(rx, rz)
+            raise AssertionError("reference left a nonzero syndrome; table is corrupt")
+        cls = image ^ code.class_bits(rx, rz)
         classes[cls] = classes.get(cls, 0) + 1
     return report
 
@@ -202,9 +204,10 @@ def exact_class_distribution(code: StabilizerCode, table: RecoveryTable,
         if (e.x, e.z) not in table.support:
             uncovered += p
             continue
-        syn = code.syndrome_bits(e.x, e.z)
-        for cls_ref, wgt, corr in table.entries[syn].components:
-            res = code.class_bits(corr.x ^ e.x, corr.z ^ e.z)
+        entry = table.entries[code.syndrome_bits(e.x, e.z)]
+        residual = code.class_bits(entry.reference.x ^ e.x, entry.reference.z ^ e.z)
+        for image, wgt in entry.components:
+            res = image ^ residual
             dist[res] = dist.get(res, 0.0) + p * wgt
     return dist, uncovered
 

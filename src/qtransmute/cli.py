@@ -110,7 +110,12 @@ def _load_classical(spec: str) -> LinearCode:
         parts = spec.split(":", 2)
         if len(parts) != 3:
             raise QTError("cyclic code spec is cyclic:<n>:<poly>")
-        return cyclic_code(int(parts[1]), Poly2.parse(parts[2]))
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise QTError(f"cyclic code spec cyclic:<n>:<poly> needs an integer n, "
+                          f"got {parts[1]!r}") from None
+        return cyclic_code(n, Poly2.parse(parts[2]))
     with open(spec, "r", encoding="utf-8") as fh:
         rows = []
         n = None
@@ -344,7 +349,12 @@ def _cmd_simulate(args) -> int:
     if args.model == "uniform1":
         model = uniform_single_error_channel(code.n)
     elif args.model.startswith("depol:"):
-        model = DepolarizingChannel(code.n, float(args.model.split(":", 1)[1]))
+        rate = args.model.split(":", 1)[1]
+        try:
+            p = float(rate)
+        except ValueError:
+            raise QTError(f"model depol:<p> needs a number p, got {rate!r}") from None
+        model = DepolarizingChannel(code.n, p)
     else:
         with open(args.model, "r", encoding="utf-8") as fh:
             pairs = []
@@ -371,7 +381,7 @@ def _cmd_simulate(args) -> int:
         a, b = verdict.witness
         print(f"cannot simulate: verification failed on ({render(a)}, {render(b)})")
         return EXIT_FAIL
-    table = build_recovery(code, adm, verdict)
+    table = build_recovery(verdict)
     rep = run_trials(code, adm, table, model, args.trials, args.seed,
                      threads=args.threads)
     print(rep.render(code.k))

@@ -199,7 +199,7 @@ class TorusCode:
     cell_qubits: int
     dropped_rows: int
 
-    def place(self, vec: LaurentVec, cx: int = 0, cy: int = 0) -> PauliOp:
+    def place(self, vec: LaurentVec, cx: int, cy: int) -> PauliOp:
         """The (cx, cy)-translate of a unit-cell operator on this torus."""
         return _instantiate_vec(vec, self.lx, self.ly, cx, cy, self.cell_qubits)
 

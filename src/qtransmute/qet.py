@@ -325,23 +325,17 @@ def _pattern_images(k: int, classes: frozenset[int]):
 
 
 def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
-                   user_basis: tuple[list[PauliOp], list[PauliOp]] | None = None,
                    ) -> tuple[StabilizerCode, Verdict] | None:
     """Search logical relabelings for one under which the pattern passes.
 
     For k <= 3, tries each distinct image of the pattern under Sp(2k,2) once,
     in `_pattern_images` order, and relabels with the transform stored for the
-    first image under which the pattern passes. Beyond k=3 a caller-supplied
-    basis is required. Returns the relabeled code and its verdict, or None.
+    first image under which the pattern passes. Returns the relabeled code and
+    its verdict, or None.
     """
     _check_k(code, pattern)
-    if user_basis is not None:
-        candidate = code.with_logicals(*user_basis)
-        verdict = check_general_qet(candidate, pattern, errors)
-        return (candidate, verdict) if verdict.passed else None
     if code.k > 3:
-        raise ValueError("exhaustive relabeling is limited to k <= 3; "
-                         "supply user_basis for larger codes")
+        raise ValueError(f"relabeling is limited to k <= 3, code has k={code.k}")
 
     errs = _dedupe(code, errors)
     pairs = list(_bucket_pairs(code, errs, {}))
@@ -363,23 +357,24 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
 @dataclass(frozen=True)
 class RecoveryEntry:
     reference: PauliOp
-    components: tuple[tuple[int, float, PauliOp], ...]  # (class, weight, correction)
+    components: tuple[tuple[int, float], ...]  # (admissible image, weight)
 
 
 @dataclass(frozen=True)
 class RecoveryTable:
-    k: int
     entries: dict[int, RecoveryEntry] = field(default_factory=dict)
     support: frozenset[tuple[int, int]] = frozenset()
 
 
-def build_recovery(code: StabilizerCode, adm: AdmissibleSet, verdict: Verdict,
+def build_recovery(verdict: Verdict,
                    mixtures: dict[int, list[float]] | None = None,
                    default_mixture: str = "uniform") -> RecoveryTable:
-    """Per-syndrome corrections: apply the reference, then one admissible class
-    drawn from the mixture. The default spreads weight uniformly over the
-    feasible assignments; "first" puts all weight on the lowest-sorted one
-    (the identity assignment whenever it is feasible)."""
+    """Per-syndrome recovery: apply the reference, then one admissible class
+    drawn from the mixture. The class map is linear, so error e leaves the
+    class image ^ class(reference·e) and no correction operator is built. The
+    default spreads weight uniformly over the feasible assignments; "first"
+    puts all weight on the lowest-sorted one (the identity assignment whenever
+    it is feasible)."""
     if not verdict.passed:
         raise ValueError("cannot build a recovery table from a failed verdict")
     if default_mixture not in ("uniform", "first"):
@@ -398,12 +393,6 @@ def build_recovery(code: StabilizerCode, adm: AdmissibleSet, verdict: Verdict,
             weights = [1.0] + [0.0] * (len(opts) - 1)
         else:
             weights = [1.0 / len(opts)] * len(opts)
-        ref = bucket.reference
-        comps = []
-        for cls, wgt in zip(opts, weights):
-            rep = code.class_representative(cls)
-            correction = PauliOp(code.n, rep.x ^ ref.x, rep.z ^ ref.z)
-            comps.append((cls, wgt, correction))
-        entries[syn] = RecoveryEntry(ref, tuple(comps))
+        entries[syn] = RecoveryEntry(bucket.reference, tuple(zip(opts, weights)))
     support = frozenset((e.x, e.z) for e in verdict.checked)
-    return RecoveryTable(code.k, entries, support)
+    return RecoveryTable(entries, support)

@@ -331,7 +331,7 @@ def test_criterion_10_property_suites():
         adm = cc.admissible
         verdict = check_general_qet(cc.code, adm, errors_up_to_weight(cc.code.n, 1))
         assert verdict.passed, name
-        table = build_recovery(cc.code, adm, verdict)
+        table = build_recovery(verdict)
         rep = run_trials(cc.code, adm, table,
                          uniform_single_error_channel(cc.code.n),
                          trials=100_000, seed=1234)
@@ -341,7 +341,7 @@ def test_criterion_10_property_suites():
     # empirical class distribution vs the closed form, total variation < 0.01
     t1 = table1_code()
     verdict = check_general_qet(t1, PHASE1, errors_up_to_weight(7, 1))
-    table = build_recovery(t1, PHASE1, verdict)
+    table = build_recovery(verdict)
     model = uniform_single_error_channel(7)
     rep = run_trials(t1, PHASE1, table, model, trials=100_000, seed=99)
     exact, uncovered = exact_class_distribution(t1, table, model)

@@ -5,7 +5,7 @@ import pytest
 from qtransmute.channel import (DepolarizingChannel, ExplicitChannel,
                                 exact_class_distribution, run_trials,
                                 total_variation, uniform_single_error_channel)
-from qtransmute.pauli import errors_up_to_weight, identity, parse_pauli
+from qtransmute.pauli import errors_up_to_weight, identity, multiply, parse_pauli
 from qtransmute.qet import AdmissibleSet, build_recovery, check_general_qet
 from qtransmute.stabilizer import logical_class
 
@@ -16,7 +16,7 @@ BOTH_PHASES = AdmissibleSet.from_strings(2, ["ZI", "IZ"])
 def recovery_for(code, adm, max_weight=1, **kwargs):
     verdict = check_general_qet(code, adm, errors_up_to_weight(code.n, max_weight))
     assert verdict.passed
-    return build_recovery(code, adm, verdict, **kwargs)
+    return build_recovery(verdict, **kwargs)
 
 
 def test_uniform_single_error_channel_shape():
@@ -78,6 +78,30 @@ def test_empirical_matches_exact_distribution(table1):
     exact, uncovered = exact_class_distribution(table1, table, model)
     assert uncovered == 0.0
     assert total_variation(rep.class_distribution(), exact) < 0.01
+
+
+@pytest.mark.parametrize("mixture", ["uniform", "first"])
+def test_exact_distribution_matches_materialised_corrections(table1, table2, mixture):
+    # reference: build each correction reference·rep(image) and take the
+    # class that correction·error leaves, as a table of operators would
+    for code, adm, extra in ((table1, PHASE1, "XXIIIII"), (table2, BOTH_PHASES, "XXIIII")):
+        table = recovery_for(code, adm, default_mixture=mixture)
+        errs = [e for e, _ in uniform_single_error_channel(code.n).errors]
+        model = ExplicitChannel(code.n, tuple(
+            (e, (i + 1) / 400) for i, e in enumerate(errs + [parse_pauli(extra)])))
+        want, want_uncovered = {}, 0.0
+        for e, p in model.errors + ((identity(code.n), model.identity_probability),):
+            if (e.x, e.z) not in table.support:
+                want_uncovered += p
+                continue
+            entry = table.entries[code.syndrome_bits(e.x, e.z)]
+            for image, wgt in entry.components:
+                corr = multiply(entry.reference, code.class_representative(image))
+                res = code.class_bits(corr.x ^ e.x, corr.z ^ e.z)
+                want[res] = want.get(res, 0.0) + p * wgt
+        got, uncovered = exact_class_distribution(code, table, model)
+        assert got == want
+        assert uncovered == want_uncovered > 0
 
 
 def test_depolarizing_uncovered_fraction(table1):

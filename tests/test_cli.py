@@ -317,10 +317,22 @@ def test_unknown_catalog_entry_exit_code(capsys):
     (("search", "--n", "4", "--k", "2", "--pattern", "ZI,IZ", "--error-weight", "7",
       "--budget", "3"),
      "error: --error-weight 7 exceeds the qubit count n = 4"),
+    (("verify", "qet", "--code", "eq20-lattice:4x4", "--relabel"),
+     "error: relabeling is limited to k <= 3, code has k=16"),
+    (("distance", "--code", "rep:abc", "--cap", "2"),
+     "error: catalog entry 'rep' needs an integer parameter, got 'abc'"),
+    (("distance", "--code", "eq16-lattice:3x", "--cap", "2"),
+     "error: catalog entry 'eq16-lattice' needs a size L or AxB (integers), got '3x'"),
+    (("classical", "distance", "--code", "cyclic:x:1+x"),
+     "error: cyclic code spec cyclic:<n>:<poly> needs an integer n, got 'x'"),
+    (("simulate", "--code", "table1-7q", "--admissible", "ZI", "--model", "depol:x",
+      "--trials", "10", "--seed", "1", "--threads", "1"),
+     "error: model depol:<p> needs a number p, got 'x'"),
 ])
 def test_bad_numeric_input_exit_code(capsys, argv, message):
-    # argparse rejects by SystemExit; a weight above the code's n is known only
-    # once the command runs, and main returns the usage exit code for it.
+    # argparse rejects by SystemExit; a weight above the code's n, a bad spec
+    # parameter or the relabeling limit is known only once the command runs,
+    # and main returns the usage exit code for it.
     try:
         code = main(list(argv))
     except SystemExit as exc:

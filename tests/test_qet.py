@@ -462,13 +462,6 @@ def test_relabel_search_table2(table2):
     assert hit is not None
 
 
-def test_relabel_search_user_basis(table2):
-    sf = standard_form(table2.generators)
-    hit = relabel_search(sf, BOTH_PHASES, errors_up_to_weight(6, 1),
-                         user_basis=(table2.logical_x, table2.logical_z))
-    assert hit is not None
-
-
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(1, 2), group=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_pattern_images_are_the_orbit(k, group, seed):
@@ -565,10 +558,11 @@ def test_recovery_soundness(table1, table2):
     for code, adm, n in ((table1, PHASE1, 7), (table2, BOTH_PHASES, 6)):
         errs = errors_up_to_weight(n, 1)
         verdict = check_general_qet(code, adm, errs)
-        table = build_recovery(code, adm, verdict)
+        table = build_recovery(verdict)
         for e in errs:
-            syn = code.syndrome_bits(e.x, e.z)
-            for _cls, _wgt, corr in table.entries[syn].components:
+            entry = table.entries[code.syndrome_bits(e.x, e.z)]
+            for cls, _wgt in entry.components:
+                corr = multiply(entry.reference, code.class_representative(cls))
                 rx, rz = corr.x ^ e.x, corr.z ^ e.z
                 assert code.syndrome_bits(rx, rz) == 0
                 assert code.class_bits(rx, rz) in adm.classes
@@ -577,20 +571,47 @@ def test_recovery_soundness(table1, table2):
 def test_recovery_qec_case_deterministic(five_qubit):
     adm = AdmissibleSet.trivial(1)
     verdict = check_general_qet(five_qubit, adm, errors_up_to_weight(5, 1))
-    table = build_recovery(five_qubit, adm, verdict)
+    table = build_recovery(verdict)
     for entry in table.entries.values():
-        assert len(entry.components) == 1
-        cls, wgt, corr = entry.components[0]
-        assert cls == 0 and wgt == 1.0
+        assert entry.components == ((0, 1.0),)
+        corr = multiply(entry.reference, five_qubit.class_representative(0))
         # correcting with the reference itself: residual is a stabilizer
         assert five_qubit.contains_stabilizer(
             PauliOp(5, corr.x ^ entry.reference.x, corr.z ^ entry.reference.z))
+    for e in verdict.checked:
+        entry = table.entries[five_qubit.syndrome_bits(e.x, e.z)]
+        assert five_qubit.contains_stabilizer(multiply(entry.reference, e))
+
+
+@settings(max_examples=60, deadline=None)
+@random_instances
+def test_residual_class_is_image_plus_reference_class(n, k, group, seed):
+    # the table stores classes, not corrections: for every component image c
+    # of e's entry, c ^ class(ref·e) is the class that the materialised
+    # correction ref·rep(c) leaves on e, and that residual is in N(S)
+    assume(k < n)
+    rng = random.Random(seed)
+    code = standard_form(sample_generators(n, k, rng))
+    adm = spread_admissible(rng, k, group)
+    errs = shuffled_errors(rng, n, rng.choice([1, 2]))
+    verdict = check_general_qet(code, adm, errs)
+    assume(verdict.passed)
+    table = build_recovery(verdict)
+    for e in verdict.checked:
+        entry = table.entries[code.syndrome_bits(e.x, e.z)]
+        ref = entry.reference
+        base = code.class_bits(ref.x ^ e.x, ref.z ^ e.z)
+        for c, _wgt in entry.components:
+            assert c in adm.classes
+            r = multiply(multiply(code.class_representative(c), ref), e)
+            assert code.syndrome_bits(r.x, r.z) == 0
+            assert c ^ base == code.class_bits(r.x, r.z)
 
 
 def test_recovery_requires_pass(table1):
     bad = check_group_qet(table1, AdmissibleSet.trivial(2), errors_up_to_weight(7, 1))
     with pytest.raises(ValueError):
-        build_recovery(table1, AdmissibleSet.trivial(2), bad)
+        build_recovery(bad)
 
 
 def test_recovery_mixture_validation(table1):
@@ -598,10 +619,10 @@ def test_recovery_mixture_validation(table1):
     verdict = check_general_qet(table1, PHASE1, errs)
     syn = next(iter(verdict.pi_maps))
     with pytest.raises(ValueError):
-        build_recovery(table1, PHASE1, verdict, mixtures={syn: [0.5]})
+        build_recovery(verdict, mixtures={syn: [0.5]})
     n_opts = len(verdict.pi_maps[syn].options)
     with pytest.raises(ValueError):
-        build_recovery(table1, PHASE1, verdict, mixtures={syn: [2.0] * n_opts})
+        build_recovery(verdict, mixtures={syn: [2.0] * n_opts})
 
 
 def test_duplicate_errors_deduplicated(table1):
