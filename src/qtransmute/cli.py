@@ -373,7 +373,11 @@ def _cmd_simulate(args) -> int:
                 if p is None or not p >= 0:
                     raise ParseError(f"probability must be a number >= 0, got {parts[1]!r}",
                                      line=lineno)
-                pairs.append((parse_pauli(parts[0], line=lineno), p))
+                err = parse_pauli(parts[0], line=lineno)
+                if err.n != code.n:
+                    raise ParseError(f"channel error has {err.n} letters, expected {code.n}",
+                                     line=lineno)
+                pairs.append((err, p))
         model = ExplicitChannel(code.n, tuple(pairs))
     errors = errors_up_to_weight(code.n, _within_qubits("--max-weight", args.max_weight, code.n))
     verdict = check_general_qet(code, adm, errors)

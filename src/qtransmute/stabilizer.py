@@ -337,38 +337,77 @@ def scan_zero_syndrome(code: StabilizerCode, w: int, visit,
     """Call visit(x, z) for zero-syndrome Paulis of exact weight w until a
     call returns a truthy value; True iff the scan stopped that way.
 
-    Depth-first over supports, qubit by qubit with letters X, Y, Z: the order
-    is lexicographic in the (qubit, letter) sequence, so a pure scan visits
-    supports in itertools.combinations order. The syndrome accumulates
-    incrementally and the innermost level only tests one XOR per letter,
-    which keeps exhaustive scans over tens of millions of candidates
-    tractable. `pure` restricts to X-only or Z-only errors.
+    The visit order is lexicographic in the (qubit, letter) sequence, letters
+    X, Y, Z, so a pure scan visits supports in itertools.combinations order.
+    `pure` restricts to X-only or Z-only errors.
+
+    Meet in the middle (the split step of Leon's and Stern's low-weight
+    codeword searches): a Pauli of weight w splits one way into its a = w - w//2
+    lowest-qubit letters (the prefix) and its b = w//2 highest (the suffix),
+    and it has zero syndrome iff both halves have the same syndrome. One table
+    holds every weight-b suffix keyed by syndrome, each packed as x | z << n
+    (a list only where syndromes collide), in scan order. A depth-first walk
+    over the prefixes carries the syndrome and, at each full prefix, visits
+    the suffixes stored under it whose lowest qubit lies above the prefix's
+    last. The order is prefix-major, so the prefix walk in scan order with
+    each bucket in scan order gives exactly the order above; the work is
+    about C(n,a)·3^a lookups rather than C(n,w)·3^w candidates.
     """
     if pure not in _PURE_LETTERS:
         raise ValueError("pure must be None, 'x', or 'z'")
     n = code.n
     if not 1 <= w <= n:
         return False
-    tables = []
+    a, b = w - w // 2, w // 2
+    steps = []
     for q in range(n):
         sx, sz, bit = code._syn_x[q], code._syn_z[q], 1 << q
-        row = {"X": (sx, bit, 0), "Y": (sx ^ sz, bit, bit), "Z": (sz, 0, bit)}
-        tables.append([row[letter] for letter in _PURE_LETTERS[pure]])
+        row = {"X": (sx, bit), "Y": (sx ^ sz, bit | bit << n), "Z": (sz, bit << n)}
+        steps.append([row[letter] for letter in _PURE_LETTERS[pure]])
 
-    def rec(start: int, level: int, syn: int, x: int, z: int) -> bool:
-        if level == w - 1:
-            for q in range(start, n):
-                for dsyn, dx, dz in tables[q]:
-                    if syn == dsyn and visit(x | dx, z | dz):
-                        return True
+    table: dict[int, int | list[int]] = {}
+
+    def tabulate(start: int, left: int, syn: int, v: int) -> None:
+        if left == 0:
+            old = table.get(syn)
+            if old is None:
+                table[syn] = v
+            elif type(old) is int:
+                table[syn] = [old, v]
+            else:
+                old.append(v)
+            return
+        for q in range(start, n - left + 1):
+            for dsyn, dv in steps[q]:
+                tabulate(q + 1, left - 1, syn ^ dsyn, v | dv)
+
+    # A suffix follows at least a prefix qubits, so its lowest qubit is >= a.
+    tabulate(a, b, 0, 0)
+    xmask = (1 << n) - 1
+    # Support bits at or below qubit q, in both halves of a packed Pauli.
+    at_or_below = [((2 << q) - 1) * (1 | 1 << n) for q in range(n)]
+
+    def join(start: int, left: int, syn: int, v: int) -> bool:
+        if left == 1:
+            for q in range(start, n - b):
+                low = at_or_below[q]
+                for dsyn, dv in steps[q]:
+                    hit = table.get(syn ^ dsyn)
+                    if hit is None:
+                        continue
+                    for s in ((hit,) if type(hit) is int else hit):
+                        if not s & low:
+                            u = v | dv | s
+                            if visit(u & xmask, u >> n):
+                                return True
             return False
-        for q in range(start, n - (w - level) + 1):
-            for dsyn, dx, dz in tables[q]:
-                if rec(q + 1, level + 1, syn ^ dsyn, x | dx, z | dz):
+        for q in range(start, n - b - left + 1):
+            for dsyn, dv in steps[q]:
+                if join(q + 1, left - 1, syn ^ dsyn, v | dv):
                     return True
         return False
 
-    return rec(0, 0, 0, 0, 0)
+    return join(0, a, 0, 0)
 
 
 def min_weight_in_class(

@@ -234,6 +234,17 @@ def test_criterion_08_toric_class_distances():
     announce(8, "toric L=3: per-class minimum weights L, L, 2L in both sectors", elapsed)
 
 
+@pytest.mark.parametrize("length, pure, seconds", [(5, None, 5.0), (7, "z", 15.0)])
+def test_toric_first_cycle_weight_at_scale(length, pure, seconds):
+    # The zero-syndrome scan's meet-in-the-middle join keeps these exact
+    # class distances (n = 50 with all letters, n = 98 with Z only) in tier 1.
+    budget = Budget(seconds)
+    code = toric_code(length)
+    result = min_weight_in_class(code, logical_class(code, code.logical_z[0]), length, pure=pure)
+    assert result.exact and result.value == length
+    budget.check()
+
+
 def test_criterion_09_concatenation_bound():
     budget = Budget(600.0)
     cc = concatenate(table1_code(), five_qubit_code())

@@ -395,6 +395,17 @@ def test_bad_channel_probability_names_the_line(tmp_path, capsys, value):
             in err)
 
 
+def test_channel_error_of_wrong_length_names_the_line(tmp_path, capsys):
+    channel = tmp_path / "short.channel"
+    channel.write_text("XIIIIII 0.1\n\nXII 0.1\n")
+    code, out, err = run(capsys, "simulate", "--code", "table1-7q", "--admissible", "ZI",
+                         "--model", str(channel), "--trials", "10", "--seed", "1",
+                         "--threads", "1")
+    assert code == 2
+    assert out == ""
+    assert "parse error: channel error has 3 letters, expected 7 at line 3" in err
+
+
 @pytest.mark.parametrize("cap, printed, exit_code", [
     ("3", "[31,26] distance = 3\n", 0),
     ("2", "[31,26] distance = >=3 (cap 2)\n", 3),

@@ -392,3 +392,29 @@ def test_min_weight_matches_brute_force_on_random_codes(n, k, seed):
                 assert (result.value, result.exact) == (want, True)
             capped = min_weight_in_class(code, target, n - 1, pure=pure)
             assert capped.exact == (want is not None and want <= n - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), k=st.integers(0, 2), pure=st.sampled_from([None, "x", "z"]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_scan_matches_brute_force_order_on_random_codes(n, k, pure, seed, data):
+    # With at most 7 syndrome bits, many suffix halves share a syndrome, so
+    # the join must skip the stored halves that start at or below the prefix.
+    assume(k < n)
+    code = _random_small_code(random.Random(seed), n, k)
+    for w in range(1, n + 1):
+        want = [(x, z) for x, z in _in_scan_order(n, w, pure) if code.syndrome_bits(x, z) == 0]
+        seen = []
+        assert scan_zero_syndrome(code, w, lambda x, z: seen.append((x, z)), pure) is False
+        assert seen == want
+        if not want:
+            continue
+        j = data.draw(st.integers(1, len(want)), label=f"stop at visit (w={w})")
+        stopped = []
+
+        def visit(x, z):
+            stopped.append((x, z))
+            return len(stopped) == j
+
+        assert scan_zero_syndrome(code, w, visit, pure) is True
+        assert stopped == want[:j]
