@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .pauli import PauliOp
+from .pauli import PauliOp, enumerate_paulis
 from .qet import AdmissibleSet, RecoveryTable
 from .stabilizer import StabilizerCode, class_bits_to_string
 
@@ -61,13 +61,7 @@ ChannelModel = ExplicitChannel | DepolarizingChannel
 
 def uniform_single_error_channel(n: int) -> ExplicitChannel:
     """Exactly one single-qubit error, uniform over all 3n choices."""
-    errs = []
-    for q in range(n):
-        for letter in "XYZ":
-            x = (1 << q) if letter != "Z" else 0
-            z = (1 << q) if letter != "X" else 0
-            errs.append((PauliOp(n, x, z), 1.0 / (3 * n)))
-    return ExplicitChannel(n, tuple(errs))
+    return ExplicitChannel(n, tuple((p, 1.0 / (3 * n)) for p in enumerate_paulis(n, 1)))
 
 
 @dataclass

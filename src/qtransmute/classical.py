@@ -118,16 +118,6 @@ class LinearCode:
         pc = kernel_basis(gmat).rows
         return cls(n, rows, tuple(pc))
 
-    def codeword(self, message: int) -> int:
-        out = 0
-        i = 0
-        while message:
-            if message & 1:
-                out ^= self.generator[i]
-            message >>= 1
-            i += 1
-        return out
-
     def contains(self, word: int) -> bool:
         return all(parity(row & word) == 0 for row in self.parity_check)
 

@@ -27,6 +27,19 @@ def transpose_rows(rows: Sequence[int], width: int) -> list[int]:
     return out
 
 
+def fold(rows: Sequence[int], bits: int) -> int:
+    """XOR of rows[i] over the set bits i of `bits`: the product bits · rows.
+
+    `bits` must be nonnegative and below 1 << len(rows).
+    """
+    out = 0
+    while bits:
+        i = bits.bit_length() - 1
+        out ^= rows[i]
+        bits ^= 1 << i
+    return out
+
+
 def symplectic(u: int, v: int, half: int) -> int:
     """Symplectic form of two packed `x | z << half` vectors: 1 iff they anticommute.
 

@@ -45,9 +45,6 @@ class LPoly:
     def conjugate(self) -> "LPoly":
         return LPoly(frozenset((-a, -b) for (a, b) in self.terms))
 
-    def shift(self, ex: int, ey: int) -> "LPoly":
-        return LPoly(frozenset((a + ex, b + ey) for (a, b) in self.terms))
-
     @classmethod
     def parse(cls, s: str, *, line: int | None = None) -> "LPoly":
         s = s.replace(" ", "")
@@ -114,9 +111,6 @@ class LaurentVec:
     @classmethod
     def parse(cls, lines) -> "LaurentVec":
         return cls(tuple(LPoly.parse(s) for s in lines))
-
-    def shift(self, ex: int, ey: int) -> "LaurentVec":
-        return LaurentVec(tuple(e.shift(ex, ey) for e in self.entries))
 
 
 def symplectic_form(a: LaurentVec, b: LaurentVec) -> LPoly:
@@ -486,20 +480,24 @@ def loads_cell(text: str) -> UnitCellCode:
         return LaurentVec(tuple(polys))
 
     columns = tuple(read_vec(f"generator column {i + 1}") for i in range(s))
-    blocks: dict[str, LaurentVec] = {}
+    blocks: dict[tuple[str, int], LaurentVec] = {}
     while idx < len(entries):
         ln, tag = entries[idx]
-        if not (len(tag) >= 3 and tag[0] in "AB" and tag.endswith(":")):
+        num = tag[1:-1]
+        if not (tag[0] in "AB" and tag.endswith(":") and num.isascii() and num.isdigit()):
             raise ParseError(f"expected a logical block tag like 'A1:', got {tag!r}", line=ln)
+        key = (tag[0], int(num))
+        if key in blocks:
+            raise ParseError(f"repeated logical block {tag!r}", line=ln)
         idx += 1
-        blocks[tag[:-1]] = read_vec(f"logical block {tag}")
-    pairs = sorted({int(name[1:]) for name in blocks})
+        blocks[key] = read_vec(f"logical block {tag}")
+    pairs = sorted({i for _, i in blocks})
     if pairs != list(range(1, len(pairs) + 1)):
         raise ParseError("logical blocks must be numbered A1/B1, A2/B2, ...")
     logical_z, logical_x = [], []
     for i in pairs:
-        if f"A{i}" not in blocks or f"B{i}" not in blocks:
+        if ("A", i) not in blocks or ("B", i) not in blocks:
             raise ParseError(f"logical pair {i} needs both A{i}: and B{i}: blocks")
-        logical_z.append(blocks[f"A{i}"])
-        logical_x.append(blocks[f"B{i}"])
+        logical_z.append(blocks["A", i])
+        logical_x.append(blocks["B", i])
     return UnitCellCode(n, columns, tuple(logical_z), tuple(logical_x))

@@ -275,18 +275,6 @@ def symplectic_transforms(k: int):
     yield from rec([])
 
 
-def apply_transform(cols: tuple[int, ...], bits: int) -> int:
-    """Image of a class vector under the column-tuple transform."""
-    out = 0
-    i = 0
-    while bits:
-        if bits & 1:
-            out ^= cols[i]
-        bits >>= 1
-        i += 1
-    return out
-
-
 def _breadth_first_orbit(k: int, classes: frozenset[int]):
     """The distinct images of `classes` under Sp(2k,2), breadth-first from the
     identity under the transvections (u -> u ^ v when u and v anticommute),

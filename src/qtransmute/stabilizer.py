@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import CodeConstructionError, DimensionMismatch, ParseError
-from .f2 import BitMatrix, F2Span, kernel_basis, mul_bt, reduce_against, rref, solve, symplectic
+from .f2 import (BitMatrix, F2Span, fold, kernel_basis, mul_bt, reduce_against, rref, solve,
+                 symplectic, transpose_rows)
 from .pauli import PauliOp, parse_pauli, render, symplectic_product
 
 _PURE_LETTERS = {None: ("X", "Y", "Z"), "x": ("X",), "z": ("Z",)}
@@ -95,63 +96,22 @@ class StabilizerCode:
 
     def _init_tables(self) -> None:
         n = self.n
-        # Per-qubit, per-letter syndrome and class contributions; an error's
-        # syndrome/class is the XOR over its support.
-        syn_x = [0] * n
-        syn_z = [0] * n
-        for l, g in enumerate(self.generators):
-            for q in range(n):
-                if (g.z >> q) & 1:
-                    syn_x[q] |= 1 << l
-                if (g.x >> q) & 1:
-                    syn_z[q] |= 1 << l
-        self._syn_x = syn_x
-        self._syn_z = syn_z
-        cls_x = [0] * n
-        cls_z = [0] * n
-        logicals = self.logical_z + self.logical_x  # class bit order: Z block, then X block
-        for i, op in enumerate(logicals):
-            for q in range(n):
-                if (op.z >> q) & 1:
-                    cls_x[q] |= 1 << i
-                if (op.x >> q) & 1:
-                    cls_z[q] |= 1 << i
-        self._cls_x = cls_x
-        self._cls_z = cls_z
-        gen_matrix = BitMatrix(tuple(_sym_vec(g) for g in self.generators), 2 * n)
-        self._gen_rref = rref(gen_matrix)
+        # Transposed symplectic check matrices: row j is the syndrome (class)
+        # of the packed unit vector 1 << j, so folding the rows an error's
+        # x | z << n selects gives its syndrome (class).
+        self._syn = transpose_rows([_sym_twist(g) for g in self.generators], 2 * n)
+        # Class bit order: the Z block, then the X block.
+        self._cls = transpose_rows([_sym_twist(p) for p in self.logical_z + self.logical_x],
+                                   2 * n)
+        self._gen_rref = rref(BitMatrix(tuple(_sym_vec(g) for g in self.generators), 2 * n))
 
     # -- raw-int fast paths -------------------------------------------------
 
     def syndrome_bits(self, x: int, z: int) -> int:
-        out = 0
-        sx, sz = self._syn_x, self._syn_z
-        bits = x
-        while bits:
-            q = (bits & -bits).bit_length() - 1
-            out ^= sx[q]
-            bits &= bits - 1
-        bits = z
-        while bits:
-            q = (bits & -bits).bit_length() - 1
-            out ^= sz[q]
-            bits &= bits - 1
-        return out
+        return fold(self._syn, x | z << self.n)
 
     def class_bits(self, x: int, z: int) -> int:
-        out = 0
-        cx, cz = self._cls_x, self._cls_z
-        bits = x
-        while bits:
-            q = (bits & -bits).bit_length() - 1
-            out ^= cx[q]
-            bits &= bits - 1
-        bits = z
-        while bits:
-            q = (bits & -bits).bit_length() - 1
-            out ^= cz[q]
-            bits &= bits - 1
-        return out
+        return fold(self._cls, x | z << self.n)
 
     def in_stabilizer_bits(self, x: int, z: int) -> bool:
         return reduce_against(self._gen_rref.reduced.rows, x | (z << self.n)) == 0
@@ -166,17 +126,10 @@ class StabilizerCode:
 
     def class_representative(self, bits: int) -> PauliOp:
         """A physical Pauli realizing the given class: the basis-op product."""
-        x = z = 0
-        for i in range(self.k):
-            if (bits >> i) & 1:
-                op = self.logical_x[i]
-                x ^= op.x
-                z ^= op.z
-            if (bits >> (self.k + i)) & 1:
-                op = self.logical_z[i]
-                x ^= op.x
-                z ^= op.z
-        return PauliOp(self.n, x, z)
+        if not 0 <= bits < 1 << (2 * self.k):
+            raise ValueError(f"class bits {bits} exceed 2k = {2 * self.k}")
+        return _unpack(fold([_sym_vec(p) for p in self.logical_x + self.logical_z], bits),
+                       self.n)
 
     def with_logicals(self, logical_x: list[PauliOp], logical_z: list[PauliOp]) -> "StabilizerCode":
         return StabilizerCode(self.generators, logical_x, logical_z)
@@ -277,10 +230,7 @@ def complete_logical_basis(
         if coeffs is None:
             raise CodeConstructionError("no symplectic partner for seed operator "
                                         f"{i}: seeds not independent in N(S)/S")
-        z = 0
-        for m in range(kern.nrows):
-            if (coeffs >> m) & 1:
-                z ^= kern.rows[m]
+        z = fold(kern.rows, coeffs)
         for l in range(i):
             if symplectic(z, zs[l], n):
                 z ^= xs[l]
@@ -361,7 +311,7 @@ def scan_zero_syndrome(code: StabilizerCode, w: int, visit,
     a, b = w - w // 2, w // 2
     steps = []
     for q in range(n):
-        sx, sz, bit = code._syn_x[q], code._syn_z[q], 1 << q
+        sx, sz, bit = code._syn[q], code._syn[n + q], 1 << q
         row = {"X": (sx, bit), "Y": (sx ^ sz, bit | bit << n), "Z": (sz, bit << n)}
         steps.append([row[letter] for letter in _PURE_LETTERS[pure]])
 

@@ -2,30 +2,14 @@
 from __future__ import annotations
 
 from .errors import CodeConstructionError
+from .f2 import fold
 from .pauli import PauliOp
-from .stabilizer import StabilizerCode, validate_code
+from .stabilizer import StabilizerCode, _sym_vec, _unpack, validate_code
 
 
 def _embed(p: PauliOp, block: int, block_size: int, total: int) -> PauliOp:
     shift = block * block_size
     return PauliOp(total, p.x << shift, p.z << shift)
-
-
-def _lift(op: PauliOp, inner: StabilizerCode, total: int) -> PauliOp:
-    """Replace each single-qubit letter of an outer operator by the inner
-    code's corresponding logical operator on that block."""
-    xm = zm = 0
-    for q in range(op.n):
-        xb = (op.x >> q) & 1
-        zb = (op.z >> q) & 1
-        shift = q * inner.n
-        if xb:
-            xm ^= inner.logical_x[0].x << shift
-            zm ^= inner.logical_x[0].z << shift
-        if zb:
-            xm ^= inner.logical_z[0].x << shift
-            zm ^= inner.logical_z[0].z << shift
-    return PauliOp(total, xm, zm)
 
 
 def concatenate(outer: StabilizerCode, inner: StabilizerCode) -> StabilizerCode:
@@ -47,8 +31,14 @@ def concatenate(outer: StabilizerCode, inner: StabilizerCode) -> StabilizerCode:
     for block in range(outer.n):
         for g in inner.generators:
             gens.append(_embed(g, block, inner.n, total))
-    for g in outer.generators:
-        gens.append(_lift(g, inner, total))
-    logical_x = [_lift(p, inner, total) for p in outer.logical_x]
-    logical_z = [_lift(p, inner, total) for p in outer.logical_z]
-    return StabilizerCode(gens, logical_x, logical_z)
+    # Row q (n1 + q) is the inner logical X (Z) on block q, packed as
+    # x | z << total, so an outer operator's lift folds the rows its own
+    # packed x | z << n1 selects.
+    rows = [(p.x | p.z << total) << q * inner.n
+            for p in (inner.logical_x[0], inner.logical_z[0]) for q in range(outer.n)]
+
+    def lift(ops: list[PauliOp]) -> list[PauliOp]:
+        return [_unpack(fold(rows, _sym_vec(p)), total) for p in ops]
+
+    return StabilizerCode(gens + lift(outer.generators), lift(outer.logical_x),
+                          lift(outer.logical_z))

@@ -17,12 +17,13 @@ from qtransmute.channel import (exact_class_distribution, run_trials,
                                 total_variation, uniform_single_error_channel)
 from qtransmute.classical import (asymmetric_distances, classical_distance,
                                   css17_classical_pair, css_build)
+from qtransmute.f2 import fold
 from qtransmute.lattice import (compact_encoding, instantiate_torus,
                                 rate_half_cell, rate_two_thirds_cell,
                                 symplectic_form, toric_code, validate_unit_cell)
 from qtransmute.pauli import (PauliOp, enumerate_paulis, errors_up_to_weight,
                               multiply, parse_pauli, render, weight)
-from qtransmute.qet import (AdmissibleSet, apply_transform, build_recovery,
+from qtransmute.qet import (AdmissibleSet, build_recovery,
                             check_general_qet, check_group_qet,
                             deff_lower_bound, effective_distance,
                             scan_zero_syndrome, strong_conditions_hold,
@@ -331,7 +332,7 @@ def test_criterion_10_property_suites():
             [t2.class_representative(cols[i]) for i in range(2)],
             [t2.class_representative(cols[2 + i]) for i in range(2)])
         mapped = AdmissibleSet(2, frozenset(
-            w for w in range(16) if apply_transform(cols, w) in BOTH_PHASES.classes))
+            w for w in range(16) if fold(cols, w) in BOTH_PHASES.classes))
         assert check_general_qet(relabeled, mapped, errs6).passed == base
 
     # simulator exact admissibility: 1e5 trials per catalog code, zero violations

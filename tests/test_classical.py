@@ -9,12 +9,13 @@ from qtransmute.classical import (LinearCode, Poly2, _capped_distance,
                                   css_build, cyclic_code, dual, qr17_code,
                                   subcode_from_rows, x_power_minus_one)
 from qtransmute.errors import CodeConstructionError
+from qtransmute.f2 import fold
 from qtransmute.lattice import toric_code
 from qtransmute.stabilizer import validate_code
 
 
 def codeword_set(code):
-    return {code.codeword(m) for m in range(1 << code.k)}
+    return {fold(code.generator, m) for m in range(1 << code.k)}
 
 
 def test_poly_parse_render_round_trip():
@@ -63,7 +64,7 @@ def test_cyclic_shift_closure():
     n = qr.n
     mask = (1 << n) - 1
     for m in range(0, 1 << qr.k, 37):
-        w = qr.codeword(m)
+        w = fold(qr.generator, m)
         shifted = ((w << 1) | (w >> (n - 1))) & mask
         assert qr.contains(shifted)
 

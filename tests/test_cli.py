@@ -152,6 +152,15 @@ def test_lattice_check_and_torus(tmp_path, capsys):
     assert load_file(out_path).n == 32
 
 
+def test_lattice_check_refuses_repeated_block(tmp_path, capsys):
+    cell = tmp_path / "repeated.cell"
+    cell.write_text("n 1 s 1\n0\n1\nA1:\n0\n1\nB1:\n1\n0\nA1:\n1\n1\n")
+    code, out, err = run(capsys, "lattice", "check", "--cell", str(cell))
+    assert code == 2
+    assert out == ""
+    assert "parse error: repeated logical block 'A1:' at line 10" in err
+
+
 def test_concat_scan(capsys):
     code, out, _ = run(capsys, "concat", "--outer", "table1-7q",
                        "--inner", "inner-5q", "--admissible", "ZI",

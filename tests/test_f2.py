@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtransmute.f2 import (BitMatrix, F2Span, kernel_basis, mul_bt, parity, rref, solve,
-                           symplectic)
+from qtransmute.f2 import (BitMatrix, F2Span, fold, kernel_basis, mul_bt, parity, rref,
+                           solve, symplectic, transpose_rows)
 from qtransmute.pauli import PauliOp, symplectic_product
 
 
@@ -156,3 +156,10 @@ def test_symplectic_and_mul_bt_match_references(n, data):
         for j, br in enumerate(b_rows):
             assert (product[i] >> j) & 1 == parity(ar & br)
         assert product[i] >> len(b_rows) == 0
+    bits = data.draw(st.integers(0, (1 << len(a_rows)) - 1))
+    want = 0
+    for i, ar in enumerate(a_rows):
+        if (bits >> i) & 1:
+            want ^= ar
+    assert fold(a_rows, bits) == want
+    assert mul_bt([bits], transpose_rows(a_rows, n)) == [want]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qtransmute.errors import CodeConstructionError, ParseError
@@ -317,3 +319,10 @@ def test_cell_parse_errors():
         loads_cell("n 2 s 1\n1\n0\n0\n")  # missing a polynomial line
     with pytest.raises(ParseError):
         loads_cell("n 1 s 1\n0\n1\nA2:\n0\n1\n")  # pair numbering gap
+    for blocks, message in [
+        ("A1:\n0\n1\nB1:\n1\n0\nA1:\n1\n1\n", "repeated logical block 'A1:' at line 10"),
+        ("Ax:\n0\n1\n", "expected a logical block tag like 'A1:', got 'Ax:' at line 4"),
+        ("A:\n0\n1\n", "expected a logical block tag like 'A1:', got 'A:' at line 4"),
+    ]:
+        with pytest.raises(ParseError, match=re.escape(message)):
+            loads_cell("n 1 s 1\n0\n1\n" + blocks)

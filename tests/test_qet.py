@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from qtransmute import qet
 from qtransmute.errors import CodeConstructionError
-from qtransmute.f2 import symplectic
+from qtransmute.f2 import fold, symplectic
 from qtransmute.pauli import (PauliOp, enumerate_paulis, errors_up_to_weight,
                               identity, multiply, parse_pauli, render)
-from qtransmute.qet import (AdmissibleSet, _pattern_images, apply_transform,
-                            build_recovery, check_general_qet, check_group_qet,
+from qtransmute.qet import (AdmissibleSet, _pattern_images, build_recovery,
+                            check_general_qet, check_group_qet,
                             deff_lower_bound, effective_distance,
                             relabel_search, strong_conditions_hold,
                             symplectic_transforms)
@@ -56,7 +56,7 @@ def relabeled(code, cols):
 
 
 def image_of(cols, pattern):
-    return frozenset(apply_transform(cols, c) for c in pattern.classes)
+    return frozenset(fold(cols, c) for c in pattern.classes)
 
 
 def brute_force_qec_ok(code, errors):
@@ -355,7 +355,7 @@ def test_relabeling_invariance(table2):
         relabeled = table2.with_logicals(new_x, new_z)
         assert validate_code(relabeled).ok
         mapped = AdmissibleSet(2, frozenset(
-            w for w in range(16) if apply_transform(cols, w) in BOTH_PHASES.classes))
+            w for w in range(16) if fold(cols, w) in BOTH_PHASES.classes))
         assert check_general_qet(relabeled, mapped, errs).passed == base
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qtransmute.catalog import table1_code
 from qtransmute.errors import CodeConstructionError, DimensionMismatch, ParseError
 from qtransmute.pauli import (PauliOp, enumerate_paulis, identity, multiply,
-                              parse_pauli, render, weight)
+                              parse_pauli, render, symplectic_product, weight)
 from qtransmute.search import sample_generators
 from qtransmute.stabilizer import (StabilizerCode, code_distance,
                                    complete_logical_basis, dumps, loads,
@@ -188,6 +188,12 @@ def test_min_weight_in_trivial_class(table1):
 def test_min_weight_rejects_class_bits_beyond_2k(table1, target):
     with pytest.raises(ValueError, match="exceed 2k = 4"):
         min_weight_in_class(table1, target, 7)
+
+
+@pytest.mark.parametrize("bits", [-1, 1 << 4, 99])
+def test_class_representative_rejects_class_bits_beyond_2k(table1, bits):
+    with pytest.raises(ValueError, match="exceed 2k = 4"):
+        table1.class_representative(bits)
 
 
 def test_min_weight_pure_restriction(table1):
@@ -418,3 +424,26 @@ def test_scan_matches_brute_force_order_on_random_codes(n, k, pure, seed, data):
 
         assert scan_zero_syndrome(code, w, visit, pure) is True
         assert stopped == want[:j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_tables_fold_symplectic_products_on_random_codes(n, k, seed, data):
+    assume(k < n)
+    code = _random_small_code(random.Random(seed), n, k)
+    paulis = st.builds(PauliOp, st.just(n), st.integers(0, (1 << n) - 1),
+                       st.integers(0, (1 << n) - 1))
+    for e in data.draw(st.lists(paulis, min_size=1, max_size=8)):
+        syn, cls = code.syndrome_bits(e.x, e.z), code.class_bits(e.x, e.z)
+        for l, g in enumerate(code.generators):
+            assert (syn >> l) & 1 == symplectic_product(g, e)
+        assert syn >> len(code.generators) == 0
+        for i in range(k):
+            assert (cls >> i) & 1 == symplectic_product(code.logical_z[i], e)
+            assert (cls >> (k + i)) & 1 == symplectic_product(code.logical_x[i], e)
+        assert cls >> (2 * k) == 0
+    for c in range(1 << (2 * k)):
+        rep = code.class_representative(c)
+        assert code.syndrome_bits(rep.x, rep.z) == 0
+        assert code.class_bits(rep.x, rep.z) == c
