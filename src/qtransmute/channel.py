@@ -4,7 +4,9 @@ Trials sample a Pauli error, look up its syndrome's entry in a recovery
 table, draw one admissible image, and tally the residual logical class
 image ^ class(reference·error); no correction operator is built. Everything
 happens on symplectic bit masks; no state vectors are involved. Chunked
-seeding makes reports independent of worker count.
+seeding makes reports independent of worker count. Pool workers receive the
+code, table and model once, when they start, and each chunk only its size
+and seed.
 """
 from __future__ import annotations
 
@@ -152,6 +154,19 @@ def _run_chunk(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
     return report
 
 
+# Set only inside a pool worker, once, by the pool's initializer.
+_worker_args: tuple[StabilizerCode, RecoveryTable, ChannelModel] | None = None
+
+
+def _init_worker(code: StabilizerCode, table: RecoveryTable, model: ChannelModel) -> None:
+    global _worker_args
+    _worker_args = (code, table, model)
+
+
+def _run_worker_chunk(count: int, chunk_seed: str) -> TrialReport:
+    return _run_chunk(*_worker_args, count, chunk_seed)
+
+
 def run_trials(code: StabilizerCode, adm: AdmissibleSet, table: RecoveryTable,
                model: ChannelModel, trials: int, seed: int,
                threads: int = 1) -> TrialReport:
@@ -169,9 +184,12 @@ def run_trials(code: StabilizerCode, adm: AdmissibleSet, table: RecoveryTable,
         idx += 1
     total = TrialReport(seed=str(seed))
     if threads > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_chunk, code, table, model, size, cs)
-                       for size, cs in chunks]
+        # The pool may start every worker at the first submit, so it is
+        # never sized past the number of chunks.
+        with ProcessPoolExecutor(max_workers=min(threads, len(chunks)),
+                                 initializer=_init_worker,
+                                 initargs=(code, table, model)) as pool:
+            futures = [pool.submit(_run_worker_chunk, size, cs) for size, cs in chunks]
             for fut in futures:
                 total.merge(fut.result())
     else:

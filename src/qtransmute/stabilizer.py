@@ -239,17 +239,22 @@ def complete_logical_basis(
     # Remaining hyperbolic pairs, greedily from the kernel basis. Correcting a
     # candidate against the chosen pairs keeps it in their symplectic
     # complement; independence mod S then implies independence mod S+pairs.
+    # The corrections are sequential in pair order, so `rows` keeps the kernel
+    # rows corrected against the first `done` pairs and each pair is applied
+    # once.
+    rows = list(kern.rows)
+    done = 0
     while len(xs) < k:
-        span = F2Span(gen_rows.reduced.rows)
-        pool = []
-        for v in kern.rows:
-            for x, z in zip(xs, zs):
+        for x, z in zip(xs[done:], zs[done:]):
+            for i, v in enumerate(rows):
                 if symplectic(v, z, n):
                     v ^= x
                 if symplectic(v, x, n):
                     v ^= z
-            if span.insert(v):
-                pool.append(v)
+                rows[i] = v
+        done = len(xs)
+        span = F2Span(gen_rows.reduced.rows)
+        pool = [v for v in rows if span.insert(v)]
         if not pool:
             raise CodeConstructionError("cannot complete basis: kernel exhausted")
         a = pool[0]

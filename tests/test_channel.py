@@ -2,11 +2,12 @@ import math
 
 import pytest
 
+from qtransmute import channel
 from qtransmute.channel import (DepolarizingChannel, ExplicitChannel,
                                 exact_class_distribution, run_trials,
                                 total_variation, uniform_single_error_channel)
 from qtransmute.pauli import errors_up_to_weight, identity, multiply, parse_pauli
-from qtransmute.qet import AdmissibleSet, build_recovery, check_general_qet
+from qtransmute.qet import AdmissibleSet, RecoveryTable, build_recovery, check_general_qet
 from qtransmute.stabilizer import logical_class
 
 PHASE1 = AdmissibleSet.group_generated(2, ["ZI"])
@@ -115,12 +116,45 @@ def test_depolarizing_uncovered_fraction(table1):
 
 
 def test_merge_independent_of_worker_count(table1):
+    # 45,000 trials: two full chunks and one partial
+    table = recovery_for(table1, PHASE1)
+    for model in (uniform_single_error_channel(7), DepolarizingChannel(7, 0.05)):
+        serial = run_trials(table1, PHASE1, table, model, trials=45_000, seed=5, threads=1)
+        for threads in (2, 3, 8):
+            parallel = run_trials(table1, PHASE1, table, model, trials=45_000, seed=5,
+                                  threads=threads)
+            assert parallel.render(table1.k) == serial.render(table1.k)
+
+
+def test_pool_never_larger_than_chunk_count(table1, monkeypatch):
+    sizes = []
+    pool = channel.ProcessPoolExecutor
+
+    def sized_pool(*args, **kwargs):
+        sizes.append(kwargs["max_workers"])
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "ProcessPoolExecutor", sized_pool)
+    table = recovery_for(table1, PHASE1)
+    run_trials(table1, PHASE1, table, uniform_single_error_channel(7), trials=45_000,
+               seed=5, threads=8)
+    assert sizes == [3]
+
+
+def test_table_shipped_at_most_once_per_worker(table1, monkeypatch):
+    pickles = []
+
+    def counted_reduce_ex(self, protocol):
+        pickles.append(protocol)
+        return object.__reduce_ex__(self, protocol)
+
     table = recovery_for(table1, PHASE1)
     model = uniform_single_error_channel(7)
-    serial = run_trials(table1, PHASE1, table, model, trials=45_000, seed=5, threads=1)
-    parallel = run_trials(table1, PHASE1, table, model, trials=45_000, seed=5, threads=2)
-    assert serial.class_counts == parallel.class_counts
-    assert serial.uncovered == parallel.uncovered
+    serial = run_trials(table1, PHASE1, table, model, trials=100_000, seed=8, threads=1)
+    monkeypatch.setattr(RecoveryTable, "__reduce_ex__", counted_reduce_ex)
+    pooled = run_trials(table1, PHASE1, table, model, trials=100_000, seed=8, threads=2)
+    assert len(pickles) <= 2  # once per worker at most, not once per chunk (five)
+    assert pooled.class_counts == serial.class_counts
 
 
 def test_uncovered_never_admissible(table1):

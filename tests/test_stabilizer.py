@@ -5,14 +5,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qtransmute.catalog import table1_code
+from qtransmute.catalog import resolve, table1_code
 from qtransmute.errors import CodeConstructionError, DimensionMismatch, ParseError
+from qtransmute.f2 import (BitMatrix, F2Span, fold, kernel_basis, mul_bt, rref, solve,
+                           symplectic)
 from qtransmute.pauli import (PauliOp, enumerate_paulis, identity, multiply,
                               parse_pauli, render, symplectic_product, weight)
 from qtransmute.search import sample_generators
-from qtransmute.stabilizer import (StabilizerCode, code_distance,
-                                   complete_logical_basis, dumps, loads,
-                                   logical_class, min_weight_in_class,
+from qtransmute.stabilizer import (StabilizerCode, _sym_twist, _sym_vec, _unpack,
+                                   code_distance, complete_logical_basis, dumps,
+                                   loads, logical_class, min_weight_in_class,
                                    scan_zero_syndrome, standard_form, syndrome,
                                    validate_code)
 
@@ -341,25 +343,85 @@ def _random_small_code(rng, n, k):
     return standard_form(gens)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 6), k=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
-def test_seeded_completion_on_random_codes(n, k, seed):
-    # Seeds are logical X operators mixed with later ones and with random
-    # stabilizer elements, so solving for their Z partners uses the kernel.
-    assume(k < n)
-    rng = random.Random(seed)
-    code = _random_small_code(rng, n, k)
+def _random_seeds(rng, code):
+    """1..k valid seeds: logical X operators mixed with later ones and with
+    random stabilizer elements, so solving for their Z partners uses the kernel."""
     seeds = []
-    for i in range(rng.randint(1, k)):
+    for i in range(rng.randint(1, code.k)):
         x = z = 0
         for op in [code.logical_x[i]] + [g for g in code.logical_x[i + 1:] + code.generators
                                          if rng.random() < 0.5]:
             x, z = x ^ op.x, z ^ op.z
-        seeds.append(PauliOp(n, x, z))
+        seeds.append(PauliOp(code.n, x, z))
+    return seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), k=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_seeded_completion_on_random_codes(n, k, seed):
+    assume(k < n)
+    rng = random.Random(seed)
+    code = _random_small_code(rng, n, k)
+    seeds = _random_seeds(rng, code)
     xs, zs = complete_logical_basis(code.generators, seed_x=seeds)
     assert xs[:len(seeds)] == seeds
     assert validate_code(StabilizerCode(code.generators, xs, zs)).ok
     assert complete_logical_basis(code.generators, seed_x=seeds) == (xs, zs)
+
+
+def _reference_basis(generators, seed_x, n):
+    """complete_logical_basis for valid inputs as it was written before the
+    corrected kernel rows were kept: every round corrects every kernel row
+    against every pair chosen so far."""
+    k = n - len(generators)
+    gen_rows = rref(BitMatrix(tuple(_sym_vec(g) for g in generators), 2 * n))
+    kern = kernel_basis(BitMatrix(tuple(_sym_twist(g) for g in generators), 2 * n))
+    xs = [_sym_vec(p) for p in seed_x]
+    constraints = BitMatrix(tuple(mul_bt([_sym_twist(p) for p in seed_x], kern.rows)),
+                            kern.nrows)
+    zs = []
+    for i in range(len(xs)):
+        z = fold(kern.rows, solve(constraints, 1 << i))
+        for l in range(i):
+            if symplectic(z, zs[l], n):
+                z ^= xs[l]
+        zs.append(z)
+    while len(xs) < k:
+        span = F2Span(gen_rows.reduced.rows)
+        pool = []
+        for v in kern.rows:
+            for x, z in zip(xs, zs):
+                if symplectic(v, z, n):
+                    v ^= x
+                if symplectic(v, x, n):
+                    v ^= z
+            if span.insert(v):
+                pool.append(v)
+        a = pool[0]
+        b = next(c for c in pool[1:] if symplectic(a, c, n))
+        xs.append(a)
+        zs.append(b)
+    return [_unpack(v, n) for v in xs], [_unpack(v, n) for v in zs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 8), k=st.integers(1, 4), seeded=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_completion_matches_reference_on_random_codes(n, k, seeded, seed):
+    assume(k < n)
+    rng = random.Random(seed)
+    code = _random_small_code(rng, n, k)
+    seeds = _random_seeds(rng, code) if seeded else []
+    assert (complete_logical_basis(code.generators, seed_x=seeds, n=n)
+            == _reference_basis(code.generators, seeds, n))
+
+
+@pytest.mark.parametrize("spec", ["compact:8", "eq20-lattice:6x6"])
+def test_completion_matches_reference_on_catalog_codes(spec):
+    code = resolve(spec).code
+    for seeds in ([], code.logical_x[:3]):
+        assert (complete_logical_basis(code.generators, seed_x=seeds)
+                == _reference_basis(code.generators, seeds, code.n))
 
 
 def _brute_minima(code):
