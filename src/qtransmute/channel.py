@@ -1,12 +1,12 @@
 """Monte Carlo validation of recovery at the symplectic level.
 
 Trials sample a Pauli error, look up its syndrome's entry in a recovery
-table, draw one admissible image, and tally the residual logical class
-image ^ class(reference·error); no correction operator is built. Everything
-happens on symplectic bit masks; no state vectors are involved. Chunked
-seeding makes reports independent of worker count. Pool workers receive the
-code, table and model once, when they start, and each chunk only its size
-and seed.
+table, draw one of its admissible options uniformly, and tally the residual
+logical class option ^ class(reference·error); no correction operator is
+built. Everything happens on symplectic bit masks; no state vectors are
+involved. Chunked seeding makes reports independent of worker count. Pool
+workers receive the code, table and model once, when they start, and each
+chunk only its size and seed.
 """
 from __future__ import annotations
 
@@ -134,14 +134,16 @@ def _run_chunk(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
             report.uncovered += 1
             continue
         entry = table.entries[code.syndrome_bits(ex, ez)]
-        comps = entry.components
-        if len(comps) == 1:
-            image = comps[0][0]
-        else:
+        options = entry.options
+        image = options[-1]  # the only option, or the walk's fallback
+        if len(options) > 1:
+            # A walk over the equal weights 1/m rather than int(u * m): the
+            # float boundaries can differ in the last bit, and seeded
+            # tallies depend on them.
             u = rng.random()
+            wgt = 1.0 / len(options)
             acc = 0.0
-            image = comps[-1][0]
-            for cand, wgt in comps:
+            for cand in options:
                 acc += wgt
                 if u < acc:
                     image = cand
@@ -167,13 +169,10 @@ def _run_worker_chunk(count: int, chunk_seed: str) -> TrialReport:
     return _run_chunk(*_worker_args, count, chunk_seed)
 
 
-def run_trials(code: StabilizerCode, adm: AdmissibleSet, table: RecoveryTable,
-               model: ChannelModel, trials: int, seed: int,
-               threads: int = 1) -> TrialReport:
+def run_trials(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
+               trials: int, seed: int, threads: int = 1) -> TrialReport:
     """Sample, correct, and tally. Chunks carry derived seeds, so the merged
     report does not depend on the worker count."""
-    if adm.k != code.k:
-        raise ValueError("admissible set does not match the code")
     chunks = []
     remaining = trials
     idx = 0
@@ -218,7 +217,8 @@ def exact_class_distribution(code: StabilizerCode, table: RecoveryTable,
             continue
         entry = table.entries[code.syndrome_bits(e.x, e.z)]
         residual = code.class_bits(entry.reference.x ^ e.x, entry.reference.z ^ e.z)
-        for image, wgt in entry.components:
+        wgt = 1.0 / len(entry.options)
+        for image in entry.options:
             res = image ^ residual
             dist[res] = dist.get(res, 0.0) + p * wgt
     return dist, uncovered

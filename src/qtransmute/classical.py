@@ -124,6 +124,8 @@ class LinearCode:
 
 def cyclic_code(n: int, g: Poly2) -> LinearCode:
     """Cyclic code of length n from a generator polynomial dividing x^n + 1."""
+    if n < 1:
+        raise CodeConstructionError(f"cyclic code length must be >= 1, got {n}")
     if g.is_zero():
         raise CodeConstructionError("zero generator polynomial")
     if not g.divides(x_power_minus_one(n)):
@@ -155,6 +157,8 @@ def classical_distance(code: LinearCode, cap: int) -> DistanceResult:
     otherwise reports cap+1 as a non-exact bound.
     """
     k = code.k
+    if k == 0:
+        raise ValueError(f"the [{code.n},0] code has no nonzero codeword, so no distance")
     if k > _EXHAUSTIVE_K_LIMIT:
         return _capped_distance(code, cap)
     best = code.n + 1

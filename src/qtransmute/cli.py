@@ -199,7 +199,7 @@ def _cmd_verify(args) -> int:
     if args.relabel:
         hit = relabel_search(code, adm, errors)
         if hit is None:
-            print(f"verdict: FAIL (no relabeling of {len(list(errors))} errors works)")
+            print(f"verdict: FAIL (no relabeling of {len(errors)} errors works)")
             _write_report(args.report, {"verdict": "fail", "relabel": "exhausted"})
             return EXIT_FAIL
         code, verdict = hit
@@ -247,7 +247,7 @@ def _cmd_deff(args) -> int:
     cc = _load_catalog_code(args.code)
     adm = _load_admissible(args.admissible, cc)
     result = effective_distance(cc.code, adm, args.cap)
-    bound = deff_lower_bound(cc.code, adm, min(args.cap, cc.code.n))
+    bound = deff_lower_bound(cc.code, adm, args.cap)
     if result.exact:
         print(f"d_eff = {result.value}")
     else:
@@ -386,8 +386,7 @@ def _cmd_simulate(args) -> int:
         print(f"cannot simulate: verification failed on ({render(a)}, {render(b)})")
         return EXIT_FAIL
     table = build_recovery(verdict)
-    rep = run_trials(code, adm, table, model, args.trials, args.seed,
-                     threads=args.threads)
+    rep = run_trials(code, table, model, args.trials, args.seed, threads=args.threads)
     print(rep.render(code.k))
     rate = rep.admissible_rate(adm)
     print(f"admissible rate = {rate}")

@@ -11,14 +11,14 @@ so feasibility reduces to scanning candidate reference assignments.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, tee
 
 from .errors import DimensionMismatch, ParseError
 from .f2 import symplectic
 from .pauli import PauliOp, enumerate_paulis, render, weight as pauli_weight
-from .stabilizer import (DistanceResult, StabilizerCode,
+from .stabilizer import (DistanceResult, StabilizerCode, _min_weight,
                          class_bits_from_string, class_bits_to_string,
                          scan_zero_syndrome)
 
@@ -231,18 +231,9 @@ def deff_lower_bound(code: StabilizerCode, adm: AdmissibleSet,
                      cap: int) -> DistanceResult:
     """Minimum weight of an N(S) element whose class is not admissible."""
     _check_k(code, adm)
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
-    cap = min(cap, code.n)
     classes = adm.classes
-
-    def excluded(x: int, z: int) -> bool:
-        return code.class_bits(x, z) not in classes
-
-    for w in range(1, cap + 1):
-        if scan_zero_syndrome(code, w, excluded):
-            return DistanceResult(w, True, cap)
-    return DistanceResult(cap + 1, False, cap)
+    return _min_weight(scan_zero_syndrome, code, cap,
+                       lambda x, z: code.class_bits(x, z) not in classes)
 
 
 # -- logical relabeling ---------------------------------------------------------
@@ -343,44 +334,17 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
 
 
 @dataclass(frozen=True)
-class RecoveryEntry:
-    reference: PauliOp
-    components: tuple[tuple[int, float], ...]  # (admissible image, weight)
-
-
-@dataclass(frozen=True)
 class RecoveryTable:
-    entries: dict[int, RecoveryEntry] = field(default_factory=dict)
-    support: frozenset[tuple[int, int]] = frozenset()
+    entries: dict[int, PiBucket]  # syndrome -> the verdict's bucket
+    support: frozenset[tuple[int, int]]  # (x, z) of every verified error
 
 
-def build_recovery(verdict: Verdict,
-                   mixtures: dict[int, list[float]] | None = None,
-                   default_mixture: str = "uniform") -> RecoveryTable:
-    """Per-syndrome recovery: apply the reference, then one admissible class
-    drawn from the mixture. The class map is linear, so error e leaves the
-    class image ^ class(reference·e) and no correction operator is built. The
-    default spreads weight uniformly over the feasible assignments; "first"
-    puts all weight on the lowest-sorted one (the identity assignment whenever
-    it is feasible)."""
+def build_recovery(verdict: Verdict) -> RecoveryTable:
+    """Per-syndrome recovery: apply the bucket's reference, then one of its
+    admissible options, drawn uniformly. The class map is linear, so error e
+    leaves the class option ^ class(reference·e) and no correction operator
+    is built. The entries are the verdict's own buckets."""
     if not verdict.passed:
         raise ValueError("cannot build a recovery table from a failed verdict")
-    if default_mixture not in ("uniform", "first"):
-        raise ValueError("default_mixture must be 'uniform' or 'first'")
-    entries = {}
-    for syn, bucket in verdict.pi_maps.items():
-        opts = bucket.options
-        if mixtures and syn in mixtures:
-            weights = list(mixtures[syn])
-            if len(weights) != len(opts):
-                raise ValueError(f"syndrome {syn}: {len(weights)} weights for "
-                                 f"{len(opts)} feasible assignments")
-            if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
-                raise ValueError(f"syndrome {syn}: mixture weights must be a distribution")
-        elif default_mixture == "first":
-            weights = [1.0] + [0.0] * (len(opts) - 1)
-        else:
-            weights = [1.0 / len(opts)] * len(opts)
-        entries[syn] = RecoveryEntry(bucket.reference, tuple(zip(opts, weights)))
-    support = frozenset((e.x, e.z) for e in verdict.checked)
-    return RecoveryTable(entries, support)
+    return RecoveryTable(entries=verdict.pi_maps,
+                         support=frozenset((e.x, e.z) for e in verdict.checked))

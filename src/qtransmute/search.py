@@ -77,7 +77,7 @@ def read_checkpoint(path: str, spec: SearchSpec) -> int:
             raise QTError(f"checkpoint {path} is for another search: "
                           f"{name} is {saved.get(name)!r} there, {value!r} here")
     index = saved.get("next_index")
-    if not isinstance(index, int) or index < 0:
+    if type(index) is not int or index < 0:  # a JSON true/false is a bool, not an index
         raise QTError(f"checkpoint {path}: next_index must be an integer >= 0")
     return index
 

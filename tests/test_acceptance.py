@@ -344,7 +344,7 @@ def test_criterion_10_property_suites():
         verdict = check_general_qet(cc.code, adm, errors_up_to_weight(cc.code.n, 1))
         assert verdict.passed, name
         table = build_recovery(verdict)
-        rep = run_trials(cc.code, adm, table,
+        rep = run_trials(cc.code, table,
                          uniform_single_error_channel(cc.code.n),
                          trials=100_000, seed=1234)
         assert rep.uncovered == 0, name
@@ -355,7 +355,7 @@ def test_criterion_10_property_suites():
     verdict = check_general_qet(t1, PHASE1, errors_up_to_weight(7, 1))
     table = build_recovery(verdict)
     model = uniform_single_error_channel(7)
-    rep = run_trials(t1, PHASE1, table, model, trials=100_000, seed=99)
+    rep = run_trials(t1, table, model, trials=100_000, seed=99)
     exact, uncovered = exact_class_distribution(t1, table, model)
     assert uncovered == 0.0
     assert total_variation(rep.class_distribution(), exact) < 0.01

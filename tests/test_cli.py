@@ -243,6 +243,8 @@ def test_search_checkpoint_refuses_random_mode(tmp_path, capsys):
     ("[100]", "n is None there, 4 here"),
     ('{"n": 4, "k": 2, "pattern": [0, 4, 8], "error_weight": 1, "mode": "exhaustive", '
      '"next_index": -1}', "next_index must be an integer >= 0"),
+    ('{"n": 4, "k": 2, "pattern": [0, 4, 8], "error_weight": 1, "mode": "exhaustive", '
+     '"next_index": true}', "next_index must be an integer >= 0"),
 ])
 def test_search_checkpoint_refuses_specless_file(tmp_path, capsys, text, message):
     ckpt = tmp_path / "old.json"
@@ -264,6 +266,48 @@ def test_simulate(tmp_path, capsys):
     parsed = report.parse(rpt.read_text())
     assert parsed["uncovered"] == "0"
     assert parsed["seed"] == "5"
+
+
+SEEDED_CHANNEL = "XIIIIII 0.1\nIZIIIII 0.2\nIIYIIII 0.05\nXXIIIII 0.05\n"
+
+
+@pytest.mark.parametrize("argv,stdout", [
+    (("--code", "css17", "--model", "depol:0.02", "--max-weight", "2"),
+     "trials = 20000\nseed = 5\nuncovered = 92\nclass II = 6819\nclass XI = 6741\n"
+     "class IX = 6348\nadmissible rate = 0.9954\n"),
+    (("--code", "eq16-lattice:4x4", "--model", "uniform1"),
+     "trials = 20000\nseed = 5\nuncovered = 0\n"
+     "class IIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII = 3254\n"
+     "class ZIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII = 1066\n"
+     "class IIZIIIIIIIIIIIIIIIIIIIIIIIIIIIII = 1075\n"
+     "class IIIIZIIIIIIIIIIIIIIIIIIIIIIIIIII = 1025\n"
+     "class IIIIIIZIIIIIIIIIIIIIIIIIIIIIIIII = 1035\n"
+     "class IIIIIIIIZIIIIIIIIIIIIIIIIIIIIIII = 1028\n"
+     "class IIIIIIIIIIZIIIIIIIIIIIIIIIIIIIII = 1033\n"
+     "class IIIIIIIIIIIIZIIIIIIIIIIIIIIIIIII = 1049\n"
+     "class IIIIIIIIIIIIIIZIIIIIIIIIIIIIIIII = 1034\n"
+     "class IIIIIIIIIIIIIIIIZIIIIIIIIIIIIIII = 977\n"
+     "class IIIIIIIIIIIIIIIIIIZIIIIIIIIIIIII = 1088\n"
+     "class IIIIIIIIIIIIIIIIIIIIZIIIIIIIIIII = 1100\n"
+     "class IIIIIIIIIIIIIIIIIIIIIIZIIIIIIIII = 1060\n"
+     "class IIIIIIIIIIIIIIIIIIIIIIIIZIIIIIII = 1027\n"
+     "class IIIIIIIIIIIIIIIIIIIIIIIIIIZIIIII = 1058\n"
+     "class IIIIIIIIIIIIIIIIIIIIIIIIIIIIZIII = 1056\n"
+     "class IIIIIIIIIIIIIIIIIIIIIIIIIIIIIIZI = 1035\n"
+     "admissible rate = 1.0\n"),
+    (("--code", "table1-7q", "--model", "CHANNEL"),
+     "trials = 20000\nseed = 5\nuncovered = 1006\nclass II = 9498\nclass ZI = 9496\n"
+     "admissible rate = 0.9497\n"),
+])
+def test_simulate_seeded_output_is_pinned(tmp_path, capsys, argv, stdout):
+    # css17 at weight 2 and table1-7q draw among several options per
+    # syndrome, so these pin the option draw as well as the error sampling.
+    channel = tmp_path / "channel.txt"
+    channel.write_text(SEEDED_CHANNEL)
+    argv = [str(channel) if a == "CHANNEL" else a for a in argv]
+    code, out, err = run(capsys, "simulate", *argv, "--trials", "20000", "--seed", "5",
+                         "--threads", "1")
+    assert (code, out, err) == (0, stdout, "")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -337,6 +381,12 @@ def test_unknown_catalog_entry_exit_code(capsys):
     (("simulate", "--code", "table1-7q", "--admissible", "ZI", "--model", "depol:x",
       "--trials", "10", "--seed", "1", "--threads", "1"),
      "error: model depol:<p> needs a number p, got 'x'"),
+    (("classical", "distance", "--code", "cyclic:3:1+x^3"),
+     "error: the [3,0] code has no nonzero codeword, so no distance"),
+    (("classical", "distance", "--code", "cyclic:0:1"),
+     "error: cyclic code length must be >= 1, got 0"),
+    (("classical", "distance", "--code", "cyclic:-5:1"),
+     "error: cyclic code length must be >= 1, got -5"),
 ])
 def test_bad_numeric_input_exit_code(capsys, argv, message):
     # argparse rejects by SystemExit; a weight above the code's n, a bad spec

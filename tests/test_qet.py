@@ -561,7 +561,7 @@ def test_recovery_soundness(table1, table2):
         table = build_recovery(verdict)
         for e in errs:
             entry = table.entries[code.syndrome_bits(e.x, e.z)]
-            for cls, _wgt in entry.components:
+            for cls in entry.options:
                 corr = multiply(entry.reference, code.class_representative(cls))
                 rx, rz = corr.x ^ e.x, corr.z ^ e.z
                 assert code.syndrome_bits(rx, rz) == 0
@@ -573,7 +573,7 @@ def test_recovery_qec_case_deterministic(five_qubit):
     verdict = check_general_qet(five_qubit, adm, errors_up_to_weight(5, 1))
     table = build_recovery(verdict)
     for entry in table.entries.values():
-        assert entry.components == ((0, 1.0),)
+        assert entry.options == (0,)
         corr = multiply(entry.reference, five_qubit.class_representative(0))
         # correcting with the reference itself: residual is a stabilizer
         assert five_qubit.contains_stabilizer(
@@ -586,9 +586,9 @@ def test_recovery_qec_case_deterministic(five_qubit):
 @settings(max_examples=60, deadline=None)
 @random_instances
 def test_residual_class_is_image_plus_reference_class(n, k, group, seed):
-    # the table stores classes, not corrections: for every component image c
-    # of e's entry, c ^ class(ref·e) is the class that the materialised
-    # correction ref·rep(c) leaves on e, and that residual is in N(S)
+    # the table stores classes, not corrections: for every option c of e's
+    # entry, c ^ class(ref·e) is the class that the materialised correction
+    # ref·rep(c) leaves on e, and that residual is in N(S)
     assume(k < n)
     rng = random.Random(seed)
     code = standard_form(sample_generators(n, k, rng))
@@ -601,7 +601,7 @@ def test_residual_class_is_image_plus_reference_class(n, k, group, seed):
         entry = table.entries[code.syndrome_bits(e.x, e.z)]
         ref = entry.reference
         base = code.class_bits(ref.x ^ e.x, ref.z ^ e.z)
-        for c, _wgt in entry.components:
+        for c in entry.options:
             assert c in adm.classes
             r = multiply(multiply(code.class_representative(c), ref), e)
             assert code.syndrome_bits(r.x, r.z) == 0
@@ -612,17 +612,6 @@ def test_recovery_requires_pass(table1):
     bad = check_group_qet(table1, AdmissibleSet.trivial(2), errors_up_to_weight(7, 1))
     with pytest.raises(ValueError):
         build_recovery(bad)
-
-
-def test_recovery_mixture_validation(table1):
-    errs = errors_up_to_weight(7, 1)
-    verdict = check_general_qet(table1, PHASE1, errs)
-    syn = next(iter(verdict.pi_maps))
-    with pytest.raises(ValueError):
-        build_recovery(verdict, mixtures={syn: [0.5]})
-    n_opts = len(verdict.pi_maps[syn].options)
-    with pytest.raises(ValueError):
-        build_recovery(verdict, mixtures={syn: [2.0] * n_opts})
 
 
 def test_duplicate_errors_deduplicated(table1):
