@@ -3,10 +3,13 @@
 Trials sample a Pauli error, look up its syndrome's entry in a recovery
 table, draw one of its admissible options uniformly, and tally the residual
 logical class option ^ class(reference·error); no correction operator is
-built. Everything happens on symplectic bit masks; no state vectors are
-involved. Chunked seeding makes reports independent of worker count. Pool
-workers receive the code, table and model once, when they start, and each
-chunk only its size and seed.
+built. Each chunk works out an error's outcome (its entry's options and
+class(reference·error)) once: for an explicit channel, every channel
+error's before the first trial; for depolarizing noise, each supported
+error's when it is first drawn. Everything happens on symplectic bit masks;
+no state vectors are involved. Chunked seeding makes reports independent of
+worker count. Pool workers receive the code, table and model once, when they
+start, and each chunk only its size and seed.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import random
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 
 from .pauli import PauliOp, enumerate_paulis
@@ -99,59 +103,74 @@ class TrialReport:
         return "\n".join(lines)
 
 
-def _sample_error(model: ChannelModel, rng: random.Random,
-                  cumulative: list[float] | None) -> tuple[int, int]:
-    if isinstance(model, ExplicitChannel):
-        u = rng.random()
-        i = bisect_right(cumulative, u)
-        if i >= len(model.errors):
-            return 0, 0  # identity remainder
-        e = model.errors[i][0]
-        return e.x, e.z
-    x = z = 0
-    for q in range(model.n):
-        u = rng.random()
-        if u < model.p:
-            letter = min(2, int(3 * u / model.p))  # 0,1,2 equally likely given u < p
-            if letter != 2:
-                x |= 1 << q
-            if letter != 0:
-                z |= 1 << q
-    return x, z
+@lru_cache(maxsize=128)
+def _cuts(m: int) -> tuple[float, ...]:
+    """Boundaries of a uniform draw over m options: the running sums of the
+    equal weights 1/m. Seeded tallies depend on these floats, and int(u * m)
+    rounds differently at some of them. The m-th sum is left out: a draw at
+    or above the (m-1)-th sum takes the last option, both below the m-th sum
+    and in any rounding gap between it and 1."""
+    return tuple(accumulate([1.0 / m] * m))[:-1]
+
+
+def _outcome(code: StabilizerCode, table: RecoveryTable, x: int, z: int):
+    """(options, boundaries, class(reference·error)) of a supported error;
+    None for an uncovered one. A trial draws one option, uniformly, when
+    there are several, and leaves the class option ^ class(reference·error)."""
+    if (x, z) not in table.support:
+        return None
+    entry = table.entries[code.syndrome_bits(x, z)]
+    rx, rz = entry.reference.x ^ x, entry.reference.z ^ z
+    if code.syndrome_bits(rx, rz):
+        raise AssertionError("reference left a nonzero syndrome; table is corrupt")
+    return entry.options, _cuts(len(entry.options)), code.class_bits(rx, rz)
 
 
 def _run_chunk(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
                count: int, chunk_seed: str) -> TrialReport:
     rng = random.Random(chunk_seed)
-    cumulative = None
+    random_ = rng.random
     if isinstance(model, ExplicitChannel):
         cumulative = list(accumulate(p for _, p in model.errors))
+        # Index len(model.errors) is the identity remainder.
+        outcomes = [_outcome(code, table, e.x, e.z) for e, _ in model.errors]
+        outcomes.append(_outcome(code, table, 0, 0))
+
+        def draw():
+            return outcomes[bisect_right(cumulative, random_())]
+    else:
+        # Memoised for supported errors only, so never larger than the table.
+        memo = {}
+        p = model.p
+        bits = [1 << q for q in range(model.n)]
+
+        def draw():
+            x = z = 0
+            for bit in bits:
+                u = random_()
+                if u < p:
+                    letter = min(2, int(3 * u / p))  # 0,1,2 equally likely given u < p
+                    if letter != 2:
+                        x |= bit
+                    if letter != 0:
+                        z |= bit
+            outcome = memo.get((x, z))
+            if outcome is None:
+                outcome = _outcome(code, table, x, z)
+                if outcome is not None:
+                    memo[x, z] = outcome
+            return outcome
+
     report = TrialReport(trials=count, seed=chunk_seed)
     classes = report.class_counts
     for _ in range(count):
-        ex, ez = _sample_error(model, rng, cumulative)
-        if (ex, ez) not in table.support:
+        outcome = draw()
+        if outcome is None:
             report.uncovered += 1
             continue
-        entry = table.entries[code.syndrome_bits(ex, ez)]
-        options = entry.options
-        image = options[-1]  # the only option, or the walk's fallback
-        if len(options) > 1:
-            # A walk over the equal weights 1/m rather than int(u * m): the
-            # float boundaries can differ in the last bit, and seeded
-            # tallies depend on them.
-            u = rng.random()
-            wgt = 1.0 / len(options)
-            acc = 0.0
-            for cand in options:
-                acc += wgt
-                if u < acc:
-                    image = cand
-                    break
-        rx, rz = entry.reference.x ^ ex, entry.reference.z ^ ez
-        if code.syndrome_bits(rx, rz):
-            raise AssertionError("reference left a nonzero syndrome; table is corrupt")
-        cls = image ^ code.class_bits(rx, rz)
+        options, cuts, base = outcome
+        # A one-option entry draws no random number; seeded tallies rely on it.
+        cls = base ^ (options[bisect_right(cuts, random_())] if cuts else options[0])
         classes[cls] = classes.get(cls, 0) + 1
     return report
 

@@ -263,8 +263,8 @@ def _cmd_css(args) -> int:
     c2 = _load_classical(args.c2)
     code = css_build(c1, c2)
     diag = validate_code(code)
-    print(f"[{code.n},{code.k}] CSS code; validate: {'ok' if diag.ok else diag.problems}")
     dx, dz = asymmetric_distances(code, args.cap)
+    print(f"[{code.n},{code.k}] CSS code; validate: {'ok' if diag.ok else diag.problems}")
     print(f"asymmetric distances: X {dx}, Z {dz}")
     _emit_code(code, args.out)
     return EXIT_PASS

@@ -7,7 +7,6 @@ tracked; products and commutators are phase-blind throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from math import comb
 from typing import Iterator
 
@@ -102,6 +101,30 @@ def weight(p: PauliOp) -> int:
     return (p.x | p.z).bit_count()
 
 
+def walk_paulis(n: int, max_weight: int) -> Iterator[tuple[int, int]]:
+    """The (x, z) masks of `enumerate_paulis(n, max_weight)`, in its order.
+
+    Supports are walked depth first in lexicographic order; each step
+    extends the prefix's list of masks by the next qubit's X, Y and Z, so
+    the last support qubit's letter varies fastest.
+    """
+    if not 0 <= max_weight <= n:
+        raise ValueError("need 0 <= max_weight <= n")
+
+    def extend(prefix: list[tuple[int, int]], start: int, left: int):
+        for q in range(start, n - left + 1):
+            bit = 1 << q
+            grown = [xz for x, z in prefix
+                     for xz in ((x | bit, z), (x | bit, z | bit), (x, z | bit))]
+            if left == 1:
+                yield from grown
+            else:
+                yield from extend(grown, q + 1, left - 1)
+
+    for w in range(1, max_weight + 1):
+        yield from extend([(0, 0)], 0, w)
+
+
 def enumerate_paulis(n: int, max_weight: int) -> Iterator[PauliOp]:
     """Every non-identity Pauli of weight <= max_weight, exactly once.
 
@@ -109,17 +132,8 @@ def enumerate_paulis(n: int, max_weight: int) -> Iterator[PauliOp]:
     X < Y < Z order per support qubit. The order is part of the contract:
     search witnesses and references are reported against it.
     """
-    if not 0 <= max_weight <= n:
-        raise ValueError("need 0 <= max_weight <= n")
-    for w in range(1, max_weight + 1):
-        for support in combinations(range(n), w):
-            for letters in product("XYZ", repeat=w):
-                x = z = 0
-                for q, letter in zip(support, letters):
-                    xb, zb = _LETTER_TO_XZ[letter]
-                    x |= xb << q
-                    z |= zb << q
-                yield PauliOp(n, x, z)
+    for x, z in walk_paulis(n, max_weight):
+        yield PauliOp(n, x, z)
 
 
 def count_paulis(n: int, max_weight: int) -> int:

@@ -17,7 +17,7 @@ from itertools import chain, combinations, tee
 
 from .errors import DimensionMismatch, ParseError
 from .f2 import symplectic
-from .pauli import PauliOp, enumerate_paulis, render, weight as pauli_weight
+from .pauli import PauliOp, render, walk_paulis
 from .stabilizer import (DistanceResult, StabilizerCode, _min_weight,
                          class_bits_from_string, class_bits_to_string,
                          scan_zero_syndrome)
@@ -130,28 +130,29 @@ def _check_k(code: StabilizerCode, adm: AdmissibleSet) -> None:
         raise ValueError(f"admissible set has k={adm.k}, code has k={code.k}")
 
 
-def _dedupe(code: StabilizerCode, errors) -> list[PauliOp]:
-    seen: set[tuple[int, int]] = set()
-    out = []
+def _dedupe(code: StabilizerCode, errors) -> dict[tuple[int, int], PauliOp]:
+    """The first error of each (x, z), keyed by it, in input order."""
+    out: dict[tuple[int, int], PauliOp] = {}
     for e in errors:
         if e.n != code.n:
             raise DimensionMismatch(f"error on {e.n} qubits, code on {code.n}")
-        key = (e.x, e.z)
-        if key not in seen:
-            seen.add(key)
-            out.append(e)
+        out.setdefault((e.x, e.z), e)
     return out
 
 
-def _bucket_pairs(code: StabilizerCode, errors, refs: dict[int, PauliOp]):
-    """Bucket errors by syndrome in input order. The first error of each
-    syndrome becomes its reference in `refs`; every later error is yielded as
-    (syndrome, error, class of reference·error)."""
+def _bucket_pairs(code: StabilizerCode, errors, refs: dict[int, tuple[int, int]]):
+    """Bucket distinct (x, z) errors by syndrome in input order. The first
+    error of each syndrome becomes its reference in `refs`; every later error
+    is yielded as (syndrome, (x, z), class of reference·error)."""
+    syndrome_bits, class_bits = code.syndrome_bits, code.class_bits
     for e in errors:
-        syn = code.syndrome_bits(e.x, e.z)
-        ref = refs.setdefault(syn, e)
-        if ref is not e:
-            yield syn, e, code.class_bits(ref.x ^ e.x, ref.z ^ e.z)
+        x, z = e
+        syn = syndrome_bits(x, z)
+        ref = refs.get(syn)
+        if ref is None:
+            refs[syn] = e
+        else:
+            yield syn, e, class_bits(ref[0] ^ x, ref[1] ^ z)
 
 
 def _narrow(classes: frozenset[int], pairs, options: dict[int, set[int]]):
@@ -186,13 +187,15 @@ def check_general_qet(code: StabilizerCode, adm: AdmissibleSet,
     keeps every forced assignment admissible."""
     _check_k(code, adm)
     errs = _dedupe(code, errors)
+    checked = tuple(errs.values())
     refs, options = {}, {}
     hit = _narrow(adm.classes, _bucket_pairs(code, errs, refs), options)
     if hit is not None:
-        return Verdict(False, witness=(refs[hit[0]], hit[1]), checked=tuple(errs))
-    pi = {syn: PiBucket(ref, tuple(sorted(options.get(syn, adm.classes))))
+        return Verdict(False, witness=(errs[refs[hit[0]]], errs[hit[1]]), checked=checked)
+    every = tuple(sorted(adm.classes))
+    pi = {syn: PiBucket(errs[ref], tuple(sorted(options[syn])) if syn in options else every)
           for syn, ref in refs.items()}
-    return Verdict(True, pi_maps=pi, checked=tuple(errs))
+    return Verdict(True, pi_maps=pi, checked=checked)
 
 
 def strong_conditions_hold(code: StabilizerCode, adm: AdmissibleSet,
@@ -220,10 +223,11 @@ def effective_distance(code: StabilizerCode, adm: AdmissibleSet,
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     cap = min(cap, code.n)
-    errors = chain([PauliOp(code.n, 0, 0)], enumerate_paulis(code.n, cap))
+    errors = chain([(0, 0)], walk_paulis(code.n, cap))
     hit = _narrow(adm.classes, _bucket_pairs(code, errors, {}), {})
     if hit is not None:
-        return DistanceResult(2 * pauli_weight(hit[1]) - 1, True, cap)
+        x, z = hit[1]
+        return DistanceResult(2 * (x | z).bit_count() - 1, True, cap)
     return DistanceResult(2 * cap + 1, cap >= code.n, cap)
 
 
@@ -323,7 +327,7 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
             new_x = [code.class_representative(cols[i]) for i in range(code.k)]
             new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]
             candidate = code.with_logicals(new_x, new_z)
-            verdict = check_general_qet(candidate, pattern, errs)
+            verdict = check_general_qet(candidate, pattern, errs.values())
             if not verdict.passed:
                 raise AssertionError("relabel replay disagrees with direct check")
             return candidate, verdict

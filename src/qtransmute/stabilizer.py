@@ -372,9 +372,13 @@ def min_weight_in_class(
     pure: str | None = None,
 ) -> DistanceResult:
     """Minimum weight over N(S) elements of the given class, or over all of
-    N(S)\\S when target is None. `pure` restricts to X-only or Z-only errors."""
+    N(S)\\S when target is None, which a code with k = 0 does not have.
+    `pure` restricts to X-only or Z-only errors."""
     if pure not in _PURE_LETTERS:
         raise ValueError("pure must be None, 'x', or 'z'")
+    if target is None and code.k == 0:
+        raise ValueError(f"k = 0: the [[{code.n},0]] code has no logical operator, "
+                         "so no distance")
     if target is not None and not 0 <= target < 1 << (2 * code.k):
         raise ValueError(f"class bits {target} exceed 2k = {2 * code.k}")
     found = ((lambda x, z: not code.in_stabilizer_bits(x, z)) if target is None

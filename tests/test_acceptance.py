@@ -4,7 +4,6 @@ Run `pytest tests/test_acceptance.py -v -s` for the full report. The
 long-running negative search (criterion 11) is marked slow and excluded from
 the default run; include it with `-m slow`.
 """
-import math
 import random
 import time
 from itertools import combinations

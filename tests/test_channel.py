@@ -1,14 +1,24 @@
 import math
+import random
+import sys
+from bisect import bisect_right
+from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtransmute import channel
-from qtransmute.channel import (DepolarizingChannel, ExplicitChannel,
+from qtransmute.channel import (DepolarizingChannel, ExplicitChannel, TrialReport,
                                 exact_class_distribution, run_trials,
                                 total_variation, uniform_single_error_channel)
-from qtransmute.pauli import errors_up_to_weight, identity, multiply, parse_pauli
-from qtransmute.qet import AdmissibleSet, RecoveryTable, build_recovery, check_general_qet
-from qtransmute.stabilizer import logical_class
+from qtransmute.pauli import (PauliOp, errors_up_to_weight, identity, multiply,
+                              parse_pauli)
+from qtransmute.qet import (AdmissibleSet, PiBucket, RecoveryTable, build_recovery,
+                            check_general_qet)
+from qtransmute.search import sample_generators
+from qtransmute.stabilizer import logical_class, standard_form
 
 PHASE1 = AdmissibleSet.group_generated(2, ["ZI"])
 BOTH_PHASES = AdmissibleSet.from_strings(2, ["ZI", "IZ"])
@@ -173,3 +183,156 @@ def test_report_render_has_seed(table1):
     text = rep.render(table1.k)
     assert "seed = 77" in text
     assert "trials = 100" in text
+
+
+# -- the trial loop -------------------------------------------------------------
+#
+# The reference below is the trial loop as it was before outcome tables: each
+# trial folds the syndrome, the reference's residual syndrome and its class,
+# and draws an option by walking the equal weights 1/m. The loop under test
+# must give the same report, byte for byte, from the same seed.
+
+
+def reference_sample_error(model, rng, cumulative):
+    if isinstance(model, ExplicitChannel):
+        u = rng.random()
+        i = bisect_right(cumulative, u)
+        if i >= len(model.errors):
+            return 0, 0  # identity remainder
+        e = model.errors[i][0]
+        return e.x, e.z
+    x = z = 0
+    for q in range(model.n):
+        u = rng.random()
+        if u < model.p:
+            letter = min(2, int(3 * u / model.p))  # 0,1,2 equally likely given u < p
+            if letter != 2:
+                x |= 1 << q
+            if letter != 0:
+                z |= 1 << q
+    return x, z
+
+
+def reference_run_chunk(code, table, model, count, chunk_seed):
+    rng = random.Random(chunk_seed)
+    cumulative = None
+    if isinstance(model, ExplicitChannel):
+        cumulative = list(accumulate(p for _, p in model.errors))
+    report = TrialReport(trials=count, seed=chunk_seed)
+    classes = report.class_counts
+    for _ in range(count):
+        ex, ez = reference_sample_error(model, rng, cumulative)
+        if (ex, ez) not in table.support:
+            report.uncovered += 1
+            continue
+        entry = table.entries[code.syndrome_bits(ex, ez)]
+        options = entry.options
+        image = options[-1]  # the only option, or the walk's fallback
+        if len(options) > 1:
+            u = rng.random()
+            wgt = 1.0 / len(options)
+            acc = 0.0
+            for cand in options:
+                acc += wgt
+                if u < acc:
+                    image = cand
+                    break
+        rx, rz = entry.reference.x ^ ex, entry.reference.z ^ ez
+        if code.syndrome_bits(rx, rz):
+            raise AssertionError("reference left a nonzero syndrome; table is corrupt")
+        cls = image ^ code.class_bits(rx, rz)
+        classes[cls] = classes.get(cls, 0) + 1
+    return report
+
+
+@st.composite
+def explicit_channels(draw, n, w):
+    """A few errors of weight up to w + 1 (so some are uncovered), some with
+    probability 0, and an identity remainder that may be 0."""
+    errors = []
+    for _ in range(draw(st.integers(0, 6))):
+        x = z = 0
+        for q in draw(st.lists(st.integers(0, n - 1), max_size=w + 1)):
+            letter = draw(st.integers(1, 3))
+            x |= (letter & 1) << q
+            z |= (letter >> 1) << q
+        errors.append(PauliOp(n, x, z))
+    weights = [draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])) for _ in errors]
+    remainder = draw(st.sampled_from([0.0, 0.25, 0.6]))
+    total = sum(weights) or 1.0
+    return ExplicitChannel(n, tuple((e, wt / total * (1 - remainder))
+                                    for e, wt in zip(errors, weights)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 6), k=st.integers(1, 3), w=st.integers(1, 2),
+       density=st.sampled_from([0.0, 0.5, 1.0]),
+       depol=st.sampled_from([None, 0.0, 0.01, 0.3, 1.0]),
+       count=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_run_chunk_matches_reference(n, k, w, density, depol, count, seed, data):
+    k = min(k, n - 1)
+    rng = random.Random(seed)
+    code = standard_form(sample_generators(n, k, rng))
+    errors = errors_up_to_weight(n, w)
+    errors = rng.sample(errors, rng.randint(1, len(errors)))
+    # Density 0 is the QEC set, one option per bucket; density 1 keeps every
+    # class in every bucket, 2^(2k) options each.
+    adm = AdmissibleSet(k, frozenset(
+        [0, *(c for c in range(1, 1 << (2 * k)) if rng.random() < density)]))
+    verdict = check_general_qet(code, adm, errors)
+    if not verdict.passed:  # one error per syndrome always passes
+        errors = list({code.syndrome_bits(e.x, e.z): e for e in errors}.values())
+        verdict = check_general_qet(code, adm, errors)
+    table = build_recovery(verdict)
+    model = (data.draw(explicit_channels(n, w)) if depol is None
+             else DepolarizingChannel(n, depol))
+    chunk_seed = f"{seed}:{count}"
+    got = channel._run_chunk(code, table, model, count, chunk_seed)
+    want = reference_run_chunk(code, table, model, count, chunk_seed)
+    assert got.render(k) == want.render(k)
+
+
+def test_option_draws_at_float_boundaries_match_reference(monkeypatch):
+    # Scripted draws at, just below and just above every running sum of 1/m,
+    # for every option count m up to 2^(2k) = 64: a draw that rounds
+    # differently from the walk over equal weights changes a tally here.
+    code = standard_form(sample_generators(6, 3, random.Random(0)))
+    model = ExplicitChannel(6, ())  # every trial is the identity remainder
+
+    def scripted(seed):  # each generator replays this m's script from its start
+        return SimpleNamespace(random=iter(script).__next__)
+
+    for m in range(2, 65):
+        verdict = check_general_qet(code, AdmissibleSet(3, frozenset(range(m))), [identity(6)])
+        table = build_recovery(verdict)
+        draws = sorted({v for c in accumulate([1.0 / m] * m)
+                        for v in (math.nextafter(c, 0), c, math.nextafter(c, 1)) if v < 1})
+        draws.append(math.nextafter(1.0, 0))
+        script = [u for d in draws for u in (0.5, d)]  # the error draw, then the option draw
+        for module in (channel, sys.modules[__name__]):
+            monkeypatch.setattr(module, "random", SimpleNamespace(Random=scripted))
+        got = channel._run_chunk(code, table, model, len(draws), "s")
+        want = reference_run_chunk(code, table, model, len(draws), "s")
+        monkeypatch.undo()
+        assert got.class_counts == want.class_counts, m
+
+
+def corrupted(code, table, e):
+    """`table` with the reference of e's bucket swapped for an error of
+    another syndrome."""
+    syn = code.syndrome_bits(e.x, e.z)
+    bad = next(f for f in errors_up_to_weight(code.n, 1)[1:]
+               if code.syndrome_bits(f.x, f.z) != syn)
+    entries = dict(table.entries)
+    entries[syn] = PiBucket(bad, entries[syn].options)
+    return RecoveryTable(entries=entries, support=table.support)
+
+
+@pytest.mark.parametrize("model", [
+    ExplicitChannel(7, ((parse_pauli("XIIIIII"), 1.0),)),
+    DepolarizingChannel(7, 0.1),
+])
+def test_corrupt_table_is_refused(table1, model):
+    table = corrupted(table1, recovery_for(table1, PHASE1), parse_pauli("XIIIIII"))
+    with pytest.raises(AssertionError, match="nonzero syndrome; table is corrupt"):
+        run_trials(table1, table, model, trials=2000, seed=3)

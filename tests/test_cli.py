@@ -387,6 +387,8 @@ def test_unknown_catalog_entry_exit_code(capsys):
      "error: cyclic code length must be >= 1, got 0"),
     (("classical", "distance", "--code", "cyclic:-5:1"),
      "error: cyclic code length must be >= 1, got -5"),
+    (("css", "build", "--c1", "cyclic:3:1+x", "--c2", "cyclic:3:1+x+x^2"),
+     "error: k = 0: the [[3,0]] code has no logical operator, so no distance"),
 ])
 def test_bad_numeric_input_exit_code(capsys, argv, message):
     # argparse rejects by SystemExit; a weight above the code's n, a bad spec
@@ -400,6 +402,15 @@ def test_bad_numeric_input_exit_code(capsys, argv, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_distance_of_a_code_without_logical_qubits_is_refused(tmp_path, capsys):
+    k0 = tmp_path / "k0.code"
+    k0.write_text("1 0\nZ\n")
+    code, out, err = run(capsys, "distance", "--code", str(k0), "--cap", "1")
+    assert code == 2
+    assert out == ""
+    assert "error: k = 0: the [[1,0]] code has no logical operator, so no distance" in err
 
 
 @pytest.mark.parametrize("argv", [

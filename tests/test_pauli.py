@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ from qtransmute.errors import DimensionMismatch, ParseError
 from qtransmute.pauli import (PauliOp, commutes, count_paulis, enumerate_paulis,
                               errors_up_to_weight, identity, multiply,
                               parse_pauli, render, single, symplectic_product,
-                              weight)
+                              walk_paulis, weight)
 
 pauli_strings = st.text(alphabet="IXYZ", min_size=1, max_size=12)
 
@@ -117,6 +119,37 @@ def test_enumeration_order():
     assert weights == sorted(weights)
     # first few: weight-1 on qubit 0 in X, Y, Z order
     assert [render(p) for p in ops[:4]] == ["XII", "YII", "ZII", "IXI"]
+
+
+def reference_walk(n, max_weight):
+    """The enumeration loop as it was before the walk: support by support,
+    letters by itertools.product, masks built letter by letter."""
+    letter_bits = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+    for w in range(1, max_weight + 1):
+        for support in combinations(range(n), w):
+            for letters in product("XYZ", repeat=w):
+                x = z = 0
+                for q, letter in zip(support, letters):
+                    xb, zb = letter_bits[letter]
+                    x |= xb << q
+                    z |= zb << q
+                yield x, z
+
+
+def test_walk_matches_reference_enumeration():
+    for n in range(8):
+        for w in range(n + 1):
+            walked = list(walk_paulis(n, w))
+            assert walked == list(reference_walk(n, w)), (n, w)
+            assert [(p.x, p.z) for p in enumerate_paulis(n, w)] == walked
+
+
+def test_walk_refuses_weights_outside_the_qubit_count():
+    for n, w in ((3, 4), (3, -1)):
+        with pytest.raises(ValueError, match="need 0 <= max_weight <= n"):
+            list(walk_paulis(n, w))
+        with pytest.raises(ValueError, match="need 0 <= max_weight <= n"):
+            list(enumerate_paulis(n, w))
 
 
 def test_errors_up_to_weight_includes_identity():

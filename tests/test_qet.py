@@ -6,17 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtransmute import qet
-from qtransmute.errors import CodeConstructionError
 from qtransmute.f2 import fold, symplectic
-from qtransmute.pauli import (PauliOp, enumerate_paulis, errors_up_to_weight,
-                              identity, multiply, parse_pauli, render)
+from qtransmute.pauli import (PauliOp, errors_up_to_weight, identity, multiply,
+                              parse_pauli, render, weight)
 from qtransmute.qet import (AdmissibleSet, _pattern_images, build_recovery,
                             check_general_qet, check_group_qet,
                             deff_lower_bound, effective_distance,
                             relabel_search, strong_conditions_hold,
                             symplectic_transforms)
 from qtransmute.search import sample_generators
-from qtransmute.stabilizer import (StabilizerCode, class_bits_to_string,
+from qtransmute.stabilizer import (DistanceResult, StabilizerCode, class_bits_to_string,
                                    code_distance, complete_logical_basis, loads,
                                    logical_class, standard_form, validate_code)
 
@@ -315,6 +314,36 @@ def test_effective_distance_matches_layered_checks(n, k, group, seed):
             break
     got = effective_distance(code, adm, cap)
     assert (got.value, got.exact, got.cap) == (*want, cap)
+
+
+def reference_effective_distance(code, adm, cap):
+    """effective_distance as computed on PauliOps: one bucketing pass over the
+    identity and every error up to weight cap, narrowing each bucket's
+    admissible reference images until one bucket has none left."""
+    cap = min(cap, code.n)
+    refs, options = {}, {}
+    for e in errors_up_to_weight(code.n, cap):
+        syn = code.syndrome_bits(e.x, e.z)
+        ref = refs.setdefault(syn, e)
+        if ref is e:
+            continue
+        diff = code.class_bits(ref.x ^ e.x, ref.z ^ e.z)
+        options[syn] = {o for o in options.get(syn, adm.classes) if o ^ diff in adm.classes}
+        if not options[syn]:
+            return DistanceResult(2 * weight(e) - 1, True, cap)
+    return DistanceResult(2 * cap + 1, cap >= code.n, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), k=st.integers(1, 3), group=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_effective_distance_matches_pauliop_reference(n, k, group, seed):
+    assume(k < n)
+    rng = random.Random(seed)
+    code = random_code(rng, n, k)
+    adm = spread_admissible(rng, k, group)
+    cap = rng.randrange(n + 2)
+    assert effective_distance(code, adm, cap) == reference_effective_distance(code, adm, cap)
 
 
 @settings(max_examples=60, deadline=None)

@@ -452,6 +452,10 @@ def test_min_weight_matches_brute_force_on_random_codes(n, k, seed):
     best = _brute_minima(code)
     for pure in (None, "x", "z"):
         for target in [None] + list(range(1, 1 << (2 * k))):
+            if target is None and k == 0:  # no logical operator, so no distance
+                with pytest.raises(ValueError, match="k = 0"):
+                    min_weight_in_class(code, target, n, pure=pure)
+                continue
             result = min_weight_in_class(code, target, n, pure=pure)
             want = best.get((pure, target))
             if want is None:

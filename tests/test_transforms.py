@@ -1,7 +1,7 @@
 import pytest
 
 from qtransmute.errors import CodeConstructionError
-from qtransmute.pauli import PauliOp, parse_pauli, symplectic_product
+from qtransmute.pauli import parse_pauli, symplectic_product
 from qtransmute.qet import AdmissibleSet, deff_lower_bound
 from qtransmute.stabilizer import StabilizerCode, validate_code
 from qtransmute.transforms import concatenate
