@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 
+from .errors import DimensionMismatch
 from .pauli import PauliOp, enumerate_paulis
 from .qet import AdmissibleSet, RecoveryTable
 from .stabilizer import StabilizerCode, class_bits_to_string
@@ -120,7 +121,7 @@ def _outcome(code: StabilizerCode, table: RecoveryTable, x: int, z: int):
     if (x, z) not in table.support:
         return None
     entry = table.entries[code.syndrome_bits(x, z)]
-    rx, rz = entry.reference.x ^ x, entry.reference.z ^ z
+    rx, rz = entry.reference[0] ^ x, entry.reference[1] ^ z
     if code.syndrome_bits(rx, rz):
         raise AssertionError("reference left a nonzero syndrome; table is corrupt")
     return entry.options, _cuts(len(entry.options)), code.class_bits(rx, rz)
@@ -192,6 +193,8 @@ def run_trials(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
                trials: int, seed: int, threads: int = 1) -> TrialReport:
     """Sample, correct, and tally. Chunks carry derived seeds, so the merged
     report does not depend on the worker count."""
+    if model.n != code.n:
+        raise DimensionMismatch(f"channel acts on {model.n} qubits, code on {code.n}")
     chunks = []
     remaining = trials
     idx = 0
@@ -224,22 +227,23 @@ def exact_class_distribution(code: StabilizerCode, table: RecoveryTable,
     Returns (class -> probability, uncovered probability); class masses are
     conditioned on nothing (they sum to 1 - uncovered).
     """
+    if model.n != code.n:
+        raise DimensionMismatch(f"channel acts on {model.n} qubits, code on {code.n}")
     dist: dict[int, float] = {}
     uncovered = 0.0
-    pairs = list(model.errors)
+    pairs = [((e.x, e.z), p) for e, p in model.errors]
     pid = model.identity_probability
     if pid > 0:
-        pairs.append((PauliOp(model.n, 0, 0), pid))
-    for e, p in pairs:
-        if (e.x, e.z) not in table.support:
+        pairs.append(((0, 0), pid))
+    for (x, z), p in pairs:
+        outcome = _outcome(code, table, x, z)
+        if outcome is None:
             uncovered += p
             continue
-        entry = table.entries[code.syndrome_bits(e.x, e.z)]
-        residual = code.class_bits(entry.reference.x ^ e.x, entry.reference.z ^ e.z)
-        wgt = 1.0 / len(entry.options)
-        for image in entry.options:
+        options, _, residual = outcome
+        for image in options:
             res = image ^ residual
-            dist[res] = dist.get(res, 0.0) + p * wgt
+            dist[res] = dist.get(res, 0.0) + p * (1.0 / len(options))
     return dist, uncovered
 
 

@@ -41,10 +41,6 @@ class PauliOp:
         return render(self)
 
 
-def identity(n: int) -> PauliOp:
-    return PauliOp(n, 0, 0)
-
-
 def single(n: int, qubit: int, letter: str) -> PauliOp:
     """The Pauli acting as `letter` on one qubit and identity elsewhere."""
     if not 0 <= qubit < n:
@@ -141,6 +137,6 @@ def count_paulis(n: int, max_weight: int) -> int:
     return sum(comb(n, w) * 3**w for w in range(1, max_weight + 1))
 
 
-def errors_up_to_weight(n: int, max_weight: int) -> list[PauliOp]:
-    """The physical error set 'all Paulis of weight <= w', identity included."""
-    return [identity(n), *enumerate_paulis(n, max_weight)]
+def errors_up_to_weight(n: int, max_weight: int) -> list[tuple[int, int]]:
+    """The physical error set 'all Paulis of weight <= w' as (x, z) masks."""
+    return [(0, 0), *walk_paulis(n, max_weight)]

@@ -113,16 +113,16 @@ def loads_admissible(text: str, k: int) -> AdmissibleSet:
 class PiBucket:
     """Feasible reference assignments for one occupied syndrome."""
 
-    reference: PauliOp
+    reference: tuple[int, int]  # (x, z) of the bucket's first error
     options: tuple[int, ...]  # admissible classes usable as the reference image
 
 
 @dataclass(frozen=True)
 class Verdict:
     passed: bool
-    witness: tuple[PauliOp, PauliOp] | None = None
+    witness: tuple[PauliOp, PauliOp] | None = None  # the only PauliOps a check builds
     pi_maps: dict[int, PiBucket] | None = None
-    checked: tuple[PauliOp, ...] = ()
+    checked: frozenset[tuple[int, int]] = frozenset()  # the distinct (x, z) errors
 
 
 def _check_k(code: StabilizerCode, adm: AdmissibleSet) -> None:
@@ -130,14 +130,12 @@ def _check_k(code: StabilizerCode, adm: AdmissibleSet) -> None:
         raise ValueError(f"admissible set has k={adm.k}, code has k={code.k}")
 
 
-def _dedupe(code: StabilizerCode, errors) -> dict[tuple[int, int], PauliOp]:
-    """The first error of each (x, z), keyed by it, in input order."""
-    out: dict[tuple[int, int], PauliOp] = {}
-    for e in errors:
-        if e.n != code.n:
-            raise DimensionMismatch(f"error on {e.n} qubits, code on {code.n}")
-        out.setdefault((e.x, e.z), e)
-    return out
+def _dedupe(code: StabilizerCode, errors) -> dict[tuple[int, int], None]:
+    """The distinct (x, z) errors as dict keys, in input order."""
+    errs = dict.fromkeys(errors)
+    if any((x | z) >> code.n for x, z in errs):  # also nonzero for a negative mask
+        raise DimensionMismatch(f"an error acts outside the code's {code.n} qubits")
+    return errs
 
 
 def _bucket_pairs(code: StabilizerCode, errors, refs: dict[int, tuple[int, int]]):
@@ -183,17 +181,18 @@ def check_group_qet(code: StabilizerCode, adm: AdmissibleSet,
 
 def check_general_qet(code: StabilizerCode, adm: AdmissibleSet,
                       errors) -> Verdict:
-    """General-case conditions: per bucket, some admissible reference image
-    keeps every forced assignment admissible."""
+    """General-case conditions over (x, z) errors: per bucket, some admissible
+    reference image keeps every forced assignment admissible."""
     _check_k(code, adm)
     errs = _dedupe(code, errors)
-    checked = tuple(errs.values())
+    checked = frozenset(errs)
     refs, options = {}, {}
     hit = _narrow(adm.classes, _bucket_pairs(code, errs, refs), options)
     if hit is not None:
-        return Verdict(False, witness=(errs[refs[hit[0]]], errs[hit[1]]), checked=checked)
+        witness = (PauliOp(code.n, *refs[hit[0]]), PauliOp(code.n, *hit[1]))
+        return Verdict(False, witness=witness, checked=checked)
     every = tuple(sorted(adm.classes))
-    pi = {syn: PiBucket(errs[ref], tuple(sorted(options[syn])) if syn in options else every)
+    pi = {syn: PiBucket(ref, tuple(sorted(options[syn])) if syn in options else every)
           for syn, ref in refs.items()}
     return Verdict(True, pi_maps=pi, checked=checked)
 
@@ -327,7 +326,7 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
             new_x = [code.class_representative(cols[i]) for i in range(code.k)]
             new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]
             candidate = code.with_logicals(new_x, new_z)
-            verdict = check_general_qet(candidate, pattern, errs.values())
+            verdict = check_general_qet(candidate, pattern, errs)
             if not verdict.passed:
                 raise AssertionError("relabel replay disagrees with direct check")
             return candidate, verdict
@@ -350,5 +349,4 @@ def build_recovery(verdict: Verdict) -> RecoveryTable:
     is built. The entries are the verdict's own buckets."""
     if not verdict.passed:
         raise ValueError("cannot build a recovery table from a failed verdict")
-    return RecoveryTable(entries=verdict.pi_maps,
-                         support=frozenset((e.x, e.z) for e in verdict.checked))
+    return RecoveryTable(entries=verdict.pi_maps, support=verdict.checked)

@@ -313,8 +313,9 @@ def test_criterion_10_property_suites():
         k = rng.randrange(1, min(3, n))
         cand = _random_code(rng, n, k)
         errs = errors_up_to_weight(n, 1)
+        ops = [PauliOp(n, x, z) for x, z in errs]
         brute = all(
-            code_ok for a, b in combinations(errs, 2)
+            code_ok for a, b in combinations(ops, 2)
             for prod in [multiply(a, b)]
             for code_ok in [cand.syndrome_bits(prod.x, prod.z) != 0
                             or cand.contains_stabilizer(prod)])

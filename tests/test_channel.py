@@ -13,7 +13,8 @@ from qtransmute import channel
 from qtransmute.channel import (DepolarizingChannel, ExplicitChannel, TrialReport,
                                 exact_class_distribution, run_trials,
                                 total_variation, uniform_single_error_channel)
-from qtransmute.pauli import (PauliOp, errors_up_to_weight, identity, multiply,
+from qtransmute.errors import DimensionMismatch
+from qtransmute.pauli import (PauliOp, errors_up_to_weight, multiply,
                               parse_pauli)
 from qtransmute.qet import (AdmissibleSet, PiBucket, RecoveryTable, build_recovery,
                             check_general_qet)
@@ -38,9 +39,9 @@ def test_uniform_single_error_channel_shape():
 
 def test_explicit_channel_validation():
     with pytest.raises(ValueError):
-        ExplicitChannel(2, ((identity(2), 1.5),))
+        ExplicitChannel(2, ((PauliOp(2), 1.5),))
     with pytest.raises(ValueError):
-        ExplicitChannel(2, ((identity(3), 0.1),))
+        ExplicitChannel(2, ((PauliOp(3), 0.1),))
     for p in (float("nan"), -0.1):
         with pytest.raises(ValueError, match="probability must be a number >= 0"):
             ExplicitChannel(2, ((parse_pauli("XI"), p),))
@@ -92,19 +93,34 @@ def test_exact_distribution_matches_materialised_corrections(table1, table2):
         model = ExplicitChannel(code.n, tuple(
             (e, (i + 1) / 400) for i, e in enumerate(errs + [parse_pauli(extra)])))
         want, want_uncovered = {}, 0.0
-        for e, p in model.errors + ((identity(code.n), model.identity_probability),):
+        for e, p in model.errors + ((PauliOp(code.n), model.identity_probability),):
             if (e.x, e.z) not in table.support:
                 want_uncovered += p
                 continue
             entry = table.entries[code.syndrome_bits(e.x, e.z)]
             wgt = 1.0 / len(entry.options)
             for image in entry.options:
-                corr = multiply(entry.reference, code.class_representative(image))
+                corr = multiply(PauliOp(code.n, *entry.reference),
+                                code.class_representative(image))
                 res = code.class_bits(corr.x ^ e.x, corr.z ^ e.z)
                 want[res] = want.get(res, 0.0) + p * wgt
         got, uncovered = exact_class_distribution(code, table, model)
         assert got == want
         assert uncovered == want_uncovered > 0
+
+
+def test_channel_on_another_qubit_count_is_refused(table1):
+    # a 3-qubit channel would otherwise run against the 7-qubit table, and a
+    # 9-qubit one would give a distribution
+    table = recovery_for(table1, PHASE1)
+    nine = ExplicitChannel(9, ((parse_pauli("XIIIIIIII"), 0.5),))
+    for model in (DepolarizingChannel(3, 0.3), nine):
+        message = f"channel acts on {model.n} qubits, code on 7"
+        for threads in (1, 2):
+            with pytest.raises(DimensionMismatch, match=message):
+                run_trials(table1, table, model, 20_000, 1, threads=threads)
+    with pytest.raises(DimensionMismatch, match="channel acts on 9 qubits, code on 7"):
+        exact_class_distribution(table1, table, nine)
 
 
 def test_depolarizing_uncovered_fraction(table1):
@@ -237,7 +253,8 @@ def reference_run_chunk(code, table, model, count, chunk_seed):
                 if u < acc:
                     image = cand
                     break
-        rx, rz = entry.reference.x ^ ex, entry.reference.z ^ ez
+        ref_x, ref_z = entry.reference
+        rx, rz = ref_x ^ ex, ref_z ^ ez
         if code.syndrome_bits(rx, rz):
             raise AssertionError("reference left a nonzero syndrome; table is corrupt")
         cls = image ^ code.class_bits(rx, rz)
@@ -281,7 +298,7 @@ def test_run_chunk_matches_reference(n, k, w, density, depol, count, seed, data)
         [0, *(c for c in range(1, 1 << (2 * k)) if rng.random() < density)]))
     verdict = check_general_qet(code, adm, errors)
     if not verdict.passed:  # one error per syndrome always passes
-        errors = list({code.syndrome_bits(e.x, e.z): e for e in errors}.values())
+        errors = list({code.syndrome_bits(x, z): (x, z) for x, z in errors}.values())
         verdict = check_general_qet(code, adm, errors)
     table = build_recovery(verdict)
     model = (data.draw(explicit_channels(n, w)) if depol is None
@@ -303,7 +320,7 @@ def test_option_draws_at_float_boundaries_match_reference(monkeypatch):
         return SimpleNamespace(random=iter(script).__next__)
 
     for m in range(2, 65):
-        verdict = check_general_qet(code, AdmissibleSet(3, frozenset(range(m))), [identity(6)])
+        verdict = check_general_qet(code, AdmissibleSet(3, frozenset(range(m))), [(0, 0)])
         table = build_recovery(verdict)
         draws = sorted({v for c in accumulate([1.0 / m] * m)
                         for v in (math.nextafter(c, 0), c, math.nextafter(c, 1)) if v < 1})
@@ -322,7 +339,7 @@ def corrupted(code, table, e):
     another syndrome."""
     syn = code.syndrome_bits(e.x, e.z)
     bad = next(f for f in errors_up_to_weight(code.n, 1)[1:]
-               if code.syndrome_bits(f.x, f.z) != syn)
+               if code.syndrome_bits(*f) != syn)
     entries = dict(table.entries)
     entries[syn] = PiBucket(bad, entries[syn].options)
     return RecoveryTable(entries=entries, support=table.support)

@@ -124,6 +124,42 @@ def test_verify_relabel(capsys, tmp_path):
     assert "after relabeling" in out
 
 
+@pytest.mark.parametrize("argv,exit_code,stdout,report_text", [
+    (("verify", "qec", "--code", "table1-7q", "--max-weight", "1"), 1,
+     "verdict: FAIL witness pair (ZIIIIII, IZIIIII)\n",
+     "verdict = fail\nmax_weight = 1\nerrors = 22\nwitness_a = ZIIIIII\nwitness_b = IZIIIII\n"),
+    (("verify", "qet", "--code", "table2-6q", "--admissible", "ZI,IZ", "--max-weight", "1"), 0,
+     "verdict: PASS (19 errors, 14 occupied syndromes)\n",
+     "verdict = pass\nmax_weight = 1\nerrors = 19\n"),
+    (("verify", "qet", "--code", "GENS", "--admissible", "ZI", "--max-weight", "1",
+      "--relabel"), 0,
+     "verdict: PASS (after relabeling)\n"
+     "  X1 = IXXIXII   Z1 = ZZIIIII\n"
+     "  X2 = IIIIXXX   Z2 = YYIIZII\n"
+     "verdict: PASS (22 errors, 18 occupied syndromes)\n",
+     "verdict = pass\nmax_weight = 1\nerrors = 22\n"),
+])
+def test_verify_output_is_pinned(tmp_path, capsys, argv, exit_code, stdout, report_text):
+    # GENS is table1-7q's generators alone, as in test_verify_relabel
+    _, emitted, _ = run(capsys, "catalog", "emit", "table1-7q")
+    gens = tmp_path / "gens.code"
+    gens.write_text(emitted[:emitted.index("XL")])
+    rpt = tmp_path / "verify.report"
+    argv = [str(gens) if a == "GENS" else a for a in argv]
+    assert run(capsys, *argv, "--report", str(rpt)) == (exit_code, stdout, "")
+    assert rpt.read_text() == report_text
+
+
+def test_search_output_is_pinned(capsys):
+    assert run(capsys, "search", "--n", "6", "--k", "2", "--pattern", "ZI,IZ",
+               "--mode", "random", "--seed", "7", "--budget", "2000", "--limit", "2") == (
+        0,
+        "examined 352 candidates (seed 7); 53 detected all single errors; 2 passed\n"
+        "6 2\nXZZIXX\nIXZZXZ\nZIXIYZ\nZZIXIZ\nXL\nZXIXXX\nIXXIXX\nZL\nXIIXIX\nXZIIIX\n"
+        "6 2\nYZIZXX\nZXZXZX\nIZXXXZ\nZIZZIZ\nXL\nXIIXXI\nIXIXIX\nZL\nYIXIII\nIZIIXI\n",
+        "")
+
+
 def test_css_build_cyclic_specs(tmp_path, capsys):
     out_path = tmp_path / "steane.code"
     code, out, _ = run(capsys, "css", "build",

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qtransmute.errors import DimensionMismatch, ParseError
 from qtransmute.pauli import (PauliOp, commutes, count_paulis, enumerate_paulis,
-                              errors_up_to_weight, identity, multiply,
+                              errors_up_to_weight, multiply,
                               parse_pauli, render, single, symplectic_product,
                               walk_paulis, weight)
 
@@ -29,7 +29,7 @@ def test_parse_table_row():
 
 
 def test_parse_identity():
-    assert parse_pauli("IIII") == identity(4)
+    assert parse_pauli("IIII") == PauliOp(4)
 
 
 def test_parse_error_position():
@@ -49,7 +49,7 @@ def test_multiply_single_qubit():
 
 @given(paulis(n=6))
 def test_self_inverse(p):
-    assert multiply(p, p) == identity(6)
+    assert multiply(p, p) == PauliOp(6)
 
 
 def test_multiply_disjoint_support():
@@ -60,19 +60,19 @@ def test_multiply_disjoint_support():
 
 def test_multiply_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        multiply(identity(2), identity(3))
+        multiply(PauliOp(2), PauliOp(3))
 
 
 @given(paulis(n=5), paulis(n=5), paulis(n=5))
 def test_multiply_associative_commutative(a, b, c):
     assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
     assert multiply(a, b) == multiply(b, a)
-    assert multiply(a, identity(5)) == a
+    assert multiply(a, PauliOp(5)) == a
 
 
 def test_commutes_basics():
     assert not commutes(parse_pauli("X"), parse_pauli("Z"))
-    assert commutes(parse_pauli("XYZ"), identity(3))
+    assert commutes(parse_pauli("XYZ"), PauliOp(3))
 
 
 def test_table1_generators_commute(table1):
@@ -88,7 +88,7 @@ def test_symplectic_product_bilinear(a, b, c):
 
 
 def test_weight():
-    assert weight(identity(5)) == 0
+    assert weight(PauliOp(5)) == 0
     assert weight(parse_pauli("ZZIIIII")) == 2
     assert weight(parse_pauli("XXYYZIZ")) == 6  # count of non-I letters
 
@@ -154,5 +154,6 @@ def test_walk_refuses_weights_outside_the_qubit_count():
 
 def test_errors_up_to_weight_includes_identity():
     errs = errors_up_to_weight(3, 1)
-    assert errs[0] == identity(3)
+    assert errs[0] == (0, 0)
+    assert errs[1:] == list(walk_paulis(3, 1))
     assert len(errs) == 1 + 9

@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtransmute import qet
+from qtransmute.errors import DimensionMismatch
 from qtransmute.f2 import fold, symplectic
-from qtransmute.pauli import (PauliOp, errors_up_to_weight, identity, multiply,
+from qtransmute.pauli import (PauliOp, enumerate_paulis, errors_up_to_weight, multiply,
                               parse_pauli, render, weight)
-from qtransmute.qet import (AdmissibleSet, _pattern_images, build_recovery,
-                            check_general_qet, check_group_qet,
+from qtransmute.qet import (AdmissibleSet, PiBucket, Verdict, _pattern_images,
+                            build_recovery, check_general_qet, check_group_qet,
                             deff_lower_bound, effective_distance,
                             relabel_search, strong_conditions_hold,
                             symplectic_transforms)
@@ -52,6 +53,11 @@ def relabeled(code, cols):
     """`code` with the logical basis that the column-tuple transform names."""
     return code.with_logicals([code.class_representative(c) for c in cols[:code.k]],
                               [code.class_representative(c) for c in cols[code.k:]])
+
+
+def as_ops(n, errors):
+    """The (x, z) errors as PauliOps, for the references below."""
+    return [PauliOp(n, x, z) for x, z in errors]
 
 
 def image_of(cols, pattern):
@@ -179,7 +185,7 @@ def test_table1_fails_plain_qec(table1):
 
 
 def test_identity_only_error_set_passes(table1):
-    assert check_group_qet(table1, AdmissibleSet.trivial(2), [identity(7)]).passed
+    assert check_group_qet(table1, AdmissibleSet.trivial(2), [(0, 0)]).passed
 
 
 def test_group_checker_rejects_non_group(table1):
@@ -211,7 +217,7 @@ def test_table2_pi_map_realizes_products(table2):
     bucket = verdict.pi_maps[syn]
     z1 = logical_class(table2, table2.logical_z[0])
     z2 = logical_class(table2, table2.logical_z[1])
-    ref = bucket.reference
+    ref = PauliOp(6, *bucket.reference)
     for option in bucket.options:
         # fixing the reference image forces every other assignment
         img5 = option ^ table2.class_bits(ref.x ^ y5.x, ref.z ^ y5.z)
@@ -242,7 +248,7 @@ def test_group_and_general_agree_on_groups():
         a = check_group_qet(code, adm, errs)
         b = check_general_qet(code, adm, errs)
         assert a.passed == b.passed
-        assert a.witness == b.witness == brute_force_group_witness(code, adm, errs)
+        assert a.witness == b.witness == brute_force_group_witness(code, adm, as_ops(n, errs))
 
 
 def test_strong_implies_general():
@@ -265,7 +271,7 @@ def test_qec_specialization_matches_brute_force():
         code = random_code(rng, n, k)
         errs = errors_up_to_weight(n, 1)
         fast = check_group_qet(code, AdmissibleSet.trivial(k), errs).passed
-        assert fast == brute_force_qec_ok(code, errs)
+        assert fast == brute_force_qec_ok(code, as_ops(n, errs))
 
 
 @settings(max_examples=100, deadline=None)
@@ -276,12 +282,13 @@ def test_general_check_matches_definition(n, k, group, seed):
     code = random_code(rng, n, k)
     adm = spread_admissible(rng, k, group)
     errs = shuffled_errors(rng, n, rng.choice([1, 2]))
-    witness, pi = brute_force_general(code, adm, errs)
+    witness, pi = brute_force_general(code, adm, as_ops(n, errs))
     verdict = check_general_qet(code, adm, errs)
     assert verdict.witness == witness
     assert verdict.passed == (witness is None)
     if pi is not None:
-        assert {syn: (b.reference, b.options) for syn, b in verdict.pi_maps.items()} == pi
+        assert ({syn: (PauliOp(n, *b.reference), b.options)
+                 for syn, b in verdict.pi_maps.items()} == pi)
         assert list(verdict.pi_maps) == list(pi)
 
 
@@ -294,7 +301,7 @@ def test_strong_conditions_match_definition(n, k, group, seed):
     adm = spread_admissible(rng, k, group)
     errs = shuffled_errors(rng, n, rng.choice([1, 2]))
     want = all(code.class_bits(a.x ^ b.x, a.z ^ b.z) in adm.classes
-               for a, b in combinations(errs, 2)
+               for a, b in combinations(as_ops(n, errs), 2)
                if code.syndrome_bits(a.x, a.z) == code.syndrome_bits(b.x, b.z))
     assert strong_conditions_hold(code, adm, errs) == want
 
@@ -322,7 +329,7 @@ def reference_effective_distance(code, adm, cap):
     admissible reference images until one bucket has none left."""
     cap = min(cap, code.n)
     refs, options = {}, {}
-    for e in errors_up_to_weight(code.n, cap):
+    for e in [PauliOp(code.n), *enumerate_paulis(code.n, cap)]:
         syn = code.syndrome_bits(e.x, e.z)
         ref = refs.setdefault(syn, e)
         if ref is e:
@@ -358,7 +365,7 @@ def test_relabel_search_returns_first_passing_transform(n, k, group, seed):
     errs = shuffled_errors(rng, n, 1)
 
     def passes(cols):
-        return brute_force_general(relabeled(code, cols), adm, errs)[0] is None
+        return brute_force_general(relabeled(code, cols), adm, as_ops(n, errs))[0] is None
 
     exists = any(passes(cols) for cols in symplectic_transforms(k))
     first = next((cols for _, cols in _pattern_images(k, adm.classes) if passes(cols)), None)
@@ -527,7 +534,7 @@ def test_relabel_search_k3_stops_at_the_first_passing_transform(monkeypatch):
     monkeypatch.setattr(qet, "_breadth_first_orbit", counted)
     qet._orbit.cache_clear()
     code = random_code(random.Random(0), 6, 3)
-    errs = [e for e in errors_up_to_weight(6, 1) if (e.x | e.z) < 8]  # on qubits 0-2
+    errs = [(x, z) for x, z in errors_up_to_weight(6, 1) if (x | z) < 8]  # on qubits 0-2
     hit = relabel_search(code, PHASES3, errs)
     qet._orbit.cache_clear()
     assert hit is not None and hit[1].passed
@@ -575,6 +582,94 @@ def test_relabel_search_k3_finds_sampled_relabelings(n, kind, seed):
             assert hit is not None
 
 
+# -- the PauliOp-fed path these checkers replace ------------------------------------
+#
+# Copied from the checkers as they were when errors were PauliOps: _dedupe kept
+# the first PauliOp of each (x, z), and verdicts, buckets and the relabel
+# replay mapped the packed references and witnesses back to those PauliOps.
+# The bucketing helpers they call are shared and unchanged.
+
+
+def pauliop_dedupe(code, errors):
+    out = {}
+    for e in errors:
+        if e.n != code.n:
+            raise DimensionMismatch(f"error on {e.n} qubits, code on {code.n}")
+        out.setdefault((e.x, e.z), e)
+    return out
+
+
+def pauliop_check_general_qet(code, adm, errors):
+    qet._check_k(code, adm)
+    errs = pauliop_dedupe(code, errors)
+    checked = tuple(errs.values())
+    refs, options = {}, {}
+    hit = qet._narrow(adm.classes, qet._bucket_pairs(code, errs, refs), options)
+    if hit is not None:
+        return Verdict(False, witness=(errs[refs[hit[0]]], errs[hit[1]]), checked=checked)
+    every = tuple(sorted(adm.classes))
+    pi = {syn: PiBucket(errs[ref], tuple(sorted(options[syn])) if syn in options else every)
+          for syn, ref in refs.items()}
+    return Verdict(True, pi_maps=pi, checked=checked)
+
+
+def pauliop_relabel_search(code, pattern, errors):
+    qet._check_k(code, pattern)
+    if code.k > 3:
+        raise ValueError(f"relabeling is limited to k <= 3, code has k={code.k}")
+    errs = pauliop_dedupe(code, errors)
+    pairs = list(qet._bucket_pairs(code, errs, {}))
+    for mapped, cols in _pattern_images(code.k, pattern.classes):
+        if qet._narrow(mapped, pairs, {}) is None:
+            new_x = [code.class_representative(cols[i]) for i in range(code.k)]
+            new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]
+            candidate = code.with_logicals(new_x, new_z)
+            verdict = pauliop_check_general_qet(candidate, pattern, errs.values())
+            if not verdict.passed:
+                raise AssertionError("relabel replay disagrees with direct check")
+            return candidate, verdict
+    return None
+
+
+def assert_same_verdict(new, old):
+    assert new.passed == old.passed
+    assert new.witness == old.witness
+    assert new.checked == frozenset((e.x, e.z) for e in old.checked)
+    if old.pi_maps is None:
+        assert new.pi_maps is None
+    else:
+        assert list(new.pi_maps.items()) == [
+            (syn, PiBucket((b.reference.x, b.reference.z), b.options))
+            for syn, b in old.pi_maps.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@random_instances
+def test_packed_checkers_match_pauliop_path(n, k, group, seed):
+    assume(k < n)
+    rng = random.Random(seed)
+    code = standard_form(sample_generators(n, k, rng))
+    adm = spread_admissible(rng, k, group)
+    errs = shuffled_errors(rng, n, rng.choice([1, 2]))
+    ops = as_ops(n, errs)
+    assert_same_verdict(check_general_qet(code, adm, errs),
+                        pauliop_check_general_qet(code, adm, ops))
+    hit = relabel_search(code, adm, errs)
+    old = pauliop_relabel_search(code, adm, ops)
+    assert (hit is None) == (old is None)
+    if hit is not None:
+        assert (hit[0].logical_x, hit[0].logical_z) == (old[0].logical_x, old[0].logical_z)
+        assert_same_verdict(hit[1], old[1])
+
+
+@pytest.mark.parametrize("check", [check_general_qet, strong_conditions_hold, relabel_search])
+@pytest.mark.parametrize("error", [(1 << 7, 0), (0, 1 << 7), (-1, 0), (0, -2)])
+def test_errors_outside_the_code_are_refused(table1, check, error):
+    # a bit at qubit n, or a negative mask, names no Pauli on the code's qubits
+    with pytest.raises(DimensionMismatch, match="outside the code's 7 qubits"):
+        check(table1, PHASE1, [(0, 0), (1, 0), error])
+
+
 def test_symplectic_group_sizes():
     assert sum(1 for _ in symplectic_transforms(1)) == 6
     assert sum(1 for _ in symplectic_transforms(2)) == 720
@@ -588,10 +683,10 @@ def test_recovery_soundness(table1, table2):
         errs = errors_up_to_weight(n, 1)
         verdict = check_general_qet(code, adm, errs)
         table = build_recovery(verdict)
-        for e in errs:
+        for e in as_ops(n, errs):
             entry = table.entries[code.syndrome_bits(e.x, e.z)]
             for cls in entry.options:
-                corr = multiply(entry.reference, code.class_representative(cls))
+                corr = multiply(PauliOp(n, *entry.reference), code.class_representative(cls))
                 rx, rz = corr.x ^ e.x, corr.z ^ e.z
                 assert code.syndrome_bits(rx, rz) == 0
                 assert code.class_bits(rx, rz) in adm.classes
@@ -601,15 +696,16 @@ def test_recovery_qec_case_deterministic(five_qubit):
     adm = AdmissibleSet.trivial(1)
     verdict = check_general_qet(five_qubit, adm, errors_up_to_weight(5, 1))
     table = build_recovery(verdict)
+    assert table.support is verdict.checked  # the verdict's own set, not a rebuilt one
     for entry in table.entries.values():
         assert entry.options == (0,)
-        corr = multiply(entry.reference, five_qubit.class_representative(0))
+        ref = PauliOp(5, *entry.reference)
+        corr = multiply(ref, five_qubit.class_representative(0))
         # correcting with the reference itself: residual is a stabilizer
-        assert five_qubit.contains_stabilizer(
-            PauliOp(5, corr.x ^ entry.reference.x, corr.z ^ entry.reference.z))
-    for e in verdict.checked:
+        assert five_qubit.contains_stabilizer(PauliOp(5, corr.x ^ ref.x, corr.z ^ ref.z))
+    for e in as_ops(5, verdict.checked):
         entry = table.entries[five_qubit.syndrome_bits(e.x, e.z)]
-        assert five_qubit.contains_stabilizer(multiply(entry.reference, e))
+        assert five_qubit.contains_stabilizer(multiply(PauliOp(5, *entry.reference), e))
 
 
 @settings(max_examples=60, deadline=None)
@@ -626,9 +722,9 @@ def test_residual_class_is_image_plus_reference_class(n, k, group, seed):
     verdict = check_general_qet(code, adm, errs)
     assume(verdict.passed)
     table = build_recovery(verdict)
-    for e in verdict.checked:
+    for e in as_ops(n, verdict.checked):
         entry = table.entries[code.syndrome_bits(e.x, e.z)]
-        ref = entry.reference
+        ref = PauliOp(n, *entry.reference)
         base = code.class_bits(ref.x ^ e.x, ref.z ^ e.z)
         for c in entry.options:
             assert c in adm.classes

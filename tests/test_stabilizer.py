@@ -9,7 +9,7 @@ from qtransmute.catalog import resolve, table1_code
 from qtransmute.errors import CodeConstructionError, DimensionMismatch, ParseError
 from qtransmute.f2 import (BitMatrix, F2Span, fold, kernel_basis, mul_bt, rref, solve,
                            symplectic)
-from qtransmute.pauli import (PauliOp, enumerate_paulis, identity, multiply,
+from qtransmute.pauli import (PauliOp, enumerate_paulis, multiply,
                               parse_pauli, render, symplectic_product, weight)
 from qtransmute.search import sample_generators
 from qtransmute.stabilizer import (StabilizerCode, _sym_twist, _sym_vec, _unpack,
@@ -46,12 +46,12 @@ def test_duplicated_generator_fails_rank(table1):
 
 
 def test_syndrome_identity_zero(table1):
-    assert syndrome(table1, identity(7)) == 0
+    assert syndrome(table1, PauliOp(7)) == 0
 
 
 def test_syndrome_rejects_other_qubit_count(table1):
     with pytest.raises(DimensionMismatch):
-        syndrome(table1, identity(6))
+        syndrome(table1, PauliOp(6))
 
 
 def test_single_errors_detected(table1, table2):
