@@ -12,6 +12,15 @@ Every stabilizer code equals a standard-form code up to a qubit
 permutation, and the predicates used here (weight-1 detection, relabeled
 transmutation) are permutation-invariant, so exhausting the free entries
 exhausts the property space.
+
+The logical operators have a closed form (Gottesman's thesis, 1997, §4.1;
+Nielsen and Chuang, §10.5.7), here with the C1 block kept:
+
+    X = [ 0  E^T  I | C^T   0  0 ]      with C = C2 + C1 E
+    Z = [ 0  0    0 | A2^T  0  I ]
+
+A candidate stays packed (x, z) ints until it detects every weight-1
+error; only then are `PauliOp`s and a `StabilizerCode` built.
 """
 from __future__ import annotations
 
@@ -20,8 +29,8 @@ import os
 import random
 from dataclasses import dataclass, field
 
-from .errors import CodeConstructionError, QTError
-from .f2 import mul_bt, transpose_rows
+from .errors import QTError
+from .f2 import fold, transpose_rows
 from .pauli import PauliOp, errors_up_to_weight
 from .qet import AdmissibleSet, Verdict, relabel_search
 from .stabilizer import StabilizerCode, complete_logical_basis
@@ -48,6 +57,8 @@ class SearchSpec:
             raise ValueError("need 0 < k < n")
         if not 0 <= self.error_weight <= self.n:
             raise ValueError(f"error_weight must be in 0..{self.n}, got {self.error_weight}")
+        if self.k > 3:
+            raise ValueError(f"relabeling is limited to k <= 3, got k={self.k}")
         if self.mode == "exhaustive" and self.n > _EXHAUSTIVE_N_LIMIT:
             raise ValueError(f"exhaustive mode is limited to n <= {_EXHAUSTIVE_N_LIMIT}")
 
@@ -91,31 +102,6 @@ def write_checkpoint(path: str, spec: SearchSpec, outcome: SearchOutcome) -> Non
     os.replace(tmp, path)
 
 
-def _xor_rows(a: list[int], b: list[int]) -> list[int]:
-    return [x ^ y for x, y in zip(a, b)]
-
-
-def standard_form_generators(n: int, k: int, r: int, a1: list[int], a2: list[int],
-                             e: list[int], c1: list[int], c2: list[int],
-                             s0: list[int]) -> list[PauliOp]:
-    """Assemble generators from the free blocks of the standard form."""
-    m = n - k
-    w = m - r
-    dt = _xor_rows(a1, mul_bt(a2, e)) if r else []  # r x w
-    d = transpose_rows(dt, w)  # w x r
-    nmat = _xor_rows(mul_bt(a1, c1), mul_bt(a2, c2)) if r else []
-    b = _xor_rows(transpose_rows(nmat, r), s0) if r else []
-    gens = []
-    for i in range(r):
-        x = (1 << i) | (a1[i] << r) | (a2[i] << m)
-        z = b[i] | (c1[i] << r) | (c2[i] << m)
-        gens.append(PauliOp(n, x, z))
-    for j in range(w):
-        z = d[j] | (1 << (r + j)) | (e[j] << m)
-        gens.append(PauliOp(n, 0, z))
-    return gens
-
-
 def _free_bits(n: int, k: int, r: int) -> int:
     m = n - k
     w = m - r
@@ -126,104 +112,151 @@ def parameter_space_size(n: int, k: int) -> int:
     return sum(1 << _free_bits(n, k, r) for r in range(n - k + 1))
 
 
-class _BitReader:
-    def __init__(self, value: int):
-        self.value = value
+def _take(bits: int, nrows: int, width: int) -> list[int]:
+    """`nrows` rows of `width` bits from the low end of `bits`, row 0 lowest."""
+    mask = (1 << width) - 1
+    return [bits >> (i * width) & mask for i in range(nrows)]
 
-    def take_rows(self, nrows: int, width: int) -> list[int]:
-        rows = []
-        mask = (1 << width) - 1
-        for _ in range(nrows):
-            rows.append(self.value & mask)
-            self.value >>= width
-        return rows
 
-    def take_symmetric(self, size: int) -> list[int]:
-        rows = [0] * size
-        for i in range(size):
-            for j in range(i + 1):
-                if self.value & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                self.value >>= 1
-        return rows
+def _detects(rows: list[tuple[int, int]], n: int) -> bool:
+    """True iff every weight-1 Pauli anticommutes with some (x, z) row."""
+    col_x = col_z = col_y = 0
+    for x, z in rows:
+        col_x |= z
+        col_z |= x
+        col_y |= x ^ z
+    return (col_x & col_z & col_y) == (1 << n) - 1
+
+
+def _decode(n: int, k: int, r: int, value: int, detect: bool = False):
+    """Candidate `value` of the r block as packed (x, z) rows: the generators
+    in standard-form row order, then the closed-form logical X and Z rows.
+
+    The free blocks are read from the low bits of `value` in the order A1,
+    A2, E, C1, C2 (each row by row, row 0 lowest), then the lower triangle of
+    S0 row by row. With `detect`, None as soon as some weight-1 error is seen
+    to commute with every generator: Z errors need only A1 and A2, so they
+    are tested before any dependent block is built.
+    """
+    m = n - k
+    w = m - r
+    a1 = _take(value, r, w)
+    value >>= r * w
+    a2 = _take(value, r, k)
+    value >>= r * k
+    xs = [1 << i | a1[i] << r | a2[i] << m for i in range(r)]
+    if detect:
+        cover = 0
+        for x in xs:
+            cover |= x
+        if cover != (1 << n) - 1:
+            return None
+    e = _take(value, w, k)
+    value >>= w * k
+    c1 = _take(value, r, w)
+    value >>= r * w
+    c2 = _take(value, r, k)
+    value >>= r * k
+    low = []
+    for i in range(r):
+        low.append(value & ((2 << i) - 1))
+        value >>= i + 1
+    s0 = [lo | up for lo, up in zip(low, transpose_rows(low, r))]
+    # B = C1 A1^T + C2 A2^T + S0 and D = A1^T + E A2^T, row by row.
+    a1t = transpose_rows(a1, w)
+    a2t = transpose_rows(a2, k)
+    gens = [(x, (fold(a1t, c1[i]) ^ fold(a2t, c2[i]) ^ s0[i]) | c1[i] << r | c2[i] << m)
+            for i, x in enumerate(xs)]
+    gens += [(0, (a1t[j] ^ fold(a2t, e[j])) | 1 << (r + j) | e[j] << m) for j in range(w)]
+    if detect and not _detects(gens, n):
+        return None
+    et = transpose_rows(e, k)
+    ct = transpose_rows([c2[i] ^ fold(e, c1[i]) for i in range(r)], k)  # C = C2 + C1 E
+    logical_x = [(et[l] << r | 1 << (m + l), ct[l]) for l in range(k)]
+    logical_z = [(0, a2t[l] | 1 << (m + l)) for l in range(k)]
+    return gens, logical_x, logical_z
+
+
+def _ops(n: int, rows: list[tuple[int, int]]) -> list[PauliOp]:
+    return [PauliOp(n, x, z) for x, z in rows]
+
+
+def _draw(n: int, k: int, rng: random.Random) -> tuple[int, int]:
+    """(r, value) of one random candidate: r uniform, then the r block's free bits."""
+    r = rng.randrange(n - k + 1)
+    bits = _free_bits(n, k, r)
+    return r, rng.getrandbits(bits) if bits else 0
+
+
+def sample_generators(n: int, k: int, rng: random.Random) -> list[PauliOp]:
+    return _ops(n, _decode(n, k, *_draw(n, k, rng))[0])
 
 
 def generators_from_index(n: int, k: int, index: int) -> list[PauliOp]:
     """Decode a linear index over the whole parameter space (all r blocks)."""
-    m = n - k
-    for r in range(m + 1):
-        block = 1 << _free_bits(n, k, r)
-        if index < block:
-            return _decode(n, k, r, index)
-        index -= block
-    raise IndexError("index beyond the parameter space")
-
-
-def _decode(n: int, k: int, r: int, value: int) -> list[PauliOp]:
-    m = n - k
-    w = m - r
-    reader = _BitReader(value)
-    a1 = reader.take_rows(r, w)
-    a2 = reader.take_rows(r, k)
-    e = reader.take_rows(w, k)
-    c1 = reader.take_rows(r, w)
-    c2 = reader.take_rows(r, k)
-    s0 = reader.take_symmetric(r)
-    return standard_form_generators(n, k, r, a1, a2, e, c1, c2, s0)
-
-
-def sample_generators(n: int, k: int, rng: random.Random) -> list[PauliOp]:
-    m = n - k
-    r = rng.randrange(m + 1)
-    return _decode(n, k, r, rng.getrandbits(_free_bits(n, k, r)) if _free_bits(n, k, r) else 0)
+    if index >= 0:
+        for r in range(n - k + 1):
+            block = 1 << _free_bits(n, k, r)
+            if index < block:
+                return _ops(n, _decode(n, k, r, index)[0])
+            index -= block
+    raise IndexError("index outside the parameter space")
 
 
 def detects_single_errors(generators: list[PauliOp], n: int) -> bool:
     """True iff every weight-1 Pauli anticommutes with some generator."""
-    need = (1 << n) - 1
-    col_x = col_z = col_y = 0
-    for g in generators:
-        col_x |= g.z
-        col_z |= g.x
-        col_y |= g.x ^ g.z
-    return (col_x & col_z & col_y) == need
+    return _detects([(g.x, g.z) for g in generators], n)
+
+
+def _candidates(spec: SearchSpec, start_index: int):
+    """(r, value) of every candidate in scan order: random draws without end,
+    or each exhaustive index from `start_index` on."""
+    n, k = spec.n, spec.k
+    if spec.mode == "random":
+        rng = random.Random(spec.seed)
+        while True:
+            yield _draw(n, k, rng)
+    offset = start_index
+    for r in range(n - k + 1):
+        block = 1 << _free_bits(n, k, r)
+        for value in range(offset, block):
+            yield r, value
+        offset = max(0, offset - block)
 
 
 def run_search(spec: SearchSpec, start_index: int = 0, progress=None) -> SearchOutcome:
     """Hunt for codes whose weight-1 errors detect and whose classes admit the
     pattern under some relabeling. Replay-deterministic under a fixed seed;
     `progress(examined, index)` fires every `_PROGRESS_EVERY` candidates."""
+    n = spec.n
     outcome = SearchOutcome(next_index=start_index)
-    errors = errors_up_to_weight(spec.n, spec.error_weight)
-    space = parameter_space_size(spec.n, spec.k) if spec.mode == "exhaustive" else None
-    rng = random.Random(spec.seed) if spec.mode == "random" else None
-
-    index = start_index
+    errors = errors_up_to_weight(n, spec.error_weight)
+    stride = 1 if spec.mode == "exhaustive" else 0  # random draws leave the index put
+    candidates = _candidates(spec, start_index)
     while outcome.examined < spec.budget:
-        if spec.mode == "exhaustive":
-            if index >= space:
-                outcome.exhausted = True
-                break
-            gens = generators_from_index(spec.n, spec.k, index)
-            index += 1
-        else:
-            gens = sample_generators(spec.n, spec.k, rng)
+        candidate = next(candidates, None)
+        if candidate is None:
+            outcome.exhausted = True
+            break
         outcome.examined += 1
         if progress and outcome.examined % _PROGRESS_EVERY == 0:
-            progress(outcome.examined, index)
-        if not detects_single_errors(gens, spec.n):
+            progress(outcome.examined, start_index + stride * outcome.examined)
+        decoded = _decode(n, spec.k, *candidate, detect=True)
+        if decoded is None:
             continue
         outcome.detection_passed += 1
-        try:
-            xs, zs = complete_logical_basis(gens)
-        except CodeConstructionError:
+        gens, xs, zs = (_ops(n, rows) for rows in decoded)
+        # relabel_search tries every image of the pattern under Sp(2k,2), so
+        # whether a hit exists does not depend on the logical basis. The hit
+        # is reported under the completed basis, which fixes its logicals.
+        if relabel_search(StabilizerCode(gens, xs, zs), spec.pattern, errors) is None:
             continue
-        code = StabilizerCode(gens, xs, zs)
+        code = StabilizerCode(gens, *complete_logical_basis(gens))
         hit = relabel_search(code, spec.pattern, errors)
-        if hit is not None:
-            outcome.found.append(hit)
-            if len(outcome.found) >= spec.limit:
-                break
-    outcome.next_index = index
+        if hit is None:
+            raise AssertionError("relabeling passes under the closed-form basis only")
+        outcome.found.append(hit)
+        if len(outcome.found) >= spec.limit:
+            break
+    outcome.next_index = start_index + stride * outcome.examined
     return outcome

@@ -160,6 +160,14 @@ def test_search_output_is_pinned(capsys):
         "")
 
 
+@pytest.mark.parametrize("mode", ["random", "exhaustive"])
+def test_search_refuses_k_above_three_before_scanning(mode, capsys):
+    # before, a scan ran first: exhaustive mode examined 528 candidates and exited 1
+    assert run(capsys, "search", "--n", "5", "--k", "4", "--pattern", "ZIII",
+               "--mode", mode, "--budget", "3000") == (
+        2, "", "error: relabeling is limited to k <= 3, got k=4\n")
+
+
 def test_css_build_cyclic_specs(tmp_path, capsys):
     out_path = tmp_path / "steane.code"
     code, out, _ = run(capsys, "css", "build",

@@ -3,11 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from qtransmute.pauli import enumerate_paulis, errors_up_to_weight, symplectic_product
-from qtransmute.qet import AdmissibleSet, check_general_qet
-from qtransmute.search import (SearchSpec, detects_single_errors,
-                               generators_from_index, parameter_space_size,
-                               run_search, sample_generators)
+import qtransmute.search
+from qtransmute.f2 import mul_bt, transpose_rows
+from qtransmute.pauli import PauliOp, enumerate_paulis, errors_up_to_weight, symplectic_product
+from qtransmute.qet import AdmissibleSet, check_general_qet, relabel_search
+from qtransmute.search import (SearchOutcome, SearchSpec, _decode, _free_bits,
+                               detects_single_errors, generators_from_index,
+                               parameter_space_size, read_checkpoint, run_search,
+                               sample_generators, write_checkpoint)
 from qtransmute.stabilizer import StabilizerCode, complete_logical_basis, validate_code
 
 PHASE1 = AdmissibleSet.group_generated(2, ["ZI"])
@@ -121,3 +124,231 @@ def test_exhaustive_n4_finds_no_table2_predicate_match():
     out = run_search(spec)
     assert out.exhausted
     assert out.found == []
+
+
+# -- the packed decode against the block-product decode it replaced ------------
+
+
+class _ReferenceBitReader:
+    def __init__(self, value: int):
+        self.value = value
+
+    def take_rows(self, nrows: int, width: int) -> list[int]:
+        rows = []
+        mask = (1 << width) - 1
+        for _ in range(nrows):
+            rows.append(self.value & mask)
+            self.value >>= width
+        return rows
+
+    def take_symmetric(self, size: int) -> list[int]:
+        rows = [0] * size
+        for i in range(size):
+            for j in range(i + 1):
+                if self.value & 1:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+                self.value >>= 1
+        return rows
+
+
+def _xor_rows(a, b):
+    return [x ^ y for x, y in zip(a, b)]
+
+
+def reference_decode(n: int, k: int, r: int, value: int) -> list[PauliOp]:
+    """Bit reader and `mul_bt` parities: D^T = A1 + A2 E^T and
+    B = (A1 C1^T + A2 C2^T)^T + S0, assembled into generators."""
+    m = n - k
+    w = m - r
+    reader = _ReferenceBitReader(value)
+    a1 = reader.take_rows(r, w)
+    a2 = reader.take_rows(r, k)
+    e = reader.take_rows(w, k)
+    c1 = reader.take_rows(r, w)
+    c2 = reader.take_rows(r, k)
+    s0 = reader.take_symmetric(r)
+    dt = _xor_rows(a1, mul_bt(a2, e)) if r else []
+    d = transpose_rows(dt, w)
+    nmat = _xor_rows(mul_bt(a1, c1), mul_bt(a2, c2)) if r else []
+    b = _xor_rows(transpose_rows(nmat, r), s0) if r else []
+    gens = [PauliOp(n, (1 << i) | (a1[i] << r) | (a2[i] << m), b[i] | (c1[i] << r) | (c2[i] << m))
+            for i in range(r)]
+    gens += [PauliOp(n, 0, d[j] | (1 << (r + j)) | (e[j] << m)) for j in range(w)]
+    return gens
+
+
+def reference_candidates(n: int, k: int, rng: random.Random, count: int):
+    """(r, value) of `count` draws, drawn as the sampler draws them."""
+    for _ in range(count):
+        r = rng.randrange(n - k + 1)
+        bits = _free_bits(n, k, r)
+        yield r, rng.getrandbits(bits) if bits else 0
+
+
+def all_candidates(n: int, k: int):
+    for r in range(n - k + 1):
+        for value in range(1 << _free_bits(n, k, r)):
+            yield r, value
+
+
+def detects_directly(gens: list[PauliOp], n: int) -> bool:
+    return all(any(symplectic_product(p, g) for g in gens) for p in enumerate_paulis(n, 1))
+
+
+SMALL_SPACES = [(n, k) for n in (3, 4) for k in range(1, n) if k <= 3]
+SAMPLED = [(n, k) for n in (5, 6, 7) for k in (1, 2, 3)]
+
+
+def _check_candidate(n: int, k: int, r: int, value: int) -> None:
+    """Rows, detection and the closed-form basis of one candidate."""
+    want = reference_decode(n, k, r, value)
+    gens, xs, zs = _decode(n, k, r, value)
+    assert gens == [(g.x, g.z) for g in want]
+    detected = _decode(n, k, r, value, detect=True)
+    assert (detected is not None) == detects_directly(want, n) == detects_single_errors(want, n)
+    if detected is not None:
+        assert detected == (gens, xs, zs)
+    code = StabilizerCode(want, [PauliOp(n, x, z) for x, z in xs],
+                          [PauliOp(n, x, z) for x, z in zs])
+    assert validate_code(code).ok
+
+
+@pytest.mark.parametrize("n,k", SMALL_SPACES)
+def test_packed_decode_matches_reference_on_every_index(n, k):
+    index = 0
+    for r, value in all_candidates(n, k):
+        _check_candidate(n, k, r, value)
+        assert generators_from_index(n, k, index) == reference_decode(n, k, r, value)
+        index += 1
+    assert index == parameter_space_size(n, k)
+    with pytest.raises(IndexError):
+        generators_from_index(n, k, index)
+    with pytest.raises(IndexError):
+        generators_from_index(n, k, -1)
+
+
+@pytest.mark.parametrize("n,k", SAMPLED)
+def test_packed_decode_matches_reference_on_sampled_indices(n, k):
+    ours, ref = random.Random(n * 10 + k), random.Random(n * 10 + k)
+    for r, value in reference_candidates(n, k, ref, 300):
+        assert sample_generators(n, k, ours) == reference_decode(n, k, r, value)
+        _check_candidate(n, k, r, value)
+    assert ours.getstate() == ref.getstate()  # the sampler draws exactly as before
+
+
+def _hit_under_both_bases(n, k, r, value, pattern, errors):
+    """(hit under the closed-form basis, hit under the completed basis)."""
+    gens, xs, zs = ([PauliOp(n, x, z) for x, z in rows] for rows in _decode(n, k, r, value))
+    closed = relabel_search(StabilizerCode(gens, xs, zs), pattern, errors)
+    completed = relabel_search(StabilizerCode(gens, *complete_logical_basis(gens)),
+                               pattern, errors)
+    return closed is not None, completed is not None
+
+
+def _patterns(k: int) -> list[AdmissibleSet]:
+    z1, z2 = "Z" + "I" * (k - 1), "IZ" + "I" * (k - 2)
+    return [AdmissibleSet.group_generated(k, [z1]),
+            AdmissibleSet.from_strings(k, [z1, z2] if k > 1 else [z1, "X"])]
+
+
+def test_hit_existence_does_not_depend_on_the_logical_basis():
+    hits = checked = 0
+    cases = [(n, k, all_candidates(n, k)) for n, k in SMALL_SPACES]
+    cases += [(n, k, reference_candidates(n, k, random.Random(n + 7 * k), 150))
+              for n, k in SAMPLED if n < 7]
+    for n, k, candidates in cases:
+        errors = errors_up_to_weight(n, 1)
+        for r, value in candidates:
+            if _decode(n, k, r, value, detect=True) is None:
+                continue
+            for pattern in _patterns(k):
+                closed, completed = _hit_under_both_bases(n, k, r, value, pattern, errors)
+                assert closed == completed
+                hits += closed
+                checked += 1
+    assert checked > 500 and hits > 20
+
+
+@pytest.mark.parametrize("seed,want", [(2, (29, 1)), (8, (26, 2)), (20, (19, 2)),
+                                       (33, (22, 2))])
+def test_fixed_n6_seeds_find_their_hits_under_both_bases(seed, want):
+    pattern = AdmissibleSet.from_strings(2, ["ZI", "IZ"])
+    errors = errors_up_to_weight(6, 1)
+    detected = hits = 0
+    for r, value in reference_candidates(6, 2, random.Random(seed), 125):
+        if _decode(6, 2, r, value, detect=True) is None:
+            continue
+        detected += 1
+        closed, completed = _hit_under_both_bases(6, 2, r, value, pattern, errors)
+        assert closed == completed
+        hits += closed
+    assert (detected, hits) == want
+    spec = SearchSpec(n=6, k=2, pattern=pattern, seed=seed, budget=125, limit=125)
+    out = run_search(spec)
+    assert (out.detection_passed, len(out.found)) == want
+
+
+def test_basis_completion_runs_once_per_hit(monkeypatch):
+    calls = []
+
+    def counted(generators):
+        calls.append(generators)
+        return complete_logical_basis(generators)
+
+    monkeypatch.setattr(qtransmute.search, "complete_logical_basis", counted)
+    spec = SearchSpec(n=6, k=2, pattern=BOTH_PHASES, seed=8, budget=125, limit=125)
+    out = run_search(spec)
+    assert out.detection_passed == 26
+    assert len(out.found) == len(calls) == 2
+    assert [c.generators for c, _ in out.found] == calls
+
+
+def test_a_hit_under_one_basis_only_is_refused(monkeypatch):
+    completed = []  # relabeling finds nothing once the basis has been completed
+
+    def complete(generators):
+        completed.append(generators)
+        return complete_logical_basis(generators)
+
+    monkeypatch.setattr(qtransmute.search, "complete_logical_basis", complete)
+    monkeypatch.setattr(qtransmute.search, "relabel_search",
+                        lambda *args: None if completed else relabel_search(*args))
+    spec = SearchSpec(n=6, k=2, pattern=BOTH_PHASES, seed=8, budget=125, limit=125)
+    with pytest.raises(AssertionError, match="closed-form basis only"):
+        run_search(spec)
+    assert len(completed) == 1
+
+
+def test_spec_refuses_k_above_three_before_any_candidate():
+    with pytest.raises(ValueError, match="relabeling is limited to k <= 3, got k=4"):
+        SearchSpec(n=8, k=4, pattern=AdmissibleSet.from_strings(4, ["ZIII"]), budget=3000)
+
+
+# -- scan positions across the r blocks: n=5, k=2 blocks start at 0, 64, 8,256
+# and 139,328, and the space ends at 401,472 -----------------------------------
+
+
+@pytest.mark.parametrize("pattern", [PHASE1, BOTH_PHASES], ids=["ZI", "ZI,IZ"])
+@pytest.mark.parametrize("start,budget,want", [
+    (8_156, 200, (200, 5, 8_356, False)),
+    (139_228, 200, (200, 32, 139_428, False)),
+    (401_400, 100, (72, 6, 401_472, True)),
+])
+def test_exhaustive_window_across_block_starts(pattern, start, budget, want):
+    spec = SearchSpec(n=5, k=2, pattern=pattern, mode="exhaustive", budget=budget, limit=10 ** 9)
+    out = run_search(spec, start_index=start)
+    assert (out.examined, out.detection_passed, out.next_index, out.exhausted) == want
+    assert out.found == []
+
+
+def test_resume_from_a_checkpoint_inside_a_block(tmp_path):
+    spec = SearchSpec(n=5, k=2, pattern=PHASE1, mode="exhaustive", budget=300, limit=10 ** 9)
+    path = str(tmp_path / "scan.json")
+    write_checkpoint(path, spec, SearchOutcome(next_index=70_000))  # inside the r = 2 block
+    out = run_search(spec, start_index=read_checkpoint(path, spec))
+    assert (out.examined, out.detection_passed, out.next_index, out.exhausted) == \
+        (300, 51, 70_300, False)
+    assert out.found == []
+    write_checkpoint(path, spec, out)
+    assert read_checkpoint(path, spec) == 70_300
