@@ -10,8 +10,9 @@ so feasibility reduces to scanning candidate reference assignments.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, tee
 
@@ -117,12 +118,39 @@ class PiBucket:
     options: tuple[int, ...]  # admissible classes usable as the reference image
 
 
+class PiMaps(Mapping):
+    """Syndrome -> PiBucket of a passing check, read through the check's own
+    maps: `refs` (syndrome -> reference (x, z), in reference order) and
+    `narrowed` (sorted options of the syndromes a class difference narrowed).
+    Every other syndrome keeps `every` admissible class. A bucket is built on
+    lookup; none is stored."""
+
+    __slots__ = ("_refs", "_narrowed", "_every")
+
+    def __init__(self, refs: dict[int, tuple[int, int]],
+                 narrowed: dict[int, tuple[int, ...]], every: tuple[int, ...]):
+        self._refs, self._narrowed, self._every = refs, narrowed, every
+
+    def __getitem__(self, syn: int) -> PiBucket:
+        return PiBucket(self._refs[syn], self._narrowed.get(syn, self._every))
+
+    def __iter__(self):
+        return iter(self._refs)
+
+    def __len__(self) -> int:
+        return len(self._refs)
+
+    def __contains__(self, syn) -> bool:
+        return syn in self._refs
+
+
 @dataclass(frozen=True)
 class Verdict:
     passed: bool
     witness: tuple[PauliOp, PauliOp] | None = None  # the only PauliOps a check builds
-    pi_maps: dict[int, PiBucket] | None = None
-    checked: frozenset[tuple[int, int]] = frozenset()  # the distinct (x, z) errors
+    pi_maps: PiMaps | None = None
+    # The distinct (x, z) errors as keys, in input order: the check's own dedupe dict.
+    checked: dict[tuple[int, int], None] = field(default_factory=dict)
 
 
 def _check_k(code: StabilizerCode, adm: AdmissibleSet) -> None:
@@ -185,16 +213,15 @@ def check_general_qet(code: StabilizerCode, adm: AdmissibleSet,
     reference image keeps every forced assignment admissible."""
     _check_k(code, adm)
     errs = _dedupe(code, errors)
-    checked = frozenset(errs)
     refs, options = {}, {}
     hit = _narrow(adm.classes, _bucket_pairs(code, errs, refs), options)
     if hit is not None:
         witness = (PauliOp(code.n, *refs[hit[0]]), PauliOp(code.n, *hit[1]))
-        return Verdict(False, witness=witness, checked=checked)
-    every = tuple(sorted(adm.classes))
-    pi = {syn: PiBucket(ref, tuple(sorted(options[syn])) if syn in options else every)
-          for syn, ref in refs.items()}
-    return Verdict(True, pi_maps=pi, checked=checked)
+        return Verdict(False, witness=witness, checked=errs)
+    for syn, opts in options.items():
+        options[syn] = tuple(sorted(opts))
+    return Verdict(True, pi_maps=PiMaps(refs, options, tuple(sorted(adm.classes))),
+                   checked=errs)
 
 
 def strong_conditions_hold(code: StabilizerCode, adm: AdmissibleSet,
@@ -338,8 +365,8 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
 
 @dataclass(frozen=True)
 class RecoveryTable:
-    entries: dict[int, PiBucket]  # syndrome -> the verdict's bucket
-    support: frozenset[tuple[int, int]]  # (x, z) of every verified error
+    entries: Mapping[int, PiBucket]  # syndrome -> the verdict's bucket
+    support: dict[tuple[int, int], None]  # (x, z) of every verified error, as keys
 
 
 def build_recovery(verdict: Verdict) -> RecoveryTable:

@@ -59,6 +59,10 @@ class SearchSpec:
             raise ValueError(f"error_weight must be in 0..{self.n}, got {self.error_weight}")
         if self.k > 3:
             raise ValueError(f"relabeling is limited to k <= 3, got k={self.k}")
+        if self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        if self.limit < 1:
+            raise ValueError(f"limit must be >= 1, got {self.limit}")
         if self.mode == "exhaustive" and self.n > _EXHAUSTIVE_N_LIMIT:
             raise ValueError(f"exhaustive mode is limited to n <= {_EXHAUSTIVE_N_LIMIT}")
 
@@ -228,6 +232,8 @@ def run_search(spec: SearchSpec, start_index: int = 0, progress=None) -> SearchO
     """Hunt for codes whose weight-1 errors detect and whose classes admit the
     pattern under some relabeling. Replay-deterministic under a fixed seed;
     `progress(examined, index)` fires every `_PROGRESS_EVERY` candidates."""
+    if start_index < 0:
+        raise ValueError(f"start_index must be >= 0, got {start_index}")
     n = spec.n
     outcome = SearchOutcome(next_index=start_index)
     errors = errors_up_to_weight(n, spec.error_weight)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import sys
 from bisect import bisect_right
@@ -173,6 +174,27 @@ def test_table_shipped_at_most_once_per_worker(table1, monkeypatch):
     pooled = run_trials(table1, table, model, trials=100_000, seed=8, threads=2)
     assert len(pickles) <= 2  # once per worker at most, not once per chunk (five)
     assert pooled.class_counts == serial.class_counts
+
+
+@pytest.mark.parametrize("depol", [False, True])
+def test_pickled_table_runs_the_same_chunk(table1, table2, depol):
+    # pool workers receive (code, table, model) pickled, through initargs,
+    # under the spawn and forkserver start methods
+    for code, adm, extra in ((table1, PHASE1, "XXIIIII"), (table2, BOTH_PHASES, "XXIIII")):
+        table = recovery_for(code, adm)
+        if depol:
+            model = DepolarizingChannel(code.n, 0.05)
+        else:
+            errs = [e for e, _ in uniform_single_error_channel(code.n).errors]
+            model = ExplicitChannel(code.n, tuple(
+                (e, 0.9 / len(errs)) for e in errs) + ((parse_pauli(extra), 0.05),))
+        copied = pickle.loads(pickle.dumps((code, table, model)))
+        assert list(copied[1].entries.items()) == list(table.entries.items())
+        assert list(copied[1].support) == list(table.support)
+        want = channel._run_chunk(code, table, model, 5000, "11:0")
+        got = channel._run_chunk(*copied, 5000, "11:0")
+        assert got.render(code.k) == want.render(code.k)
+        assert got.uncovered > 0
 
 
 def test_uncovered_never_admissible(table1):

@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qtransmute import qet
+from qtransmute import catalog, qet
 from qtransmute.errors import DimensionMismatch
 from qtransmute.f2 import fold, symplectic
 from qtransmute.pauli import (PauliOp, enumerate_paulis, errors_up_to_weight, multiply,
@@ -634,7 +635,7 @@ def pauliop_relabel_search(code, pattern, errors):
 def assert_same_verdict(new, old):
     assert new.passed == old.passed
     assert new.witness == old.witness
-    assert new.checked == frozenset((e.x, e.z) for e in old.checked)
+    assert new.checked.keys() == frozenset((e.x, e.z) for e in old.checked)
     if old.pi_maps is None:
         assert new.pi_maps is None
     else:
@@ -660,6 +661,78 @@ def test_packed_checkers_match_pauliop_path(n, k, group, seed):
     if hit is not None:
         assert (hit[0].logical_x, hit[0].logical_z) == (old[0].logical_x, old[0].logical_z)
         assert_same_verdict(hit[1], old[1])
+
+
+# -- the eager verdict these maps replace -------------------------------------------
+#
+# Copied from check_general_qet as it was when a passing verdict stored one
+# PiBucket per occupied syndrome and a frozenset copy of the distinct errors.
+
+
+def eager_check_general_qet(code, adm, errors):
+    qet._check_k(code, adm)
+    errs = qet._dedupe(code, errors)
+    checked = frozenset(errs)
+    refs, options = {}, {}
+    hit = qet._narrow(adm.classes, qet._bucket_pairs(code, errs, refs), options)
+    if hit is not None:
+        witness = (PauliOp(code.n, *refs[hit[0]]), PauliOp(code.n, *hit[1]))
+        return Verdict(False, witness=witness, checked=checked)
+    every = tuple(sorted(adm.classes))
+    pi = {syn: PiBucket(ref, tuple(sorted(options[syn])) if syn in options else every)
+          for syn, ref in refs.items()}
+    return Verdict(True, pi_maps=pi, checked=checked)
+
+
+@settings(max_examples=150, deadline=None)
+@random_instances
+def test_verdict_maps_match_eager_construction(n, k, group, seed):
+    assume(k < n)
+    rng = random.Random(seed)
+    code = standard_form(sample_generators(n, k, rng))
+    adm = spread_admissible(rng, k, group)
+    errs = shuffled_errors(rng, n, rng.choice([1, 2]))
+    for _ in range(rng.randrange(1, 6)):  # duplicates anywhere in the input
+        errs.insert(rng.randrange(len(errs) + 1), rng.choice(errs))
+    new = check_general_qet(code, adm, errs)
+    old = eager_check_general_qet(code, adm, errs)
+    assert new.passed == old.passed
+    assert new.witness == old.witness
+    assert new.checked.keys() == old.checked
+    assert list(new.checked) == list(dict.fromkeys(errs))  # input order
+    assert len(new.checked) == len(old.checked)
+    assert (1 << n, 0) not in new.checked
+    if not old.passed:
+        assert new.pi_maps is None
+        return
+    pi = new.pi_maps
+    assert list(pi.items()) == list(old.pi_maps.items())
+    assert len(pi) == len(old.pi_maps)
+    assert all(syn in pi and pi.get(syn) == b for syn, b in old.pi_maps.items())
+    unoccupied = next((s for s in range(1 << (n - k)) if s not in old.pi_maps), 1 << (n - k))
+    assert unoccupied not in pi
+    assert pi.get(unoccupied) is None
+    assert pi.get(unoccupied, "absent") == "absent"
+    with pytest.raises(KeyError):
+        pi[unoccupied]
+
+
+def test_check_peak_memory_per_checked_error():
+    # A passing verdict keeps the check's own reference map, narrowed options
+    # and dedupe dict. One PiBucket per occupied syndrome plus a frozenset copy
+    # of the errors peaked at 266 B per checked error here (Python 3.11).
+    cc = catalog.resolve("toric:7")
+    errs = errors_up_to_weight(cc.code.n, 2)
+    check_general_qet(cc.code, cc.admissible, errs[:100])  # fill the code's caches
+    tracemalloc.start()
+    try:
+        verdict = check_general_qet(cc.code, cc.admissible, errs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed
+    assert (len(verdict.checked), len(verdict.pi_maps)) == (43_072, 42_778)
+    assert peak / len(verdict.checked) <= 140
 
 
 @pytest.mark.parametrize("check", [check_general_qet, strong_conditions_hold, relabel_search])

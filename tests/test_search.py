@@ -117,6 +117,22 @@ def test_spec_refuses_error_weight_outside_qubit_range(weight):
         SearchSpec(n=4, k=2, pattern=BOTH_PHASES, error_weight=weight)
 
 
+@pytest.mark.parametrize("field", ["budget", "limit"])
+@pytest.mark.parametrize("value", [0, -5])
+def test_spec_refuses_counts_below_one(field, value):
+    # budget=-5 used to examine nothing and report an empty, unexhausted scan
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+        SearchSpec(n=4, k=2, pattern=BOTH_PHASES, **{field: value})
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_run_search_refuses_a_negative_start_index(mode):
+    # start_index=-3 used to decode indices -3..-1 as candidates
+    spec = SearchSpec(n=4, k=2, pattern=BOTH_PHASES, mode=mode, budget=5)
+    with pytest.raises(ValueError, match="start_index must be >= 0, got -3"):
+        run_search(spec, start_index=-3)
+
+
 def test_exhaustive_n4_finds_no_table2_predicate_match():
     # the n=4 slice of the nonexistence scan; n=5 runs in the slow acceptance test
     spec = SearchSpec(n=4, k=2, pattern=BOTH_PHASES, error_weight=1,
