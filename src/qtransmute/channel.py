@@ -3,13 +3,18 @@
 Trials sample a Pauli error, look up its syndrome's entry in a recovery
 table, draw one of its admissible options uniformly, and tally the residual
 logical class option ^ class(reference·error); no correction operator is
-built. Each chunk works out an error's outcome (its entry's options and
-class(reference·error)) once: for an explicit channel, every channel
-error's before the first trial; for depolarizing noise, each supported
-error's when it is first drawn. Everything happens on symplectic bit masks;
-no state vectors are involved. Chunked seeding makes reports independent of
-worker count. Pool workers receive the code, table and model once, when they
-start, and each chunk only its size and seed.
+built. A depolarizing error is drawn from one failing qubit to the next: the
+number of qubits that do not fail before the next one that does is
+geometric, drawn by inversion from one uniform, and each failing qubit draws
+one more uniform for its letter (X, Y or Z). A trial takes about one uniform
+plus two per failing qubit, not one per qubit. Each chunk works out an
+error's outcome (its entry's options and class(reference·error)) once: for
+an explicit channel, every channel error's before the first trial; for
+depolarizing noise, each supported error's when it is first drawn.
+Everything happens on symplectic bit masks; no state vectors are involved.
+Chunked seeding makes reports independent of worker count. Pool workers
+receive the code, table and model once, when they start, and each chunk only
+its size and seed.
 """
 from __future__ import annotations
 
@@ -19,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
+from math import inf, log, log1p
 
 from .errors import DimensionMismatch
 from .pauli import PauliOp, enumerate_paulis
@@ -143,18 +149,29 @@ def _run_chunk(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
         # Memoised for supported errors only, so never larger than the table.
         memo = {}
         p = model.p
-        bits = [1 << q for q in range(model.n)]
+        # A gap int(log(1 - u) / log(1 - p)) is the number of qubits that do
+        # not fail before the next one that does. Rate 0 leaves no qubit to
+        # draw; rate 1 makes every gap 0 (log1p(-1) would raise). The float
+        # gap is compared with the qubits left before int(): at a subnormal
+        # rate it can be infinite.
+        span = model.n if p else 0
+        log_q = log1p(-p) if p < 1.0 else -inf
 
         def draw():
             x = z = 0
-            for bit in bits:
-                u = random_()
-                if u < p:
-                    letter = min(2, int(3 * u / p))  # 0,1,2 equally likely given u < p
-                    if letter != 2:
-                        x |= bit
-                    if letter != 0:
-                        z |= bit
+            q = 0
+            while q < span:
+                gap = log(1.0 - random_()) / log_q
+                if gap >= span - q:
+                    break
+                q += int(gap)
+                bit = 1 << q
+                letter = int(3.0 * random_())  # 0, 1, 2: X, Y, Z
+                if letter != 2:
+                    x |= bit
+                if letter != 0:
+                    z |= bit
+                q += 1
             outcome = memo.get((x, z))
             if outcome is None:
                 outcome = _outcome(code, table, x, z)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtransmute import channel
+from qtransmute import catalog, channel
 from qtransmute.channel import (DepolarizingChannel, ExplicitChannel, TrialReport,
                                 exact_class_distribution, run_trials,
                                 total_variation, uniform_single_error_channel)
@@ -134,6 +134,137 @@ def test_depolarizing_uncovered_fraction(table1):
     assert abs(rep.uncovered / trials - expected) < 3 * sigma
 
 
+def bernoulli_depolarizing_error(n, p, rng):
+    """The depolarizing channel's definition: each qubit fails independently
+    with probability p and then takes X, Y or Z, each equally likely."""
+    x = z = 0
+    for q in range(n):
+        u = rng.random()
+        if u < p:
+            letter = min(2, int(3 * u / p))  # 0,1,2 equally likely given u < p
+            if letter != 2:
+                x |= 1 << q
+            if letter != 0:
+                z |= 1 << q
+    return x, z
+
+
+def chi_square_sf(stat, dof):
+    """Upper tail of chi-square(dof) at stat, by the Wilson-Hilferty cube-root
+    normal approximation (good to a few per cent of the tail at dof >= 2)."""
+    h = 2 / (9 * dof)
+    zscore = ((stat / dof) ** (1 / 3) - (1 - h)) / math.sqrt(h)
+    return 0.5 * math.erfc(zscore / math.sqrt(2))
+
+
+def chi_square(observed, expected):
+    """Pearson statistic, with bins of expected count below 5 pooled into the
+    last bin kept; returns (statistic, number of bins)."""
+    obs, exp = [], []
+    for o, e in zip(observed, expected):
+        if exp and exp[-1] < 5:
+            obs[-1] += o
+            exp[-1] += e
+        else:
+            obs.append(o)
+            exp.append(e)
+    if len(exp) > 1 and exp[-1] < 5:
+        obs[-2] += obs.pop()
+        exp[-2] += exp.pop()
+    return sum((o - e) ** 2 / e for o, e in zip(obs, exp)), len(exp)
+
+
+def draw_statistics(errors, n):
+    """Weight histogram, failures per qubit and the X/Y/Z split of errors."""
+    weights = [0] * (n + 1)
+    per_qubit = [0] * n
+    letters = [0, 0, 0]
+    for x, z in errors:
+        support = x | z
+        weights[support.bit_count()] += 1
+        for q in range(n):
+            if support >> q & 1:
+                per_qubit[q] += 1
+                letters[(x >> q & 1) + (z >> q & 1) * 2 - 1] += 1  # X, Z, Y
+    return weights, per_qubit, letters
+
+
+def drawn_errors(monkeypatch, n, p, count, chunk_seed):
+    """The errors a chunk's trials draw, read through the hook every
+    uncovered error passes: an `_outcome` that records (x, z) and covers
+    nothing."""
+    drawn = []
+    monkeypatch.setattr(channel, "_outcome", lambda code, table, x, z: drawn.append((x, z)))
+    channel._run_chunk(None, None, DepolarizingChannel(n, p), count, chunk_seed)
+    monkeypatch.undo()
+    assert len(drawn) == count
+    return drawn
+
+
+def test_edge_rates_are_exact(monkeypatch):
+    assert set(drawn_errors(monkeypatch, 7, 0.0, 1000, "edge")) == {(0, 0)}
+    assert set(drawn_errors(monkeypatch, 7, 1e-320, 1000, "edge")) == {(0, 0)}
+    every = {(x | z).bit_count() for x, z in drawn_errors(monkeypatch, 7, 1.0, 1000, "edge")}
+    assert every == {7}
+
+
+@pytest.mark.parametrize("n,p", [(7, 0.02), (98, 0.01), (6, 0.3)])
+def test_gap_draw_matches_bernoulli_definition(n, p, monkeypatch):
+    count = 20_000
+    drawn = drawn_errors(monkeypatch, n, p, count, f"gap:{n}")
+    rng = random.Random(f"bernoulli:{n}")
+    defined = [bernoulli_depolarizing_error(n, p, rng) for _ in range(count)]
+    binomial = [count * math.comb(n, w) * p ** w * (1 - p) ** (n - w) for w in range(n + 1)]
+    stats = {}
+    for name, errors in (("gap", drawn), ("bernoulli", defined)):
+        weights, per_qubit, letters = stats[name] = draw_statistics(errors, n)
+        # 99.9% acceptance on each statistic; the seeds are fixed.
+        stat, bins = chi_square(weights, binomial)
+        assert chi_square_sf(stat, bins - 1) > 1e-3, (name, "weights", weights)
+        stat, bins = chi_square(per_qubit, [count * p] * n)
+        assert chi_square_sf(stat, bins) > 1e-3, (name, "per qubit", per_qubit)
+        stat, bins = chi_square(letters, [sum(letters) / 3] * 3)
+        assert chi_square_sf(stat, bins - 1) > 1e-3, (name, "letters", letters)
+    # Homogeneity: the two weight histograms come from one distribution. For
+    # two samples of one size the statistic is twice one sample's Pearson
+    # statistic against their mean histogram.
+    gap, bernoulli = stats["gap"][0], stats["bernoulli"][0]
+    stat, bins = chi_square(gap, [(a + b) / 2 for a, b in zip(gap, bernoulli)])
+    assert chi_square_sf(2 * stat, bins - 1) > 1e-3, (gap, bernoulli)
+
+
+def wilson_interval(hits, total, zscore=3.2905):
+    """99.9% Wilson score interval for a binomial proportion hits / total."""
+    centre = (hits + zscore ** 2 / 2) / (total + zscore ** 2)
+    half = zscore * math.sqrt(hits * (total - hits) / total + zscore ** 2 / 4) / (total + zscore ** 2)
+    return centre - half, centre + half
+
+
+@pytest.mark.parametrize("name,max_weight,p", [("table1-7q", 1, 0.05), ("css17", 2, 0.03)])
+def test_depolarizing_matches_exact_sum(name, max_weight, p):
+    # The exact side weighs every supported error by its depolarizing
+    # probability (p/3)^w (1-p)^(n-w), normalised to the covered mass.
+    cc = catalog.resolve(name)
+    code, n = cc.code, cc.code.n
+    table = recovery_for(code, cc.admissible, max_weight)
+    covered = sum(math.comb(n, w) * p ** w * (1 - p) ** (n - w) for w in range(max_weight + 1))
+    weighted = []
+    for x, z in table.support:
+        w = (x | z).bit_count()
+        weighted.append((PauliOp(n, x, z), (p / 3) ** w * (1 - p) ** (n - w) / covered))
+    exact, uncovered = exact_class_distribution(code, table, ExplicitChannel(n, tuple(weighted)))
+    assert uncovered == 0.0
+    trials = 40_000
+    rep = run_trials(code, table, DepolarizingChannel(n, p), trials=trials, seed=21)
+    low, high = wilson_interval(rep.uncovered, trials)
+    assert low <= 1 - covered <= high, (rep.uncovered, 1 - covered)
+    # class_distribution() is each class's count over the covered trials
+    covered_trials = trials - rep.uncovered
+    for cls in exact.keys() | rep.class_counts.keys():
+        low, high = wilson_interval(rep.class_counts.get(cls, 0), covered_trials)
+        assert low <= exact.get(cls, 0.0) <= high, (cls, rep.class_distribution(), exact)
+
+
 def test_merge_independent_of_worker_count(table1):
     # 45,000 trials: two full chunks and one partial
     table = recovery_for(table1, PHASE1)
@@ -227,7 +358,9 @@ def test_report_render_has_seed(table1):
 #
 # The reference below is the trial loop as it was before outcome tables: each
 # trial folds the syndrome, the reference's residual syndrome and its class,
-# and draws an option by walking the equal weights 1/m. The loop under test
+# and draws an option by walking the equal weights 1/m. Its depolarizing
+# error draw is the gap rule written out; test_gap_draw_matches_bernoulli_definition
+# holds that rule to the channel's per-qubit definition. The loop under test
 # must give the same report, byte for byte, from the same seed.
 
 
@@ -239,15 +372,22 @@ def reference_sample_error(model, rng, cumulative):
             return 0, 0  # identity remainder
         e = model.errors[i][0]
         return e.x, e.z
+    # The gap rule: from the next qubit q, floor(log(1 - u) / log(1 - p))
+    # qubits do not fail and the one after them does, unless that is past
+    # the last qubit. Rate 0 draws nothing; at rate 1 every gap is 0.
+    n, p = model.n, model.p
+    log_q = math.log1p(-p) if p < 1 else -math.inf
     x = z = 0
-    for q in range(model.n):
-        u = rng.random()
-        if u < model.p:
-            letter = min(2, int(3 * u / model.p))  # 0,1,2 equally likely given u < p
-            if letter != 2:
-                x |= 1 << q
-            if letter != 0:
-                z |= 1 << q
+    q = 0
+    while p > 0 and q < n:
+        gap = math.log(1.0 - rng.random()) / log_q
+        if gap >= n - q:
+            break
+        q += math.floor(gap)
+        letter = "XYZ"[int(3 * rng.random())]
+        x |= (letter in "XY") << q
+        z |= (letter in "YZ") << q
+        q += 1
     return x, z
 
 
@@ -306,7 +446,7 @@ def explicit_channels(draw, n, w):
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(2, 6), k=st.integers(1, 3), w=st.integers(1, 2),
        density=st.sampled_from([0.0, 0.5, 1.0]),
-       depol=st.sampled_from([None, 0.0, 0.01, 0.3, 1.0]),
+       depol=st.sampled_from([None, 0.0, 1e-320, 0.01, 0.3, 1.0]),
        count=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_run_chunk_matches_reference(n, k, w, density, depol, count, seed, data):
     k = min(k, n - 1)

@@ -317,8 +317,8 @@ SEEDED_CHANNEL = "XIIIIII 0.1\nIZIIIII 0.2\nIIYIIII 0.05\nXXIIIII 0.05\n"
 
 @pytest.mark.parametrize("argv,stdout", [
     (("--code", "css17", "--model", "depol:0.02", "--max-weight", "2"),
-     "trials = 20000\nseed = 5\nuncovered = 92\nclass II = 6819\nclass XI = 6741\n"
-     "class IX = 6348\nadmissible rate = 0.9954\n"),
+     "trials = 20000\nseed = 5\nuncovered = 86\nclass II = 6840\nclass XI = 6694\n"
+     "class IX = 6380\nadmissible rate = 0.9957\n"),
     (("--code", "eq16-lattice:4x4", "--model", "uniform1"),
      "trials = 20000\nseed = 5\nuncovered = 0\n"
      "class IIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII = 3254\n"
@@ -352,6 +352,16 @@ def test_simulate_seeded_output_is_pinned(tmp_path, capsys, argv, stdout):
     code, out, err = run(capsys, "simulate", *argv, "--trials", "20000", "--seed", "5",
                          "--threads", "1")
     assert (code, out, err) == (0, stdout, "")
+
+
+def test_simulate_at_a_subnormal_depolarizing_rate(capsys):
+    # At p = 1e-320 the gap log(1 - u) / log1p(-p) overflows to infinity; it
+    # is compared with the qubits left before int() could raise
+    code, out, err = run(capsys, "simulate", "--code", "table1-7q", "--admissible", "ZI",
+                         "--model", "depol:1e-320", "--trials", "1000", "--seed", "1",
+                         "--threads", "1")
+    assert (code, err) == (0, "")
+    assert "uncovered = 0\n" in out
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -467,6 +467,22 @@ def test_deff_lower_bound_matches_brute_force():
             assert (got.value, got.exact) == (n + 1, False)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), k=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_group_check_passes_iff_no_excluded_element_up_to_twice_the_weight(n, k, seed):
+    # A same-syndrome pair of weight <= w errors multiplies to an N(S)
+    # element of weight <= 2w, and every such element splits into two halves
+    # of weight <= w with one syndrome. On an XOR-closed set the check fails
+    # exactly on an excluded product.
+    assume(k < n)
+    rng = random.Random(seed)
+    code = random_code(rng, n, k)
+    adm = spread_admissible(rng, k, group=True)
+    for w in range(1, n + 1):
+        passed = check_general_qet(code, adm, errors_up_to_weight(n, w)).passed
+        assert passed == (not deff_lower_bound(code, adm, min(2 * w, n)).exact), w
+
+
 def test_strong_conditions_below_lower_bound(table1, table2):
     # the excluded-weight bound restated: strong conditions hold for all
     # errors up to (bound-1)/2
