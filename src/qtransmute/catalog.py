@@ -320,9 +320,12 @@ def names() -> list[str]:
 
 def resolve(spec: str) -> CatalogCode:
     """Build a catalog code from 'name' or 'name:params'."""
-    name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
     if name not in ENTRIES:
         raise QTError(f"unknown catalog entry {name!r}; available: {', '.join(ENTRIES)}")
+    if colon and not arg:
+        raise QTError(f"catalog entry {name!r} has an empty parameter after ':'; "
+                      f"use {name!r} for the default")
     return ENTRIES[name].build(arg or None)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -212,6 +211,8 @@ def run_trials(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
     report does not depend on the worker count."""
     if model.n != code.n:
         raise DimensionMismatch(f"channel acts on {model.n} qubits, code on {code.n}")
+    if trials < 1 or threads < 1:
+        raise ValueError(f"trials and threads must be >= 1, got {trials} and {threads}")
     chunks = []
     remaining = trials
     idx = 0
@@ -222,6 +223,9 @@ def run_trials(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
         idx += 1
     total = TrialReport(seed=str(seed))
     if threads > 1 and len(chunks) > 1:
+        # Imported here so that unpooled runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         # The pool may start every worker at the first submit, so it is
         # never sized past the number of chunks.
         with ProcessPoolExecutor(max_workers=min(threads, len(chunks)),

@@ -16,7 +16,7 @@ from .channel import (DepolarizingChannel, ExplicitChannel,
                       uniform_single_error_channel, run_trials)
 from .classical import (LinearCode, Poly2, asymmetric_distances,
                         classical_distance, css_build, cyclic_code)
-from .errors import QTError, ParseError
+from .errors import QTError, ParseError, content_lines
 from .lattice import (instantiate_torus, loads_cell, rate_half_cell,
                       rate_two_thirds_cell, validate_unit_cell)
 from .pauli import errors_up_to_weight, parse_pauli, render
@@ -119,10 +119,7 @@ def _load_classical(spec: str) -> LinearCode:
     with open(spec, "r", encoding="utf-8") as fh:
         rows = []
         n = None
-        for lineno, raw in enumerate(fh, start=1):
-            s = raw.strip()
-            if not s or s.startswith("#"):
-                continue
+        for lineno, s in content_lines(fh):
             if not set(s) <= {"0", "1"}:
                 raise ParseError("generator rows must be 0/1 strings", line=lineno)
             if n is None:
@@ -358,10 +355,7 @@ def _cmd_simulate(args) -> int:
     else:
         with open(args.model, "r", encoding="utf-8") as fh:
             pairs = []
-            for lineno, raw in enumerate(fh, start=1):
-                s = raw.strip()
-                if not s or s.startswith("#"):
-                    continue
+            for lineno, s in content_lines(fh):
                 parts = s.split()
                 if len(parts) != 2:
                     raise ParseError("channel lines are '<pauli> <probability>'",

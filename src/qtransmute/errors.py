@@ -1,5 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and the reader of the line-based text formats."""
 from __future__ import annotations
+
+from typing import Iterable, Iterator
 
 
 class QTError(Exception):
@@ -18,6 +20,15 @@ class ParseError(QTError, ValueError):
         if column is not None:
             where += f"{',' if line is not None else ' at'} position {column}"
         super().__init__(message + where)
+
+
+def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) of each line that is neither
+    blank nor a '#' comment, as every text format reads them."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 class DimensionMismatch(QTError, ValueError):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CodeConstructionError, ParseError
+from .errors import CodeConstructionError, ParseError, content_lines
 from .pauli import PauliOp
 from .stabilizer import (Diagnostics, StabilizerCode, complete_logical_basis)
 from .f2 import F2Span
@@ -448,11 +448,7 @@ def dumps_cell(cell: UnitCellCode) -> str:
 def loads_cell(text: str) -> UnitCellCode:
     """Parse the unit-cell format: header 'n <n> s <s>', then per generator
     column 2n polynomial lines, then optional 'A1:'/'B1:'/... logical blocks."""
-    entries: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if s and not s.startswith("#"):
-            entries.append((lineno, s))
+    entries = list(content_lines(text.splitlines()))
     if not entries:
         raise ParseError("empty unit-cell file")
     lineno, header = entries[0]

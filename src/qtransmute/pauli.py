@@ -7,7 +7,6 @@ tracked; products and commutators are phase-blind throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator
 
 from .errors import DimensionMismatch, ParseError
@@ -34,22 +33,8 @@ class PauliOp:
     def letter(self, q: int) -> str:
         return _XZ_TO_LETTER[((self.x >> q) & 1, (self.z >> q) & 1)]
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
     def __str__(self) -> str:
         return render(self)
-
-
-def single(n: int, qubit: int, letter: str) -> PauliOp:
-    """The Pauli acting as `letter` on one qubit and identity elsewhere."""
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for n={n}")
-    try:
-        xb, zb = _LETTER_TO_XZ[letter]
-    except KeyError:
-        raise ValueError(f"unknown Pauli letter {letter!r}") from None
-    return PauliOp(n, xb << qubit, zb << qubit)
 
 
 def parse_pauli(s: str, *, line: int | None = None) -> PauliOp:
@@ -71,30 +56,11 @@ def render(p: PauliOp) -> str:
     return "".join(p.letter(q) for q in range(p.n))
 
 
-def _check_dims(a: PauliOp, b: PauliOp) -> None:
-    if a.n != b.n:
-        raise DimensionMismatch(f"operators act on {a.n} vs {b.n} qubits")
-
-
-def multiply(a: PauliOp, b: PauliOp) -> PauliOp:
-    """Phase-blind product: componentwise XOR of the symplectic parts."""
-    _check_dims(a, b)
-    return PauliOp(a.n, a.x ^ b.x, a.z ^ b.z)
-
-
 def symplectic_product(a: PauliOp, b: PauliOp) -> int:
     """1 iff a and b anticommute."""
-    _check_dims(a, b)
+    if a.n != b.n:
+        raise DimensionMismatch(f"operators act on {a.n} vs {b.n} qubits")
     return parity(a.x & b.z) ^ parity(a.z & b.x)
-
-
-def commutes(a: PauliOp, b: PauliOp) -> bool:
-    return symplectic_product(a, b) == 0
-
-
-def weight(p: PauliOp) -> int:
-    """Number of qubits on which p is not the identity."""
-    return (p.x | p.z).bit_count()
 
 
 def walk_paulis(n: int, max_weight: int) -> Iterator[tuple[int, int]]:
@@ -130,11 +96,6 @@ def enumerate_paulis(n: int, max_weight: int) -> Iterator[PauliOp]:
     """
     for x, z in walk_paulis(n, max_weight):
         yield PauliOp(n, x, z)
-
-
-def count_paulis(n: int, max_weight: int) -> int:
-    """Closed-form size of enumerate_paulis(n, max_weight)."""
-    return sum(comb(n, w) * 3**w for w in range(1, max_weight + 1))
 
 
 def errors_up_to_weight(n: int, max_weight: int) -> list[tuple[int, int]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, tee
 
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, ParseError, content_lines
 from .f2 import symplectic
 from .pauli import PauliOp, render, walk_paulis
 from .stabilizer import (DistanceResult, StabilizerCode, _min_weight,
@@ -103,10 +103,8 @@ def loads_admissible(text: str, k: int) -> AdmissibleSet:
     """Parse `dumps_admissible` output; blank and '#' lines are skipped, and a
     parse error names its line."""
     bits = {0}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if s and not s.startswith("#"):
-            bits.add(class_bits_from_string(s, k, line=lineno))
+    for lineno, s in content_lines(text.splitlines()):
+        bits.add(class_bits_from_string(s, k, line=lineno))
     return AdmissibleSet(k, frozenset(bits))
 
 

@@ -5,7 +5,7 @@ strings without newlines. emit/parse round-trip at the string level.
 """
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import ParseError, content_lines
 
 
 def emit(fields: dict[str, object]) -> str:
@@ -22,10 +22,7 @@ def emit(fields: dict[str, object]) -> str:
 
 def parse(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text.splitlines()):
         if " = " not in line:
             raise ParseError("expected 'key = value'", line=lineno)
         key, _, value = line.partition(" = ")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import CodeConstructionError, DimensionMismatch, ParseError
+from .errors import CodeConstructionError, ParseError, content_lines
 from .f2 import (BitMatrix, F2Span, fold, kernel_basis, mul_bt, reduce_against, rref, solve,
                  symplectic, transpose_rows)
 from .pauli import PauliOp, parse_pauli, render, symplectic_product
@@ -105,24 +105,21 @@ class StabilizerCode:
                                    2 * n)
         self._gen_rref = rref(BitMatrix(tuple(_sym_vec(g) for g in self.generators), 2 * n))
 
-    # -- raw-int fast paths -------------------------------------------------
+    # -- the maps on packed (x, z) Paulis -------------------------------------
 
     def syndrome_bits(self, x: int, z: int) -> int:
+        """Anticommutation pattern against the generators (bit l = generator l)."""
         return fold(self._syn, x | z << self.n)
 
     def class_bits(self, x: int, z: int) -> int:
+        """Logical class bits; meaningful for a zero-syndrome Pauli."""
         return fold(self._cls, x | z << self.n)
 
     def in_stabilizer_bits(self, x: int, z: int) -> bool:
+        """True iff the Pauli is a product of generators (phase-blind)."""
         return reduce_against(self._gen_rref.reduced.rows, x | (z << self.n)) == 0
 
-    # -- public operator-level API -------------------------------------------
-
-    def contains_stabilizer(self, p: PauliOp) -> bool:
-        """True iff p is a product of generators (phase-blind S membership)."""
-        if p.n != self.n:
-            raise DimensionMismatch(f"operator on {p.n} qubits, code on {self.n}")
-        return self.in_stabilizer_bits(p.x, p.z)
+    # -- logical basis ---------------------------------------------------------
 
     def class_representative(self, bits: int) -> PauliOp:
         """A physical Pauli realizing the given class: the basis-op product."""
@@ -133,22 +130,6 @@ class StabilizerCode:
 
     def with_logicals(self, logical_x: list[PauliOp], logical_z: list[PauliOp]) -> "StabilizerCode":
         return StabilizerCode(self.generators, logical_x, logical_z)
-
-
-def syndrome(code: StabilizerCode, p: PauliOp) -> int:
-    """Anticommutation pattern of p against the generators, packed (bit l = generator l)."""
-    if p.n != code.n:
-        raise DimensionMismatch(f"operator on {p.n} qubits, code on {code.n}")
-    return code.syndrome_bits(p.x, p.z)
-
-
-def logical_class(code: StabilizerCode, p: PauliOp) -> int:
-    """Class bits of an N(S) element; raises if p has a nonzero syndrome."""
-    if p.n != code.n:
-        raise DimensionMismatch(f"operator on {p.n} qubits, code on {code.n}")
-    if code.syndrome_bits(p.x, p.z):
-        raise ValueError(f"{render(p)} is not in N(S): nonzero syndrome")
-    return code.class_bits(p.x, p.z)
 
 
 def validate_code(code: StabilizerCode) -> Diagnostics:
@@ -427,11 +408,7 @@ def loads(text: str) -> StabilizerCode:
     """Parse the code file format: 'n k', n-k generator lines, then optional
     XL / ZL sections of k lines each. '#' starts a comment line. A code that
     fails validate_code raises ParseError naming its first problem."""
-    entries: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if s and not s.startswith("#"):
-            entries.append((lineno, s))
+    entries = list(content_lines(text.splitlines()))
     if not entries:
         raise ParseError("empty code file")
     lineno, header = entries[0]

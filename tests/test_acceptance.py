@@ -21,7 +21,7 @@ from qtransmute.lattice import (compact_encoding, instantiate_torus,
                                 rate_half_cell, rate_two_thirds_cell,
                                 symplectic_form, toric_code, validate_unit_cell)
 from qtransmute.pauli import (PauliOp, enumerate_paulis, errors_up_to_weight,
-                              multiply, parse_pauli, render, weight)
+                              parse_pauli, render)
 from qtransmute.qet import (AdmissibleSet, build_recovery,
                             check_general_qet, check_group_qet,
                             deff_lower_bound, effective_distance,
@@ -29,7 +29,7 @@ from qtransmute.qet import (AdmissibleSet, build_recovery,
                             symplectic_transforms)
 from qtransmute.search import SearchSpec, run_search, sample_generators
 from qtransmute.stabilizer import (StabilizerCode, code_distance,
-                                   complete_logical_basis, logical_class,
+                                   complete_logical_basis,
                                    min_weight_in_class, standard_form,
                                    validate_code)
 from qtransmute.transforms import concatenate
@@ -62,15 +62,15 @@ def test_criterion_01_table1_reproduction():
     assert len(singles) == 21
     assert all(code.syndrome_bits(p.x, p.z) for p in singles)
 
-    doubles = [p for p in enumerate_paulis(7, 2) if weight(p) == 2]
+    doubles = [p for p in enumerate_paulis(7, 2) if (p.x | p.z).bit_count() == 2]
     assert len(doubles) == 189
     logicals = sorted(render(p) for p in doubles
                       if code.syndrome_bits(p.x, p.z) == 0
-                      and not code.contains_stabilizer(p))
+                      and not code.in_stabilizer_bits(p.x, p.z))
     assert logicals == sorted(["ZZIIIII", "IIZZIII", "IIIIZZI", "IIIIZIZ"])
 
-    z1 = logical_class(code, code.logical_z[0])
-    assert all(logical_class(code, parse_pauli(s)) == z1 for s in logicals)
+    z1 = code.class_bits(code.logical_z[0].x, code.logical_z[0].z)
+    assert all(code.class_bits(p.x, p.z) == z1 for p in map(parse_pauli, logicals))
 
     deff = effective_distance(code, PHASE1, 2)
     assert deff.exact and deff.value == 3
@@ -95,17 +95,14 @@ def test_criterion_03_table2_reproduction():
     assert validate_code(code).ok
 
     logicals = sorted(render(p) for p in enumerate_paulis(6, 2)
-                      if weight(p) == 2 and code.syndrome_bits(p.x, p.z) == 0
-                      and not code.contains_stabilizer(p))
+                      if (p.x | p.z).bit_count() == 2 and code.syndrome_bits(p.x, p.z) == 0
+                      and not code.in_stabilizer_bits(p.x, p.z))
     assert logicals == sorted(["ZZIIII", "IIZZII", "IIIIZZ", "IIIIXX", "IIIIYY"])
 
-    z1 = logical_class(code, code.logical_z[0])
-    z2 = logical_class(code, code.logical_z[1])
-    assert logical_class(code, parse_pauli("ZZIIII")) == z1
-    assert logical_class(code, parse_pauli("IIZZII")) == z1
-    assert logical_class(code, parse_pauli("IIIIZZ")) == z1
-    assert logical_class(code, parse_pauli("IIIIXX")) == z2
-    assert logical_class(code, parse_pauli("IIIIYY")) == z1 ^ z2
+    z1, z2 = (code.class_bits(p.x, p.z) for p in code.logical_z)
+    classes = {s: code.class_bits(p.x, p.z) for s in logicals for p in [parse_pauli(s)]}
+    assert classes == {"ZZIIII": z1, "IIZZII": z1, "IIIIZZ": z1,
+                       "IIIIXX": z2, "IIIIYY": z1 ^ z2}
 
     errs = errors_up_to_weight(6, 1)
     assert check_general_qet(code, BOTH_PHASES, errs).passed
@@ -222,10 +219,8 @@ def test_criterion_07_compact_encoding():
 def test_criterion_08_toric_class_distances():
     budget = Budget(60.0)
     code = toric_code(3)
-    z1 = logical_class(code, code.logical_z[0])
-    z2 = logical_class(code, code.logical_z[1])
-    x1 = logical_class(code, code.logical_x[0])
-    x2 = logical_class(code, code.logical_x[1])
+    z1, z2 = (code.class_bits(p.x, p.z) for p in code.logical_z)
+    x1, x2 = (code.class_bits(p.x, p.z) for p in code.logical_x)
     for cls, pure, expected in ((z1, "z", 3), (z2, "z", 3), (z1 ^ z2, "z", 6),
                                 (x1, "x", 3), (x2, "x", 3), (x1 ^ x2, "x", 6)):
         result = min_weight_in_class(code, cls, 6, pure=pure)
@@ -240,7 +235,8 @@ def test_toric_first_cycle_weight_at_scale(length, pure, seconds):
     # class distances (n = 50 with all letters, n = 98 with Z only) in tier 1.
     budget = Budget(seconds)
     code = toric_code(length)
-    result = min_weight_in_class(code, logical_class(code, code.logical_z[0]), length, pure=pure)
+    z1 = code.logical_z[0]
+    result = min_weight_in_class(code, code.class_bits(z1.x, z1.z), length, pure=pure)
     assert result.exact and result.value == length
     budget.check()
 
@@ -287,7 +283,7 @@ def test_criterion_10_property_suites():
     for _ in range(300):
         a = PauliOp(7, rng.getrandbits(7), rng.getrandbits(7))
         b = PauliOp(7, rng.getrandbits(7), rng.getrandbits(7))
-        ab = multiply(a, b)
+        ab = PauliOp(7, a.x ^ b.x, a.z ^ b.z)
         assert code.syndrome_bits(ab.x, ab.z) \
             == code.syndrome_bits(a.x, a.z) ^ code.syndrome_bits(b.x, b.z)
         if code.syndrome_bits(a.x, a.z) == 0 and code.syndrome_bits(b.x, b.z) == 0:
@@ -313,12 +309,9 @@ def test_criterion_10_property_suites():
         k = rng.randrange(1, min(3, n))
         cand = _random_code(rng, n, k)
         errs = errors_up_to_weight(n, 1)
-        ops = [PauliOp(n, x, z) for x, z in errs]
-        brute = all(
-            code_ok for a, b in combinations(ops, 2)
-            for prod in [multiply(a, b)]
-            for code_ok in [cand.syndrome_bits(prod.x, prod.z) != 0
-                            or cand.contains_stabilizer(prod)])
+        brute = all(cand.syndrome_bits(ax ^ bx, az ^ bz) != 0
+                    or cand.in_stabilizer_bits(ax ^ bx, az ^ bz)
+                    for (ax, az), (bx, bz) in combinations(errs, 2))
         assert check_group_qet(cand, AdmissibleSet.trivial(k), errs).passed == brute
 
     # relabeling invariance on the six-qubit code

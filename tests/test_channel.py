@@ -1,9 +1,13 @@
+import concurrent.futures
 import math
+import os
 import pickle
 import random
+import subprocess
 import sys
 from bisect import bisect_right
 from itertools import accumulate
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -15,12 +19,11 @@ from qtransmute.channel import (DepolarizingChannel, ExplicitChannel, TrialRepor
                                 exact_class_distribution, run_trials,
                                 total_variation, uniform_single_error_channel)
 from qtransmute.errors import DimensionMismatch
-from qtransmute.pauli import (PauliOp, errors_up_to_weight, multiply,
-                              parse_pauli)
+from qtransmute.pauli import PauliOp, errors_up_to_weight, parse_pauli
 from qtransmute.qet import (AdmissibleSet, PiBucket, RecoveryTable, build_recovery,
                             check_general_qet)
 from qtransmute.search import sample_generators
-from qtransmute.stabilizer import logical_class, standard_form
+from qtransmute.stabilizer import standard_form
 
 PHASE1 = AdmissibleSet.group_generated(2, ["ZI"])
 BOTH_PHASES = AdmissibleSet.from_strings(2, ["ZI", "IZ"])
@@ -70,8 +73,7 @@ def test_table2_residual_classes(table2):
     table = recovery_for(table2, BOTH_PHASES)
     rep = run_trials(table2, table, uniform_single_error_channel(6),
                      trials=50_000, seed=9)
-    z1 = logical_class(table2, table2.logical_z[0])
-    z2 = logical_class(table2, table2.logical_z[1])
+    z1, z2 = (table2.class_bits(p.x, p.z) for p in table2.logical_z)
     assert set(rep.class_counts) <= {0, z1, z2}
     assert z1 ^ z2 not in rep.class_counts  # the excluded product class never appears
 
@@ -101,8 +103,8 @@ def test_exact_distribution_matches_materialised_corrections(table1, table2):
             entry = table.entries[code.syndrome_bits(e.x, e.z)]
             wgt = 1.0 / len(entry.options)
             for image in entry.options:
-                corr = multiply(PauliOp(code.n, *entry.reference),
-                                code.class_representative(image))
+                rep = code.class_representative(image)
+                corr = PauliOp(code.n, entry.reference[0] ^ rep.x, entry.reference[1] ^ rep.z)
                 res = code.class_bits(corr.x ^ e.x, corr.z ^ e.z)
                 want[res] = want.get(res, 0.0) + p * wgt
         got, uncovered = exact_class_distribution(code, table, model)
@@ -122,6 +124,23 @@ def test_channel_on_another_qubit_count_is_refused(table1):
                 run_trials(table1, table, model, 20_000, 1, threads=threads)
     with pytest.raises(DimensionMismatch, match="channel acts on 9 qubits, code on 7"):
         exact_class_distribution(table1, table, nine)
+
+
+def test_trial_and_thread_counts_below_one_are_refused(table1):
+    table = recovery_for(table1, PHASE1)
+    model = uniform_single_error_channel(7)
+    for trials, threads in ((0, 1), (-3, 1), (10, 0), (-3, -2)):
+        with pytest.raises(ValueError, match="trials and threads must be >= 1"):
+            run_trials(table1, table, model, trials, 1, threads=threads)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code = ("import sys, qtransmute.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(channel.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_depolarizing_uncovered_fraction(table1):
@@ -277,14 +296,15 @@ def test_merge_independent_of_worker_count(table1):
 
 
 def test_pool_never_larger_than_chunk_count(table1, monkeypatch):
+    # run_trials imports the pool class from concurrent.futures when it needs one
     sizes = []
-    pool = channel.ProcessPoolExecutor
+    pool = concurrent.futures.ProcessPoolExecutor
 
     def sized_pool(*args, **kwargs):
         sizes.append(kwargs["max_workers"])
         return pool(*args, **kwargs)
 
-    monkeypatch.setattr(channel, "ProcessPoolExecutor", sized_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", sized_pool)
     table = recovery_for(table1, PHASE1)
     run_trials(table1, table, uniform_single_error_channel(7), trials=45_000,
                seed=5, threads=8)

@@ -4,6 +4,7 @@ import pytest
 
 from qtransmute import report
 from qtransmute.cli import main
+from qtransmute.errors import content_lines
 from qtransmute.stabilizer import load_file
 
 
@@ -63,6 +64,14 @@ def test_verify_report_round_trip(tmp_path, capsys):
     assert parsed["verdict"] == "fail"
     assert set(parsed) >= {"verdict", "witness_a", "witness_b", "max_weight"}
     assert report.parse(report.emit(parsed)) == parsed
+
+
+def test_text_formats_skip_blank_and_comment_lines():
+    # every text format reads through this: an indented '#' is a comment, and
+    # line numbers count the skipped lines, so parse errors name file lines
+    lines = ["# header", "", "  a b  ", "   # indented", "\t", "c\r\n"]
+    assert list(content_lines(lines)) == [(3, "a b"), (6, "c")]
+    assert report.parse("# note\n\nkey = 1 2\n") == {"key": "1 2"}
 
 
 def test_deff_report_keys_round_trip(tmp_path, capsys):
@@ -443,6 +452,8 @@ def test_unknown_catalog_entry_exit_code(capsys):
      "error: cyclic code length must be >= 1, got -5"),
     (("css", "build", "--c1", "cyclic:3:1+x", "--c2", "cyclic:3:1+x+x^2"),
      "error: k = 0: the [[3,0]] code has no logical operator, so no distance"),
+    (("catalog", "selftest", "toric:"),
+     "error: catalog entry 'toric' has an empty parameter after ':'; use 'toric' for the default"),
 ])
 def test_bad_numeric_input_exit_code(capsys, argv, message):
     # argparse rejects by SystemExit; a weight above the code's n, a bad spec

@@ -6,17 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtransmute.catalog import resolve, table1_code
-from qtransmute.errors import CodeConstructionError, DimensionMismatch, ParseError
+from qtransmute.errors import CodeConstructionError, ParseError
 from qtransmute.f2 import (BitMatrix, F2Span, fold, kernel_basis, mul_bt, rref, solve,
                            symplectic)
-from qtransmute.pauli import (PauliOp, enumerate_paulis, multiply,
-                              parse_pauli, render, symplectic_product, weight)
+from qtransmute.pauli import (PauliOp, enumerate_paulis, parse_pauli, render,
+                              symplectic_product)
 from qtransmute.search import sample_generators
 from qtransmute.stabilizer import (StabilizerCode, _sym_twist, _sym_vec, _unpack,
                                    code_distance, complete_logical_basis, dumps,
-                                   loads, logical_class, min_weight_in_class,
-                                   scan_zero_syndrome, standard_form, syndrome,
-                                   validate_code)
+                                   loads, min_weight_in_class, scan_zero_syndrome,
+                                   standard_form, validate_code)
 
 
 def all_paulis(n):
@@ -46,74 +45,69 @@ def test_duplicated_generator_fails_rank(table1):
 
 
 def test_syndrome_identity_zero(table1):
-    assert syndrome(table1, PauliOp(7)) == 0
-
-
-def test_syndrome_rejects_other_qubit_count(table1):
-    with pytest.raises(DimensionMismatch):
-        syndrome(table1, PauliOp(6))
+    assert table1.syndrome_bits(0, 0) == 0
 
 
 def test_single_errors_detected(table1, table2):
-    assert all(syndrome(table1, p) for p in enumerate_paulis(7, 1))
-    assert all(syndrome(table2, p) for p in enumerate_paulis(6, 1))
+    assert all(table1.syndrome_bits(p.x, p.z) for p in enumerate_paulis(7, 1))
+    assert all(table2.syndrome_bits(p.x, p.z) for p in enumerate_paulis(6, 1))
 
 
 def test_syndrome_homomorphism(table1):
     rng = random.Random(3)
     for _ in range(200):
-        a = PauliOp(7, rng.getrandbits(7), rng.getrandbits(7))
-        b = PauliOp(7, rng.getrandbits(7), rng.getrandbits(7))
-        assert (syndrome(table1, multiply(a, b))
-                == syndrome(table1, a) ^ syndrome(table1, b))
-        assert syndrome(table1, a) == table1.syndrome_bits(a.x, a.z)
+        ax, az, bx, bz = (rng.getrandbits(7) for _ in range(4))
+        assert (table1.syndrome_bits(ax ^ bx, az ^ bz)
+                == table1.syndrome_bits(ax, az) ^ table1.syndrome_bits(bx, bz))
+
+
+def class_of_logical(code, s):
+    """Class bits of a Pauli string, which must have zero syndrome."""
+    p = parse_pauli(s)
+    assert code.syndrome_bits(p.x, p.z) == 0
+    return code.class_bits(p.x, p.z)
 
 
 def test_logical_class_golden(table1, table2):
     # the four weight-2 undetected errors all realize the first logical phase flip
-    z1 = logical_class(table1, table1.logical_z[0])
+    z1 = table1.class_bits(table1.logical_z[0].x, table1.logical_z[0].z)
     for s in ("ZZIIIII", "IIZZIII", "IIIIZZI", "IIIIZIZ"):
-        assert logical_class(table1, parse_pauli(s)) == z1
+        assert class_of_logical(table1, s) == z1
     # six-qubit code: the paired products from the low-qubit example
-    z1b = logical_class(table2, table2.logical_z[0])
-    z2b = logical_class(table2, table2.logical_z[1])
-    assert logical_class(table2, parse_pauli("ZZIIII")) == z1b
-    assert logical_class(table2, parse_pauli("IIZZII")) == z1b
-    assert logical_class(table2, parse_pauli("IIIIZZ")) == z1b
-    assert logical_class(table2, parse_pauli("IIIIXX")) == z2b
-    assert logical_class(table2, parse_pauli("IIIIYY")) == z1b ^ z2b
+    z1b, z2b = (table2.class_bits(p.x, p.z) for p in table2.logical_z)
+    assert class_of_logical(table2, "ZZIIII") == z1b
+    assert class_of_logical(table2, "IIZZII") == z1b
+    assert class_of_logical(table2, "IIIIZZ") == z1b
+    assert class_of_logical(table2, "IIIIXX") == z2b
+    assert class_of_logical(table2, "IIIIYY") == z1b ^ z2b
 
 
 def test_generators_have_zero_class(table1):
     for g in table1.generators:
-        assert logical_class(table1, g) == 0
-
-
-def test_logical_class_rejects_detected_errors(table1):
-    with pytest.raises(ValueError):
-        logical_class(table1, parse_pauli("XIIIIII"))
+        assert table1.syndrome_bits(g.x, g.z) == 0
+        assert table1.class_bits(g.x, g.z) == 0
 
 
 def test_class_vanishes_exactly_on_stabilizer(table1):
     elems = stabilizer_elements(table1)
     seen = 0
     for p in all_paulis(7):
-        if syndrome(table1, p):
+        if table1.syndrome_bits(p.x, p.z):
             continue
         seen += 1
-        cls = logical_class(table1, p)
+        cls = table1.class_bits(p.x, p.z)
         assert (cls == 0) == ((p.x, p.z) in elems)
     assert seen == 2 ** 5 * 2 ** 4  # |S| * |logical group|
 
 
 def test_weight2_normalizer_elements(table1, table2):
     w2_t1 = sorted(render(p) for p in enumerate_paulis(7, 2)
-                   if weight(p) == 2 and syndrome(table1, p) == 0
-                   and not table1.contains_stabilizer(p))
+                   if (p.x | p.z).bit_count() == 2 and table1.syndrome_bits(p.x, p.z) == 0
+                   and not table1.in_stabilizer_bits(p.x, p.z))
     assert w2_t1 == sorted(["ZZIIIII", "IIZZIII", "IIIIZZI", "IIIIZIZ"])
     w2_t2 = sorted(render(p) for p in enumerate_paulis(6, 2)
-                   if weight(p) == 2 and syndrome(table2, p) == 0
-                   and not table2.contains_stabilizer(p))
+                   if (p.x | p.z).bit_count() == 2 and table2.syndrome_bits(p.x, p.z) == 0
+                   and not table2.in_stabilizer_bits(p.x, p.z))
     assert w2_t2 == sorted(["ZZIIII", "IIZZII", "IIIIZZ", "IIIIXX", "IIIIYY"])
 
 
@@ -160,11 +154,11 @@ def _brute_force_distance(code):
     elems = stabilizer_elements(code)
     best = None
     for p in all_paulis(code.n):
-        if p.is_identity() or syndrome(code, p):
+        if not (p.x | p.z) or code.syndrome_bits(p.x, p.z):
             continue
         if (p.x, p.z) in elems:
             continue
-        w = weight(p)
+        w = (p.x | p.z).bit_count()
         best = w if best is None else min(best, w)
     return best
 
@@ -199,7 +193,7 @@ def test_class_representative_rejects_class_bits_beyond_2k(table1, bits):
 
 
 def test_min_weight_pure_restriction(table1):
-    z1 = logical_class(table1, table1.logical_z[0])
+    z1 = table1.class_bits(table1.logical_z[0].x, table1.logical_z[0].z)
     pure = min_weight_in_class(table1, z1, 7, pure="z")
     assert pure.exact and pure.value == 2
 
