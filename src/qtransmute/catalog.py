@@ -13,7 +13,7 @@ from .classical import asymmetric_distances, css17_classical_pair, css_build
 from .errors import QTError
 from .lattice import (compact_encoding, instantiate_torus, rate_half_cell,
                       rate_two_thirds_cell, toric_code)
-from .pauli import PauliOp, enumerate_paulis, errors_up_to_weight, parse_pauli
+from .pauli import ErrorBall, PauliOp, enumerate_paulis, parse_pauli
 from .qet import (AdmissibleSet, check_general_qet, effective_distance,
                   strong_conditions_hold)
 from .stabilizer import (StabilizerCode, code_distance, complete_logical_basis,
@@ -124,7 +124,7 @@ def _build_table2(*_args) -> CatalogCode:
 def _selftest_table2(cc: CatalogCode):
     out = []
     code, adm = cc.code, cc.admissible
-    errs = errors_up_to_weight(6, 1)
+    errs = ErrorBall(6, 1)
     _check(out, "validates", validate_code(code).ok)
     _check(out, "general conditions pass at weight 1",
            check_general_qet(code, adm, errs).passed)
@@ -257,7 +257,7 @@ def _selftest_inner5(cc: CatalogCode):
     d = code_distance(code, 5)
     _check(out, "distance 3", d.value == 3 and d.exact, str(d))
     _check(out, "corrects single errors",
-           check_general_qet(code, cc.admissible, errors_up_to_weight(5, 1)).passed)
+           check_general_qet(code, cc.admissible, ErrorBall(5, 1)).passed)
     return out
 
 

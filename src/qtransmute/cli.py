@@ -19,7 +19,7 @@ from .classical import (LinearCode, Poly2, asymmetric_distances,
 from .errors import QTError, ParseError, content_lines
 from .lattice import (instantiate_torus, loads_cell, rate_half_cell,
                       rate_two_thirds_cell, validate_unit_cell)
-from .pauli import errors_up_to_weight, parse_pauli, render
+from .pauli import ErrorBall, parse_pauli, render
 from .qet import (AdmissibleSet, build_recovery, check_general_qet,
                   deff_lower_bound, dumps_admissible, effective_distance,
                   loads_admissible, relabel_search)
@@ -192,7 +192,7 @@ def _cmd_verify(args) -> int:
         adm = AdmissibleSet.trivial(code.k)
     else:
         adm = _load_admissible(args.admissible, cc)
-    errors = errors_up_to_weight(code.n, _within_qubits("--max-weight", args.max_weight, code.n))
+    errors = ErrorBall(code.n, _within_qubits("--max-weight", args.max_weight, code.n))
     if args.relabel:
         hit = relabel_search(code, adm, errors)
         if hit is None:
@@ -373,7 +373,7 @@ def _cmd_simulate(args) -> int:
                                      line=lineno)
                 pairs.append((err, p))
         model = ExplicitChannel(code.n, tuple(pairs))
-    errors = errors_up_to_weight(code.n, _within_qubits("--max-weight", args.max_weight, code.n))
+    errors = ErrorBall(code.n, _within_qubits("--max-weight", args.max_weight, code.n))
     verdict = check_general_qet(code, adm, errors)
     if not verdict.passed:
         a, b = verdict.witness

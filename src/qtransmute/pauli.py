@@ -7,6 +7,8 @@ tracked; products and commutators are phase-blind throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from math import comb
 from typing import Iterator
 
 from .errors import DimensionMismatch, ParseError
@@ -63,41 +65,69 @@ def symplectic_product(a: PauliOp, b: PauliOp) -> int:
     return parity(a.x & b.z) ^ parity(a.z & b.x)
 
 
-def walk_paulis(n: int, max_weight: int) -> Iterator[tuple[int, int]]:
-    """The (x, z) masks of `enumerate_paulis(n, max_weight)`, in its order.
+class ErrorBall:
+    """Every Pauli of weight <= w on n qubits, identity included, as (x, z)
+    masks: the physical error set 'all Paulis of weight <= w'.
 
-    Supports are walked depth first in lexicographic order; each step
-    extends the prefix's list of masks by the next qubit's X, Y and Z, so
-    the last support qubit's letter varies fastest.
+    Iteration order: the identity, then ascending weight, then lexicographic
+    support, then letters in X < Y < Z order per support qubit, the last
+    support qubit's letter varying fastest. Length is the closed form and
+    membership a popcount, so the ball is never stored.
     """
-    if not 0 <= max_weight <= n:
-        raise ValueError("need 0 <= max_weight <= n")
 
-    def extend(prefix: list[tuple[int, int]], start: int, left: int):
-        for q in range(start, n - left + 1):
-            bit = 1 << q
-            grown = [xz for x, z in prefix
-                     for xz in ((x | bit, z), (x | bit, z | bit), (x, z | bit))]
-            if left == 1:
-                yield from grown
-            else:
-                yield from extend(grown, q + 1, left - 1)
+    __slots__ = ("n", "w")
 
-    for w in range(1, max_weight + 1):
-        yield from extend([(0, 0)], 0, w)
+    def __init__(self, n: int, w: int):
+        if not 0 <= w <= n:
+            raise ValueError("need 0 <= max_weight <= n")
+        self.n, self.w = n, w
+
+    def __len__(self) -> int:
+        return sum(comb(self.n, j) * 3 ** j for j in range(self.w + 1))
+
+    def __contains__(self, e) -> bool:
+        x, z = e
+        return not (x | z) >> self.n and (x | z).bit_count() <= self.w  # refuses negatives
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return (e for batch in self.labelled([0] * (2 * self.n)) for e, _ in batch)
+
+    def labelled(self, cols) -> Iterator[list[tuple[tuple[int, int], int]]]:
+        """Batches of ((x, z), s) in iteration order, where s is the XOR of
+        cols[q] over the X bits q and cols[n + q] over the Z bits: the fold of
+        cols by x | z << n, carried by one XOR per (qubit, letter) step."""
+        n = self.n
+        steps = [((1 << q, 0, cols[q]), (1 << q, 1 << q, cols[q] ^ cols[n + q]),
+                  (0, 1 << q, cols[n + q])) for q in range(n)]
+        identity = [((0, 0), 0)]
+        yield identity
+        for w in range(1, self.w + 1):
+            yield from _extend(steps, identity, 0, w)
+
+
+def _extend(steps, prefix, start: int, left: int):
+    """Depth first, the batches that extend `prefix` by `left` more qubits from
+    `start` on, one per last-qubit range. Not nested, so a walk leaves no cycle."""
+    n = len(steps)
+    if left == 1:
+        yield [((x | dx, z | dz), s ^ ds) for q in range(start, n)
+               for (x, z), s in prefix for dx, dz, ds in steps[q]]
+        return
+    for q in range(start, n - left + 1):
+        yield from _extend(steps, [((x | dx, z | dz), s ^ ds) for (x, z), s in prefix
+                                   for dx, dz, ds in steps[q]], q + 1, left - 1)
 
 
 def enumerate_paulis(n: int, max_weight: int) -> Iterator[PauliOp]:
     """Every non-identity Pauli of weight <= max_weight, exactly once.
 
-    Order: ascending weight, then lexicographic support, then letters in
-    X < Y < Z order per support qubit. The order is part of the contract:
-    search witnesses and references are reported against it.
+    Order: `ErrorBall`'s, identity left out. The order is part of the
+    contract: search witnesses and references are reported against it.
     """
-    for x, z in walk_paulis(n, max_weight):
+    for x, z in islice(ErrorBall(n, max_weight), 1, None):
         yield PauliOp(n, x, z)
 
 
 def errors_up_to_weight(n: int, max_weight: int) -> list[tuple[int, int]]:
-    """The physical error set 'all Paulis of weight <= w' as (x, z) masks."""
-    return [(0, 0), *walk_paulis(n, max_weight)]
+    """The physical error set 'all Paulis of weight <= w' as a list of (x, z) masks."""
+    return list(ErrorBall(n, max_weight))

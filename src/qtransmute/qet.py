@@ -10,15 +10,15 @@ so feasibility reduces to scanning candidate reference assignments.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from copy import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, tee
 
 from .errors import DimensionMismatch, ParseError, content_lines
-from .f2 import symplectic
-from .pauli import PauliOp, render, walk_paulis
+from .f2 import fold, symplectic
+from .pauli import ErrorBall, PauliOp, render
 from .stabilizer import (DistanceResult, StabilizerCode, _min_weight,
                          class_bits_from_string, class_bits_to_string,
                          scan_zero_syndrome)
@@ -147,8 +147,8 @@ class Verdict:
     passed: bool
     witness: tuple[PauliOp, PauliOp] | None = None  # the only PauliOps a check builds
     pi_maps: PiMaps | None = None
-    # The distinct (x, z) errors as keys, in input order: the check's own dedupe dict.
-    checked: dict[tuple[int, int], None] = field(default_factory=dict)
+    # The distinct (x, z) errors in input order: the ball itself, or the check's dedupe dict.
+    checked: Collection[tuple[int, int]] = field(default_factory=dict)
 
 
 def _check_k(code: StabilizerCode, adm: AdmissibleSet) -> None:
@@ -156,27 +156,42 @@ def _check_k(code: StabilizerCode, adm: AdmissibleSet) -> None:
         raise ValueError(f"admissible set has k={adm.k}, code has k={code.k}")
 
 
-def _dedupe(code: StabilizerCode, errors) -> dict[tuple[int, int], None]:
-    """The distinct (x, z) errors as dict keys, in input order."""
+def _labelled(code: StabilizerCode, errors):
+    """(checked, labelled): the distinct (x, z) errors, and each of them in
+    input order paired with its label syndrome | class << (n - k). A ball is
+    its own checked set and is walked with the code's label columns; any
+    other iterable is deduped into a dict, the checked set, and each distinct
+    error labelled with one fold."""
+    if isinstance(errors, ErrorBall):
+        if errors.n != code.n:
+            raise DimensionMismatch(f"the error ball acts on {errors.n} qubits, the code on {code.n}")
+        return errors, chain.from_iterable(errors.labelled(code._labels))
     errs = dict.fromkeys(errors)
     if any((x | z) >> code.n for x, z in errs):  # also nonzero for a negative mask
         raise DimensionMismatch(f"an error acts outside the code's {code.n} qubits")
-    return errs
+    rows, n = code._labels, code.n
+    return errs, ((e, fold(rows, e[0] | e[1] << n)) for e in errs)
 
 
-def _bucket_pairs(code: StabilizerCode, errors, refs: dict[int, tuple[int, int]]):
-    """Bucket distinct (x, z) errors by syndrome in input order. The first
-    error of each syndrome becomes its reference in `refs`; every later error
-    is yielded as (syndrome, (x, z), class of reference·error)."""
-    syndrome_bits, class_bits = code.syndrome_bits, code.class_bits
-    for e in errors:
-        x, z = e
-        syn = syndrome_bits(x, z)
+def _bucket_pairs(code: StabilizerCode, labelled, refs: dict[int, tuple[int, int]]):
+    """Bucket labelled errors by syndrome in order. The first error of each
+    syndrome becomes its reference in `refs`; every later error is yielded as
+    (syndrome, (x, z), class of reference·error). The class map is linear, so
+    that class is the error's class XOR the reference's, which is computed
+    once per syndrome that gets a second error."""
+    r = len(code.generators)
+    mask = (1 << r) - 1
+    ref_class: dict[int, int] = {}
+    for e, s in labelled:
+        syn = s & mask
         ref = refs.get(syn)
         if ref is None:
             refs[syn] = e
-        else:
-            yield syn, e, class_bits(ref[0] ^ x, ref[1] ^ z)
+            continue
+        base = ref_class.get(syn)
+        if base is None:
+            base = ref_class[syn] = code.class_bits(*ref)
+        yield syn, e, base ^ s >> r
 
 
 def _narrow(classes: frozenset[int], pairs, options: dict[int, set[int]]):
@@ -210,16 +225,16 @@ def check_general_qet(code: StabilizerCode, adm: AdmissibleSet,
     """General-case conditions over (x, z) errors: per bucket, some admissible
     reference image keeps every forced assignment admissible."""
     _check_k(code, adm)
-    errs = _dedupe(code, errors)
+    checked, labelled = _labelled(code, errors)
     refs, options = {}, {}
-    hit = _narrow(adm.classes, _bucket_pairs(code, errs, refs), options)
+    hit = _narrow(adm.classes, _bucket_pairs(code, labelled, refs), options)
     if hit is not None:
         witness = (PauliOp(code.n, *refs[hit[0]]), PauliOp(code.n, *hit[1]))
-        return Verdict(False, witness=witness, checked=errs)
+        return Verdict(False, witness=witness, checked=checked)
     for syn, opts in options.items():
         options[syn] = tuple(sorted(opts))
     return Verdict(True, pi_maps=PiMaps(refs, options, tuple(sorted(adm.classes))),
-                   checked=errs)
+                   checked=checked)
 
 
 def strong_conditions_hold(code: StabilizerCode, adm: AdmissibleSet,
@@ -230,7 +245,7 @@ def strong_conditions_hold(code: StabilizerCode, adm: AdmissibleSet,
     _check_k(code, adm)
     classes = adm.classes
     diffs: dict[int, list[int]] = {}
-    for syn, _, d in _bucket_pairs(code, _dedupe(code, errors), {}):
+    for syn, _, d in _bucket_pairs(code, _labelled(code, errors)[1], {}):
         # A pair (i, j) has product class diff_i ^ diff_j (the reference has 0),
         # so checking each new diff against the stored ones covers each pair once.
         seen = diffs.setdefault(syn, [0])
@@ -247,8 +262,8 @@ def effective_distance(code: StabilizerCode, adm: AdmissibleSet,
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     cap = min(cap, code.n)
-    errors = chain([(0, 0)], walk_paulis(code.n, cap))
-    hit = _narrow(adm.classes, _bucket_pairs(code, errors, {}), {})
+    hit = _narrow(adm.classes, _bucket_pairs(code, _labelled(code, ErrorBall(code.n, cap))[1],
+                                             {}), {})
     if hit is not None:
         x, z = hit[1]
         return DistanceResult(2 * (x | z).bit_count() - 1, True, cap)
@@ -344,14 +359,14 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
     if code.k > 3:
         raise ValueError(f"relabeling is limited to k <= 3, code has k={code.k}")
 
-    errs = _dedupe(code, errors)
-    pairs = list(_bucket_pairs(code, errs, {}))
+    checked, labelled = _labelled(code, errors)
+    pairs = list(_bucket_pairs(code, labelled, {}))
     for mapped, cols in _pattern_images(code.k, pattern.classes):
         if _narrow(mapped, pairs, {}) is None:
             new_x = [code.class_representative(cols[i]) for i in range(code.k)]
             new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]
             candidate = code.with_logicals(new_x, new_z)
-            verdict = check_general_qet(candidate, pattern, errs)
+            verdict = check_general_qet(candidate, pattern, checked)
             if not verdict.passed:
                 raise AssertionError("relabel replay disagrees with direct check")
             return candidate, verdict
@@ -364,7 +379,7 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
 @dataclass(frozen=True)
 class RecoveryTable:
     entries: Mapping[int, PiBucket]  # syndrome -> the verdict's bucket
-    support: dict[tuple[int, int], None]  # (x, z) of every verified error, as keys
+    support: Collection[tuple[int, int]]  # the verdict's checked set: a ball or a dict
 
 
 def build_recovery(verdict: Verdict) -> RecoveryTable:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .errors import QTError
 from .f2 import fold, transpose_rows
-from .pauli import PauliOp, errors_up_to_weight
+from .pauli import ErrorBall, PauliOp
 from .qet import AdmissibleSet, Verdict, relabel_search
 from .stabilizer import StabilizerCode, complete_logical_basis
 
@@ -236,7 +236,7 @@ def run_search(spec: SearchSpec, start_index: int = 0, progress=None) -> SearchO
         raise ValueError(f"start_index must be >= 0, got {start_index}")
     n = spec.n
     outcome = SearchOutcome(next_index=start_index)
-    errors = errors_up_to_weight(n, spec.error_weight)
+    errors = ErrorBall(n, spec.error_weight)
     stride = 1 if spec.mode == "exhaustive" else 0  # random draws leave the index put
     candidates = _candidates(spec, start_index)
     while outcome.examined < spec.budget:

@@ -96,13 +96,13 @@ class StabilizerCode:
 
     def _init_tables(self) -> None:
         n = self.n
-        # Transposed symplectic check matrices: row j is the syndrome (class)
-        # of the packed unit vector 1 << j, so folding the rows an error's
-        # x | z << n selects gives its syndrome (class).
+        # Transposed symplectic check matrices: row j is the syndrome (label:
+        # syndrome | class << (n - k), class bits Z block first) of the packed
+        # unit vector 1 << j, so folding the rows an error's x | z << n selects
+        # gives its syndrome (label).
         self._syn = transpose_rows([_sym_twist(g) for g in self.generators], 2 * n)
-        # Class bit order: the Z block, then the X block.
-        self._cls = transpose_rows([_sym_twist(p) for p in self.logical_z + self.logical_x],
-                                   2 * n)
+        self._labels = transpose_rows(
+            [_sym_twist(p) for p in self.generators + self.logical_z + self.logical_x], 2 * n)
         self._gen_rref = rref(BitMatrix(tuple(_sym_vec(g) for g in self.generators), 2 * n))
 
     # -- the maps on packed (x, z) Paulis -------------------------------------
@@ -113,7 +113,7 @@ class StabilizerCode:
 
     def class_bits(self, x: int, z: int) -> int:
         """Logical class bits; meaningful for a zero-syndrome Pauli."""
-        return fold(self._cls, x | z << self.n)
+        return fold(self._labels, x | z << self.n) >> len(self.generators)
 
     def in_stabilizer_bits(self, x: int, z: int) -> bool:
         """True iff the Pauli is a product of generators (phase-blind)."""
@@ -234,12 +234,13 @@ def complete_logical_basis(
                     v ^= z
                 rows[i] = v
         done = len(xs)
+        # The pool is read only up to the first partner of its first row.
         span = F2Span(gen_rows.reduced.rows)
-        pool = [v for v in rows if span.insert(v)]
-        if not pool:
+        pool = (v for v in rows if span.insert(v))
+        a = next(pool, None)
+        if a is None:
             raise CodeConstructionError("cannot complete basis: kernel exhausted")
-        a = pool[0]
-        b = next((c for c in pool[1:] if symplectic(a, c, n)), None)
+        b = next((c for c in pool if symplectic(a, c, n)), None)
         if b is None:
             raise CodeConstructionError("degenerate symplectic form on the quotient")
         xs.append(a)

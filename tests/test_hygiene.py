@@ -15,19 +15,21 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qtransmute"
 
 # Public definitions that no src/ or perfbench/ code calls, with the reason
-# each stays.
+# each stays: module-level functions as module.function, methods as
+# Class.method.
 UNCALLED = {
-    "exact_class_distribution": "closed-form channel reference the trial tests compare "
-                                "against; ROADMAP direction 2 gives it a caller",
-    "total_variation": "compares trial and exact distributions; ROADMAP direction 2",
+    "channel.exact_class_distribution": "closed-form channel reference the trial tests "
+                                        "compare against; ROADMAP direction 2 gives it a caller",
+    "channel.total_variation": "compares trial and exact distributions; ROADMAP direction 2",
     "TrialReport.class_distribution": "the trial side of that comparison; ROADMAP direction 2",
-    "generators_from_index": "exhaustive-index contract the search tests pin",
-    "parameter_space_size": "exhaustive-index contract the search tests pin",
-    "detects_single_errors": "exhaustive-index contract the search tests pin",
+    "search.generators_from_index": "exhaustive-index contract the search tests pin",
+    "search.parameter_space_size": "exhaustive-index contract the search tests pin",
+    "search.detects_single_errors": "exhaustive-index contract the search tests pin",
     "AdmissibleSet.full": "the every-class admissible set, counterpart of trivial()",
     "F2Span.contains": "span membership, the read side of insert()",
     "LinearCode.contains": "codeword membership, which the classical tests check codes by",
-    "dumps_cell": "writer of the unit-cell format that loads_cell reads",
+    "lattice.dumps_cell": "writer of the unit-cell format that loads_cell reads",
+    "report.parse": "tests read `--report` files back with it",
 }
 
 
@@ -67,16 +69,17 @@ def test_package_init_imports_nothing():
                 if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
-def public_definitions(tree: ast.Module):
-    """(qualified name, bare name, node) of each public top-level function
-    and each public method of a top-level class."""
+def public_definitions(module: str, tree: ast.Module):
+    """(qualified name, node) of each public top-level function, as
+    module.function, and each public method of a top-level class, as
+    Class.method."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node.name, node.name, node
+            yield f"{module}.{node.name}", node
         elif isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    yield f"{node.name}.{sub.name}", sub.name, sub
+                    yield f"{node.name}.{sub.name}", sub
 
 
 def names_used(tree: ast.AST) -> Counter:
@@ -92,25 +95,73 @@ def names_used(tree: ast.AST) -> Counter:
     return found
 
 
+def functions_named(tree: ast.AST) -> Counter:
+    """How often each module.function is named under tree, outside that
+    module: imported from it, or read as an attribute of a name spelled like
+    the module (`from qtransmute import qet` then `qet.check_general_qet`)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.rsplit(".", 1)[-1]
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found[f"{node.value.id}.{node.attr}"] += 1
+    return found
+
+
+def bare_names(tree: ast.AST) -> Counter:
+    """How often each bare name occurs under tree."""
+    return Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+
+
 def perfbench_names() -> Counter:
-    """Names perfbench's code uses, and the functions its tracer's LAYER_OF wraps."""
+    """Names and module.functions perfbench's code uses, and the functions its
+    tracer's LAYER_OF wraps."""
     found = Counter()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += names_used(tree)
+        found += names_used(tree) + functions_named(tree)
         for node in ast.walk(tree):
             if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
                     and any(isinstance(t, ast.Name) and t.id == "LAYER_OF"
                             for t in node.targets)):
-                found.update(key.value.rsplit(".", 1)[1] for key in node.value.keys)
+                found.update(key.value for key in node.value.keys)
     return found
 
 
+def uncalled(sources: dict[str, str], outside: Counter) -> list[str]:
+    """Qualified names of the public definitions in `sources` (module name ->
+    source) that nothing calls. A function is called by name inside its own
+    module, or as module.function anywhere; a method by its bare name
+    anywhere. A definition's uses of its own name (recursion) are not
+    callers."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    in_src = sum((names_used(tree) for tree in trees.values()), Counter())
+    in_src += sum((functions_named(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for qual, node in public_definitions(module, tree):
+            if qual.startswith(f"{module}."):
+                own = bare_names(tree)[node.name] - bare_names(node)[node.name]
+                called = own or in_src[qual] or outside[qual]
+            else:
+                called = (outside[node.name]
+                          or in_src[node.name] > names_used(node)[node.name])
+            if not called:
+                found.append(qual)
+    return sorted(found)
+
+
+def test_callers_are_matched_by_module():
+    # a method of the same name in another module does not call a function
+    sources = {"report": "def parse(text):\n    return text\n",
+               "poly": "class Poly:\n    def parse(self):\n        return self\n",
+               "cli": "from .poly import Poly\nPoly().parse()\n"}
+    assert uncalled(sources, Counter()) == ["report.parse"]
+    sources["cli"] += "from . import report\nreport.parse('')\n"
+    assert uncalled(sources, Counter()) == []
+
+
 def test_every_public_definition_has_a_caller():
-    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))]
-    in_src = sum((names_used(tree) for tree in trees), Counter())
-    outside = perfbench_names()
-    # A definition's uses of its own name (recursion) are not callers.
-    uncalled = sorted(qual for tree in trees for qual, name, node in public_definitions(tree)
-                      if not outside[name] and in_src[name] == names_used(node)[name])
-    assert uncalled == sorted(UNCALLED)
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert uncalled(sources, perfbench_names()) == sorted(UNCALLED)

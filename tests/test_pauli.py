@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtransmute.errors import DimensionMismatch, ParseError
-from qtransmute.pauli import (PauliOp, enumerate_paulis, errors_up_to_weight,
-                              parse_pauli, render, symplectic_product, walk_paulis)
+from qtransmute.pauli import (ErrorBall, PauliOp, enumerate_paulis, errors_up_to_weight,
+                              parse_pauli, render, symplectic_product)
 
 pauli_strings = st.text(alphabet="IXYZ", min_size=1, max_size=12)
 
@@ -124,15 +124,16 @@ def reference_walk(n, max_weight):
 def test_walk_matches_reference_enumeration():
     for n in range(8):
         for w in range(n + 1):
-            walked = list(walk_paulis(n, w))
-            assert walked == list(reference_walk(n, w)), (n, w)
-            assert [(p.x, p.z) for p in enumerate_paulis(n, w)] == walked
+            walked = list(ErrorBall(n, w))
+            assert walked == [(0, 0), *reference_walk(n, w)], (n, w)
+            assert [(p.x, p.z) for p in enumerate_paulis(n, w)] == walked[1:]
+            assert errors_up_to_weight(n, w) == walked
 
 
 def test_walk_refuses_weights_outside_the_qubit_count():
     for n, w in ((3, 4), (3, -1)):
         with pytest.raises(ValueError, match="need 0 <= max_weight <= n"):
-            list(walk_paulis(n, w))
+            ErrorBall(n, w)
         with pytest.raises(ValueError, match="need 0 <= max_weight <= n"):
             list(enumerate_paulis(n, w))
 
@@ -140,5 +141,18 @@ def test_walk_refuses_weights_outside_the_qubit_count():
 def test_errors_up_to_weight_includes_identity():
     errs = errors_up_to_weight(3, 1)
     assert errs[0] == (0, 0)
-    assert errs[1:] == list(walk_paulis(3, 1))
+    assert errs[1:] == list(reference_walk(3, 1))
     assert len(errs) == 1 + 9
+
+
+def test_ball_length_and_membership_match_its_walk():
+    for n in range(6):
+        for w in range(n + 1):
+            ball = ErrorBall(n, w)
+            walked = list(ball)
+            assert len(ball) == len(walked) == len(set(walked))
+            members = set(walked)
+            for x in range(-1, 1 << (n + 1)):
+                for z in (0, 1, x, 1 << n, -2):
+                    assert ((x, z) in ball) == ((x, z) in members), (n, w, x, z)
+

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qtransmute import catalog, qet
 from qtransmute.errors import DimensionMismatch
 from qtransmute.f2 import fold, symplectic
-from qtransmute.pauli import (PauliOp, enumerate_paulis, errors_up_to_weight,
+from qtransmute.pauli import (ErrorBall, PauliOp, enumerate_paulis, errors_up_to_weight,
                               parse_pauli, render)
 from qtransmute.qet import (AdmissibleSet, PiBucket, Verdict, _pattern_images,
                             build_recovery, check_general_qet, check_group_qet,
@@ -598,12 +598,92 @@ def test_relabel_search_k3_finds_sampled_relabelings(n, kind, seed):
             assert hit is not None
 
 
+# -- the ball's walk against the list path ------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@random_instances
+def test_walked_ball_matches_its_list(n, k, group, seed):
+    # every checker gives the same answer on a ball as on its list, and a
+    # ball verdict's checked set holds the same errors as the list's
+    assume(k < n)
+    rng = random.Random(seed)
+    code = standard_form(sample_generators(n, k, rng))
+    adm = spread_admissible(rng, k, group)
+    first_failure = None
+    for w in range(n + 1):
+        ball, errs = ErrorBall(n, w), errors_up_to_weight(n, w)
+        new, old = check_general_qet(code, adm, ball), check_general_qet(code, adm, errs)
+        assert new.checked is ball
+        assert (new.passed, new.witness) == (old.passed, old.witness)
+        assert len(new.checked) == len(old.checked)
+        assert all(e in new.checked for e in old.checked)
+        assert (1 << n, 0) not in new.checked
+        if old.passed:
+            assert list(new.pi_maps.items()) == list(old.pi_maps.items())
+        elif first_failure is None:
+            first_failure = w
+        assert strong_conditions_hold(code, adm, ball) == strong_conditions_hold(code, adm, errs)
+        hit, want = relabel_search(code, adm, ball), relabel_search(code, adm, errs)
+        assert (hit is None) == (want is None)
+        if hit is not None:
+            assert (hit[0].logical_x, hit[0].logical_z) == (want[0].logical_x, want[0].logical_z)
+            assert hit[1].checked is ball
+            assert list(hit[1].pi_maps.items()) == list(want[1].pi_maps.items())
+    cap = rng.randrange(n + 1)
+    want = ((2 * first_failure - 1, True) if first_failure is not None and first_failure <= cap
+            else (2 * cap + 1, cap >= n))
+    got = effective_distance(code, adm, cap)
+    assert (got.value, got.exact) == want
+
+
+@settings(max_examples=60, deadline=None)
+@random_instances
+def test_walk_labels_are_syndrome_and_class(n, k, group, seed):
+    assume(k < n)
+    rng = random.Random(seed)
+    code = random_code(rng, n, k)
+    for batch in ErrorBall(n, rng.randrange(n + 1)).labelled(code._labels):
+        for (x, z), s in batch:
+            assert s == code.syndrome_bits(x, z) | code.class_bits(x, z) << (n - k)
+
+
+# -- the bucket pass as it was before the labelled walk -------------------------------
+#
+# Copied from qet as it was when the bucket pass computed each error's
+# syndrome and each class difference with a fold of their own: the references
+# below stay that code.
+
+
+def old_dedupe(code, errors):
+    """The distinct (x, z) errors as dict keys, in input order."""
+    errs = dict.fromkeys(errors)
+    if any((x | z) >> code.n for x, z in errs):  # also nonzero for a negative mask
+        raise DimensionMismatch(f"an error acts outside the code's {code.n} qubits")
+    return errs
+
+
+def old_bucket_pairs(code, errors, refs):
+    """Bucket distinct (x, z) errors by syndrome in input order. The first
+    error of each syndrome becomes its reference in `refs`; every later error
+    is yielded as (syndrome, (x, z), class of reference·error)."""
+    syndrome_bits, class_bits = code.syndrome_bits, code.class_bits
+    for e in errors:
+        x, z = e
+        syn = syndrome_bits(x, z)
+        ref = refs.get(syn)
+        if ref is None:
+            refs[syn] = e
+        else:
+            yield syn, e, class_bits(ref[0] ^ x, ref[1] ^ z)
+
+
 # -- the PauliOp-fed path these checkers replace ------------------------------------
 #
 # Copied from the checkers as they were when errors were PauliOps: _dedupe kept
 # the first PauliOp of each (x, z), and verdicts, buckets and the relabel
 # replay mapped the packed references and witnesses back to those PauliOps.
-# The bucketing helpers they call are shared and unchanged.
+# The bucketing helper they call is the copy above.
 
 
 def pauliop_dedupe(code, errors):
@@ -620,7 +700,7 @@ def pauliop_check_general_qet(code, adm, errors):
     errs = pauliop_dedupe(code, errors)
     checked = tuple(errs.values())
     refs, options = {}, {}
-    hit = qet._narrow(adm.classes, qet._bucket_pairs(code, errs, refs), options)
+    hit = qet._narrow(adm.classes, old_bucket_pairs(code, errs, refs), options)
     if hit is not None:
         return Verdict(False, witness=(errs[refs[hit[0]]], errs[hit[1]]), checked=checked)
     every = tuple(sorted(adm.classes))
@@ -634,7 +714,7 @@ def pauliop_relabel_search(code, pattern, errors):
     if code.k > 3:
         raise ValueError(f"relabeling is limited to k <= 3, code has k={code.k}")
     errs = pauliop_dedupe(code, errors)
-    pairs = list(qet._bucket_pairs(code, errs, {}))
+    pairs = list(old_bucket_pairs(code, errs, {}))
     for mapped, cols in _pattern_images(code.k, pattern.classes):
         if qet._narrow(mapped, pairs, {}) is None:
             new_x = [code.class_representative(cols[i]) for i in range(code.k)]
@@ -686,10 +766,10 @@ def test_packed_checkers_match_pauliop_path(n, k, group, seed):
 
 def eager_check_general_qet(code, adm, errors):
     qet._check_k(code, adm)
-    errs = qet._dedupe(code, errors)
+    errs = old_dedupe(code, errors)
     checked = frozenset(errs)
     refs, options = {}, {}
-    hit = qet._narrow(adm.classes, qet._bucket_pairs(code, errs, refs), options)
+    hit = qet._narrow(adm.classes, old_bucket_pairs(code, errs, refs), options)
     if hit is not None:
         witness = (PauliOp(code.n, *refs[hit[0]]), PauliOp(code.n, *hit[1]))
         return Verdict(False, witness=witness, checked=checked)
@@ -748,12 +828,30 @@ def test_check_peak_memory_per_checked_error():
     assert verdict.passed
     assert (len(verdict.checked), len(verdict.pi_maps)) == (43_072, 42_778)
     assert peak / len(verdict.checked) <= 140
+    # A ball is its own checked set, so no dedupe dict is kept; the walk
+    # runs inside the traced region. The list path, with the list built in
+    # the traced region, peaked at 210 B per checked error here.
+    del verdict, errs
+    tracemalloc.start()
+    try:
+        verdict = check_general_qet(cc.code, cc.admissible, ErrorBall(cc.code.n, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed
+    assert (len(verdict.checked), len(verdict.pi_maps)) == (43_072, 42_778)
+    assert peak / len(verdict.checked) <= 190
 
 
 @pytest.mark.parametrize("check", [check_general_qet, strong_conditions_hold, relabel_search])
-@pytest.mark.parametrize("error", [(1 << 7, 0), (0, 1 << 7), (-1, 0), (0, -2)])
+@pytest.mark.parametrize("error", [(1 << 7, 0), (0, 1 << 7), (-1, 0), (0, -2), "ball"])
 def test_errors_outside_the_code_are_refused(table1, check, error):
-    # a bit at qubit n, or a negative mask, names no Pauli on the code's qubits
+    # a bit at qubit n, or a negative mask, names no Pauli on the code's qubits;
+    # nor does a ball on another qubit count
+    if error == "ball":
+        with pytest.raises(DimensionMismatch, match="ball acts on 8 qubits, the code on 7"):
+            check(table1, PHASE1, ErrorBall(8, 1))
+        return
     with pytest.raises(DimensionMismatch, match="outside the code's 7 qubits"):
         check(table1, PHASE1, [(0, 0), (1, 0), error])
 
