@@ -1,17 +1,23 @@
 """Monte Carlo validation of recovery at the symplectic level.
 
-Trials sample a Pauli error, look up its syndrome's entry in a recovery
-table, draw one of its admissible options uniformly, and tally the residual
-logical class option ^ class(reference·error); no correction operator is
-built. A depolarizing error is drawn from one failing qubit to the next: the
-number of qubits that do not fail before the next one that does is
-geometric, drawn by inversion from one uniform, and each failing qubit draws
-one more uniform for its letter (X, Y or Z). A trial takes about one uniform
-plus two per failing qubit, not one per qubit. Each chunk works out an
-error's outcome (its entry's options and class(reference·error)) once: for
-an explicit channel, every channel error's before the first trial; for
-depolarizing noise, each supported error's when it is first drawn.
-Everything happens on symplectic bit masks; no state vectors are involved.
+A chunk draws its tallies, not its trials one by one. Every trial is an
+independent draw from a distribution the chunk already knows, so the chunk
+samples how many of its trials land on each outcome, one conditional
+binomial per outcome (`_binomial`: inversion when the mean is small,
+Hörmann's BTRS otherwise), and its work grows with the number of distinct
+outcomes, not with the number of trials.
+
+For an explicit channel one chain over the listed probabilities gives each
+error's count, and the rest goes to the identity. For depolarizing noise one
+chain over the Binomial(n, p) weight law gives how many trials have each
+weight up to the support's highest; heavier trials are uncovered and draw no
+error. A weight layer's trials are spread uniformly over its C(n, j)·3^j
+errors, and each drawn index is unranked to its (x, z) masks. Each distinct
+drawn error then looks up its syndrome's entry in the recovery table once,
+and its count is spread uniformly over the entry's admissible options: an
+option o leaves the residual logical class o ^ class(reference·error). No
+correction operator is built and no state vector is involved.
+
 Chunked seeding makes reports independent of worker count. Pool workers
 receive the code, table and model once, when they start, and each chunk only
 its size and seed.
@@ -21,12 +27,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate
-from math import inf, log, log1p
+from math import comb, fabs, floor, lgamma, log, log2, sqrt
 
 from .errors import DimensionMismatch
-from .pauli import PauliOp, enumerate_paulis
+from .pauli import ErrorBall, PauliOp, enumerate_paulis
 from .qet import AdmissibleSet, RecoveryTable
 from .stabilizer import StabilizerCode, class_bits_to_string
 
@@ -109,86 +113,172 @@ class TrialReport:
         return "\n".join(lines)
 
 
-@lru_cache(maxsize=128)
-def _cuts(m: int) -> tuple[float, ...]:
-    """Boundaries of a uniform draw over m options: the running sums of the
-    equal weights 1/m. Seeded tallies depend on these floats, and int(u * m)
-    rounds differently at some of them. The m-th sum is left out: a draw at
-    or above the (m-1)-th sum takes the last option, both below the m-th sum
-    and in any rounding gap between it and 1."""
-    return tuple(accumulate([1.0 / m] * m))[:-1]
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """A Binomial(n, p) variate: CPython 3.12's `random.binomialvariate`
+    (which 3.11 lacks) taking the generator as an argument. Inversion by
+    geometric gaps (Devroye's BG) when n·p < 10, else Hörmann's BTRS
+    (transformed rejection with squeeze); p > 0.5 draws n - Bin(n, 1 - p).
+    A generator in a given state yields what the 3.12 method would."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if p <= 0.0 or p >= 1.0:
+        if p == 0.0:
+            return 0
+        if p == 1.0:
+            return n
+        raise ValueError("p must be in the range 0.0 <= p <= 1.0")
+    random_ = rng.random
+    if n == 1:
+        return int(random_() < p)
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    if n * p < 10.0:
+        x = y = 0
+        c = log2(1.0 - p)
+        if not c:  # p below the rounding of 1.0 - p
+            return x
+        while True:
+            y += floor(log2(random_()) / c) + 1
+            if y > n:
+                return x
+            x += 1
+    spq = sqrt(n * p * (1.0 - p))  # standard deviation
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = None  # the acceptance test's constants, set at its first use
+    while True:
+        u = random_() - 0.5
+        us = 0.5 - fabs(u)
+        k = floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = random_()
+        if us >= 0.07 and v <= vr:  # the squeeze: most draws stop here
+            return k
+        if alpha is None:
+            alpha = (2.83 + 5.1 / b) * spq
+            lpq = log(p / (1.0 - p))
+            m = floor((n + 1) * p)  # the mode
+            h = lgamma(m + 1) + lgamma(n - m + 1)
+        v *= alpha / (a / (us * us) + b)
+        if log(v) <= h - lgamma(k + 1) - lgamma(n - k + 1) + (k - m) * lpq:
+            return k
+
+
+def _chain(rng: random.Random, c: int, probs) -> list[int]:
+    """Multinomial counts of c trials over outcomes of the given
+    probabilities, one conditional binomial each; the last count is the
+    rest, whose probability is 1 - sum(probs)."""
+    counts = []
+    mass = 1.0  # what the outcomes not yet drawn have left
+    for p in probs:
+        k = 0
+        if c and p > 0.0:
+            # Rounding can leave the mass at or below the last probabilities.
+            k = _binomial(rng, c, p / mass if p < mass else 1.0)
+        counts.append(k)
+        c -= k
+        mass -= p
+    counts.append(c)
+    return counts
+
+
+def _split(rng: random.Random, c: int, m: int) -> dict[int, int]:
+    """c trials spread uniformly over m outcomes, as {index: count} of the
+    indices drawn: a chain of m - 1 conditional binomials when c >= m, else c
+    index draws, so a split costs about min(c, m) draws."""
+    counts = {}
+    if c >= m:
+        for i in range(m - 1):
+            k = _binomial(rng, c, 1.0 / (m - i))
+            if k:
+                counts[i] = k
+                c -= k
+                if not c:
+                    return counts
+        counts[m - 1] = c
+    else:
+        randrange = rng.randrange  # exact for any m, unlike int(random() * m)
+        for _ in range(c):
+            i = randrange(m)
+            counts[i] = counts.get(i, 0) + 1
+    return counts
+
+
+def _unrank(rows: list[list[int]], j: int, i: int) -> tuple[int, int]:
+    """The i-th error of weight j, for 0 <= i < C(n, j)·3^j, where rows[t][q]
+    is C(q, t) for q < n. i // 3^j ranks the support in the combinatorial
+    number system: its highest qubit q is the last whose C(q, j) does not
+    exceed the rank, and the rank less C(q, j) ranks the other j - 1. The
+    base-3 digits of i % 3^j give the support qubits' letters."""
+    rank, letters = divmod(i, 3 ** j)
+    x = z = 0
+    for t in range(j, 0, -1):
+        row = rows[t]
+        q = bisect_right(row, rank) - 1
+        rank -= row[q]
+        letters, letter = divmod(letters, 3)  # 0, 1, 2: X, Y, Z
+        if letter != 2:
+            x |= 1 << q
+        if letter != 0:
+            z |= 1 << q
+    return x, z
+
+
+def _top_weight(support) -> int:
+    """The highest weight in a recovery table's support."""
+    if isinstance(support, ErrorBall):
+        return support.w
+    return max(((x | z).bit_count() for x, z in support), default=0)
 
 
 def _outcome(code: StabilizerCode, table: RecoveryTable, x: int, z: int):
-    """(options, boundaries, class(reference·error)) of a supported error;
-    None for an uncovered one. A trial draws one option, uniformly, when
-    there are several, and leaves the class option ^ class(reference·error)."""
+    """(options, class(reference·error)) of a supported error; None for an
+    uncovered one. Each option is equally likely, and option o leaves the
+    class o ^ class(reference·error)."""
     if (x, z) not in table.support:
         return None
     entry = table.entries[code.syndrome_bits(x, z)]
     rx, rz = entry.reference[0] ^ x, entry.reference[1] ^ z
     if code.syndrome_bits(rx, rz):
         raise AssertionError("reference left a nonzero syndrome; table is corrupt")
-    return entry.options, _cuts(len(entry.options)), code.class_bits(rx, rz)
+    return entry.options, code.class_bits(rx, rz)
 
 
 def _run_chunk(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
                count: int, chunk_seed: str) -> TrialReport:
     rng = random.Random(chunk_seed)
-    random_ = rng.random
-    if isinstance(model, ExplicitChannel):
-        cumulative = list(accumulate(p for _, p in model.errors))
-        # Index len(model.errors) is the identity remainder.
-        outcomes = [_outcome(code, table, e.x, e.z) for e, _ in model.errors]
-        outcomes.append(_outcome(code, table, 0, 0))
-
-        def draw():
-            return outcomes[bisect_right(cumulative, random_())]
-    else:
-        # Memoised for supported errors only, so never larger than the table.
-        memo = {}
-        p = model.p
-        # A gap int(log(1 - u) / log(1 - p)) is the number of qubits that do
-        # not fail before the next one that does. Rate 0 leaves no qubit to
-        # draw; rate 1 makes every gap 0 (log1p(-1) would raise). The float
-        # gap is compared with the qubits left before int(): at a subnormal
-        # rate it can be infinite.
-        span = model.n if p else 0
-        log_q = log1p(-p) if p < 1.0 else -inf
-
-        def draw():
-            x = z = 0
-            q = 0
-            while q < span:
-                gap = log(1.0 - random_()) / log_q
-                if gap >= span - q:
-                    break
-                q += int(gap)
-                bit = 1 << q
-                letter = int(3.0 * random_())  # 0, 1, 2: X, Y, Z
-                if letter != 2:
-                    x |= bit
-                if letter != 0:
-                    z |= bit
-                q += 1
-            outcome = memo.get((x, z))
-            if outcome is None:
-                outcome = _outcome(code, table, x, z)
-                if outcome is not None:
-                    memo[x, z] = outcome
-            return outcome
-
     report = TrialReport(trials=count, seed=chunk_seed)
+    drawn: dict[tuple[int, int], int] = {}  # distinct error -> its trials
+    if isinstance(model, ExplicitChannel):
+        *counts, rest = _chain(rng, count, [p for _, p in model.errors])
+        for (e, _), k in zip(model.errors, counts):
+            if k:
+                drawn[e.x, e.z] = drawn.get((e.x, e.z), 0) + k
+        if rest:
+            drawn[0, 0] = drawn.get((0, 0), 0) + rest
+    else:
+        n, p = model.n, model.p
+        top = _top_weight(table.support)
+        *layers, report.uncovered = _chain(
+            rng, count, [comb(n, j) * p ** j * (1.0 - p) ** (n - j) for j in range(top + 1)])
+        rows = [[comb(q, t) for q in range(n)] for t in range(top + 1)]
+        for j, c in enumerate(layers):
+            if c:
+                for i, k in _split(rng, c, comb(n, j) * 3 ** j).items():
+                    drawn[_unrank(rows, j, i)] = k
     classes = report.class_counts
-    for _ in range(count):
-        outcome = draw()
+    for (x, z), k in drawn.items():
+        outcome = _outcome(code, table, x, z)
         if outcome is None:
-            report.uncovered += 1
+            report.uncovered += k
             continue
-        options, cuts, base = outcome
-        # A one-option entry draws no random number; seeded tallies rely on it.
-        cls = base ^ (options[bisect_right(cuts, random_())] if cuts else options[0])
-        classes[cls] = classes.get(cls, 0) + 1
+        options, base = outcome
+        for i, kk in _split(rng, k, len(options)).items():
+            cls = base ^ options[i]
+            classes[cls] = classes.get(cls, 0) + kk
     return report
 
 
@@ -261,7 +351,7 @@ def exact_class_distribution(code: StabilizerCode, table: RecoveryTable,
         if outcome is None:
             uncovered += p
             continue
-        options, _, residual = outcome
+        options, residual = outcome
         for image in options:
             res = image ^ residual
             dist[res] = dist.get(res, 0.0) + p * (1.0 / len(options))

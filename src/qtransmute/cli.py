@@ -9,6 +9,7 @@ import argparse
 import os
 import re
 import sys
+from functools import cache
 
 from . import catalog, report
 from .catalog import CatalogCode
@@ -390,6 +391,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_PASS
 
 
+@cache  # one parser per process: each parse fills a new namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qtransmute",
@@ -497,8 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -303,48 +303,56 @@ def scan_zero_syndrome(code: StabilizerCode, w: int, visit,
         steps.append([row[letter] for letter in _PURE_LETTERS[pure]])
 
     table: dict[int, int | list[int]] = {}
-
-    def tabulate(start: int, left: int, syn: int, v: int) -> None:
-        if left == 0:
-            old = table.get(syn)
-            if old is None:
-                table[syn] = v
-            elif type(old) is int:
-                table[syn] = [old, v]
-            else:
-                old.append(v)
-            return
-        for q in range(start, n - left + 1):
-            for dsyn, dv in steps[q]:
-                tabulate(q + 1, left - 1, syn ^ dsyn, v | dv)
-
     # A suffix follows at least a prefix qubits, so its lowest qubit is >= a.
-    tabulate(a, b, 0, 0)
-    xmask = (1 << n) - 1
+    _tabulate(table, steps, a, b, 0, 0)
     # Support bits at or below qubit q, in both halves of a packed Pauli.
     at_or_below = [((2 << q) - 1) * (1 | 1 << n) for q in range(n)]
+    return _join(table, steps, at_or_below, b, visit, 0, a, 0, 0)
 
-    def join(start: int, left: int, syn: int, v: int) -> bool:
-        if left == 1:
-            for q in range(start, n - b):
-                low = at_or_below[q]
-                for dsyn, dv in steps[q]:
-                    hit = table.get(syn ^ dsyn)
-                    if hit is None:
-                        continue
-                    for s in ((hit,) if type(hit) is int else hit):
-                        if not s & low:
-                            u = v | dv | s
-                            if visit(u & xmask, u >> n):
-                                return True
-            return False
-        for q in range(start, n - b - left + 1):
+
+def _tabulate(table, steps, start: int, left: int, syn: int, v: int) -> None:
+    """Store every extension of (syn, v) by `left` more letters on qubits from
+    `start` on in `table`, keyed by syndrome, in scan order. Not nested, so a
+    scan leaves no cycle."""
+    if left == 0:
+        old = table.get(syn)
+        if old is None:
+            table[syn] = v
+        elif type(old) is int:
+            table[syn] = [old, v]
+        else:
+            old.append(v)
+        return
+    for q in range(start, len(steps) - left + 1):
+        for dsyn, dv in steps[q]:
+            _tabulate(table, steps, q + 1, left - 1, syn ^ dsyn, v | dv)
+
+
+def _join(table, steps, at_or_below, b: int, visit, start: int, left: int, syn: int,
+          v: int) -> bool:
+    """Extend the prefix (syn, v) by `left` more letters from `start` on and
+    visit each full prefix's matching suffixes (those of `b` letters above
+    its last qubit), in scan order; True once a visit returns truthy."""
+    n = len(steps)
+    if left == 1:
+        xmask = (1 << n) - 1
+        for q in range(start, n - b):
+            low = at_or_below[q]
             for dsyn, dv in steps[q]:
-                if join(q + 1, left - 1, syn ^ dsyn, v | dv):
-                    return True
+                hit = table.get(syn ^ dsyn)
+                if hit is None:
+                    continue
+                for s in ((hit,) if type(hit) is int else hit):
+                    if not s & low:
+                        u = v | dv | s
+                        if visit(u & xmask, u >> n):
+                            return True
         return False
-
-    return join(0, a, 0, 0)
+    for q in range(start, n - b - left + 1):
+        for dsyn, dv in steps[q]:
+            if _join(table, steps, at_or_below, b, visit, q + 1, left - 1, syn ^ dsyn, v | dv):
+                return True
+    return False
 
 
 def min_weight_in_class(

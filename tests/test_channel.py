@@ -19,7 +19,7 @@ from qtransmute.channel import (DepolarizingChannel, ExplicitChannel, TrialRepor
                                 exact_class_distribution, run_trials,
                                 total_variation, uniform_single_error_channel)
 from qtransmute.errors import DimensionMismatch
-from qtransmute.pauli import PauliOp, errors_up_to_weight, parse_pauli
+from qtransmute.pauli import ErrorBall, PauliOp, errors_up_to_weight, parse_pauli
 from qtransmute.qet import (AdmissibleSet, PiBucket, RecoveryTable, build_recovery,
                             check_general_qet)
 from qtransmute.search import sample_generators
@@ -209,13 +209,18 @@ def draw_statistics(errors, n):
 
 
 def drawn_errors(monkeypatch, n, p, count, chunk_seed):
-    """The errors a chunk's trials draw, read through the hook every
-    uncovered error passes: an `_outcome` that records (x, z) and covers
-    nothing."""
-    drawn = []
-    monkeypatch.setattr(channel, "_outcome", lambda code, table, x, z: drawn.append((x, z)))
-    channel._run_chunk(None, None, DepolarizingChannel(n, p), count, chunk_seed)
+    """The errors a depolarizing chunk draws, each as often as it is drawn.
+    They are read through the hook every distinct drawn error passes once:
+    an `_outcome` that gives each error one option and the class
+    x | z << n, so the chunk's tallies are its histogram of errors. The
+    support is every Pauli, so no weight is left uncovered."""
+    monkeypatch.setattr(channel, "_outcome", lambda code, table, x, z: ((0,), x | z << n))
+    table = SimpleNamespace(support=ErrorBall(n, n))
+    report = channel._run_chunk(None, table, DepolarizingChannel(n, p), count, chunk_seed)
     monkeypatch.undo()
+    assert report.uncovered == 0
+    drawn = [(e & ((1 << n) - 1), e >> n) for e, k in report.class_counts.items()
+             for _ in range(k)]
     assert len(drawn) == count
     return drawn
 
@@ -228,14 +233,16 @@ def test_edge_rates_are_exact(monkeypatch):
 
 
 @pytest.mark.parametrize("n,p", [(7, 0.02), (98, 0.01), (6, 0.3)])
-def test_gap_draw_matches_bernoulli_definition(n, p, monkeypatch):
+def test_depolarizing_draw_matches_bernoulli_definition(n, p, monkeypatch):
+    # The weight histogram is the chain's layer counts, held to Binomial(n, p);
+    # the per-qubit and letter counts check the uniform draw within a layer.
     count = 20_000
     drawn = drawn_errors(monkeypatch, n, p, count, f"gap:{n}")
     rng = random.Random(f"bernoulli:{n}")
     defined = [bernoulli_depolarizing_error(n, p, rng) for _ in range(count)]
     binomial = [count * math.comb(n, w) * p ** w * (1 - p) ** (n - w) for w in range(n + 1)]
     stats = {}
-    for name, errors in (("gap", drawn), ("bernoulli", defined)):
+    for name, errors in (("layers", drawn), ("bernoulli", defined)):
         weights, per_qubit, letters = stats[name] = draw_statistics(errors, n)
         # 99.9% acceptance on each statistic; the seeds are fixed.
         stat, bins = chi_square(weights, binomial)
@@ -247,9 +254,9 @@ def test_gap_draw_matches_bernoulli_definition(n, p, monkeypatch):
     # Homogeneity: the two weight histograms come from one distribution. For
     # two samples of one size the statistic is twice one sample's Pearson
     # statistic against their mean histogram.
-    gap, bernoulli = stats["gap"][0], stats["bernoulli"][0]
-    stat, bins = chi_square(gap, [(a + b) / 2 for a, b in zip(gap, bernoulli)])
-    assert chi_square_sf(2 * stat, bins - 1) > 1e-3, (gap, bernoulli)
+    layers, bernoulli = stats["layers"][0], stats["bernoulli"][0]
+    stat, bins = chi_square(layers, [(a + b) / 2 for a, b in zip(layers, bernoulli)])
+    assert chi_square_sf(2 * stat, bins - 1) > 1e-3, (layers, bernoulli)
 
 
 def wilson_interval(hits, total, zscore=3.2905):
@@ -376,12 +383,14 @@ def test_report_render_has_seed(table1):
 
 # -- the trial loop -------------------------------------------------------------
 #
-# The reference below is the trial loop as it was before outcome tables: each
-# trial folds the syndrome, the reference's residual syndrome and its class,
-# and draws an option by walking the equal weights 1/m. Its depolarizing
-# error draw is the gap rule written out; test_gap_draw_matches_bernoulli_definition
-# holds that rule to the channel's per-qubit definition. The loop under test
-# must give the same report, byte for byte, from the same seed.
+# reference_run_chunk is the per-trial definition: each trial draws its error
+# (an explicit channel's by inversion over the cumulative probabilities, a
+# depolarizing one qubit at a time, as the channel is defined), folds its
+# syndrome, the reference's residual syndrome and its class, and draws an
+# option by walking the equal weights 1/m. A chunk draws counts from the same
+# seed but not the same stream, so the two agree exactly only where the
+# outcome is forced; elsewhere a chunk may tally only what a trial can leave,
+# and the chi-square tests below hold its tallies to the exact distribution.
 
 
 def reference_sample_error(model, rng, cumulative):
@@ -392,23 +401,7 @@ def reference_sample_error(model, rng, cumulative):
             return 0, 0  # identity remainder
         e = model.errors[i][0]
         return e.x, e.z
-    # The gap rule: from the next qubit q, floor(log(1 - u) / log(1 - p))
-    # qubits do not fail and the one after them does, unless that is past
-    # the last qubit. Rate 0 draws nothing; at rate 1 every gap is 0.
-    n, p = model.n, model.p
-    log_q = math.log1p(-p) if p < 1 else -math.inf
-    x = z = 0
-    q = 0
-    while p > 0 and q < n:
-        gap = math.log(1.0 - rng.random()) / log_q
-        if gap >= n - q:
-            break
-        q += math.floor(gap)
-        letter = "XYZ"[int(3 * rng.random())]
-        x |= (letter in "XY") << q
-        z |= (letter in "YZ") << q
-        q += 1
-    return x, z
+    return bernoulli_depolarizing_error(model.n, model.p, rng)
 
 
 def reference_run_chunk(code, table, model, count, chunk_seed):
@@ -442,6 +435,31 @@ def reference_run_chunk(code, table, model, count, chunk_seed):
         cls = image ^ code.class_bits(rx, rz)
         classes[cls] = classes.get(cls, 0) + 1
     return report
+
+
+def trial_results(code, table, model):
+    """Everything one trial can leave: the class o ^ class(reference·e) for
+    each option o of each supported error e the model draws with nonzero
+    probability, and "uncovered" if it can draw an unsupported error."""
+    n = model.n
+    if isinstance(model, ExplicitChannel):
+        errors = [(e.x, e.z) for e, p in model.errors if p > 0]
+        if model.identity_probability > 0:
+            errors.append((0, 0))
+    elif 1.0 - model.p == 1.0:  # rate 0, or one that 1 - p rounds away
+        errors = [(0, 0)]
+    else:
+        errors = [(x, z) for x, z in ErrorBall(n, n)
+                  if model.p < 1.0 or (x | z).bit_count() == n]
+    results = set()
+    for x, z in errors:
+        if (x, z) not in table.support:
+            results.add("uncovered")
+            continue
+        entry = table.entries[code.syndrome_bits(x, z)]
+        base = code.class_bits(entry.reference[0] ^ x, entry.reference[1] ^ z)
+        results.update(o ^ base for o in entry.options)
+    return results
 
 
 @st.composite
@@ -487,33 +505,206 @@ def test_run_chunk_matches_reference(n, k, w, density, depol, count, seed, data)
              else DepolarizingChannel(n, depol))
     chunk_seed = f"{seed}:{count}"
     got = channel._run_chunk(code, table, model, count, chunk_seed)
-    want = reference_run_chunk(code, table, model, count, chunk_seed)
-    assert got.render(k) == want.render(k)
+    assert sum(got.class_counts.values()) + got.uncovered == got.trials == count
+    results = trial_results(code, table, model)
+    assert set(got.class_counts) | ({"uncovered"} if got.uncovered else set()) <= results
+    if len(results) == 1:  # forced: rate 0 or 1e-320, rate 1 past the support, ...
+        want = reference_run_chunk(code, table, model, count, chunk_seed)
+        assert got.render(k) == want.render(k)
 
 
-def test_option_draws_at_float_boundaries_match_reference(monkeypatch):
-    # Scripted draws at, just below and just above every running sum of 1/m,
-    # for every option count m up to 2^(2k) = 64: a draw that rounds
-    # differently from the walk over equal weights changes a tally here.
+@pytest.mark.parametrize("name,model", [
+    ("toric:3", DepolarizingChannel(18, 0.0)),
+    ("toric:3", DepolarizingChannel(18, 1e-320)),
+    ("table1-7q", DepolarizingChannel(7, 1.0)),  # every trial weighs 7 > 1: uncovered
+    ("inner-5q", ExplicitChannel(5, ((parse_pauli("XIIII"), 1.0),))),
+])
+def test_forced_outcomes_match_reference(name, model):
+    # toric:3 and inner-5q have one option per bucket
+    cc = catalog.resolve(name)
+    table = recovery_for(cc.code, cc.admissible)
+    assert len(trial_results(cc.code, table, model)) == 1
+    for count in (1, 777, 20_000):
+        got = channel._run_chunk(cc.code, table, model, count, "forced")
+        want = reference_run_chunk(cc.code, table, model, count, "forced")
+        assert got.render(cc.code.k) == want.render(cc.code.k)
+
+
+def depolarizing_as_explicit(n, support, p):
+    """The depolarizing channel on a table's support, as an explicit channel
+    normalised to the covered mass, and that mass."""
+    top = channel._top_weight(support)
+    covered = sum(math.comb(n, w) * p ** w * (1 - p) ** (n - w) for w in range(top + 1))
+    return ExplicitChannel(n, tuple(
+        (PauliOp(n, x, z), (p / 3) ** (x | z).bit_count() * (1 - p) ** (n - (x | z).bit_count())
+         / covered) for x, z in support)), covered
+
+
+def all_classes_code():
+    """A random [[6,3]] code with every logical class admissible: each
+    bucket keeps all 64 options."""
     code = standard_form(sample_generators(6, 3, random.Random(0)))
-    model = ExplicitChannel(6, ())  # every trial is the identity remainder
+    return code, AdmissibleSet(3, frozenset(range(64)))
 
-    def scripted(seed):  # each generator replays this m's script from its start
-        return SimpleNamespace(random=iter(script).__next__)
 
+@pytest.mark.parametrize("name,max_weight,model", [
+    ("table1-7q", 1, "uniform1"),  # 2 options per bucket
+    ("table2-6q", 1, "skewed"),  # 2 or 3, with an uncovered error
+    ("css17", 2, "depol:0.03"),  # 2 or 3
+    ("eq16-lattice:4x4", 1, "uniform1"),  # 2 or 17
+    ("compact:4", 1, "depol:0.05"),  # 1, 2 or 17
+    ("[[6,3]]", 1, "depol:0.1"),  # 64
+])
+def test_tallies_match_exact_distribution(name, max_weight, model):
+    # Pearson's statistic over the classes and the uncovered count, at 99.9%;
+    # a depolarizing run is held to the channel written out as an explicit one.
+    if name == "[[6,3]]":
+        code, adm = all_classes_code()
+    else:
+        cc = catalog.resolve(name)
+        code, adm = cc.code, cc.admissible
+    n, trials = code.n, 40_000
+    table = recovery_for(code, adm, max_weight)
+    if model == "uniform1":
+        sampled = uniform_single_error_channel(n)
+        exact, uncovered = exact_class_distribution(code, table, sampled)
+    elif model == "skewed":
+        sampled = ExplicitChannel(n, tuple(
+            (parse_pauli(e), p) for e, p in (("XIIIII", 0.3), ("IIZIII", 0.05),
+                                             ("IIIIIY", 0.15), ("XXIIII", 0.1))))
+        exact, uncovered = exact_class_distribution(code, table, sampled)
+    else:
+        p = float(model.split(":")[1])
+        sampled = DepolarizingChannel(n, p)
+        written, covered = depolarizing_as_explicit(n, table.support, p)
+        exact, uncovered = exact_class_distribution(code, table, written)
+        assert uncovered == 0.0
+        exact = {c: v * covered for c, v in exact.items()}
+        uncovered = 1 - covered
+    rep = run_trials(code, table, sampled, trials=trials, seed=29)
+    assert rep.class_counts.keys() <= exact.keys()
+    if not uncovered:
+        assert rep.uncovered == 0
+    keys = sorted(exact)
+    observed = [rep.class_counts.get(c, 0) for c in keys] + [rep.uncovered]
+    expected = [trials * exact[c] for c in keys] + [trials * uncovered]
+    stat, bins = chi_square(observed, expected)
+    assert chi_square_sf(stat, bins - 1) > 1e-3, (observed, expected)
+
+
+def test_option_draws_are_uniform_for_every_option_count():
+    # Every trial is the identity, whose bucket keeps m options, for each m
+    # from 2 to 2^(2k) = 64. The runs are independent, so their Pearson
+    # statistics add up to one chi-square over the summed degrees of freedom.
+    code, _ = all_classes_code()
+    model = ExplicitChannel(6, ())
+    stat = dof = 0
     for m in range(2, 65):
-        verdict = check_general_qet(code, AdmissibleSet(3, frozenset(range(m))), [(0, 0)])
-        table = build_recovery(verdict)
-        draws = sorted({v for c in accumulate([1.0 / m] * m)
-                        for v in (math.nextafter(c, 0), c, math.nextafter(c, 1)) if v < 1})
-        draws.append(math.nextafter(1.0, 0))
-        script = [u for d in draws for u in (0.5, d)]  # the error draw, then the option draw
-        for module in (channel, sys.modules[__name__]):
-            monkeypatch.setattr(module, "random", SimpleNamespace(Random=scripted))
-        got = channel._run_chunk(code, table, model, len(draws), "s")
-        want = reference_run_chunk(code, table, model, len(draws), "s")
-        monkeypatch.undo()
-        assert got.class_counts == want.class_counts, m
+        table = build_recovery(check_general_qet(code, AdmissibleSet(3, frozenset(range(m))),
+                                                 [(0, 0)]))
+        rep = run_trials(code, table, model, trials=100 * m, seed=m)
+        assert sorted(rep.class_counts) == list(range(m))
+        s, bins = chi_square(list(rep.class_counts.values()), [100] * m)
+        stat, dof = stat + s, dof + bins - 1
+    assert chi_square_sf(stat, dof) > 1e-3, stat
+
+
+# -- the primitives ---------------------------------------------------------------
+
+
+def binomial_pmf(n, p):
+    return [math.exp(math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                     + j * math.log(p) + (n - j) * math.log1p(-p)) for j in range(n + 1)]
+
+
+@pytest.mark.parametrize("n,p", [
+    (40, 0.1), (12, 0.5), (30, 0.8),  # inversion, the last by symmetry
+    (60, 0.25), (500, 0.3), (2000, 0.97),  # BTRS, the last by symmetry
+])
+def test_binomial_matches_its_pmf(n, p):
+    rng = random.Random(f"binomial:{n}:{p}")
+    draws = 20_000
+    hist = [0] * (n + 1)
+    for _ in range(draws):
+        hist[channel._binomial(rng, n, p)] += 1
+    stat, bins = chi_square(hist, [draws * q for q in binomial_pmf(n, p)])
+    assert chi_square_sf(stat, bins - 1) > 1e-3, hist
+
+
+def test_binomial_edge_values():
+    rng = random.Random("edges")
+    for n in (0, 1, 7, 10 ** 6):
+        assert channel._binomial(rng, n, 0.0) == 0
+        assert channel._binomial(rng, n, 1.0) == n
+        for tiny in (5e-324, 1e-320):  # 1 - p rounds to 1: no draw at all
+            state = rng.getstate()
+            assert channel._binomial(rng, n, tiny) == 0
+            assert rng.getstate() == state or n == 1
+    for p in (0.3, 0.7):
+        assert channel._binomial(rng, 0, p) == 0
+    for s in range(50):  # n = 1 is one comparison
+        assert channel._binomial(random.Random(s), 1, 0.4) == (random.Random(s).random() < 0.4)
+    for n, p in ((-1, 0.5), (3, -0.1), (3, 1.5)):
+        with pytest.raises(ValueError):
+            channel._binomial(rng, n, p)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_unrank_is_a_bijection_onto_each_weight_layer(n):
+    rows = [[math.comb(q, t) for q in range(n)] for t in range(4)]
+    for j in range(min(n, 3) + 1):
+        layer = [e for e in ErrorBall(n, j) if (e[0] | e[1]).bit_count() == j]
+        got = [channel._unrank(rows, j, i) for i in range(math.comb(n, j) * 3 ** j)]
+        assert sorted(got) == sorted(layer)
+
+
+@pytest.mark.parametrize("m", [1, 2, 17, 64, 294])
+def test_split_sums_to_its_count(m):
+    rng = random.Random(f"split:{m}")
+    for c in (0, 1, m - 1, m, m + 1, 3 * m + 2):
+        counts = channel._split(rng, c, m)
+        assert sum(counts.values()) == c
+        assert all(0 <= i < m and k > 0 for i, k in counts.items())
+
+
+@pytest.mark.parametrize("c,m", [(5, 40), (40, 40), (1000, 40)])
+def test_split_is_uniform(c, m):
+    # index draws below m, the binomial chain at and above it
+    rng = random.Random(f"uniform:{c}:{m}")
+    hist = [0] * m
+    for _ in range(40_000 // c):
+        for i, k in channel._split(rng, c, m).items():
+            hist[i] += k
+    stat, bins = chi_square(hist, [sum(hist) / m] * m)
+    assert chi_square_sf(stat, bins - 1) > 1e-3, hist
+
+
+class CountingRandom(random.Random):
+    """A generator that counts the numbers drawn from it."""
+
+    draws = 0
+
+    def random(self):
+        CountingRandom.draws += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        CountingRandom.draws += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("model", [uniform_single_error_channel(7), DepolarizingChannel(7, 0.05)],
+                         ids=["uniform1", "depol:0.05"])
+def test_chunk_cost_grows_with_outcomes_not_trials(table1, model, monkeypatch):
+    # Drawn trial by trial, 20 times the trials took about 20 times the draws.
+    table = recovery_for(table1, catalog.resolve("table1-7q").admissible)
+    monkeypatch.setattr(channel, "random", SimpleNamespace(Random=CountingRandom))
+    draws = {}
+    for count in (1000, 20_000):
+        CountingRandom.draws = 0
+        channel._run_chunk(table1, table, model, count, "cost")
+        draws[count] = CountingRandom.draws
+    assert draws[20_000] < 2 * draws[1000], draws
 
 
 def corrupted(code, table, e):

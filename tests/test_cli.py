@@ -1,11 +1,21 @@
 import json
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qtransmute import report
+from qtransmute import catalog, cli, report
+from qtransmute.channel import (ExplicitChannel, exact_class_distribution,
+                                uniform_single_error_channel)
 from qtransmute.cli import main
 from qtransmute.errors import content_lines
-from qtransmute.stabilizer import load_file
+from qtransmute.pauli import ErrorBall, PauliOp, parse_pauli
+from qtransmute.qet import build_recovery, check_general_qet
+from qtransmute.stabilizer import class_bits_from_string, load_file
 
 
 def run(capsys, *argv):
@@ -324,43 +334,88 @@ def test_simulate(tmp_path, capsys):
 SEEDED_CHANNEL = "XIIIIII 0.1\nIZIIIII 0.2\nIIYIIII 0.05\nXXIIIII 0.05\n"
 
 
+def wilson_interval(hits, total, zscore=3.2905):
+    """99.9% Wilson score interval for a binomial proportion hits / total."""
+    centre = (hits + zscore ** 2 / 2) / (total + zscore ** 2)
+    half = zscore * math.sqrt(hits * (total - hits) / total + zscore ** 2 / 4) / (total + zscore ** 2)
+    return centre - half, centre + half
+
+
+def exact_rates(code_name, model, max_weight):
+    """Each residual class's exact probability per trial, and "uncovered"'s."""
+    cc = catalog.resolve(code_name)
+    code, n = cc.code, cc.code.n
+    table = build_recovery(check_general_qet(code, cc.admissible, ErrorBall(n, max_weight)))
+    if model == "uniform1":
+        return exact_with_uncovered(code, table, uniform_single_error_channel(n))
+    if model == "CHANNEL":
+        return exact_with_uncovered(code, table, ExplicitChannel(n, tuple(
+            (parse_pauli(e), float(p)) for e, p in map(str.split, SEEDED_CHANNEL.splitlines()))))
+    # depol:p, written out as an explicit channel over the support, normalised
+    # to the covered mass
+    p = float(model.removeprefix("depol:"))
+    covered = sum(math.comb(n, w) * p ** w * (1 - p) ** (n - w) for w in range(max_weight + 1))
+    rates = exact_with_uncovered(code, table, ExplicitChannel(n, tuple(
+        (PauliOp(n, x, z), (p / 3) ** (x | z).bit_count() * (1 - p) ** (n - (x | z).bit_count())
+         / covered) for x, z in table.support)))
+    return {c: v * covered for c, v in rates.items()} | {"uncovered": 1 - covered}
+
+
+def exact_with_uncovered(code, table, model):
+    rates, uncovered = exact_class_distribution(code, table, model)
+    return rates | {"uncovered": uncovered}
+
+
+# The pinned bytes were derived by running the code at seed 5, and each pinned
+# tally is checked to lie in its 99.9% Wilson interval around the exact rate,
+# so a pin records one draw of the right distribution, not just any output.
 @pytest.mark.parametrize("argv,stdout", [
     (("--code", "css17", "--model", "depol:0.02", "--max-weight", "2"),
-     "trials = 20000\nseed = 5\nuncovered = 86\nclass II = 6840\nclass XI = 6694\n"
-     "class IX = 6380\nadmissible rate = 0.9957\n"),
+     "trials = 20000\nseed = 5\nuncovered = 74\nclass II = 6871\nclass XI = 6747\n"
+     "class IX = 6308\nadmissible rate = 0.9963\n"),
     (("--code", "eq16-lattice:4x4", "--model", "uniform1"),
      "trials = 20000\nseed = 5\nuncovered = 0\n"
-     "class IIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII = 3254\n"
-     "class ZIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII = 1066\n"
-     "class IIZIIIIIIIIIIIIIIIIIIIIIIIIIIIII = 1075\n"
-     "class IIIIZIIIIIIIIIIIIIIIIIIIIIIIIIII = 1025\n"
-     "class IIIIIIZIIIIIIIIIIIIIIIIIIIIIIIII = 1035\n"
-     "class IIIIIIIIZIIIIIIIIIIIIIIIIIIIIIII = 1028\n"
-     "class IIIIIIIIIIZIIIIIIIIIIIIIIIIIIIII = 1033\n"
-     "class IIIIIIIIIIIIZIIIIIIIIIIIIIIIIIII = 1049\n"
-     "class IIIIIIIIIIIIIIZIIIIIIIIIIIIIIIII = 1034\n"
-     "class IIIIIIIIIIIIIIIIZIIIIIIIIIIIIIII = 977\n"
-     "class IIIIIIIIIIIIIIIIIIZIIIIIIIIIIIII = 1088\n"
-     "class IIIIIIIIIIIIIIIIIIIIZIIIIIIIIIII = 1100\n"
-     "class IIIIIIIIIIIIIIIIIIIIIIZIIIIIIIII = 1060\n"
-     "class IIIIIIIIIIIIIIIIIIIIIIIIZIIIIIII = 1027\n"
-     "class IIIIIIIIIIIIIIIIIIIIIIIIIIZIIIII = 1058\n"
-     "class IIIIIIIIIIIIIIIIIIIIIIIIIIIIZIII = 1056\n"
-     "class IIIIIIIIIIIIIIIIIIIIIIIIIIIIIIZI = 1035\n"
+     "class IIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII = 3093\n"
+     "class ZIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII = 1081\n"
+     "class IIZIIIIIIIIIIIIIIIIIIIIIIIIIIIII = 1132\n"
+     "class IIIIZIIIIIIIIIIIIIIIIIIIIIIIIIII = 1051\n"
+     "class IIIIIIZIIIIIIIIIIIIIIIIIIIIIIIII = 961\n"
+     "class IIIIIIIIZIIIIIIIIIIIIIIIIIIIIIII = 1058\n"
+     "class IIIIIIIIIIZIIIIIIIIIIIIIIIIIIIII = 1008\n"
+     "class IIIIIIIIIIIIZIIIIIIIIIIIIIIIIIII = 1066\n"
+     "class IIIIIIIIIIIIIIZIIIIIIIIIIIIIIIII = 1077\n"
+     "class IIIIIIIIIIIIIIIIZIIIIIIIIIIIIIII = 1052\n"
+     "class IIIIIIIIIIIIIIIIIIZIIIIIIIIIIIII = 1056\n"
+     "class IIIIIIIIIIIIIIIIIIIIZIIIIIIIIIII = 1079\n"
+     "class IIIIIIIIIIIIIIIIIIIIIIZIIIIIIIII = 982\n"
+     "class IIIIIIIIIIIIIIIIIIIIIIIIZIIIIIII = 1046\n"
+     "class IIIIIIIIIIIIIIIIIIIIIIIIIIZIIIII = 1073\n"
+     "class IIIIIIIIIIIIIIIIIIIIIIIIIIIIZIII = 1082\n"
+     "class IIIIIIIIIIIIIIIIIIIIIIIIIIIIIIZI = 1103\n"
      "admissible rate = 1.0\n"),
     (("--code", "table1-7q", "--model", "CHANNEL"),
-     "trials = 20000\nseed = 5\nuncovered = 1006\nclass II = 9498\nclass ZI = 9496\n"
-     "admissible rate = 0.9497\n"),
-])
+     "trials = 20000\nseed = 5\nuncovered = 1037\nclass II = 9535\nclass ZI = 9428\n"
+     "admissible rate = 0.94815\n"),
+], ids=["css17-depol", "eq16-uniform1", "table1-channel"])
 def test_simulate_seeded_output_is_pinned(tmp_path, capsys, argv, stdout):
     # css17 at weight 2 and table1-7q draw among several options per
     # syndrome, so these pin the option draw as well as the error sampling.
     channel = tmp_path / "channel.txt"
     channel.write_text(SEEDED_CHANNEL)
+    opts = dict(zip(argv[::2], argv[1::2]))
     argv = [str(channel) if a == "CHANNEL" else a for a in argv]
     code, out, err = run(capsys, "simulate", *argv, "--trials", "20000", "--seed", "5",
                          "--threads", "1")
     assert (code, out, err) == (0, stdout, "")
+    cc = catalog.resolve(opts["--code"])
+    rates = exact_rates(opts["--code"], opts["--model"], int(opts.get("--max-weight", 1)))
+    tallies = {"uncovered": int(re.search(r"^uncovered = (\d+)$", out, re.M)[1])}
+    for logical, hits in re.findall(r"^class (\S+) = (\d+)$", out, re.M):
+        tallies[class_bits_from_string(logical, cc.code.k)] = int(hits)
+    assert tallies.keys() <= rates.keys()
+    for key, rate in rates.items():
+        low, high = wilson_interval(tallies.get(key, 0), 20_000)
+        assert low <= rate <= high, (key, tallies.get(key, 0), rate)
 
 
 def test_simulate_at_a_subnormal_depolarizing_rate(capsys):
@@ -550,3 +605,37 @@ def test_classical_distance_beyond_k25_is_exact_or_capped(capsys, cap, printed, 
                        "--cap", cap, "--require-exact")
     assert code == exit_code
     assert out == printed
+
+
+def test_consecutive_calls_share_one_parser_and_no_options(tmp_path, capsys):
+    # main() parses with one parser per process; each call must act as it
+    # would in a fresh process, whatever options the calls before it set.
+    rpt = tmp_path / "first.report"
+    calls = [
+        ("simulate", "--code", "table1-7q", "--model", "uniform1", "--trials", "300",
+         "--seed", "3", "--threads", "1", "--report", str(rpt)),
+        ("simulate", "--code", "table1-7q", "--model", "uniform1", "--trials", "300",
+         "--seed", "3"),
+        ("verify", "qet", "--code", "table2-6q", "--relabel"),
+        ("verify", "qet", "--code", "table2-6q"),
+        ("distance", "--code", "toric:3", "--pure", "x", "--cap", "3"),
+        ("distance", "--code", "toric:3"),  # --cap is required: usage error
+        ("distance", "--code", "toric:3", "--cap", "3"),
+        ("catalog", "emit", "inner-5q"),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for i, argv in enumerate(calls):
+        fresh = subprocess.run([sys.executable, "-m", "qtransmute.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=120)
+        if i == 1:
+            rpt.unlink()  # the second call names no report, so writes none
+        try:
+            got = run(capsys, *argv)
+        except SystemExit as exc:
+            got = (exc.code, *capsys.readouterr())
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert rpt.exists() == (i == 0)
+        # the shared parser reads each argv as a newly built one does
+        if i != 5:
+            assert vars(cli.build_parser().parse_args(argv)) == vars(
+                cli.build_parser.__wrapped__().parse_args(argv))

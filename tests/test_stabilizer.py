@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations, product
 
@@ -11,6 +12,7 @@ from qtransmute.f2 import (BitMatrix, F2Span, fold, kernel_basis, mul_bt, rref, 
                            symplectic)
 from qtransmute.pauli import (PauliOp, enumerate_paulis, parse_pauli, render,
                               symplectic_product)
+from qtransmute.qet import deff_lower_bound
 from qtransmute.search import sample_generators
 from qtransmute.stabilizer import (StabilizerCode, _sym_twist, _sym_vec, _unpack,
                                    code_distance, complete_logical_basis, dumps,
@@ -323,6 +325,20 @@ def test_scan_stops_at_first_truthy_visit(table1):
     assert seen == everything[:3]
     assert scan_zero_syndrome(table1, 0, visit) is False
     assert scan_zero_syndrome(table1, 8, visit) is False
+
+
+def test_scan_leaves_no_cycle_behind():
+    # The scan's recursion is module-level, so its suffix table and frames are
+    # freed when it returns, not when the cyclic collector next runs.
+    cc = resolve("toric:4")
+    deff_lower_bound(cc.code, cc.admissible, 4)  # builds the code's lazy tables
+    gc.collect()
+    gc.disable()
+    try:
+        assert deff_lower_bound(cc.code, cc.admissible, 4).value == 4
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _random_small_code(rng, n, k):
