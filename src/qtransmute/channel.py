@@ -1,11 +1,13 @@
 """Monte Carlo validation of recovery at the symplectic level.
 
-A chunk draws its tallies, not its trials one by one. Every trial is an
-independent draw from a distribution the chunk already knows, so the chunk
-samples how many of its trials land on each outcome, one conditional
-binomial per outcome (`_binomial`: inversion when the mean is small,
-Hörmann's BTRS otherwise), and its work grows with the number of distinct
-outcomes, not with the number of trials.
+A run draws its tallies, not its trials one by one. Every trial is an
+independent draw from a distribution the run already knows, so `run_trials`
+samples, in one draw in the calling process, how many of its trials land on
+each outcome, one conditional binomial per outcome (`_binomial`: inversion
+when the mean is small, Hörmann's BTRS otherwise). A draw's cost grows with
+the number of distinct outcomes, not with the number of trials, so no run
+is split or spread over processes; the CLI's `simulate --threads` is still
+accepted and has no effect.
 
 For an explicit channel one chain over the listed probabilities gives each
 error's count, and the rest goes to the identity. For depolarizing noise one
@@ -17,10 +19,6 @@ drawn error then looks up its syndrome's entry in the recovery table once,
 and its count is spread uniformly over the entry's admissible options: an
 option o leaves the residual logical class o ^ class(reference·error). No
 correction operator is built and no state vector is involved.
-
-Chunked seeding makes reports independent of worker count. Pool workers
-receive the code, table and model once, when they start, and each chunk only
-its size and seed.
 """
 from __future__ import annotations
 
@@ -33,8 +31,6 @@ from .errors import DimensionMismatch
 from .pauli import ErrorBall, PauliOp, enumerate_paulis
 from .qet import AdmissibleSet, RecoveryTable
 from .stabilizer import StabilizerCode, class_bits_to_string
-
-_CHUNK = 20_000
 
 
 @dataclass(frozen=True)
@@ -86,12 +82,6 @@ class TrialReport:
     seed: str = ""
     class_counts: dict[int, int] = field(default_factory=dict)
     uncovered: int = 0
-
-    def merge(self, other: "TrialReport") -> None:
-        self.trials += other.trials
-        self.uncovered += other.uncovered
-        for c, v in other.class_counts.items():
-            self.class_counts[c] = self.class_counts.get(c, 0) + v
 
     def admissible_rate(self, adm: AdmissibleSet) -> float:
         if self.trials == 0:
@@ -282,53 +272,17 @@ def _run_chunk(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
     return report
 
 
-# Set only inside a pool worker, once, by the pool's initializer.
-_worker_args: tuple[StabilizerCode, RecoveryTable, ChannelModel] | None = None
-
-
-def _init_worker(code: StabilizerCode, table: RecoveryTable, model: ChannelModel) -> None:
-    global _worker_args
-    _worker_args = (code, table, model)
-
-
-def _run_worker_chunk(count: int, chunk_seed: str) -> TrialReport:
-    return _run_chunk(*_worker_args, count, chunk_seed)
-
-
 def run_trials(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
-               trials: int, seed: int, threads: int = 1) -> TrialReport:
-    """Sample, correct, and tally. Chunks carry derived seeds, so the merged
-    report does not depend on the worker count."""
+               trials: int, seed: int) -> TrialReport:
+    """Sample, correct, and tally all the trials in one draw."""
     if model.n != code.n:
         raise DimensionMismatch(f"channel acts on {model.n} qubits, code on {code.n}")
-    if trials < 1 or threads < 1:
-        raise ValueError(f"trials and threads must be >= 1, got {trials} and {threads}")
-    chunks = []
-    remaining = trials
-    idx = 0
-    while remaining > 0:
-        size = min(_CHUNK, remaining)
-        chunks.append((size, f"{seed}:{idx}"))
-        remaining -= size
-        idx += 1
-    total = TrialReport(seed=str(seed))
-    if threads > 1 and len(chunks) > 1:
-        # Imported here so that unpooled runs never load multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # The pool may start every worker at the first submit, so it is
-        # never sized past the number of chunks.
-        with ProcessPoolExecutor(max_workers=min(threads, len(chunks)),
-                                 initializer=_init_worker,
-                                 initargs=(code, table, model)) as pool:
-            futures = [pool.submit(_run_worker_chunk, size, cs) for size, cs in chunks]
-            for fut in futures:
-                total.merge(fut.result())
-    else:
-        for size, cs in chunks:
-            total.merge(_run_chunk(code, table, model, size, cs))
-    total.seed = str(seed)
-    return total
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    # The old first 20,000-trial chunk's seed: runs up to that size keep their tallies.
+    report = _run_chunk(code, table, model, trials, f"{seed}:0")
+    report.seed = str(seed)
+    return report
 
 
 def exact_class_distribution(code: StabilizerCode, table: RecoveryTable,

@@ -381,7 +381,7 @@ def _cmd_simulate(args) -> int:
         print(f"cannot simulate: verification failed on ({render(a)}, {render(b)})")
         return EXIT_FAIL
     table = build_recovery(verdict)
-    rep = run_trials(code, table, model, args.trials, args.seed, threads=args.threads)
+    rep = run_trials(code, table, model, args.trials, args.seed)
     print(rep.render(code.k))
     rate = rep.admissible_rate(adm)
     print(f"admissible rate = {rate}")
@@ -491,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-weight", type=nonnegative_int, default=1,
                    help="verified error-support weight")
-    p.add_argument("--threads", type=positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=positive_int, default=1,
+                   help="accepted for older scripts; has no effect")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_simulate)
 

@@ -1,7 +1,5 @@
-import concurrent.futures
 import math
 import os
-import pickle
 import random
 import subprocess
 import sys
@@ -119,9 +117,8 @@ def test_channel_on_another_qubit_count_is_refused(table1):
     nine = ExplicitChannel(9, ((parse_pauli("XIIIIIIII"), 0.5),))
     for model in (DepolarizingChannel(3, 0.3), nine):
         message = f"channel acts on {model.n} qubits, code on 7"
-        for threads in (1, 2):
-            with pytest.raises(DimensionMismatch, match=message):
-                run_trials(table1, table, model, 20_000, 1, threads=threads)
+        with pytest.raises(DimensionMismatch, match=message):
+            run_trials(table1, table, model, 20_000, 1)
     with pytest.raises(DimensionMismatch, match="channel acts on 9 qubits, code on 7"):
         exact_class_distribution(table1, table, nine)
 
@@ -129,18 +126,25 @@ def test_channel_on_another_qubit_count_is_refused(table1):
 def test_trial_and_thread_counts_below_one_are_refused(table1):
     table = recovery_for(table1, PHASE1)
     model = uniform_single_error_channel(7)
-    for trials, threads in ((0, 1), (-3, 1), (10, 0), (-3, -2)):
-        with pytest.raises(ValueError, match="trials and threads must be >= 1"):
-            run_trials(table1, table, model, trials, 1, threads=threads)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            run_trials(table1, table, model, trials, 1)
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    code = ("import sys, qtransmute.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
+    # 45,000 trials at the default --threads once started a pool of workers
+    code = ("import sys, qtransmute.cli\n"
+            "pooled = ('concurrent.futures.process', 'multiprocessing')\n"
+            "print([m for m in pooled if m in sys.modules])\n"
+            "rc = qtransmute.cli.main(['simulate', '--code', 'table1-7q', '--admissible', 'ZI',\n"
+            "                          '--model', 'uniform1', '--trials', '45000', '--seed', '5'])\n"
+            "print(rc, [m for m in pooled if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(channel.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []"), out.stdout
+    assert "trials = 45000" in lines
 
 
 def test_depolarizing_uncovered_fraction(table1):
@@ -289,70 +293,6 @@ def test_depolarizing_matches_exact_sum(name, max_weight, p):
     for cls in exact.keys() | rep.class_counts.keys():
         low, high = wilson_interval(rep.class_counts.get(cls, 0), covered_trials)
         assert low <= exact.get(cls, 0.0) <= high, (cls, rep.class_distribution(), exact)
-
-
-def test_merge_independent_of_worker_count(table1):
-    # 45,000 trials: two full chunks and one partial
-    table = recovery_for(table1, PHASE1)
-    for model in (uniform_single_error_channel(7), DepolarizingChannel(7, 0.05)):
-        serial = run_trials(table1, table, model, trials=45_000, seed=5, threads=1)
-        for threads in (2, 3, 8):
-            parallel = run_trials(table1, table, model, trials=45_000, seed=5,
-                                  threads=threads)
-            assert parallel.render(table1.k) == serial.render(table1.k)
-
-
-def test_pool_never_larger_than_chunk_count(table1, monkeypatch):
-    # run_trials imports the pool class from concurrent.futures when it needs one
-    sizes = []
-    pool = concurrent.futures.ProcessPoolExecutor
-
-    def sized_pool(*args, **kwargs):
-        sizes.append(kwargs["max_workers"])
-        return pool(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", sized_pool)
-    table = recovery_for(table1, PHASE1)
-    run_trials(table1, table, uniform_single_error_channel(7), trials=45_000,
-               seed=5, threads=8)
-    assert sizes == [3]
-
-
-def test_table_shipped_at_most_once_per_worker(table1, monkeypatch):
-    pickles = []
-
-    def counted_reduce_ex(self, protocol):
-        pickles.append(protocol)
-        return object.__reduce_ex__(self, protocol)
-
-    table = recovery_for(table1, PHASE1)
-    model = uniform_single_error_channel(7)
-    serial = run_trials(table1, table, model, trials=100_000, seed=8, threads=1)
-    monkeypatch.setattr(RecoveryTable, "__reduce_ex__", counted_reduce_ex)
-    pooled = run_trials(table1, table, model, trials=100_000, seed=8, threads=2)
-    assert len(pickles) <= 2  # once per worker at most, not once per chunk (five)
-    assert pooled.class_counts == serial.class_counts
-
-
-@pytest.mark.parametrize("depol", [False, True])
-def test_pickled_table_runs_the_same_chunk(table1, table2, depol):
-    # pool workers receive (code, table, model) pickled, through initargs,
-    # under the spawn and forkserver start methods
-    for code, adm, extra in ((table1, PHASE1, "XXIIIII"), (table2, BOTH_PHASES, "XXIIII")):
-        table = recovery_for(code, adm)
-        if depol:
-            model = DepolarizingChannel(code.n, 0.05)
-        else:
-            errs = [e for e, _ in uniform_single_error_channel(code.n).errors]
-            model = ExplicitChannel(code.n, tuple(
-                (e, 0.9 / len(errs)) for e in errs) + ((parse_pauli(extra), 0.05),))
-        copied = pickle.loads(pickle.dumps((code, table, model)))
-        assert list(copied[1].entries.items()) == list(table.entries.items())
-        assert list(copied[1].support) == list(table.support)
-        want = channel._run_chunk(code, table, model, 5000, "11:0")
-        got = channel._run_chunk(*copied, 5000, "11:0")
-        assert got.render(code.k) == want.render(code.k)
-        assert got.uncovered > 0
 
 
 def test_uncovered_never_admissible(table1):
@@ -696,7 +636,8 @@ class CountingRandom(random.Random):
 @pytest.mark.parametrize("model", [uniform_single_error_channel(7), DepolarizingChannel(7, 0.05)],
                          ids=["uniform1", "depol:0.05"])
 def test_chunk_cost_grows_with_outcomes_not_trials(table1, model, monkeypatch):
-    # Drawn trial by trial, 20 times the trials took about 20 times the draws.
+    # Drawn trial by trial, 20 times the trials took about 20 times the draws;
+    # drawn in 20,000-trial chunks, 50 times the trials took 50 times the draws.
     table = recovery_for(table1, catalog.resolve("table1-7q").admissible)
     monkeypatch.setattr(channel, "random", SimpleNamespace(Random=CountingRandom))
     draws = {}
@@ -705,6 +646,11 @@ def test_chunk_cost_grows_with_outcomes_not_trials(table1, model, monkeypatch):
         channel._run_chunk(table1, table, model, count, "cost")
         draws[count] = CountingRandom.draws
     assert draws[20_000] < 2 * draws[1000], draws
+    for count in (20_000, 10 ** 6):
+        CountingRandom.draws = 0
+        run_trials(table1, table, model, count, 5)
+        draws["run_trials", count] = CountingRandom.draws
+    assert draws["run_trials", 10 ** 6] < 2 * draws["run_trials", 20_000], draws
 
 
 def corrupted(code, table, e):

@@ -428,6 +428,20 @@ def test_simulate_at_a_subnormal_depolarizing_rate(capsys):
     assert "uncovered = 0\n" in out
 
 
+def test_simulate_cost_does_not_grow_with_trials(capsys):
+    # 10^12 trials are one draw of a few binomials; in 20,000-trial chunks
+    # they were 5·10^7 chunks
+    trials = 10 ** 12
+    code, out, err = run(capsys, "simulate", "--code", "table1-7q", "--admissible", "ZI",
+                         "--model", "depol:0.01", "--trials", str(trials), "--seed", "3")
+    assert (code, err) == (0, "")
+    uncovered = int(re.search(r"^uncovered = (\d+)$", out, re.M)[1])
+    classes = [int(v) for v in re.findall(r"^class \S+ = (\d+)$", out, re.M)]
+    assert sum(classes) + uncovered == trials
+    low, high = wilson_interval(uncovered, trials)
+    assert low <= 1 - 0.99 ** 7 - 7 * 0.01 * 0.99 ** 6 <= high, (uncovered, out)
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.code"
     bad.write_text("7 2\nXQ\n")
