@@ -1,29 +1,32 @@
-"""Monte Carlo validation of recovery at the symplectic level.
+"""The logical channel a code and its recovery induce, computed exactly, and
+Monte Carlo trials drawn from it.
 
-A run draws its tallies, not its trials one by one. Every trial is an
-independent draw from a distribution the run already knows, so `run_trials`
-samples, in one draw in the calling process, how many of its trials land on
-each outcome, one conditional binomial per outcome (`_binomial`: inversion
-when the mean is small, Hörmann's BTRS otherwise). A draw's cost grows with
-the number of distinct outcomes, not with the number of trials, so no run
-is split or spread over processes; the CLI's `simulate --threads` is still
-accepted and has no effect.
+A trial draws a physical Pauli error from a channel model. An error outside
+the recovery table's support is uncovered. A supported error gets its
+syndrome's reference and one of the entry's admissible options, drawn
+uniformly: option o leaves the residual logical class o ^ class(reference·
+error). No correction operator is built and no state vector is involved.
 
-For an explicit channel one chain over the listed probabilities gives each
-error's count, and the rest goes to the identity. For depolarizing noise one
-chain over the Binomial(n, p) weight law gives how many trials have each
-weight up to the support's highest; heavier trials are uncovered and draw no
-error. A weight layer's trials are spread uniformly over its C(n, j)·3^j
-errors, and each drawn index is unranked to its (x, z) masks. Each distinct
-drawn error then looks up its syndrome's entry in the recovery table once,
-and its count is spread uniformly over the entry's admissible options: an
-option o leaves the residual logical class o ^ class(reference·error). No
-correction operator is built and no state vector is involved.
+`class_distribution` gives the exact distribution of that outcome, as
+floats. For an explicit channel it sums over the listed errors and the
+identity remainder. For depolarizing noise the covered mass is the closed
+form sum over j <= w of C(n, j) p^j (1 - p)^(n - j) for a weight-w ball, and
+the sum of the errors' probabilities (p/3)^w (1 - p)^(n - w) over any other
+support. Only the buckets of two or more supported errors, which the check
+kept as members, are summed error by error; every other supported error is
+its bucket's reference, and the rest of the covered mass goes uniformly over
+the admissible classes.
+
+`run_trials` draws a run's tallies, not its trials: one multinomial over the
+distribution's classes and "uncovered", a chain of conditional binomials
+(`_binomial`: inversion when the mean is small, Hörmann's BTRS otherwise).
+Its cost grows with the number of outcomes, not of trials, and an outcome of
+mass 0 never gets a trial. The CLI's `simulate --threads` is still accepted
+and has no effect.
 """
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import comb, fabs, floor, lgamma, log, log2, sqrt
 
@@ -88,12 +91,6 @@ class TrialReport:
             return 0.0
         good = sum(v for c, v in self.class_counts.items() if c in adm.classes)
         return good / self.trials
-
-    def class_distribution(self) -> dict[int, float]:
-        covered = self.trials - self.uncovered
-        if covered == 0:
-            return {}
-        return {c: v / covered for c, v in self.class_counts.items()}
 
     def render(self, k: int) -> str:
         lines = [f"trials = {self.trials}", f"seed = {self.seed}",
@@ -175,55 +172,6 @@ def _chain(rng: random.Random, c: int, probs) -> list[int]:
     return counts
 
 
-def _split(rng: random.Random, c: int, m: int) -> dict[int, int]:
-    """c trials spread uniformly over m outcomes, as {index: count} of the
-    indices drawn: a chain of m - 1 conditional binomials when c >= m, else c
-    index draws, so a split costs about min(c, m) draws."""
-    counts = {}
-    if c >= m:
-        for i in range(m - 1):
-            k = _binomial(rng, c, 1.0 / (m - i))
-            if k:
-                counts[i] = k
-                c -= k
-                if not c:
-                    return counts
-        counts[m - 1] = c
-    else:
-        randrange = rng.randrange  # exact for any m, unlike int(random() * m)
-        for _ in range(c):
-            i = randrange(m)
-            counts[i] = counts.get(i, 0) + 1
-    return counts
-
-
-def _unrank(rows: list[list[int]], j: int, i: int) -> tuple[int, int]:
-    """The i-th error of weight j, for 0 <= i < C(n, j)·3^j, where rows[t][q]
-    is C(q, t) for q < n. i // 3^j ranks the support in the combinatorial
-    number system: its highest qubit q is the last whose C(q, j) does not
-    exceed the rank, and the rank less C(q, j) ranks the other j - 1. The
-    base-3 digits of i % 3^j give the support qubits' letters."""
-    rank, letters = divmod(i, 3 ** j)
-    x = z = 0
-    for t in range(j, 0, -1):
-        row = rows[t]
-        q = bisect_right(row, rank) - 1
-        rank -= row[q]
-        letters, letter = divmod(letters, 3)  # 0, 1, 2: X, Y, Z
-        if letter != 2:
-            x |= 1 << q
-        if letter != 0:
-            z |= 1 << q
-    return x, z
-
-
-def _top_weight(support) -> int:
-    """The highest weight in a recovery table's support."""
-    if isinstance(support, ErrorBall):
-        return support.w
-    return max(((x | z).bit_count() for x, z in support), default=0)
-
-
 def _outcome(code: StabilizerCode, table: RecoveryTable, x: int, z: int):
     """(options, class(reference·error)) of a supported error; None for an
     uncovered one. Each option is equally likely, and option o leaves the
@@ -237,81 +185,88 @@ def _outcome(code: StabilizerCode, table: RecoveryTable, x: int, z: int):
     return entry.options, code.class_bits(rx, rz)
 
 
-def _run_chunk(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
-               count: int, chunk_seed: str) -> TrialReport:
-    rng = random.Random(chunk_seed)
-    report = TrialReport(trials=count, seed=chunk_seed)
-    drawn: dict[tuple[int, int], int] = {}  # distinct error -> its trials
-    if isinstance(model, ExplicitChannel):
-        *counts, rest = _chain(rng, count, [p for _, p in model.errors])
-        for (e, _), k in zip(model.errors, counts):
-            if k:
-                drawn[e.x, e.z] = drawn.get((e.x, e.z), 0) + k
-        if rest:
-            drawn[0, 0] = drawn.get((0, 0), 0) + rest
+def _spread(dist: dict[int, float], mass: float, options, base: int) -> None:
+    """Add `mass` to dist, spread uniformly over the classes o ^ base of the
+    options o."""
+    share = mass * (1.0 / len(options))
+    for o in options:
+        c = o ^ base
+        dist[c] = dist.get(c, 0.0) + share
+
+
+def _depolarizing(code: StabilizerCode, table: RecoveryTable, model: DepolarizingChannel,
+                  dist: dict[int, float]) -> float:
+    """Add the covered depolarizing mass to dist; return the uncovered mass.
+    Only a bucket of two or more supported errors, named by the check's kept
+    members, is summed error by error. Every other bucket's lone error is its
+    own reference and leaves each of the shared `every` options alike, so the
+    rest of the covered mass is spread over them at once."""
+    n, p = model.n, model.p
+    by_weight = [(p / 3) ** w * (1.0 - p) ** (n - w) for w in range(n + 1)]  # one error's
+    support, entries = table.support, table.entries
+    if isinstance(support, ErrorBall):
+        rest = sum(comb(n, j) * p ** j * (1.0 - p) ** (n - j) for j in range(support.w + 1))
     else:
-        n, p = model.n, model.p
-        top = _top_weight(table.support)
-        *layers, report.uncovered = _chain(
-            rng, count, [comb(n, j) * p ** j * (1.0 - p) ** (n - j) for j in range(top + 1)])
-        rows = [[comb(q, t) for q in range(n)] for t in range(top + 1)]
-        for j, c in enumerate(layers):
-            if c:
-                for i, k in _split(rng, c, comb(n, j) * 3 ** j).items():
-                    drawn[_unrank(rows, j, i)] = k
-    classes = report.class_counts
-    for (x, z), k in drawn.items():
-        outcome = _outcome(code, table, x, z)
-        if outcome is None:
-            report.uncovered += k
-            continue
-        options, base = outcome
-        for i, kk in _split(rng, k, len(options)).items():
-            cls = base ^ options[i]
-            classes[cls] = classes.get(cls, 0) + kk
-    return report
+        rest = sum(by_weight[(x | z).bit_count()] for x, z in support)
+    uncovered = 0.0 if len(support) == 4 ** n else max(0.0, 1.0 - rest)
+    shared: dict[int, dict[int, float]] = {}  # syndrome -> class difference -> mass
+    for syn, (x, z), diff in entries.members:
+        diffs = shared.get(syn)
+        if diffs is None:
+            rx, rz = entries[syn].reference
+            if code.syndrome_bits(rx, rz) != syn:
+                raise AssertionError("reference left a nonzero syndrome; table is corrupt")
+            diffs = shared[syn] = {0: by_weight[(rx | rz).bit_count()]}
+        diffs[diff] = diffs.get(diff, 0.0) + by_weight[(x | z).bit_count()]
+    for syn, diffs in shared.items():
+        options = entries[syn].options
+        for diff, mass in diffs.items():
+            rest -= mass
+            _spread(dist, mass, options, diff)
+    if len(shared) < len(entries):
+        _spread(dist, rest, entries.every, 0)
+    return uncovered
+
+
+def class_distribution(code: StabilizerCode, table: RecoveryTable,
+                       model: ChannelModel) -> tuple[dict[int, float], float]:
+    """The exact logical channel of one trial: (class -> probability,
+    uncovered probability). The class masses sum to 1 - uncovered; a class of
+    mass 0 is left out."""
+    if model.n != code.n:
+        raise DimensionMismatch(f"channel acts on {model.n} qubits, code on {code.n}")
+    dist: dict[int, float] = {}
+    if isinstance(model, DepolarizingChannel):
+        uncovered = _depolarizing(code, table, model, dist)
+    else:
+        uncovered = 0.0
+        pairs = [((e.x, e.z), p) for e, p in model.errors]
+        pairs.append(((0, 0), model.identity_probability))
+        for (x, z), p in pairs:
+            outcome = _outcome(code, table, x, z)
+            if outcome is None:
+                uncovered += p
+            else:
+                _spread(dist, p, *outcome)
+    return {c: v for c, v in dist.items() if v > 0.0}, uncovered
 
 
 def run_trials(code: StabilizerCode, table: RecoveryTable, model: ChannelModel,
                trials: int, seed: int) -> TrialReport:
-    """Sample, correct, and tally all the trials in one draw."""
-    if model.n != code.n:
-        raise DimensionMismatch(f"channel acts on {model.n} qubits, code on {code.n}")
+    """Tally `trials` trials in one multinomial draw from `class_distribution`
+    over its classes, in sorted order, and "uncovered". When no trial can be
+    uncovered, the last class takes the chain's rest."""
+    dist, uncovered = class_distribution(code, table, model)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    # The old first 20,000-trial chunk's seed: runs up to that size keep their tallies.
-    report = _run_chunk(code, table, model, trials, f"{seed}:0")
-    report.seed = str(seed)
+    outcomes: list[int | None] = sorted(dist)
+    if uncovered or not outcomes:
+        outcomes.append(None)  # uncovered
+    counts = _chain(random.Random(seed), trials, [dist[c] for c in outcomes[:-1]])
+    report = TrialReport(trials=trials, seed=str(seed))
+    for c, k in zip(outcomes, counts):
+        if c is None:
+            report.uncovered = k
+        elif k:
+            report.class_counts[c] = k
     return report
-
-
-def exact_class_distribution(code: StabilizerCode, table: RecoveryTable,
-                             model: ExplicitChannel) -> tuple[dict[int, float], float]:
-    """Closed-form residual-class distribution for an explicit channel.
-
-    Returns (class -> probability, uncovered probability); class masses are
-    conditioned on nothing (they sum to 1 - uncovered).
-    """
-    if model.n != code.n:
-        raise DimensionMismatch(f"channel acts on {model.n} qubits, code on {code.n}")
-    dist: dict[int, float] = {}
-    uncovered = 0.0
-    pairs = [((e.x, e.z), p) for e, p in model.errors]
-    pid = model.identity_probability
-    if pid > 0:
-        pairs.append(((0, 0), pid))
-    for (x, z), p in pairs:
-        outcome = _outcome(code, table, x, z)
-        if outcome is None:
-            uncovered += p
-            continue
-        options, residual = outcome
-        for image in options:
-            res = image ^ residual
-            dist[res] = dist.get(res, 0.0) + p * (1.0 / len(options))
-    return dist, uncovered
-
-
-def total_variation(a: dict[int, float], b: dict[int, float]) -> float:
-    keys = set(a) | set(b)
-    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)

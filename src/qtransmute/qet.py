@@ -121,16 +121,19 @@ class PiMaps(Mapping):
     maps: `refs` (syndrome -> reference (x, z), in reference order) and
     `narrowed` (sorted options of the syndromes a class difference narrowed).
     Every other syndrome keeps `every` admissible class. A bucket is built on
-    lookup; none is stored."""
+    lookup; none is stored. `members` keeps the check's (syndrome, (x, z),
+    class of reference·error) of every error after its bucket's first, in
+    input order, so the syndromes it names are exactly the narrowed ones."""
 
-    __slots__ = ("_refs", "_narrowed", "_every")
+    __slots__ = ("_refs", "_narrowed", "every", "members")
 
     def __init__(self, refs: dict[int, tuple[int, int]],
-                 narrowed: dict[int, tuple[int, ...]], every: tuple[int, ...]):
-        self._refs, self._narrowed, self._every = refs, narrowed, every
+                 narrowed: dict[int, tuple[int, ...]], every: tuple[int, ...],
+                 members: list[tuple[int, tuple[int, int], int]]):
+        self._refs, self._narrowed, self.every, self.members = refs, narrowed, every, members
 
     def __getitem__(self, syn: int) -> PiBucket:
-        return PiBucket(self._refs[syn], self._narrowed.get(syn, self._every))
+        return PiBucket(self._refs[syn], self._narrowed.get(syn, self.every))
 
     def __iter__(self):
         return iter(self._refs)
@@ -194,11 +197,16 @@ def _bucket_pairs(code: StabilizerCode, labelled, refs: dict[int, tuple[int, int
         yield syn, e, base ^ s >> r
 
 
-def _narrow(classes: frozenset[int], pairs, options: dict[int, set[int]]):
+def _narrow(classes: frozenset[int], pairs, options: dict[int, set[int]],
+            kept: list | None = None):
     """Keep, per syndrome, the reference images o with o ^ diff admissible for
     every class difference seen; return the first pair that leaves none, or
-    None. A syndrome with no pair keeps every image and gets no entry."""
+    None. A syndrome with no pair keeps every image and gets no entry. Each
+    pair read is appended to `kept` when it is given, so a pass keeps them
+    all and a failure stops at its first bad pair."""
     for pair in pairs:
+        if kept is not None:
+            kept.append(pair)
         syn, _, diff = pair
         opts = options[syn] = {o for o in options.get(syn, classes)
                                if o ^ diff in classes}
@@ -226,14 +234,14 @@ def check_general_qet(code: StabilizerCode, adm: AdmissibleSet,
     reference image keeps every forced assignment admissible."""
     _check_k(code, adm)
     checked, labelled = _labelled(code, errors)
-    refs, options = {}, {}
-    hit = _narrow(adm.classes, _bucket_pairs(code, labelled, refs), options)
+    refs, options, members = {}, {}, []
+    hit = _narrow(adm.classes, _bucket_pairs(code, labelled, refs), options, members)
     if hit is not None:
         witness = (PauliOp(code.n, *refs[hit[0]]), PauliOp(code.n, *hit[1]))
         return Verdict(False, witness=witness, checked=checked)
     for syn, opts in options.items():
         options[syn] = tuple(sorted(opts))
-    return Verdict(True, pi_maps=PiMaps(refs, options, tuple(sorted(adm.classes))),
+    return Verdict(True, pi_maps=PiMaps(refs, options, tuple(sorted(adm.classes)), members),
                    checked=checked)
 
 

@@ -14,17 +14,23 @@ from hypothesis import strategies as st
 
 from qtransmute import catalog, channel
 from qtransmute.channel import (DepolarizingChannel, ExplicitChannel, TrialReport,
-                                exact_class_distribution, run_trials,
-                                total_variation, uniform_single_error_channel)
+                                class_distribution, run_trials, uniform_single_error_channel)
 from qtransmute.errors import DimensionMismatch
 from qtransmute.pauli import ErrorBall, PauliOp, errors_up_to_weight, parse_pauli
-from qtransmute.qet import (AdmissibleSet, PiBucket, RecoveryTable, build_recovery,
+from qtransmute.qet import (AdmissibleSet, PiMaps, RecoveryTable, build_recovery,
                             check_general_qet)
 from qtransmute.search import sample_generators
 from qtransmute.stabilizer import standard_form
 
 PHASE1 = AdmissibleSet.group_generated(2, ["ZI"])
 BOTH_PHASES = AdmissibleSet.from_strings(2, ["ZI", "IZ"])
+
+
+def total_variation(report, exact):
+    """Total variation distance from a run's shares of its covered trials to `exact`."""
+    covered = report.trials - report.uncovered
+    return 0.5 * sum(abs(report.class_counts.get(c, 0) / covered - exact.get(c, 0.0))
+                     for c in report.class_counts.keys() | exact.keys())
 
 
 def recovery_for(code, adm, max_weight=1):
@@ -80,9 +86,9 @@ def test_empirical_matches_exact_distribution(table1):
     table = recovery_for(table1, PHASE1)
     model = uniform_single_error_channel(7)
     rep = run_trials(table1, table, model, trials=100_000, seed=31337)
-    exact, uncovered = exact_class_distribution(table1, table, model)
+    exact, uncovered = class_distribution(table1, table, model)
     assert uncovered == 0.0
-    assert total_variation(rep.class_distribution(), exact) < 0.01
+    assert total_variation(rep, exact) < 0.01
 
 
 def test_exact_distribution_matches_materialised_corrections(table1, table2):
@@ -105,7 +111,7 @@ def test_exact_distribution_matches_materialised_corrections(table1, table2):
                 corr = PauliOp(code.n, entry.reference[0] ^ rep.x, entry.reference[1] ^ rep.z)
                 res = code.class_bits(corr.x ^ e.x, corr.z ^ e.z)
                 want[res] = want.get(res, 0.0) + p * wgt
-        got, uncovered = exact_class_distribution(code, table, model)
+        got, uncovered = class_distribution(code, table, model)
         assert got == want
         assert uncovered == want_uncovered > 0
 
@@ -119,8 +125,8 @@ def test_channel_on_another_qubit_count_is_refused(table1):
         message = f"channel acts on {model.n} qubits, code on 7"
         with pytest.raises(DimensionMismatch, match=message):
             run_trials(table1, table, model, 20_000, 1)
-    with pytest.raises(DimensionMismatch, match="channel acts on 9 qubits, code on 7"):
-        exact_class_distribution(table1, table, nine)
+        with pytest.raises(DimensionMismatch, match=message):
+            class_distribution(table1, table, model)
 
 
 def test_trial_and_thread_counts_below_one_are_refused(table1):
@@ -197,70 +203,34 @@ def chi_square(observed, expected):
     return sum((o - e) ** 2 / e for o, e in zip(obs, exp)), len(exp)
 
 
-def draw_statistics(errors, n):
-    """Weight histogram, failures per qubit and the X/Y/Z split of errors."""
-    weights = [0] * (n + 1)
-    per_qubit = [0] * n
-    letters = [0, 0, 0]
-    for x, z in errors:
-        support = x | z
-        weights[support.bit_count()] += 1
-        for q in range(n):
-            if support >> q & 1:
-                per_qubit[q] += 1
-                letters[(x >> q & 1) + (z >> q & 1) * 2 - 1] += 1  # X, Z, Y
-    return weights, per_qubit, letters
-
-
-def drawn_errors(monkeypatch, n, p, count, chunk_seed):
-    """The errors a depolarizing chunk draws, each as often as it is drawn.
-    They are read through the hook every distinct drawn error passes once:
-    an `_outcome` that gives each error one option and the class
-    x | z << n, so the chunk's tallies are its histogram of errors. The
-    support is every Pauli, so no weight is left uncovered."""
-    monkeypatch.setattr(channel, "_outcome", lambda code, table, x, z: ((0,), x | z << n))
-    table = SimpleNamespace(support=ErrorBall(n, n))
-    report = channel._run_chunk(None, table, DepolarizingChannel(n, p), count, chunk_seed)
-    monkeypatch.undo()
-    assert report.uncovered == 0
-    drawn = [(e & ((1 << n) - 1), e >> n) for e, k in report.class_counts.items()
-             for _ in range(k)]
-    assert len(drawn) == count
-    return drawn
-
-
-def test_edge_rates_are_exact(monkeypatch):
-    assert set(drawn_errors(monkeypatch, 7, 0.0, 1000, "edge")) == {(0, 0)}
-    assert set(drawn_errors(monkeypatch, 7, 1e-320, 1000, "edge")) == {(0, 0)}
-    every = {(x | z).bit_count() for x, z in drawn_errors(monkeypatch, 7, 1.0, 1000, "edge")}
-    assert every == {7}
+def test_edge_rates_are_exact(table1):
+    # Rate 0, and a rate whose 1 - p rounds to 1, leave only the identity,
+    # alone in its bucket with both admissible options; at rate 1 every error
+    # weighs 7 and is past the weight-1 support.
+    table = recovery_for(table1, PHASE1)
+    identity = {o: 0.5 for o in PHASE1.classes}
+    for p in (0.0, 1e-320):
+        assert class_distribution(table1, table, DepolarizingChannel(7, p)) == (identity, 0.0)
+    assert class_distribution(table1, table, DepolarizingChannel(7, 1.0)) == ({}, 1.0)
 
 
 @pytest.mark.parametrize("n,p", [(7, 0.02), (98, 0.01), (6, 0.3)])
-def test_depolarizing_draw_matches_bernoulli_definition(n, p, monkeypatch):
-    # The weight histogram is the chain's layer counts, held to Binomial(n, p);
-    # the per-qubit and letter counts check the uniform draw within a layer.
-    count = 20_000
-    drawn = drawn_errors(monkeypatch, n, p, count, f"gap:{n}")
-    rng = random.Random(f"bernoulli:{n}")
-    defined = [bernoulli_depolarizing_error(n, p, rng) for _ in range(count)]
-    binomial = [count * math.comb(n, w) * p ** w * (1 - p) ** (n - w) for w in range(n + 1)]
-    stats = {}
-    for name, errors in (("layers", drawn), ("bernoulli", defined)):
-        weights, per_qubit, letters = stats[name] = draw_statistics(errors, n)
-        # 99.9% acceptance on each statistic; the seeds are fixed.
-        stat, bins = chi_square(weights, binomial)
-        assert chi_square_sf(stat, bins - 1) > 1e-3, (name, "weights", weights)
-        stat, bins = chi_square(per_qubit, [count * p] * n)
-        assert chi_square_sf(stat, bins) > 1e-3, (name, "per qubit", per_qubit)
-        stat, bins = chi_square(letters, [sum(letters) / 3] * 3)
-        assert chi_square_sf(stat, bins - 1) > 1e-3, (name, "letters", letters)
-    # Homogeneity: the two weight histograms come from one distribution. For
-    # two samples of one size the statistic is twice one sample's Pearson
-    # statistic against their mean histogram.
-    layers, bernoulli = stats["layers"][0], stats["bernoulli"][0]
-    stat, bins = chi_square(layers, [(a + b) / 2 for a, b in zip(layers, bernoulli)])
-    assert chi_square_sf(2 * stat, bins - 1) > 1e-3, (layers, bernoulli)
+def test_depolarizing_draw_matches_bernoulli_definition(n, p):
+    # Homogeneity of run_trials' tallies and the per-trial reference's, which
+    # draws each qubit's error as the channel defines it, over the classes
+    # and the uncovered count. For two samples of one size the statistic is
+    # twice one sample's Pearson statistic against their mean.
+    name = {7: "table1-7q", 98: "toric:7", 6: "table2-6q"}[n]
+    cc = catalog.resolve(name)
+    table = recovery_for(cc.code, cc.admissible, 1 if n < 98 else 2)
+    model, count = DepolarizingChannel(n, p), 20_000
+    got = run_trials(cc.code, table, model, count, n)
+    want = reference_run_chunk(cc.code, table, model, count, f"bernoulli:{n}")
+    keys = sorted(got.class_counts.keys() | want.class_counts.keys())
+    a = [got.class_counts.get(c, 0) for c in keys] + [got.uncovered]
+    b = [want.class_counts.get(c, 0) for c in keys] + [want.uncovered]
+    stat, bins = chi_square(a, [(x + y) / 2 for x, y in zip(a, b)])
+    assert chi_square_sf(2 * stat, bins - 1) > 1e-3, (a, b)
 
 
 def wilson_interval(hits, total, zscore=3.2905):
@@ -272,27 +242,80 @@ def wilson_interval(hits, total, zscore=3.2905):
 
 @pytest.mark.parametrize("name,max_weight,p", [("table1-7q", 1, 0.05), ("css17", 2, 0.03)])
 def test_depolarizing_matches_exact_sum(name, max_weight, p):
-    # The exact side weighs every supported error by its depolarizing
-    # probability (p/3)^w (1-p)^(n-w), normalised to the covered mass.
+    # The exact side lists every supported error with its depolarizing
+    # probability (p/3)^w (1-p)^(n-w); each tally, and the uncovered count,
+    # lies in its 99.9% Wilson interval around its exact rate.
     cc = catalog.resolve(name)
-    code, n = cc.code, cc.code.n
-    table = recovery_for(code, cc.admissible, max_weight)
-    covered = sum(math.comb(n, w) * p ** w * (1 - p) ** (n - w) for w in range(max_weight + 1))
-    weighted = []
-    for x, z in table.support:
-        w = (x | z).bit_count()
-        weighted.append((PauliOp(n, x, z), (p / 3) ** w * (1 - p) ** (n - w) / covered))
-    exact, uncovered = exact_class_distribution(code, table, ExplicitChannel(n, tuple(weighted)))
-    assert uncovered == 0.0
+    table = recovery_for(cc.code, cc.admissible, max_weight)
+    exact, uncovered = depolarizing_listing(cc.code, table, p)
+    exact["uncovered"] = uncovered
     trials = 40_000
-    rep = run_trials(code, table, DepolarizingChannel(n, p), trials=trials, seed=21)
-    low, high = wilson_interval(rep.uncovered, trials)
-    assert low <= 1 - covered <= high, (rep.uncovered, 1 - covered)
-    # class_distribution() is each class's count over the covered trials
-    covered_trials = trials - rep.uncovered
-    for cls in exact.keys() | rep.class_counts.keys():
-        low, high = wilson_interval(rep.class_counts.get(cls, 0), covered_trials)
-        assert low <= exact.get(cls, 0.0) <= high, (cls, rep.class_distribution(), exact)
+    rep = run_trials(cc.code, table, DepolarizingChannel(cc.code.n, p), trials=trials, seed=21)
+    tallies = rep.class_counts | {"uncovered": rep.uncovered}
+    assert tallies.keys() <= exact.keys()
+    for key, rate in exact.items():
+        low, high = wilson_interval(tallies.get(key, 0), trials)
+        assert low <= rate <= high, (key, tallies, exact)
+
+
+def depolarizing_listing(code, table, p):
+    """class_distribution of the depolarizing channel written out error by
+    error: every supported error with probability (p/3)^w (1-p)^(n-w), and
+    the rest of the mass on an unsupported error if there is one."""
+    n = code.n
+    listed = [(PauliOp(n, x, z), (p / 3) ** (x | z).bit_count() * (1 - p) ** (n - (x | z).bit_count()))
+              for x, z in table.support]
+    outside = next((e for e in ErrorBall(n, n) if e not in table.support), None)
+    if outside is not None:
+        listed.append((PauliOp(n, *outside), max(0.0, 1 - sum(q for _, q in listed))))
+    return class_distribution(code, table, ExplicitChannel(n, tuple(listed)))
+
+
+def assert_close(got, want, tol=1e-12):
+    (dist, uncovered), (want_dist, want_uncovered) = got, want
+    assert abs(uncovered - want_uncovered) <= tol, (uncovered, want_uncovered)
+    for c in dist.keys() | want_dist.keys():
+        assert abs(dist.get(c, 0.0) - want_dist.get(c, 0.0)) <= tol, (c, dist, want_dist)
+
+
+@pytest.mark.parametrize("name,max_weight", [
+    ("table1-7q", 1), ("table2-6q", 1), ("css17", 2), ("compact:4", 1),
+    ("eq16-lattice:4x4", 1), ("rep:9", 4), ("toric:3", 1)])
+def test_depolarizing_distribution_matches_listing_on_catalog_codes(name, max_weight):
+    cc = catalog.resolve(name)
+    code = cc.code
+    table = build_recovery(check_general_qet(code, cc.admissible, ErrorBall(code.n, max_weight)))
+    for p in (0.01, 0.1):
+        assert_close(class_distribution(code, table, DepolarizingChannel(code.n, p)),
+                     depolarizing_listing(code, table, p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 6), k=st.integers(1, 3), w=st.integers(1, 2), group=st.booleans(),
+       ball=st.booleans(), p=st.sampled_from([0.0, 1e-3, 0.05, 0.3, 0.75, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_depolarizing_distribution_matches_listing(n, k, w, group, ball, p, seed):
+    # The closed-form covered mass and the kept members against every
+    # supported error listed with its probability, on a ball or a shuffled
+    # list, with a group or a non-group admissible set.
+    k = min(k, n - 1)
+    rng = random.Random(seed)
+    code = standard_form(sample_generators(n, k, rng))
+    classes = {0}
+    for c in range(1, 1 << (2 * k)):
+        if rng.random() < 0.3:
+            classes |= {a ^ c for a in classes} if group else {c}
+    adm = AdmissibleSet(k, frozenset(classes))
+    everything = list(ErrorBall(n, w))
+    support = ErrorBall(n, w) if ball else rng.sample(everything, rng.randint(1, len(everything)))
+    verdict = check_general_qet(code, adm, support)
+    if not verdict.passed:  # one error per syndrome always passes
+        rng.shuffle(everything)
+        support = list({code.syndrome_bits(x, z): (x, z) for x, z in everything}.values())
+        verdict = check_general_qet(code, adm, support)
+    table = build_recovery(verdict)
+    assert_close(class_distribution(code, table, DepolarizingChannel(n, p)),
+                 depolarizing_listing(code, table, p))
 
 
 def test_uncovered_never_admissible(table1):
@@ -327,10 +350,12 @@ def test_report_render_has_seed(table1):
 # (an explicit channel's by inversion over the cumulative probabilities, a
 # depolarizing one qubit at a time, as the channel is defined), folds its
 # syndrome, the reference's residual syndrome and its class, and draws an
-# option by walking the equal weights 1/m. A chunk draws counts from the same
-# seed but not the same stream, so the two agree exactly only where the
-# outcome is forced; elsewhere a chunk may tally only what a trial can leave,
-# and the chi-square tests below hold its tallies to the exact distribution.
+# option by walking the equal weights 1/m. It shares no code with
+# class_distribution, so it is the independent path. run_trials draws counts
+# from the same seed but not the same stream, so the two agree exactly only
+# where the outcome is forced; elsewhere run_trials may tally only what a
+# trial can leave, and the chi-square tests hold both to the exact
+# distribution.
 
 
 def reference_sample_error(model, rng, cumulative):
@@ -426,7 +451,7 @@ def explicit_channels(draw, n, w):
        density=st.sampled_from([0.0, 0.5, 1.0]),
        depol=st.sampled_from([None, 0.0, 1e-320, 0.01, 0.3, 1.0]),
        count=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-def test_run_chunk_matches_reference(n, k, w, density, depol, count, seed, data):
+def test_run_trials_matches_reference(n, k, w, density, depol, count, seed, data):
     k = min(k, n - 1)
     rng = random.Random(seed)
     code = standard_form(sample_generators(n, k, rng))
@@ -443,13 +468,12 @@ def test_run_chunk_matches_reference(n, k, w, density, depol, count, seed, data)
     table = build_recovery(verdict)
     model = (data.draw(explicit_channels(n, w)) if depol is None
              else DepolarizingChannel(n, depol))
-    chunk_seed = f"{seed}:{count}"
-    got = channel._run_chunk(code, table, model, count, chunk_seed)
+    got = run_trials(code, table, model, count, seed)
     assert sum(got.class_counts.values()) + got.uncovered == got.trials == count
     results = trial_results(code, table, model)
     assert set(got.class_counts) | ({"uncovered"} if got.uncovered else set()) <= results
     if len(results) == 1:  # forced: rate 0 or 1e-320, rate 1 past the support, ...
-        want = reference_run_chunk(code, table, model, count, chunk_seed)
+        want = reference_run_chunk(code, table, model, count, seed)
         assert got.render(k) == want.render(k)
 
 
@@ -465,19 +489,9 @@ def test_forced_outcomes_match_reference(name, model):
     table = recovery_for(cc.code, cc.admissible)
     assert len(trial_results(cc.code, table, model)) == 1
     for count in (1, 777, 20_000):
-        got = channel._run_chunk(cc.code, table, model, count, "forced")
-        want = reference_run_chunk(cc.code, table, model, count, "forced")
+        got = run_trials(cc.code, table, model, count, 7)
+        want = reference_run_chunk(cc.code, table, model, count, 7)
         assert got.render(cc.code.k) == want.render(cc.code.k)
-
-
-def depolarizing_as_explicit(n, support, p):
-    """The depolarizing channel on a table's support, as an explicit channel
-    normalised to the covered mass, and that mass."""
-    top = channel._top_weight(support)
-    covered = sum(math.comb(n, w) * p ** w * (1 - p) ** (n - w) for w in range(top + 1))
-    return ExplicitChannel(n, tuple(
-        (PauliOp(n, x, z), (p / 3) ** (x | z).bit_count() * (1 - p) ** (n - (x | z).bit_count())
-         / covered) for x, z in support)), covered
 
 
 def all_classes_code():
@@ -496,8 +510,9 @@ def all_classes_code():
     ("[[6,3]]", 1, "depol:0.1"),  # 64
 ])
 def test_tallies_match_exact_distribution(name, max_weight, model):
-    # Pearson's statistic over the classes and the uncovered count, at 99.9%;
-    # a depolarizing run is held to the channel written out as an explicit one.
+    # Pearson's statistic over the classes and the uncovered count, at 99.9%,
+    # for run_trials and for the per-trial reference; a depolarizing run is
+    # held to the channel written out as an explicit one.
     if name == "[[6,3]]":
         code, adm = all_classes_code()
     else:
@@ -507,29 +522,25 @@ def test_tallies_match_exact_distribution(name, max_weight, model):
     table = recovery_for(code, adm, max_weight)
     if model == "uniform1":
         sampled = uniform_single_error_channel(n)
-        exact, uncovered = exact_class_distribution(code, table, sampled)
+        exact, uncovered = class_distribution(code, table, sampled)
     elif model == "skewed":
         sampled = ExplicitChannel(n, tuple(
             (parse_pauli(e), p) for e, p in (("XIIIII", 0.3), ("IIZIII", 0.05),
                                              ("IIIIIY", 0.15), ("XXIIII", 0.1))))
-        exact, uncovered = exact_class_distribution(code, table, sampled)
+        exact, uncovered = class_distribution(code, table, sampled)
     else:
-        p = float(model.split(":")[1])
-        sampled = DepolarizingChannel(n, p)
-        written, covered = depolarizing_as_explicit(n, table.support, p)
-        exact, uncovered = exact_class_distribution(code, table, written)
-        assert uncovered == 0.0
-        exact = {c: v * covered for c, v in exact.items()}
-        uncovered = 1 - covered
-    rep = run_trials(code, table, sampled, trials=trials, seed=29)
-    assert rep.class_counts.keys() <= exact.keys()
-    if not uncovered:
-        assert rep.uncovered == 0
+        sampled = DepolarizingChannel(n, float(model.split(":")[1]))
+        exact, uncovered = depolarizing_listing(code, table, sampled.p)
     keys = sorted(exact)
-    observed = [rep.class_counts.get(c, 0) for c in keys] + [rep.uncovered]
     expected = [trials * exact[c] for c in keys] + [trials * uncovered]
-    stat, bins = chi_square(observed, expected)
-    assert chi_square_sf(stat, bins - 1) > 1e-3, (observed, expected)
+    for rep in (run_trials(code, table, sampled, trials=trials, seed=29),
+                reference_run_chunk(code, table, sampled, trials, 29)):
+        assert rep.class_counts.keys() <= exact.keys()
+        if not uncovered:
+            assert rep.uncovered == 0
+        observed = [rep.class_counts.get(c, 0) for c in keys] + [rep.uncovered]
+        stat, bins = chi_square(observed, expected)
+        assert chi_square_sf(stat, bins - 1) > 1e-3, (observed, expected)
 
 
 def test_option_draws_are_uniform_for_every_option_count():
@@ -589,36 +600,6 @@ def test_binomial_edge_values():
             channel._binomial(rng, n, p)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_unrank_is_a_bijection_onto_each_weight_layer(n):
-    rows = [[math.comb(q, t) for q in range(n)] for t in range(4)]
-    for j in range(min(n, 3) + 1):
-        layer = [e for e in ErrorBall(n, j) if (e[0] | e[1]).bit_count() == j]
-        got = [channel._unrank(rows, j, i) for i in range(math.comb(n, j) * 3 ** j)]
-        assert sorted(got) == sorted(layer)
-
-
-@pytest.mark.parametrize("m", [1, 2, 17, 64, 294])
-def test_split_sums_to_its_count(m):
-    rng = random.Random(f"split:{m}")
-    for c in (0, 1, m - 1, m, m + 1, 3 * m + 2):
-        counts = channel._split(rng, c, m)
-        assert sum(counts.values()) == c
-        assert all(0 <= i < m and k > 0 for i, k in counts.items())
-
-
-@pytest.mark.parametrize("c,m", [(5, 40), (40, 40), (1000, 40)])
-def test_split_is_uniform(c, m):
-    # index draws below m, the binomial chain at and above it
-    rng = random.Random(f"uniform:{c}:{m}")
-    hist = [0] * m
-    for _ in range(40_000 // c):
-        for i, k in channel._split(rng, c, m).items():
-            hist[i] += k
-    stat, bins = chi_square(hist, [sum(hist) / m] * m)
-    assert chi_square_sf(stat, bins - 1) > 1e-3, hist
-
-
 class CountingRandom(random.Random):
     """A generator that counts the numbers drawn from it."""
 
@@ -641,11 +622,6 @@ def test_chunk_cost_grows_with_outcomes_not_trials(table1, model, monkeypatch):
     table = recovery_for(table1, catalog.resolve("table1-7q").admissible)
     monkeypatch.setattr(channel, "random", SimpleNamespace(Random=CountingRandom))
     draws = {}
-    for count in (1000, 20_000):
-        CountingRandom.draws = 0
-        channel._run_chunk(table1, table, model, count, "cost")
-        draws[count] = CountingRandom.draws
-    assert draws[20_000] < 2 * draws[1000], draws
     for count in (20_000, 10 ** 6):
         CountingRandom.draws = 0
         run_trials(table1, table, model, count, 5)
@@ -653,14 +629,14 @@ def test_chunk_cost_grows_with_outcomes_not_trials(table1, model, monkeypatch):
     assert draws["run_trials", 10 ** 6] < 2 * draws["run_trials", 20_000], draws
 
 
-def corrupted(code, table, e):
-    """`table` with the reference of e's bucket swapped for an error of
-    another syndrome."""
-    syn = code.syndrome_bits(e.x, e.z)
+def corrupted(code, table, syn):
+    """`table` with the reference of syndrome syn's bucket swapped for an
+    error of another syndrome, built through the check's own mapping."""
     bad = next(f for f in errors_up_to_weight(code.n, 1)[1:]
                if code.syndrome_bits(*f) != syn)
-    entries = dict(table.entries)
-    entries[syn] = PiBucket(bad, entries[syn].options)
+    pi = table.entries
+    entries = PiMaps({s: bad if s == syn else b.reference for s, b in pi.items()},
+                     {s: b.options for s, b in pi.items()}, pi.every, pi.members)
     return RecoveryTable(entries=entries, support=table.support)
 
 
@@ -669,6 +645,14 @@ def corrupted(code, table, e):
     DepolarizingChannel(7, 0.1),
 ])
 def test_corrupt_table_is_refused(table1, model):
-    table = corrupted(table1, recovery_for(table1, PHASE1), parse_pauli("XIIIIII"))
+    # The explicit channel's one error, and for depolarizing noise the first
+    # bucket whose reference is applied to another error.
+    table = recovery_for(table1, PHASE1)
+    if isinstance(model, ExplicitChannel):
+        e = model.errors[0][0]
+        syn = table1.syndrome_bits(e.x, e.z)
+    else:
+        syn = table.entries.members[0][0]
+    table = corrupted(table1, table, syn)
     with pytest.raises(AssertionError, match="nonzero syndrome; table is corrupt"):
         run_trials(table1, table, model, trials=2000, seed=3)

@@ -18,10 +18,6 @@ PACKAGE = ROOT / "src" / "qtransmute"
 # each stays: module-level functions as module.function, methods as
 # Class.method.
 UNCALLED = {
-    "channel.exact_class_distribution": "closed-form channel reference the trial tests "
-                                        "compare against; ROADMAP direction 2 gives it a caller",
-    "channel.total_variation": "compares trial and exact distributions; ROADMAP direction 2",
-    "TrialReport.class_distribution": "the trial side of that comparison; ROADMAP direction 2",
     "search.generators_from_index": "exhaustive-index contract the search tests pin",
     "search.parameter_space_size": "exhaustive-index contract the search tests pin",
     "search.detects_single_errors": "exhaustive-index contract the search tests pin",

@@ -803,6 +803,8 @@ def test_verdict_maps_match_eager_construction(n, k, group, seed):
     pi = new.pi_maps
     assert list(pi.items()) == list(old.pi_maps.items())
     assert len(pi) == len(old.pi_maps)
+    # the kept members are the old pass's pairs: every error after its bucket's first
+    assert pi.members == list(old_bucket_pairs(code, old_dedupe(code, errs), {}))
     assert all(syn in pi and pi.get(syn) == b for syn, b in old.pi_maps.items())
     unoccupied = next((s for s in range(1 << (n - k)) if s not in old.pi_maps), 1 << (n - k))
     assert unoccupied not in pi
