@@ -15,7 +15,9 @@ the sum of the errors' probabilities (p/3)^w (1 - p)^(n - w) over any other
 support. Only the buckets of two or more supported errors, which the check
 kept as members, are summed error by error; every other supported error is
 its bucket's reference, and the rest of the covered mass goes uniformly over
-the admissible classes.
+the admissible classes. Each class's probability, the uncovered mass and that
+rest are each one `math.fsum` of their terms, so their rounding does not grow
+with the support.
 
 `run_trials` draws a run's tallies, not its trials: one multinomial over the
 distribution's classes and "uncovered", a chain of conditional binomials
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import comb, fabs, floor, lgamma, log, log2, sqrt
+from math import comb, fabs, floor, fsum, lgamma, log, log2, sqrt
 
 from .errors import DimensionMismatch
 from .pauli import ErrorBall, PauliOp, enumerate_paulis
@@ -56,7 +58,7 @@ class ExplicitChannel:
 
     @property
     def identity_probability(self) -> float:
-        return max(0.0, 1.0 - sum(p for _, p in self.errors))
+        return max(0.0, 1.0 - fsum(p for _, p in self.errors))
 
 
 @dataclass(frozen=True)
@@ -185,18 +187,17 @@ def _outcome(code: StabilizerCode, table: RecoveryTable, x: int, z: int):
     return entry.options, code.class_bits(rx, rz)
 
 
-def _spread(dist: dict[int, float], mass: float, options, base: int) -> None:
-    """Add `mass` to dist, spread uniformly over the classes o ^ base of the
-    options o."""
+def _spread(terms: dict[int, list[float]], mass: float, options, base: int) -> None:
+    """Spread `mass` uniformly over the classes o ^ base of the options o,
+    one more term of each class's sum."""
     share = mass * (1.0 / len(options))
     for o in options:
-        c = o ^ base
-        dist[c] = dist.get(c, 0.0) + share
+        terms.setdefault(o ^ base, []).append(share)
 
 
 def _depolarizing(code: StabilizerCode, table: RecoveryTable, model: DepolarizingChannel,
-                  dist: dict[int, float]) -> float:
-    """Add the covered depolarizing mass to dist; return the uncovered mass.
+                  terms: dict[int, list[float]]) -> float:
+    """Add the covered depolarizing mass to terms; return the uncovered mass.
     Only a bucket of two or more supported errors, named by the check's kept
     members, is summed error by error. Every other bucket's lone error is its
     own reference and leaves each of the shared `every` options alike, so the
@@ -205,26 +206,26 @@ def _depolarizing(code: StabilizerCode, table: RecoveryTable, model: Depolarizin
     by_weight = [(p / 3) ** w * (1.0 - p) ** (n - w) for w in range(n + 1)]  # one error's
     support, entries = table.support, table.entries
     if isinstance(support, ErrorBall):
-        rest = sum(comb(n, j) * p ** j * (1.0 - p) ** (n - j) for j in range(support.w + 1))
+        rest = [comb(n, j) * p ** j * (1.0 - p) ** (n - j) for j in range(support.w + 1)]
     else:
-        rest = sum(by_weight[(x | z).bit_count()] for x, z in support)
-    uncovered = 0.0 if len(support) == 4 ** n else max(0.0, 1.0 - rest)
-    shared: dict[int, dict[int, float]] = {}  # syndrome -> class difference -> mass
+        rest = [by_weight[(x | z).bit_count()] for x, z in support]
+    uncovered = 0.0 if len(support) == 4 ** n else max(0.0, 1.0 - fsum(rest))
+    shared: dict[int, dict[int, list[float]]] = {}  # syndrome -> class difference -> terms
     for syn, (x, z), diff in entries.members:
         diffs = shared.get(syn)
         if diffs is None:
             rx, rz = entries[syn].reference
             if code.syndrome_bits(rx, rz) != syn:
                 raise AssertionError("reference left a nonzero syndrome; table is corrupt")
-            diffs = shared[syn] = {0: by_weight[(rx | rz).bit_count()]}
-        diffs[diff] = diffs.get(diff, 0.0) + by_weight[(x | z).bit_count()]
+            diffs = shared[syn] = {0: [by_weight[(rx | rz).bit_count()]]}
+        diffs.setdefault(diff, []).append(by_weight[(x | z).bit_count()])
     for syn, diffs in shared.items():
         options = entries[syn].options
-        for diff, mass in diffs.items():
-            rest -= mass
-            _spread(dist, mass, options, diff)
+        for diff, masses in diffs.items():
+            rest += [-m for m in masses]
+            _spread(terms, fsum(masses), options, diff)
     if len(shared) < len(entries):
-        _spread(dist, rest, entries.every, 0)
+        _spread(terms, fsum(rest), entries.every, 0)
     return uncovered
 
 
@@ -235,19 +236,21 @@ def class_distribution(code: StabilizerCode, table: RecoveryTable,
     mass 0 is left out."""
     if model.n != code.n:
         raise DimensionMismatch(f"channel acts on {model.n} qubits, code on {code.n}")
-    dist: dict[int, float] = {}
+    terms: dict[int, list[float]] = {}  # class -> the masses that sum to its probability
     if isinstance(model, DepolarizingChannel):
-        uncovered = _depolarizing(code, table, model, dist)
+        uncovered = _depolarizing(code, table, model, terms)
     else:
-        uncovered = 0.0
+        missed = []
         pairs = [((e.x, e.z), p) for e, p in model.errors]
         pairs.append(((0, 0), model.identity_probability))
         for (x, z), p in pairs:
             outcome = _outcome(code, table, x, z)
             if outcome is None:
-                uncovered += p
+                missed.append(p)
             else:
-                _spread(dist, p, *outcome)
+                _spread(terms, p, *outcome)
+        uncovered = fsum(missed)
+    dist = {c: fsum(masses) for c, masses in terms.items()}
     return {c: v for c, v in dist.items() if v > 0.0}, uncovered
 
 

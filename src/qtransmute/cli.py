@@ -227,15 +227,10 @@ def _distance_exit(result, require_exact: bool) -> int:
 
 
 def _cmd_distance(args) -> int:
-    cc = _load_catalog_code(args.code)
-    code = cc.code
-    if args.cls is not None:
-        target = _parse_class(args.cls, code)
-        result = min_weight_in_class(code, target, args.cap, pure=args.pure)
-        label = f"min weight in class {args.cls}"
-    else:
-        result = min_weight_in_class(code, None, args.cap, pure=args.pure)
-        label = "distance"
+    code = _load_catalog_code(args.code).code
+    target = None if args.cls is None else _parse_class(args.cls, code)
+    result = min_weight_in_class(code, target, args.cap, pure=args.pure)
+    label = "distance" if args.cls is None else f"min weight in class {args.cls}"
     print(f"{label} = {result}")
     _write_report(args.report, {"d": result.value, "exact": result.exact, "cap": result.cap})
     return _distance_exit(result, args.require_exact)

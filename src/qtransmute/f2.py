@@ -136,15 +136,6 @@ def solve(m: BitMatrix, b: int) -> int | None:
     return x
 
 
-def reduce_against(rref_rows: Sequence[int], v: int) -> int:
-    """Reduce a packed row against rows already in RREF; zero iff v is in their span."""
-    for row in rref_rows:
-        low = row & -row
-        if v & low:
-            v ^= row
-    return v
-
-
 class F2Span:
     """Incrementally built row space; rows keyed by lowest set bit.
 

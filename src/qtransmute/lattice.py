@@ -204,26 +204,18 @@ class TorusCode:
 def _instantiate_vec(vec: LaurentVec, lx: int, ly: int, cx: int, cy: int,
                      n: int) -> PauliOp:
     total = n * lx * ly
-    x = z = 0
+    packed = 0  # x | z << total
     for i, poly in enumerate(vec.entries):
-        is_x = i < n
-        q = i if is_x else i - n
+        block, q = divmod(i, n)  # block 0 is X, block 1 is Z
         for (ex, ey) in poly.terms:
             cell = ((cy + ey) % ly) * lx + ((cx + ex) % lx)
-            bit = 1 << (cell * n + q)
-            if is_x:
-                if x & bit:
-                    raise CodeConstructionError(
-                        f"degenerate overlap: X entry {q} folds onto cell "
-                        f"({(cx + ex) % lx},{(cy + ey) % ly}) twice on a {lx}x{ly} torus")
-                x |= bit
-            else:
-                if z & bit:
-                    raise CodeConstructionError(
-                        f"degenerate overlap: Z entry {q} folds onto cell "
-                        f"({(cx + ex) % lx},{(cy + ey) % ly}) twice on a {lx}x{ly} torus")
-                z |= bit
-    return PauliOp(total, x, z)
+            bit = 1 << (block * total + cell * n + q)
+            if packed & bit:
+                raise CodeConstructionError(
+                    f"degenerate overlap: {'XZ'[block]} entry {q} folds onto cell "
+                    f"({(cx + ex) % lx},{(cy + ey) % ly}) twice on a {lx}x{ly} torus")
+            packed |= bit
+    return PauliOp(total, packed & ((1 << total) - 1), packed >> total)
 
 
 def instantiate_torus(cell: UnitCellCode, lx: int, ly: int) -> TorusCode:

@@ -112,10 +112,6 @@ def _free_bits(n: int, k: int, r: int) -> int:
     return r * w + r * k + w * k + r * w + r * k + r * (r + 1) // 2
 
 
-def parameter_space_size(n: int, k: int) -> int:
-    return sum(1 << _free_bits(n, k, r) for r in range(n - k + 1))
-
-
 def _take(bits: int, nrows: int, width: int) -> list[int]:
     """`nrows` rows of `width` bits from the low end of `bits`, row 0 lowest."""
     mask = (1 << width) - 1
@@ -194,22 +190,6 @@ def _draw(n: int, k: int, rng: random.Random) -> tuple[int, int]:
 
 def sample_generators(n: int, k: int, rng: random.Random) -> list[PauliOp]:
     return _ops(n, _decode(n, k, *_draw(n, k, rng))[0])
-
-
-def generators_from_index(n: int, k: int, index: int) -> list[PauliOp]:
-    """Decode a linear index over the whole parameter space (all r blocks)."""
-    if index >= 0:
-        for r in range(n - k + 1):
-            block = 1 << _free_bits(n, k, r)
-            if index < block:
-                return _ops(n, _decode(n, k, r, index)[0])
-            index -= block
-    raise IndexError("index outside the parameter space")
-
-
-def detects_single_errors(generators: list[PauliOp], n: int) -> bool:
-    """True iff every weight-1 Pauli anticommutes with some generator."""
-    return _detects([(g.x, g.z) for g in generators], n)
 
 
 def _candidates(spec: SearchSpec, start_index: int):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import CodeConstructionError, ParseError, content_lines
-from .f2 import (BitMatrix, F2Span, fold, kernel_basis, mul_bt, reduce_against, rref, solve,
-                 symplectic, transpose_rows)
+from .f2 import (BitMatrix, F2Span, fold, kernel_basis, mul_bt, rref, solve, symplectic,
+                 transpose_rows)
 from .pauli import PauliOp, parse_pauli, render, symplectic_product
 
 _PURE_LETTERS = {None: ("X", "Y", "Z"), "x": ("X",), "z": ("Z",)}
@@ -95,21 +95,21 @@ class StabilizerCode:
         self._init_tables()
 
     def _init_tables(self) -> None:
-        n = self.n
-        # Transposed symplectic check matrices: row j is the syndrome (label:
-        # syndrome | class << (n - k), class bits Z block first) of the packed
-        # unit vector 1 << j, so folding the rows an error's x | z << n selects
-        # gives its syndrome (label).
-        self._syn = transpose_rows([_sym_twist(g) for g in self.generators], 2 * n)
+        # Transposed symplectic check matrix of the generators, then logical Z
+        # and X: row j is the label (syndrome | class << (n - k), class bits Z
+        # block first) of the packed unit vector 1 << j, so folding the rows
+        # an error's x | z << n selects gives its label.
         self._labels = transpose_rows(
-            [_sym_twist(p) for p in self.generators + self.logical_z + self.logical_x], 2 * n)
-        self._gen_rref = rref(BitMatrix(tuple(_sym_vec(g) for g in self.generators), 2 * n))
+            [_sym_twist(p) for p in self.generators + self.logical_z + self.logical_x],
+            2 * self.n)
+        self._syn_mask = (1 << len(self.generators)) - 1
+        self._span = F2Span(_sym_vec(g) for g in self.generators)
 
     # -- the maps on packed (x, z) Paulis -------------------------------------
 
     def syndrome_bits(self, x: int, z: int) -> int:
         """Anticommutation pattern against the generators (bit l = generator l)."""
-        return fold(self._syn, x | z << self.n)
+        return fold(self._labels, x | z << self.n) & self._syn_mask
 
     def class_bits(self, x: int, z: int) -> int:
         """Logical class bits; meaningful for a zero-syndrome Pauli."""
@@ -117,7 +117,7 @@ class StabilizerCode:
 
     def in_stabilizer_bits(self, x: int, z: int) -> bool:
         """True iff the Pauli is a product of generators (phase-blind)."""
-        return reduce_against(self._gen_rref.reduced.rows, x | (z << self.n)) == 0
+        return self._span.contains(x | z << self.n)
 
     # -- logical basis ---------------------------------------------------------
 
@@ -139,8 +139,8 @@ def validate_code(code: StabilizerCode) -> Diagnostics:
     for i, j in combinations(range(len(gens)), 2):
         if symplectic_product(gens[i], gens[j]):
             diag.add(f"generators {i} and {j} anticommute")
-    if code._gen_rref.rank < len(gens):
-        diag.add(f"generators dependent: rank {code._gen_rref.rank} < {len(gens)}")
+    if code._span.rank < len(gens):
+        diag.add(f"generators dependent: rank {code._span.rank} < {len(gens)}")
     for name, ops in (("X", code.logical_x), ("Z", code.logical_z)):
         for i, op in enumerate(ops):
             s = code.syndrome_bits(op.x, op.z)
@@ -296,9 +296,10 @@ def scan_zero_syndrome(code: StabilizerCode, w: int, visit,
     if not 1 <= w <= n:
         return False
     a, b = w - w // 2, w // 2
+    labels, mask = code._labels, code._syn_mask
     steps = []
     for q in range(n):
-        sx, sz, bit = code._syn[q], code._syn[n + q], 1 << q
+        sx, sz, bit = labels[q] & mask, labels[n + q] & mask, 1 << q
         row = {"X": (sx, bit), "Y": (sx ^ sz, bit | bit << n), "Z": (sz, bit << n)}
         steps.append([row[letter] for letter in _PURE_LETTERS[pure]])
 
@@ -432,36 +433,31 @@ def loads(text: str) -> StabilizerCode:
         raise ParseError(f"invalid parameters n={n}, k={k}", line=lineno)
 
     idx = 1
-    gens: list[PauliOp] = []
-    for _ in range(n - k):
-        if idx >= len(entries):
-            raise ParseError(f"expected {n - k} generator lines, found {len(gens)}")
-        lineno, s = entries[idx]
-        idx += 1
-        p = parse_pauli(s, line=lineno)
-        if p.n != n:
-            raise ParseError(f"generator has {p.n} letters, expected {n}", line=lineno)
-        gens.append(p)
 
-    def read_section(tag: str) -> list[PauliOp] | None:
+    def take(count: int, what: str) -> list[PauliOp]:
+        """The next `count` lines as n-qubit Paulis; fewer where the file ends."""
         nonlocal idx
+        ops: list[PauliOp] = []
+        while len(ops) < count and idx < len(entries):
+            lineno, s = entries[idx]
+            idx += 1
+            p = parse_pauli(s, line=lineno)
+            if p.n != n:
+                raise ParseError(f"{what} has {p.n} letters, expected {n}", line=lineno)
+            ops.append(p)
+        return ops
+
+    gens = take(n - k, "generator")
+    if len(gens) < n - k:
+        raise ParseError(f"expected {n - k} generator lines, found {len(gens)}")
+    sections: dict[str, list[PauliOp]] = {}
+    for tag in ("XL", "ZL"):
         if idx < len(entries) and entries[idx][1].upper() == tag:
             idx += 1
-            ops = []
-            for _ in range(k):
-                if idx >= len(entries):
-                    raise ParseError(f"{tag} section needs {k} lines")
-                lineno, s = entries[idx]
-                idx += 1
-                p = parse_pauli(s, line=lineno)
-                if p.n != n:
-                    raise ParseError(f"operator has {p.n} letters, expected {n}", line=lineno)
-                ops.append(p)
-            return ops
-        return None
-
-    xl = read_section("XL")
-    zl = read_section("ZL")
+            sections[tag] = take(k, "operator")
+            if len(sections[tag]) < k:
+                raise ParseError(f"{tag} section needs {k} lines")
+    xl, zl = sections.get("XL"), sections.get("ZL")
     if idx < len(entries):
         raise ParseError("unexpected trailing content", line=entries[idx][0])
 

@@ -18,12 +18,7 @@ PACKAGE = ROOT / "src" / "qtransmute"
 # each stays: module-level functions as module.function, methods as
 # Class.method.
 UNCALLED = {
-    "search.generators_from_index": "exhaustive-index contract the search tests pin",
-    "search.parameter_space_size": "exhaustive-index contract the search tests pin",
-    "search.detects_single_errors": "exhaustive-index contract the search tests pin",
     "AdmissibleSet.full": "the every-class admissible set, counterpart of trivial()",
-    "F2Span.contains": "span membership, the read side of insert()",
-    "LinearCode.contains": "codeword membership, which the classical tests check codes by",
     "lattice.dumps_cell": "writer of the unit-cell format that loads_cell reads",
     "report.parse": "tests read `--report` files back with it",
 }

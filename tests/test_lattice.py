@@ -222,6 +222,21 @@ def test_degenerate_overlap_rejected():
     assert torus.code.n == 6
 
 
+@pytest.mark.parametrize("entries,message", [
+    (["0", "1+x^2"], "Z entry 0 folds onto cell (0,0)"),
+    (["1+x^2", "0"], "X entry 0 folds onto cell (0,0)"),
+    (["0", "0", "0", "1+y^2"], "Z entry 1 folds onto cell (0,0)"),
+    (["0", "x+x^3", "0", "0"], "X entry 1 folds onto cell (1,0)"),
+])
+def test_degenerate_overlap_names_the_entry(entries, message):
+    cell = UnitCellCode(len(entries) // 2, (LaurentVec.parse(entries),))
+    with pytest.raises(CodeConstructionError) as err:
+        instantiate_torus(cell, 2, 2)
+    assert str(err.value) == f"degenerate overlap: {message} twice on a 2x2 torus"
+    torus = instantiate_torus(cell, 3, 3)  # x^2 and y^2 stay distinct mod 3
+    assert torus.code.n == 9 * cell.n
+
+
 # -- toric code ---------------------------------------------------------------------------
 
 

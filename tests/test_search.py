@@ -7,10 +7,9 @@ import qtransmute.search
 from qtransmute.f2 import mul_bt, transpose_rows
 from qtransmute.pauli import PauliOp, enumerate_paulis, errors_up_to_weight, symplectic_product
 from qtransmute.qet import AdmissibleSet, check_general_qet, relabel_search
-from qtransmute.search import (SearchOutcome, SearchSpec, _decode, _free_bits,
-                               detects_single_errors, generators_from_index,
-                               parameter_space_size, read_checkpoint, run_search,
-                               sample_generators, write_checkpoint)
+from qtransmute.search import (SearchOutcome, SearchSpec, _candidates, _decode, _detects,
+                               _free_bits, read_checkpoint, run_search, sample_generators,
+                               write_checkpoint)
 from qtransmute.stabilizer import StabilizerCode, complete_logical_basis, validate_code
 
 PHASE1 = AdmissibleSet.group_generated(2, ["ZI"])
@@ -32,13 +31,16 @@ def test_sampled_generators_always_valid():
 
 def test_exhaustive_enumeration_is_complete_and_valid():
     n, k = 4, 2
-    size = parameter_space_size(n, k)
+    spec = SearchSpec(n=n, k=k, pattern=BOTH_PHASES, mode="exhaustive")
+    size = 0
     seen = set()
-    for idx in range(size):
-        gens = generators_from_index(n, k, idx)
+    for r, value in _candidates(spec, 0):
+        gens = [PauliOp(n, x, z) for x, z in _decode(n, k, r, value)[0]]
         for a, b in combinations(gens, 2):
             assert symplectic_product(a, b) == 0
         seen.add(tuple((g.x, g.z) for g in gens))
+        size += 1
+    assert size == sum(1 << _free_bits(n, k, r) for r in range(n - k + 1))
     assert len(seen) == size  # distinct parameters give distinct codes
 
 
@@ -49,7 +51,7 @@ def test_detection_filter_matches_direct_check():
         code_check = all(
             any(symplectic_product(p, g) for g in gens)
             for p in enumerate_paulis(6, 1))
-        assert detects_single_errors(gens, 6) == code_check
+        assert _detects([(g.x, g.z) for g in gens], 6) == code_check
 
 
 def test_finds_seven_qubit_phase_transmuter():
@@ -222,7 +224,7 @@ def _check_candidate(n: int, k: int, r: int, value: int) -> None:
     gens, xs, zs = _decode(n, k, r, value)
     assert gens == [(g.x, g.z) for g in want]
     detected = _decode(n, k, r, value, detect=True)
-    assert (detected is not None) == detects_directly(want, n) == detects_single_errors(want, n)
+    assert (detected is not None) == detects_directly(want, n)
     if detected is not None:
         assert detected == (gens, xs, zs)
     code = StabilizerCode(want, [PauliOp(n, x, z) for x, z in xs],
@@ -232,16 +234,20 @@ def _check_candidate(n: int, k: int, r: int, value: int) -> None:
 
 @pytest.mark.parametrize("n,k", SMALL_SPACES)
 def test_packed_decode_matches_reference_on_every_index(n, k):
-    index = 0
     for r, value in all_candidates(n, k):
         _check_candidate(n, k, r, value)
-        assert generators_from_index(n, k, index) == reference_decode(n, k, r, value)
-        index += 1
-    assert index == parameter_space_size(n, k)
-    with pytest.raises(IndexError):
-        generators_from_index(n, k, index)
-    with pytest.raises(IndexError):
-        generators_from_index(n, k, -1)
+
+
+# The 8,712-candidate n=4, k=1 space takes ~7 s: 38 million candidates in all.
+@pytest.mark.parametrize("n,k", [pytest.param(n, k, marks=pytest.mark.slow) if (n, k) == (4, 1)
+                                 else (n, k) for n, k in SMALL_SPACES])
+def test_exhaustive_walk_resumes_at_every_index(n, k):
+    # what run_search resumes from: the walk from index i is the tail of the
+    # whole scan from i, and an index past the end yields nothing
+    everything = list(all_candidates(n, k))
+    spec = SearchSpec(n=n, k=k, pattern=AdmissibleSet.trivial(k), mode="exhaustive")
+    for i in range(len(everything) + 1):
+        assert list(_candidates(spec, i)) == everything[i:]
 
 
 @pytest.mark.parametrize("n,k", SAMPLED)

@@ -252,6 +252,41 @@ def test_file_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "empty code file"),
+    ("7\nXX\n", "header must be 'n k' at line 1"),
+    ("a b\n", "header must contain two integers at line 1"),
+    ("2 3\n", "invalid parameters n=2, k=3 at line 1"),
+    ("0 0\n", "invalid parameters n=0, k=0 at line 1"),
+    ("2 1\n", "expected 1 generator lines, found 0"),
+    ("3 1\nXII\n", "expected 2 generator lines, found 1"),
+    ("2 1\nXXX\n", "generator has 3 letters, expected 2 at line 2"),
+    ("# a comment\n\n2 1\nXXX\n", "generator has 3 letters, expected 2 at line 4"),
+    ("2 1\nZZ\nXL\n", "XL section needs 1 lines"),
+    ("2 1\nZZ\nZL\n", "ZL section needs 1 lines"),
+    ("2 1\nZZ\nXL\nXX\nZL\n", "ZL section needs 1 lines"),
+    ("2 1\nZZ\nXL\nXXX\n", "operator has 3 letters, expected 2 at line 4"),
+    ("2 1\nZZ\nXL\nXX\nZL\nZ\n", "operator has 1 letters, expected 2 at line 6"),
+    ("2 0\nXX\nZZ\nXY\n", "unexpected trailing content at line 4"),
+    ("2 1\nZZ\nZL\nZZ\nXL\nXX\n", "unexpected trailing content at line 5"),
+    ("2 1\nZZ\nXL\nXX\nXL\nXX\n", "unexpected trailing content at line 5"),
+    ("2 1\nXQ\n", "invalid Pauli letter 'Q' at line 2, position 1"),
+    ("3 1\nXII\nZII\n", "invalid code: generators 0 and 1 anticommute"),
+    ("3 1\nXII\nZII\nXL\nIXI\nZL\nIZI\n", "invalid code: generators 0 and 1 anticommute"),
+    ("3 1\nXII\nXII\n", "invalid code: generators are dependent"),
+    ("3 1\nXII\nXII\nXL\nIXI\nZL\nIZI\n", "invalid code: generators dependent: rank 1 < 2"),
+    ("2 1\nZZ\nXL\nXI\n", "invalid code: seed operator is outside N(S)"),
+    ("2 1\nZZ\nXL\nXI\nZL\nZZ\n", "invalid code: logical X1 anticommutes with generator 0"),
+    ("3 1\nZZI\nIZZ\nXL\nXXX\nZL\nXXX\n",
+     "invalid code: bad pairing: X1 vs Z1 (expected anticommuting)"),
+])
+def test_file_parse_error_messages(text, message):
+    # every message loads raises, word for word, line numbers included
+    with pytest.raises(ParseError) as err:
+        loads(text)
+    assert str(err.value) == message
+
+
 def test_seeded_completion_rejects_bad_seeds(table1):
     with pytest.raises(CodeConstructionError):
         complete_logical_basis(table1.generators,
@@ -502,24 +537,46 @@ def test_scan_matches_brute_force_order_on_random_codes(n, k, pure, seed, data):
         assert stopped == want[:j]
 
 
+def _in_row_space(rows, v, width):
+    """Row-space membership by rank: v adds nothing to the RREF of rows."""
+    return (rref(BitMatrix(tuple(rows) + (v,), width)).rank
+            == rref(BitMatrix(tuple(rows), width)).rank)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), k=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
        data=st.data())
 def test_tables_fold_symplectic_products_on_random_codes(n, k, seed, data):
-    assume(k < n)
-    code = _random_small_code(random.Random(seed), n, k)
+    # one label table and one span answer syndrome, class and membership; k = n
+    # is the code with no generators, and k = 0 has no logical operator
+    k = min(k, n)
+    code = _free_code(n) if k == n else _random_small_code(random.Random(seed), n, k)
+    m = len(code.generators)
+    rows = [_sym_vec(g) for g in code.generators]
     paulis = st.builds(PauliOp, st.just(n), st.integers(0, (1 << n) - 1),
                        st.integers(0, (1 << n) - 1))
     for e in data.draw(st.lists(paulis, min_size=1, max_size=8)):
         syn, cls = code.syndrome_bits(e.x, e.z), code.class_bits(e.x, e.z)
         for l, g in enumerate(code.generators):
             assert (syn >> l) & 1 == symplectic_product(g, e)
-        assert syn >> len(code.generators) == 0
+        assert syn >> m == 0
         for i in range(k):
             assert (cls >> i) & 1 == symplectic_product(code.logical_z[i], e)
             assert (cls >> (k + i)) & 1 == symplectic_product(code.logical_x[i], e)
         assert cls >> (2 * k) == 0
+        # a product of generators, alone and times e, is in the span or not
+        # as the rank of the generator rows says
+        s = _unpack(fold(rows, data.draw(st.integers(0, (1 << m) - 1))), n)
+        for v in (s, _unpack(_sym_vec(s) ^ _sym_vec(e), n)):
+            assert code.in_stabilizer_bits(v.x, v.z) == _in_row_space(rows, _sym_vec(v), 2 * n)
+        assert code.in_stabilizer_bits(s.x, s.z)
     for c in range(1 << (2 * k)):
         rep = code.class_representative(c)
         assert code.syndrome_bits(rep.x, rep.z) == 0
         assert code.class_bits(rep.x, rep.z) == c
+    if m and k:  # one more generator, a product of the others, for one logical pair
+        extra = _unpack(fold(rows, data.draw(st.integers(1, (1 << m) - 1))), n)
+        dependent = StabilizerCode(code.generators + [extra], code.logical_x[1:],
+                                   code.logical_z[1:])
+        assert f"generators dependent: rank {m} < {m + 1}" in validate_code(dependent).problems
+        assert dependent.in_stabilizer_bits(extra.x, extra.z)
