@@ -7,7 +7,7 @@ tracked; products and commutators are phase-blind throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from math import comb
 from typing import Iterator
 
@@ -90,16 +90,23 @@ class ErrorBall:
         return not (x | z) >> self.n and (x | z).bit_count() <= self.w  # refuses negatives
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return (e for batch in self.labelled([0] * (2 * self.n)) for e, _ in batch)
+        # The walk with x as the value and z as the label: its pairs are (x, z).
+        return chain.from_iterable(self._walk(
+            [((1 << q, 0), (1 << q, 1 << q), (0, 1 << q)) for q in range(self.n)]))
 
-    def labelled(self, cols) -> Iterator[list[tuple[tuple[int, int], int]]]:
-        """Batches of ((x, z), s) in iteration order, where s is the XOR of
-        cols[q] over the X bits q and cols[n + q] over the Z bits: the fold of
-        cols by x | z << n, carried by one XOR per (qubit, letter) step."""
+    def labelled(self, cols) -> Iterator[list[tuple[int, int]]]:
+        """Batches of (v, s) in iteration order, where v = x | z << n packs the
+        error and s is the XOR of cols[q] over the X bits q and cols[n + q]
+        over the Z bits: the fold of cols by v, carried by one XOR per
+        (qubit, letter) step."""
         n = self.n
-        steps = [((1 << q, 0, cols[q]), (1 << q, 1 << q, cols[q] ^ cols[n + q]),
-                  (0, 1 << q, cols[n + q])) for q in range(n)]
-        identity = [((0, 0), 0)]
+        return self._walk([((1 << q, cols[q]), (1 << q | 1 << (n + q), cols[q] ^ cols[n + q]),
+                            (1 << (n + q), cols[n + q])) for q in range(n)])
+
+    def _walk(self, steps):
+        """Batches of (v, s) pairs, each the OR of its qubits' step values v
+        and the XOR of their labels s, from steps[q] = one (v, s) per letter."""
+        identity = [(0, 0)]
         yield identity
         for w in range(1, self.w + 1):
             yield from _extend(steps, identity, 0, w)
@@ -110,12 +117,12 @@ def _extend(steps, prefix, start: int, left: int):
     `start` on, one per last-qubit range. Not nested, so a walk leaves no cycle."""
     n = len(steps)
     if left == 1:
-        yield [((x | dx, z | dz), s ^ ds) for q in range(start, n)
-               for (x, z), s in prefix for dx, dz, ds in steps[q]]
+        yield [(v | dv, s ^ ds) for q in range(start, n)
+               for v, s in prefix for dv, ds in steps[q]]
         return
     for q in range(start, n - left + 1):
-        yield from _extend(steps, [((x | dx, z | dz), s ^ ds) for (x, z), s in prefix
-                                   for dx, dz, ds in steps[q]], q + 1, left - 1)
+        yield from _extend(steps, [(v | dv, s ^ ds) for v, s in prefix
+                                   for dv, ds in steps[q]], q + 1, left - 1)
 
 
 def enumerate_paulis(n: int, max_weight: int) -> Iterator[PauliOp]:

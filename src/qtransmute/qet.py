@@ -116,24 +116,32 @@ class PiBucket:
     options: tuple[int, ...]  # admissible classes usable as the reference image
 
 
+def _xz(ref, n: int) -> tuple[int, int]:
+    """The (x, z) of a bucket reference: a ball's packed x | z << n, or the
+    (x, z) of any other input as it stands."""
+    return (ref & ((1 << n) - 1), ref >> n) if isinstance(ref, int) else ref
+
+
 class PiMaps(Mapping):
-    """Syndrome -> PiBucket of a passing check, read through the check's own
-    maps: `refs` (syndrome -> reference (x, z), in reference order) and
-    `narrowed` (sorted options of the syndromes a class difference narrowed).
+    """Syndrome -> PiBucket of a passing check on n qubits, read through the
+    check's own maps: `refs` (syndrome -> reference, in reference order; a
+    ball's is one packed int, unpacked on lookup) and `narrowed` (sorted
+    options of the syndromes a class difference narrowed).
     Every other syndrome keeps `every` admissible class. A bucket is built on
     lookup; none is stored. `members` keeps the check's (syndrome, (x, z),
     class of reference·error) of every error after its bucket's first, in
     input order, so the syndromes it names are exactly the narrowed ones."""
 
-    __slots__ = ("_refs", "_narrowed", "every", "members")
+    __slots__ = ("_refs", "_narrowed", "every", "members", "n")
 
-    def __init__(self, refs: dict[int, tuple[int, int]],
+    def __init__(self, refs: dict[int, int | tuple[int, int]],
                  narrowed: dict[int, tuple[int, ...]], every: tuple[int, ...],
-                 members: list[tuple[int, tuple[int, int], int]]):
+                 members: list[tuple[int, tuple[int, int], int]], n: int):
         self._refs, self._narrowed, self.every, self.members = refs, narrowed, every, members
+        self.n = n
 
     def __getitem__(self, syn: int) -> PiBucket:
-        return PiBucket(self._refs[syn], self._narrowed.get(syn, self.every))
+        return PiBucket(_xz(self._refs[syn], self.n), self._narrowed.get(syn, self.every))
 
     def __iter__(self):
         return iter(self._refs)
@@ -162,9 +170,9 @@ def _check_k(code: StabilizerCode, adm: AdmissibleSet) -> None:
 def _labelled(code: StabilizerCode, errors):
     """(checked, labelled): the distinct (x, z) errors, and each of them in
     input order paired with its label syndrome | class << (n - k). A ball is
-    its own checked set and is walked with the code's label columns; any
-    other iterable is deduped into a dict, the checked set, and each distinct
-    error labelled with one fold."""
+    its own checked set and is walked with the code's label columns, each
+    error packed as x | z << n; any other iterable is deduped into a dict,
+    the checked set, and each distinct (x, z) labelled with one fold."""
     if isinstance(errors, ErrorBall):
         if errors.n != code.n:
             raise DimensionMismatch(f"the error ball acts on {errors.n} qubits, the code on {code.n}")
@@ -176,13 +184,14 @@ def _labelled(code: StabilizerCode, errors):
     return errs, ((e, fold(rows, e[0] | e[1] << n)) for e in errs)
 
 
-def _bucket_pairs(code: StabilizerCode, labelled, refs: dict[int, tuple[int, int]]):
+def _bucket_pairs(code: StabilizerCode, labelled, refs: dict):
     """Bucket labelled errors by syndrome in order. The first error of each
-    syndrome becomes its reference in `refs`; every later error is yielded as
-    (syndrome, (x, z), class of reference·error). The class map is linear, so
-    that class is the error's class XOR the reference's, which is computed
-    once per syndrome that gets a second error."""
-    r = len(code.generators)
+    syndrome becomes its reference in `refs`, kept as the labelled input hands
+    it over; every later error is yielded as (syndrome, (x, z), class of
+    reference·error). The class map is linear, so that class is the error's
+    class XOR the reference's, which is computed once per syndrome that gets
+    a second error."""
+    n, r = code.n, len(code.generators)
     mask = (1 << r) - 1
     ref_class: dict[int, int] = {}
     for e, s in labelled:
@@ -193,8 +202,8 @@ def _bucket_pairs(code: StabilizerCode, labelled, refs: dict[int, tuple[int, int
             continue
         base = ref_class.get(syn)
         if base is None:
-            base = ref_class[syn] = code.class_bits(*ref)
-        yield syn, e, base ^ s >> r
+            base = ref_class[syn] = code.class_bits(*_xz(ref, n))
+        yield syn, _xz(e, n), base ^ s >> r
 
 
 def _narrow(classes: frozenset[int], pairs, options: dict[int, set[int]],
@@ -237,12 +246,12 @@ def check_general_qet(code: StabilizerCode, adm: AdmissibleSet,
     refs, options, members = {}, {}, []
     hit = _narrow(adm.classes, _bucket_pairs(code, labelled, refs), options, members)
     if hit is not None:
-        witness = (PauliOp(code.n, *refs[hit[0]]), PauliOp(code.n, *hit[1]))
+        witness = (PauliOp(code.n, *_xz(refs[hit[0]], code.n)), PauliOp(code.n, *hit[1]))
         return Verdict(False, witness=witness, checked=checked)
     for syn, opts in options.items():
         options[syn] = tuple(sorted(opts))
-    return Verdict(True, pi_maps=PiMaps(refs, options, tuple(sorted(adm.classes)), members),
-                   checked=checked)
+    return Verdict(True, pi_maps=PiMaps(refs, options, tuple(sorted(adm.classes)), members,
+                                        code.n), checked=checked)
 
 
 def strong_conditions_hold(code: StabilizerCode, adm: AdmissibleSet,

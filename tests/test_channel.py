@@ -631,12 +631,15 @@ def test_chunk_cost_grows_with_outcomes_not_trials(table1, model, monkeypatch):
 
 def corrupted(code, table, syn):
     """`table` with the reference of syndrome syn's bucket swapped for an
-    error of another syndrome, built through the check's own mapping."""
-    bad = next(f for f in errors_up_to_weight(code.n, 1)[1:]
+    error of another syndrome, built through the check's own mapping with
+    every reference packed as x | z << n, as a ball's check keeps them."""
+    n = code.n
+    bad = next(f for f in errors_up_to_weight(n, 1)[1:]
                if code.syndrome_bits(*f) != syn)
     pi = table.entries
-    entries = PiMaps({s: bad if s == syn else b.reference for s, b in pi.items()},
-                     {s: b.options for s, b in pi.items()}, pi.every, pi.members)
+    refs = {s: bad if s == syn else b.reference for s, b in pi.items()}
+    entries = PiMaps({s: x | z << n for s, (x, z) in refs.items()},
+                     {s: b.options for s, b in pi.items()}, pi.every, pi.members, n)
     return RecoveryTable(entries=entries, support=table.support)
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from itertools import combinations
@@ -621,6 +622,7 @@ def test_walked_ball_matches_its_list(n, k, group, seed):
         assert (1 << n, 0) not in new.checked
         if old.passed:
             assert list(new.pi_maps.items()) == list(old.pi_maps.items())
+            assert new.pi_maps.members == old.pi_maps.members
         elif first_failure is None:
             first_failure = w
         assert strong_conditions_hold(code, adm, ball) == strong_conditions_hold(code, adm, errs)
@@ -630,6 +632,7 @@ def test_walked_ball_matches_its_list(n, k, group, seed):
             assert (hit[0].logical_x, hit[0].logical_z) == (want[0].logical_x, want[0].logical_z)
             assert hit[1].checked is ball
             assert list(hit[1].pi_maps.items()) == list(want[1].pi_maps.items())
+            assert hit[1].pi_maps.members == want[1].pi_maps.members
     cap = rng.randrange(n + 1)
     want = ((2 * first_failure - 1, True) if first_failure is not None and first_failure <= cap
             else (2 * cap + 1, cap >= n))
@@ -643,9 +646,14 @@ def test_walk_labels_are_syndrome_and_class(n, k, group, seed):
     assume(k < n)
     rng = random.Random(seed)
     code = random_code(rng, n, k)
-    for batch in ErrorBall(n, rng.randrange(n + 1)).labelled(code._labels):
-        for (x, z), s in batch:
+    w = rng.randrange(n + 1)
+    walked = []
+    for batch in ErrorBall(n, w).labelled(code._labels):
+        for v, s in batch:
+            x, z = v & ((1 << n) - 1), v >> n
             assert s == code.syndrome_bits(x, z) | code.class_bits(x, z) << (n - k)
+            walked.append((x, z))
+    assert walked == errors_up_to_weight(n, w)
 
 
 # -- the bucket pass as it was before the labelled walk -------------------------------
@@ -832,7 +840,8 @@ def test_check_peak_memory_per_checked_error():
     assert peak / len(verdict.checked) <= 140
     # A ball is its own checked set, so no dedupe dict is kept; the walk
     # runs inside the traced region. The list path, with the list built in
-    # the traced region, peaked at 210 B per checked error here.
+    # the traced region, peaked at 210 B per checked error here, and the ball
+    # with an (x, z) tuple as each reference at 185 B.
     del verdict, errs
     tracemalloc.start()
     try:
@@ -842,7 +851,9 @@ def test_check_peak_memory_per_checked_error():
         tracemalloc.stop()
     assert verdict.passed
     assert (len(verdict.checked), len(verdict.pi_maps)) == (43_072, 42_778)
-    assert peak / len(verdict.checked) <= 190
+    assert peak / len(verdict.checked) <= 130
+    # Its references are packed ints, so the cyclic GC never walks the map.
+    assert not gc.is_tracked(verdict.pi_maps._refs)
 
 
 @pytest.mark.parametrize("check", [check_general_qet, strong_conditions_hold, relabel_search])
