@@ -13,11 +13,11 @@ from __future__ import annotations
 from collections.abc import Collection, Mapping
 from copy import copy
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain, combinations, tee
+from functools import cached_property, lru_cache
+from itertools import chain, tee
 
 from .errors import DimensionMismatch, ParseError, content_lines
-from .f2 import fold, symplectic
+from .f2 import F2Span, fold, symplectic
 from .pauli import ErrorBall, PauliOp, render
 from .stabilizer import (DistanceResult, StabilizerCode, _min_weight,
                          class_bits_from_string, class_bits_to_string,
@@ -37,10 +37,11 @@ class AdmissibleSet:
         if any(c >> (2 * self.k) or c < 0 for c in self.classes):
             raise ValueError("class bits exceed 2k")
 
-    @property
+    @cached_property
     def is_group(self) -> bool:
-        cl = self.classes
-        return all(a ^ b in cl for a, b in combinations(cl, 2))
+        """True iff the set is XOR-closed. It holds the identity, so it is
+        closed iff it is its own span: iff it has 2^rank elements."""
+        return len(self.classes) == 1 << F2Span(self.classes).rank
 
     @classmethod
     def from_strings(cls, k: int, strings) -> "AdmissibleSet":
@@ -126,11 +127,13 @@ class PiMaps(Mapping):
     """Syndrome -> PiBucket of a passing check on n qubits, read through the
     check's own maps: `refs` (syndrome -> reference, in reference order; a
     ball's is one packed int, unpacked on lookup) and `narrowed` (sorted
-    options of the syndromes a class difference narrowed).
+    options of the syndromes a class difference narrowed; empty for an
+    XOR-closed admissible set, where a passing check narrows none).
     Every other syndrome keeps `every` admissible class. A bucket is built on
     lookup; none is stored. `members` keeps the check's (syndrome, (x, z),
     class of reference·error) of every error after its bucket's first, in
-    input order, so the syndromes it names are exactly the narrowed ones."""
+    input order, so the syndromes it names are those of the buckets of two or
+    more errors: for a set that is not closed, exactly the narrowed ones."""
 
     __slots__ = ("_refs", "_narrowed", "every", "members", "n")
 
@@ -192,27 +195,38 @@ def _bucket_pairs(code: StabilizerCode, labelled, refs: dict):
     class XOR the reference's, which is computed once per syndrome that gets
     a second error."""
     n, r = code.n, len(code.generators)
-    mask = (1 << r) - 1
+    mask, xmask = (1 << r) - 1, (1 << n) - 1
     ref_class: dict[int, int] = {}
     for e, s in labelled:
         syn = s & mask
-        ref = refs.get(syn)
-        if ref is None:
-            refs[syn] = e
+        # Distinct errors are distinct objects, so `is` tells a new syndrome.
+        ref = refs.setdefault(syn, e)
+        if ref is e:
             continue
         base = ref_class.get(syn)
         if base is None:
             base = ref_class[syn] = code.class_bits(*_xz(ref, n))
-        yield syn, _xz(e, n), base ^ s >> r
+        yield syn, (e & xmask, e >> n) if type(e) is int else e, base ^ s >> r
 
 
 def _narrow(classes: frozenset[int], pairs, options: dict[int, set[int]],
-            kept: list | None = None):
+            kept: list | None = None, group: bool = False):
     """Keep, per syndrome, the reference images o with o ^ diff admissible for
     every class difference seen; return the first pair that leaves none, or
     None. A syndrome with no pair keeps every image and gets no entry. Each
     pair read is appended to `kept` when it is given, so a pass keeps them
-    all and a failure stops at its first bad pair."""
+    all and a failure stops at its first bad pair.
+
+    For an XOR-closed set (`group`) a difference inside the set keeps every
+    image and one outside keeps none, so only the difference is tested and no
+    syndrome gets an entry in `options`."""
+    if group:
+        for pair in pairs:
+            if kept is not None:
+                kept.append(pair)
+            if pair[2] not in classes:
+                return pair
+        return None
     for pair in pairs:
         if kept is not None:
             kept.append(pair)
@@ -244,7 +258,8 @@ def check_general_qet(code: StabilizerCode, adm: AdmissibleSet,
     _check_k(code, adm)
     checked, labelled = _labelled(code, errors)
     refs, options, members = {}, {}, []
-    hit = _narrow(adm.classes, _bucket_pairs(code, labelled, refs), options, members)
+    hit = _narrow(adm.classes, _bucket_pairs(code, labelled, refs), options, members,
+                  group=adm.is_group)
     if hit is not None:
         witness = (PauliOp(code.n, *_xz(refs[hit[0]], code.n)), PauliOp(code.n, *hit[1]))
         return Verdict(False, witness=witness, checked=checked)
@@ -280,7 +295,7 @@ def effective_distance(code: StabilizerCode, adm: AdmissibleSet,
         raise ValueError(f"cap must be >= 0, got {cap}")
     cap = min(cap, code.n)
     hit = _narrow(adm.classes, _bucket_pairs(code, _labelled(code, ErrorBall(code.n, cap))[1],
-                                             {}), {})
+                                             {}), {}, group=adm.is_group)
     if hit is not None:
         x, z = hit[1]
         return DistanceResult(2 * (x | z).bit_count() - 1, True, cap)
@@ -378,8 +393,10 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
 
     checked, labelled = _labelled(code, errors)
     pairs = list(_bucket_pairs(code, labelled, {}))
+    # Sp(2k,2) acts linearly, so every image of a group is a group.
+    group = pattern.is_group
     for mapped, cols in _pattern_images(code.k, pattern.classes):
-        if _narrow(mapped, pairs, {}) is None:
+        if _narrow(mapped, pairs, {}, group=group) is None:
             new_x = [code.class_representative(cols[i]) for i in range(code.k)]
             new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]
             candidate = code.with_logicals(new_x, new_z)

@@ -10,7 +10,7 @@ has a 1 in slot k+i. Generator signs are not modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, dropwhile
 
 from .errors import CodeConstructionError, ParseError, content_lines
 from .f2 import (BitMatrix, F2Span, fold, kernel_basis, mul_bt, rref, solve, symplectic,
@@ -217,36 +217,51 @@ def complete_logical_basis(
                 z ^= xs[l]
         zs.append(z)
 
-    # Remaining hyperbolic pairs, greedily from the kernel basis. Correcting a
-    # candidate against the chosen pairs keeps it in their symplectic
+    # Remaining hyperbolic pairs, greedily from the kernel basis. Each pair
+    # corrects the rows left once, in pair order, into its symplectic
     # complement; independence mod S then implies independence mod S+pairs.
-    # The corrections are sequential in pair order, so `rows` keeps the kernel
-    # rows corrected against the first `done` pairs and each pair is applied
-    # once.
+    # A row in S commutes with every kernel vector, so no correction moves it
+    # and it is never chosen: it is dropped for good, and each row is tested
+    # for membership once. Every row tested has been corrected against the
+    # seed pairs, and in their complement a vector lies in S plus the seeds
+    # iff it lies in S, so `seed_span` serves as the span of S.
     rows = list(kern.rows)
     done = 0
     while len(xs) < k:
         for x, z in zip(xs[done:], zs[done:]):
-            for i, v in enumerate(rows):
-                if symplectic(v, z, n):
-                    v ^= x
-                if symplectic(v, x, n):
-                    v ^= z
-                rows[i] = v
+            rows = _correct(rows, x, z, n)
         done = len(xs)
-        # The pool is read only up to the first partner of its first row.
-        span = F2Span(gen_rows.reduced.rows)
-        pool = (v for v in rows if span.insert(v))
-        a = next(pool, None)
+        left = dropwhile(seed_span.contains, rows)
+        a = next(left, None)
         if a is None:
             raise CodeConstructionError("cannot complete basis: kernel exhausted")
-        b = next((c for c in pool if symplectic(a, c, n)), None)
-        if b is None:
+        rows = list(left)
+        # S and every row before the partner commute with a (a row that
+        # anticommutes would be the partner), so the first row that
+        # anticommutes with a lies outside their span: no span is needed.
+        ta = _twist(a, n)
+        j = next((j for j, v in enumerate(rows) if (v & ta).bit_count() & 1), None)
+        if j is None:
             raise CodeConstructionError("degenerate symplectic form on the quotient")
+        b = rows.pop(j)
         xs.append(a)
         zs.append(b)
 
     return [_unpack(v, n) for v in xs], [_unpack(v, n) for v in zs]
+
+
+def _twist(v: int, n: int) -> int:
+    """Row whose dot with a packed vector gives the symplectic product with v."""
+    return v >> n | (v & ((1 << n) - 1)) << n
+
+
+def _correct(rows: list[int], x: int, z: int, n: int) -> list[int]:
+    """Each row moved into the symplectic complement of the hyperbolic pair
+    (x, z): plus x if it anticommutes with z, plus z if with x. Adding x
+    leaves the product with x unchanged, so both parities read the row as given."""
+    tx, tz = _twist(x, n), _twist(z, n)
+    return [v ^ (x if (v & tz).bit_count() & 1 else 0) ^ (z if (v & tx).bit_count() & 1 else 0)
+            for v in rows]
 
 
 def standard_form(generators: list[PauliOp]) -> StabilizerCode:

@@ -143,6 +143,18 @@ def test_admissible_group_flag():
     assert AdmissibleSet.full(2).is_group
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 3), closed=st.booleans(), data=st.data())
+def test_group_flag_matches_pairwise_closure(k, closed, data):
+    drawn = data.draw(st.sets(st.integers(0, (1 << (2 * k)) - 1), max_size=12))
+    classes = {0} | drawn
+    if closed:
+        classes = {fold(sorted(drawn), m) for m in range(1 << len(drawn))} | {0}
+    pairwise = all(a ^ b in classes for a, b in combinations(classes, 2))
+    assert AdmissibleSet(k, frozenset(classes)).is_group == pairwise
+    assert pairwise or not closed
+
+
 def test_admissible_requires_identity():
     with pytest.raises(ValueError):
         AdmissibleSet(1, frozenset([1]))
@@ -820,6 +832,94 @@ def test_verdict_maps_match_eager_construction(n, k, group, seed):
     assert pi.get(unoccupied, "absent") == "absent"
     with pytest.raises(KeyError):
         pi[unoccupied]
+
+
+# -- per-pair narrowing of closed sets --------------------------------------------
+#
+# Copied from qet as it was when every admissible set, closed or not, was
+# narrowed pair by pair into an option set per syndrome: a check, and a
+# relabel search that replays its hit with that check.
+
+
+def per_pair_narrow(classes, pairs, options, kept=None):
+    for pair in pairs:
+        if kept is not None:
+            kept.append(pair)
+        syn, _, diff = pair
+        opts = options[syn] = {o for o in options.get(syn, classes)
+                               if o ^ diff in classes}
+        if not opts:
+            return pair
+    return None
+
+
+def per_pair_check_general_qet(code, adm, errors):
+    qet._check_k(code, adm)
+    checked, labelled = qet._labelled(code, errors)
+    refs, options, members = {}, {}, []
+    hit = per_pair_narrow(adm.classes, qet._bucket_pairs(code, labelled, refs), options, members)
+    if hit is not None:
+        witness = (PauliOp(code.n, *qet._xz(refs[hit[0]], code.n)), PauliOp(code.n, *hit[1]))
+        return Verdict(False, witness=witness, checked=checked)
+    for syn, opts in options.items():
+        options[syn] = tuple(sorted(opts))
+    return Verdict(True, pi_maps=qet.PiMaps(refs, options, tuple(sorted(adm.classes)), members,
+                                            code.n), checked=checked)
+
+
+def per_pair_relabel_search(code, pattern, errors):
+    qet._check_k(code, pattern)
+    checked, labelled = qet._labelled(code, errors)
+    pairs = list(qet._bucket_pairs(code, labelled, {}))
+    for mapped, cols in _pattern_images(code.k, pattern.classes):
+        if per_pair_narrow(mapped, pairs, {}) is None:
+            candidate = relabeled(code, cols)
+            return candidate, per_pair_check_general_qet(candidate, pattern, checked)
+    return None
+
+
+def assert_same_group_verdict(new, old):
+    assert (new.passed, new.witness) == (old.passed, old.witness)
+    if not old.passed:
+        assert new.pi_maps is None
+        return
+    assert len(new.pi_maps) == len(old.pi_maps)
+    assert ([(syn, b.reference, b.options) for syn, b in new.pi_maps.items()]
+            == [(syn, b.reference, b.options) for syn, b in old.pi_maps.items()])
+    assert new.pi_maps.members == old.pi_maps.members
+
+
+def assert_group_narrowing_matches_per_pair(code, adm, errors):
+    assert adm.is_group
+    assert_same_group_verdict(check_general_qet(code, adm, errors),
+                              per_pair_check_general_qet(code, adm, errors))
+    hit, want = relabel_search(code, adm, errors), per_pair_relabel_search(code, adm, errors)
+    assert (hit is None) == (want is None)
+    if hit is not None:
+        assert (hit[0].logical_x, hit[0].logical_z) == (want[0].logical_x, want[0].logical_z)
+        assert_same_group_verdict(hit[1], want[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 6), k=st.integers(1, 3), kind=st.sampled_from(["trivial", "full", "closed"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_group_narrowing_matches_per_pair_narrowing(n, k, kind, seed):
+    assume(k < n)
+    rng = random.Random(seed)
+    code = random_code(rng, n, k)
+    adm = {"trivial": AdmissibleSet.trivial(k), "full": AdmissibleSet.full(k),
+           "closed": random_admissible(rng, k, True)}[kind]
+    w = rng.choice([1, 2])
+    for errors in (shuffled_errors(rng, n, w), ErrorBall(n, w)):
+        assert_group_narrowing_matches_per_pair(code, adm, errors)
+
+
+@pytest.mark.parametrize("kind", ["catalog", "trivial", "full"])
+def test_group_narrowing_matches_per_pair_narrowing_on_rep9(kind):
+    cc = catalog.resolve("rep:9")
+    adm = {"catalog": cc.admissible, "trivial": AdmissibleSet.trivial(1),
+           "full": AdmissibleSet.full(1)}[kind]
+    assert_group_narrowing_matches_per_pair(cc.code, adm, ErrorBall(9, 4))
 
 
 def test_check_peak_memory_per_checked_error():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qtransmute import stabilizer
 from qtransmute.catalog import resolve, table1_code
 from qtransmute.errors import CodeConstructionError, ParseError
 from qtransmute.f2 import (BitMatrix, F2Span, fold, kernel_basis, mul_bt, rref, solve,
@@ -467,6 +468,178 @@ def test_completion_matches_reference_on_catalog_codes(spec):
     for seeds in ([], code.logical_x[:3]):
         assert (complete_logical_basis(code.generators, seed_x=seeds)
                 == _reference_basis(code.generators, seeds, code.n))
+
+
+# -- basis completion as it was when each pair rebuilt the span ------------------
+#
+# Copied verbatim from stabilizer.complete_logical_basis as it was when every
+# logical pair it added built a new span of the generator rows and re-inserted
+# the kernel rows up to the pair's partner. The one-pass completion must give
+# the same operators, or raise the same message, on every input.
+
+
+def span_per_pair_completion(
+    generators: list[PauliOp],
+    seed_x: list[PauliOp] | None = None,
+    n: int | None = None,
+) -> tuple[list[PauliOp], list[PauliOp]]:
+    """Extend seed X operators to a full logical basis (X_i, Z_i) for the stabilizer.
+
+    Seeds must commute with the generators and among themselves, and be
+    independent modulo the stabilizer. Deterministic for fixed inputs.
+    """
+    seed_x = list(seed_x or [])
+    if n is None:
+        if not generators and not seed_x:
+            raise CodeConstructionError("cannot infer the qubit count: pass n")
+        n = (generators or seed_x)[0].n
+    k = n - len(generators)
+    if len(seed_x) > k:
+        raise CodeConstructionError(f"more seeds than logical qubits (k={k})")
+
+    gen_rows = rref(BitMatrix(tuple(_sym_vec(g) for g in generators), 2 * n))
+    if gen_rows.rank < len(generators):
+        raise CodeConstructionError("generators are dependent")
+    kern = kernel_basis(BitMatrix(tuple(_sym_twist(g) for g in generators), 2 * n))
+
+    xs = [_sym_vec(p) for p in seed_x]
+    for v in xs:
+        if any(symplectic(_sym_vec(g), v, n) for g in generators):
+            raise CodeConstructionError("seed operator is outside N(S)")
+    for i, j in combinations(range(len(xs)), 2):
+        if symplectic(xs[i], xs[j], n):
+            raise CodeConstructionError(f"seed X operators {i} and {j} anticommute")
+    seed_span = F2Span(gen_rows.reduced.rows)
+    for v in xs:
+        if not seed_span.insert(v):
+            raise CodeConstructionError("seed operators are dependent modulo the stabilizer")
+
+    # Solve for the Z partners: symplectic(x_j, z_i) = delta_ij over the
+    # kernel, then Gram-Schmidt z_i against earlier partners. Row j of the
+    # constraints holds x_j's symplectic form with each kernel row.
+    constraints = BitMatrix(tuple(mul_bt([_sym_twist(p) for p in seed_x], kern.rows)),
+                            kern.nrows)
+    zs: list[int] = []
+    for i in range(len(xs)):
+        coeffs = solve(constraints, 1 << i)
+        if coeffs is None:
+            raise CodeConstructionError("no symplectic partner for seed operator "
+                                        f"{i}: seeds not independent in N(S)/S")
+        z = fold(kern.rows, coeffs)
+        for l in range(i):
+            if symplectic(z, zs[l], n):
+                z ^= xs[l]
+        zs.append(z)
+
+    # Remaining hyperbolic pairs, greedily from the kernel basis. Correcting a
+    # candidate against the chosen pairs keeps it in their symplectic
+    # complement; independence mod S then implies independence mod S+pairs.
+    # The corrections are sequential in pair order, so `rows` keeps the kernel
+    # rows corrected against the first `done` pairs and each pair is applied
+    # once.
+    rows = list(kern.rows)
+    done = 0
+    while len(xs) < k:
+        for x, z in zip(xs[done:], zs[done:]):
+            for i, v in enumerate(rows):
+                if symplectic(v, z, n):
+                    v ^= x
+                if symplectic(v, x, n):
+                    v ^= z
+                rows[i] = v
+        done = len(xs)
+        # The pool is read only up to the first partner of its first row.
+        span = F2Span(gen_rows.reduced.rows)
+        pool = (v for v in rows if span.insert(v))
+        a = next(pool, None)
+        if a is None:
+            raise CodeConstructionError("cannot complete basis: kernel exhausted")
+        b = next((c for c in pool if symplectic(a, c, n)), None)
+        if b is None:
+            raise CodeConstructionError("degenerate symplectic form on the quotient")
+        xs.append(a)
+        zs.append(b)
+
+    return [_unpack(v, n) for v in xs], [_unpack(v, n) for v in zs]
+
+
+def _drawn_generator_list(rng, n):
+    """(generators, seeds): a valid code's generators, often made dependent,
+    anticommuting, short or reordered, with no seeds, valid seeds or random ones."""
+    code = _random_small_code(rng, n, rng.randrange(n))
+    gens = list(code.generators)
+    change = rng.randrange(5)
+    if change == 1 and gens:  # dependent: a product of generators
+        picked = [g for g in gens if rng.random() < 0.5] or gens[:1]
+        gens.insert(rng.randrange(len(gens) + 1),
+                    PauliOp(n, fold([g.x for g in picked], (1 << len(picked)) - 1),
+                            fold([g.z for g in picked], (1 << len(picked)) - 1)))
+    elif change == 2 and gens:  # most likely anticommuting
+        gens[rng.randrange(len(gens))] = PauliOp(n, rng.randrange(1 << n), rng.randrange(1 << n))
+    elif change == 3 and gens:  # one logical qubit more
+        del gens[rng.randrange(len(gens))]
+    rng.shuffle(gens)
+    how = rng.randrange(3)
+    if how == 1 and code.k:
+        seeds = _random_seeds(rng, code)
+    elif how == 2:
+        seeds = [PauliOp(n, rng.randrange(1 << n), rng.randrange(1 << n))
+                 for _ in range(rng.randrange(3))]
+    else:
+        seeds = []
+    return gens, seeds
+
+
+def _completion_outcome(complete, generators, seed_x):
+    try:
+        return complete(generators, seed_x=seed_x)
+    except CodeConstructionError as exc:
+        return f"CodeConstructionError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_completion_matches_span_per_pair_on_drawn_generator_lists(n, seed):
+    gens, seeds = _drawn_generator_list(random.Random(seed), n)
+    assert (_completion_outcome(complete_logical_basis, gens, seeds)
+            == _completion_outcome(span_per_pair_completion, gens, seeds))
+
+
+@pytest.mark.parametrize("spec", ["compact:4", "compact:6", "compact:8", "eq20-lattice:4x4",
+                                  "eq20-lattice:6x6", "eq16-lattice:8x8", "css17"])
+def test_completion_matches_span_per_pair_on_catalog_codes(spec):
+    code = resolve(spec).code
+    # css17's basis is completed from two seeds, its first logical X operators.
+    seeds = code.logical_x[:2] if spec == "css17" else []
+    assert (complete_logical_basis(code.generators, seed_x=seeds)
+            == span_per_pair_completion(code.generators, seed_x=seeds))
+
+
+class _CountingSpan(F2Span):
+    inserts = membership_tests = 0
+
+    def insert(self, v):
+        _CountingSpan.inserts += 1
+        return super().insert(v)
+
+    def contains(self, v):
+        _CountingSpan.membership_tests += 1
+        return super().contains(v)
+
+
+def test_completion_builds_one_span_and_tests_each_row_once(monkeypatch):
+    # The span of S is built once (r inserts), and each of the n + k kernel
+    # rows is tested for membership at most once. Building a new span for
+    # every pair took 8,202 inserts here.
+    code = resolve("compact:8").code
+    monkeypatch.setattr(stabilizer, "F2Span", _CountingSpan)
+    monkeypatch.setattr(_CountingSpan, "inserts", 0)
+    monkeypatch.setattr(_CountingSpan, "membership_tests", 0)
+    xs, zs = complete_logical_basis(code.generators)
+    assert (code.n, code.k) == (96, 63)
+    assert len(xs) == len(zs) == code.k
+    assert _CountingSpan.inserts <= code.n - code.k
+    assert _CountingSpan.membership_tests <= code.n + code.k
 
 
 def _brute_minima(code):
