@@ -187,12 +187,13 @@ def _outcome(code: StabilizerCode, table: RecoveryTable, x: int, z: int):
     return entry.options, code.class_bits(rx, rz)
 
 
-def _spread(terms: dict[int, list[float]], mass: float, options, base: int) -> None:
-    """Spread `mass` uniformly over the classes o ^ base of the options o,
-    one more term of each class's sum."""
-    share = mass * (1.0 / len(options))
+def _spread(terms: dict[int, list[float]], masses: list[float], options, base: int) -> None:
+    """Spread each of `masses` uniformly over the classes o ^ base of the
+    options o: one more term per mass in each class's sum."""
+    inv = 1.0 / len(options)
+    shares = [m * inv for m in masses]
     for o in options:
-        terms.setdefault(o ^ base, []).append(share)
+        terms.setdefault(o ^ base, []).extend(shares)
 
 
 def _depolarizing(code: StabilizerCode, table: RecoveryTable, model: DepolarizingChannel,
@@ -211,21 +212,21 @@ def _depolarizing(code: StabilizerCode, table: RecoveryTable, model: Depolarizin
         rest = [by_weight[(x | z).bit_count()] for x, z in support]
     uncovered = 0.0 if len(support) == 4 ** n else max(0.0, 1.0 - fsum(rest))
     shared: dict[int, dict[int, list[float]]] = {}  # syndrome -> class difference -> terms
-    for syn, (x, z), diff in entries.members:
+    for syn, diff, weight in entries.member_fields():
         diffs = shared.get(syn)
         if diffs is None:
             rx, rz = entries[syn].reference
             if code.syndrome_bits(rx, rz) != syn:
                 raise AssertionError("reference left a nonzero syndrome; table is corrupt")
             diffs = shared[syn] = {0: [by_weight[(rx | rz).bit_count()]]}
-        diffs.setdefault(diff, []).append(by_weight[(x | z).bit_count()])
+        diffs.setdefault(diff, []).append(by_weight[weight])
     for syn, diffs in shared.items():
         options = entries[syn].options
         for diff, masses in diffs.items():
             rest += [-m for m in masses]
-            _spread(terms, fsum(masses), options, diff)
+            _spread(terms, [fsum(masses)], options, diff)
     if len(shared) < len(entries):
-        _spread(terms, fsum(rest), entries.every, 0)
+        _spread(terms, [fsum(rest)], entries.every, 0)
     return uncovered
 
 
@@ -233,23 +234,22 @@ def class_distribution(code: StabilizerCode, table: RecoveryTable,
                        model: ChannelModel) -> tuple[dict[int, float], float]:
     """The exact logical channel of one trial: (class -> probability,
     uncovered probability). The class masses sum to 1 - uncovered; a class of
-    mass 0 is left out."""
+    mass 0 is left out. An explicit channel's errors are grouped by outcome,
+    and each group's masses are spread at once."""
     if model.n != code.n:
         raise DimensionMismatch(f"channel acts on {model.n} qubits, code on {code.n}")
     terms: dict[int, list[float]] = {}  # class -> the masses that sum to its probability
     if isinstance(model, DepolarizingChannel):
         uncovered = _depolarizing(code, table, model, terms)
     else:
-        missed = []
+        groups: dict[tuple | None, list[float]] = {}  # outcome -> its errors' masses
         pairs = [((e.x, e.z), p) for e, p in model.errors]
         pairs.append(((0, 0), model.identity_probability))
         for (x, z), p in pairs:
-            outcome = _outcome(code, table, x, z)
-            if outcome is None:
-                missed.append(p)
-            else:
-                _spread(terms, p, *outcome)
-        uncovered = fsum(missed)
+            groups.setdefault(_outcome(code, table, x, z), []).append(p)
+        uncovered = fsum(groups.pop(None, ()))
+        for outcome, masses in groups.items():
+            _spread(terms, masses, *outcome)
     dist = {c: fsum(masses) for c, masses in terms.items()}
     return {c: v for c, v in dist.items() if v > 0.0}, uncovered
 

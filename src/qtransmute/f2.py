@@ -80,41 +80,50 @@ class RrefResult:
 
 
 def rref(m: BitMatrix) -> RrefResult:
-    """Reduced row-echelon form over GF(2); preserves the row space."""
-    rows = list(m.rows)
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        if r >= nrows:
-            break
-        bit = 1 << c
-        pivot = next((i for i in range(r, nrows) if rows[i] & bit), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(nrows):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-    return RrefResult(BitMatrix(tuple(rows), m.cols), r, tuple(pivots))
+    """Reduced row-echelon form over GF(2); preserves the row space.
+
+    Each row is reduced by lowest set bit against the rows kept so far, as
+    `F2Span` does, and kept when it does not vanish. Back-substitution, from
+    the highest pivot down, then clears every other pivot bit of each kept
+    row: its higher pivots' rows are final by then and hold no other pivot
+    bit. The RREF of a matrix is unique, so this is the column-by-column
+    elimination's result."""
+    by_pivot: dict[int, int] = {}
+    for v in m.rows:
+        while v:
+            row = by_pivot.get(v & -v)
+            if row is None:
+                by_pivot[v & -v] = v
+                break
+            v ^= row
+    pivot_bits = sorted(by_pivot)
+    all_pivots = sum(pivot_bits)
+    for p in reversed(pivot_bits):
+        v = by_pivot[p]
+        others = v & all_pivots ^ p
+        while others:
+            q = others & -others
+            v ^= by_pivot[q]
+            others ^= q
+        by_pivot[p] = v
+    rows = [by_pivot[p] for p in pivot_bits]
+    rows += [0] * (len(m.rows) - len(rows))
+    return RrefResult(BitMatrix(tuple(rows), m.cols), len(pivot_bits),
+                      tuple(p.bit_length() - 1 for p in pivot_bits))
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:
-    """Basis of {v : m v = 0}, one row per free column, ascending free-column order."""
+    """Basis of {v : m v = 0}, one row per free column, ascending free-column order.
+
+    The basis vector of free column f is f plus the pivot column of each
+    reduced row holding f: one fold of the pivot bits by the transposed
+    reduced rows' column f."""
     red = rref(m)
-    pivot_set = set(red.pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = 1 << f
-        bit_f = 1 << f
-        for row, pcol in zip(red.reduced.rows, red.pivots):
-            if row & bit_f:
-                v |= 1 << pcol
-        basis.append(v)
-    return BitMatrix(tuple(basis), m.cols)
+    pivots = set(red.pivots)
+    holders = transpose_rows(red.reduced.rows[:red.rank], m.cols)
+    pivot_bits = [1 << p for p in red.pivots]
+    return BitMatrix(tuple(1 << f | fold(pivot_bits, holders[f])
+                           for f in range(m.cols) if f not in pivots), m.cols)
 
 
 def solve(m: BitMatrix, b: int) -> int | None:

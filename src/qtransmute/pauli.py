@@ -7,7 +7,7 @@ tracked; products and commutators are phase-blind throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import comb
 from typing import Iterator
 
@@ -65,6 +65,48 @@ def symplectic_product(a: PauliOp, b: PauliOp) -> int:
     return parity(a.x & b.z) ^ parity(a.z & b.x)
 
 
+def _field_bits(n: int) -> int:
+    """The width of a support code's field on n qubits: (3n).bit_length(),
+    the bits of its largest field value 3n, and 1 on no qubits."""
+    return (3 * n | 1).bit_length()
+
+
+def support_code(n: int, x: int, z: int) -> int:
+    """The support code of the Pauli (x, z) on n qubits: one b-bit field per
+    support qubit q, ascending from the low bits, holding 3q + letter + 1
+    with letters X, Y, Z = 0, 1, 2 and b = `_field_bits(n)`. Every field is
+    nonzero, so the field count is the weight."""
+    b, code, shift = _field_bits(n), 0, 0
+    s = x | z
+    while s:
+        low = s & -s
+        letter = (1 if z & low else 0) if x & low else 2
+        code |= (3 * (low.bit_length() - 1) + letter + 1) << shift
+        shift += b
+        s ^= low
+    return code
+
+
+def support_xz(n: int, code: int) -> tuple[int, int]:
+    """The (x, z) of a support code on n qubits."""
+    b = _field_bits(n)
+    field = (1 << b) - 1
+    x = z = 0
+    while code:
+        q, letter = divmod((code & field) - 1, 3)
+        if letter < 2:
+            x |= 1 << q
+        if letter:
+            z |= 1 << q
+        code >>= b
+    return x, z
+
+
+def support_weight(n: int, code: int) -> int:
+    """The weight of the Pauli a support code on n qubits names: its field count."""
+    return -(-code.bit_length() // _field_bits(n))
+
+
 class ErrorBall:
     """Every Pauli of weight <= w on n qubits, identity included, as (x, z)
     masks: the physical error set 'all Paulis of weight <= w'.
@@ -90,39 +132,44 @@ class ErrorBall:
         return not (x | z) >> self.n and (x | z).bit_count() <= self.w  # refuses negatives
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        # The walk with x as the value and z as the label: its pairs are (x, z).
-        return chain.from_iterable(self._walk(
-            [((1 << q, 0), (1 << q, 1 << q), (0, 1 << q)) for q in range(self.n)]))
-
-    def labelled(self, cols) -> Iterator[list[tuple[int, int]]]:
-        """Batches of (v, s) in iteration order, where v = x | z << n packs the
-        error and s is the XOR of cols[q] over the X bits q and cols[n + q]
-        over the Z bits: the fold of cols by v, carried by one XOR per
-        (qubit, letter) step."""
+        # The walk over z | x << n, which divmod by 1 << n splits into (x, z).
         n = self.n
-        return self._walk([((1 << q, cols[q]), (1 << q | 1 << (n + q), cols[q] ^ cols[n + q]),
-                            (1 << (n + q), cols[n + q])) for q in range(n)])
+        steps = [(1 << (n + q), 1 << (n + q) | 1 << q, 1 << q) for q in range(n)]
+        return map(divmod, chain.from_iterable(self._walk([steps] * self.w)), repeat(1 << n))
+
+    def labelled(self, cols, width: int) -> Iterator[list[int]]:
+        """Batches of ints in iteration order, each an error's label s below
+        its support code shifted up by `width`. s is the XOR of cols[q] over
+        the X bits q and cols[n + q] over the Z bits: the fold of cols by
+        x | z << n, which must fit in `width` bits. The i-th support qubit's
+        step values carry its label and its field at depth i, so labels and
+        code both arrive by one XOR per (qubit, letter) step."""
+        n, b = self.n, _field_bits(self.n)
+        return self._walk([[(cols[q] ^ (3 * q + 1) << f, cols[q] ^ cols[n + q] ^ (3 * q + 2) << f,
+                             cols[n + q] ^ (3 * q + 3) << f) for q in range(n)]
+                           for f in (width + b * d for d in range(self.w))])
 
     def _walk(self, steps):
-        """Batches of (v, s) pairs, each the OR of its qubits' step values v
-        and the XOR of their labels s, from steps[q] = one (v, s) per letter."""
-        identity = [(0, 0)]
+        """Batches of ints, each the XOR of one step value per support qubit:
+        the i-th support qubit q's from steps[i][q], one per letter."""
+        identity = [0]
         yield identity
         for w in range(1, self.w + 1):
-            yield from _extend(steps, identity, 0, w)
+            yield from _extend(steps, identity, 0, 0, w)
 
 
-def _extend(steps, prefix, start: int, left: int):
+def _extend(steps, prefix, depth: int, start: int, left: int):
     """Depth first, the batches that extend `prefix` by `left` more qubits from
-    `start` on, one per last-qubit range. Not nested, so a walk leaves no cycle."""
-    n = len(steps)
+    `start` on, the next at `depth`, one batch per last-qubit range. Not
+    nested, so a walk leaves no cycle."""
+    row = steps[depth]
+    n = len(row)
     if left == 1:
-        yield [(v | dv, s ^ ds) for q in range(start, n)
-               for v, s in prefix for dv, ds in steps[q]]
+        yield [v ^ dv for q in range(start, n) for v in prefix for dv in row[q]]
         return
     for q in range(start, n - left + 1):
-        yield from _extend(steps, [(v | dv, s ^ ds) for v, s in prefix
-                                   for dv, ds in steps[q]], q + 1, left - 1)
+        yield from _extend(steps, [v ^ dv for v in prefix for dv in row[q]],
+                           depth + 1, q + 1, left - 1)
 
 
 def enumerate_paulis(n: int, max_weight: int) -> Iterator[PauliOp]:

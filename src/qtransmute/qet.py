@@ -18,7 +18,7 @@ from itertools import chain, tee
 
 from .errors import DimensionMismatch, ParseError, content_lines
 from .f2 import F2Span, fold, symplectic
-from .pauli import ErrorBall, PauliOp, render
+from .pauli import ErrorBall, PauliOp, render, support_code, support_weight, support_xz
 from .stabilizer import (DistanceResult, StabilizerCode, _min_weight,
                          class_bits_from_string, class_bits_to_string,
                          scan_zero_syndrome)
@@ -117,34 +117,43 @@ class PiBucket:
     options: tuple[int, ...]  # admissible classes usable as the reference image
 
 
-def _xz(ref, n: int) -> tuple[int, int]:
-    """The (x, z) of a bucket reference: a ball's packed x | z << n, or the
-    (x, z) of any other input as it stands."""
-    return (ref & ((1 << n) - 1), ref >> n) if isinstance(ref, int) else ref
+def _member_fields(n: int, k: int) -> tuple[int, int, int]:
+    """(r, syndrome mask, class mask) of a member int m of an [n, k] code:
+    its syndrome is m & syndrome mask, its class difference m >> r & class
+    mask, and its support code m >> (n + k)."""
+    return n - k, (1 << (n - k)) - 1, (1 << 2 * k) - 1
 
 
 class PiMaps(Mapping):
-    """Syndrome -> PiBucket of a passing check on n qubits, read through the
-    check's own maps: `refs` (syndrome -> reference, in reference order; a
-    ball's is one packed int, unpacked on lookup) and `narrowed` (sorted
-    options of the syndromes a class difference narrowed; empty for an
-    XOR-closed admissible set, where a passing check narrows none).
-    Every other syndrome keeps `every` admissible class. A bucket is built on
-    lookup; none is stored. `members` keeps the check's (syndrome, (x, z),
-    class of reference·error) of every error after its bucket's first, in
-    input order, so the syndromes it names are those of the buckets of two or
-    more errors: for a set that is not closed, exactly the narrowed ones."""
+    """Syndrome -> PiBucket of a passing check on an [n, k] code, read through
+    the check's own maps: `refs` (syndrome -> reference, in reference order,
+    each one int class | support code << 2k, decoded on lookup) and
+    `narrowed` (sorted options of the syndromes a class difference narrowed;
+    empty for an XOR-closed admissible set, where a passing check narrows
+    none). Every other syndrome keeps `every` admissible class. A bucket is
+    built on lookup; none is stored. `members` keeps, in input order, one int
+    syndrome | d << (n - k) | support code << (n + k) for every error after
+    its bucket's first, where d is the class of reference·error. So the
+    syndromes it names are those of the buckets of two or more errors: for a
+    set that is not closed, exactly the narrowed ones."""
 
-    __slots__ = ("_refs", "_narrowed", "every", "members", "n")
+    __slots__ = ("_refs", "_narrowed", "every", "members", "n", "k")
 
-    def __init__(self, refs: dict[int, int | tuple[int, int]],
-                 narrowed: dict[int, tuple[int, ...]], every: tuple[int, ...],
-                 members: list[tuple[int, tuple[int, int], int]], n: int):
+    def __init__(self, refs: dict[int, int], narrowed: dict[int, tuple[int, ...]],
+                 every: tuple[int, ...], members: list[int], n: int, k: int):
         self._refs, self._narrowed, self.every, self.members = refs, narrowed, every, members
-        self.n = n
+        self.n, self.k = n, k
 
     def __getitem__(self, syn: int) -> PiBucket:
-        return PiBucket(_xz(self._refs[syn], self.n), self._narrowed.get(syn, self.every))
+        return PiBucket(support_xz(self.n, self._refs[syn] >> 2 * self.k),
+                        self._narrowed.get(syn, self.every))
+
+    def member_fields(self):
+        """(syndrome, class difference, weight) of each member, in order."""
+        n, k = self.n, self.k
+        r, mask, class_mask = _member_fields(n, k)
+        return ((m & mask, m >> r & class_mask, support_weight(n, m >> (n + k)))
+                for m in self.members)
 
     def __iter__(self):
         return iter(self._refs)
@@ -172,69 +181,69 @@ def _check_k(code: StabilizerCode, adm: AdmissibleSet) -> None:
 
 def _labelled(code: StabilizerCode, errors):
     """(checked, labelled): the distinct (x, z) errors, and each of them in
-    input order paired with its label syndrome | class << (n - k). A ball is
-    its own checked set and is walked with the code's label columns, each
-    error packed as x | z << n; any other iterable is deduped into a dict,
-    the checked set, and each distinct (x, z) labelled with one fold."""
+    input order as one int, its label syndrome | class << (n - k) with its
+    support code above it, from bit n + k. A ball is its own checked set and
+    is walked with the code's label columns; any other iterable is deduped
+    into a dict, the checked set, and each distinct (x, z) labelled with one
+    fold and encoded."""
+    n, width = code.n, code.n + code.k
     if isinstance(errors, ErrorBall):
-        if errors.n != code.n:
-            raise DimensionMismatch(f"the error ball acts on {errors.n} qubits, the code on {code.n}")
-        return errors, chain.from_iterable(errors.labelled(code._labels))
+        if errors.n != n:
+            raise DimensionMismatch(f"the error ball acts on {errors.n} qubits, the code on {n}")
+        return errors, chain.from_iterable(errors.labelled(code._labels, width))
     errs = dict.fromkeys(errors)
-    if any((x | z) >> code.n for x, z in errs):  # also nonzero for a negative mask
-        raise DimensionMismatch(f"an error acts outside the code's {code.n} qubits")
-    rows, n = code._labels, code.n
-    return errs, ((e, fold(rows, e[0] | e[1] << n)) for e in errs)
+    if any((x | z) >> n for x, z in errs):  # also nonzero for a negative mask
+        raise DimensionMismatch(f"an error acts outside the code's {n} qubits")
+    rows = code._labels
+    return errs, (fold(rows, x | z << n) | support_code(n, x, z) << width for x, z in errs)
 
 
-def _bucket_pairs(code: StabilizerCode, labelled, refs: dict):
+def _bucket_pairs(code: StabilizerCode, labelled, refs: dict[int, int]):
     """Bucket labelled errors by syndrome in order. The first error of each
-    syndrome becomes its reference in `refs`, kept as the labelled input hands
-    it over; every later error is yielded as (syndrome, (x, z), class of
-    reference·error). The class map is linear, so that class is the error's
-    class XOR the reference's, which is computed once per syndrome that gets
-    a second error."""
-    n, r = code.n, len(code.generators)
-    mask, xmask = (1 << r) - 1, (1 << n) - 1
-    ref_class: dict[int, int] = {}
-    for e, s in labelled:
-        syn = s & mask
-        # Distinct errors are distinct objects, so `is` tells a new syndrome.
-        ref = refs.setdefault(syn, e)
-        if ref is e:
-            continue
-        base = ref_class.get(syn)
-        if base is None:
-            base = ref_class[syn] = code.class_bits(*_xz(ref, n))
-        yield syn, (e & xmask, e >> n) if type(e) is int else e, base ^ s >> r
+    syndrome becomes its reference in `refs`, kept as its label with the
+    syndrome shifted out: class | support code << 2k. Every later error is
+    yielded as one member int, syndrome | d << (n - k) | support code <<
+    (n + k), where d is the class of reference·error. The class map is
+    linear, so d is the error's class XOR the reference's: one XOR against
+    the stored reference."""
+    r, mask, class_mask = _member_fields(code.n, code.k)
+    class_mask <<= r
+    for v in labelled:
+        syn = v & mask
+        ref = refs.get(syn)
+        if ref is None:
+            refs[syn] = v >> r
+        else:
+            yield v ^ (ref << r & class_mask)
 
 
-def _narrow(classes: frozenset[int], pairs, options: dict[int, set[int]],
-            kept: list | None = None, group: bool = False):
-    """Keep, per syndrome, the reference images o with o ^ diff admissible for
-    every class difference seen; return the first pair that leaves none, or
-    None. A syndrome with no pair keeps every image and gets no entry. Each
-    pair read is appended to `kept` when it is given, so a pass keeps them
-    all and a failure stops at its first bad pair.
+def _narrow(code: StabilizerCode, classes: frozenset[int], members,
+            options: dict[int, set[int]], kept: list | None = None, group: bool = False):
+    """Keep, per syndrome, the reference images o with o ^ d admissible for
+    every class difference d of its members; return the first member that
+    leaves none, or None. A syndrome with no member keeps every image and
+    gets no entry. Each member read is appended to `kept` when it is given,
+    so a pass keeps them all and a failure stops at its first bad member.
 
     For an XOR-closed set (`group`) a difference inside the set keeps every
     image and one outside keeps none, so only the difference is tested and no
     syndrome gets an entry in `options`."""
+    r, mask, class_mask = _member_fields(code.n, code.k)
     if group:
-        for pair in pairs:
+        for m in members:
             if kept is not None:
-                kept.append(pair)
-            if pair[2] not in classes:
-                return pair
+                kept.append(m)
+            if m >> r & class_mask not in classes:
+                return m
         return None
-    for pair in pairs:
+    for m in members:
         if kept is not None:
-            kept.append(pair)
-        syn, _, diff = pair
+            kept.append(m)
+        syn, diff = m & mask, m >> r & class_mask
         opts = options[syn] = {o for o in options.get(syn, classes)
                                if o ^ diff in classes}
         if not opts:
-            return pair
+            return m
     return None
 
 
@@ -258,15 +267,18 @@ def check_general_qet(code: StabilizerCode, adm: AdmissibleSet,
     _check_k(code, adm)
     checked, labelled = _labelled(code, errors)
     refs, options, members = {}, {}, []
-    hit = _narrow(adm.classes, _bucket_pairs(code, labelled, refs), options, members,
+    hit = _narrow(code, adm.classes, _bucket_pairs(code, labelled, refs), options, members,
                   group=adm.is_group)
+    n, k = code.n, code.k
     if hit is not None:
-        witness = (PauliOp(code.n, *_xz(refs[hit[0]], code.n)), PauliOp(code.n, *hit[1]))
+        ref = refs[hit & code._syn_mask]
+        witness = (PauliOp(n, *support_xz(n, ref >> 2 * k)),
+                   PauliOp(n, *support_xz(n, hit >> (n + k))))
         return Verdict(False, witness=witness, checked=checked)
     for syn, opts in options.items():
         options[syn] = tuple(sorted(opts))
     return Verdict(True, pi_maps=PiMaps(refs, options, tuple(sorted(adm.classes)), members,
-                                        code.n), checked=checked)
+                                        n, k), checked=checked)
 
 
 def strong_conditions_hold(code: StabilizerCode, adm: AdmissibleSet,
@@ -276,8 +288,10 @@ def strong_conditions_hold(code: StabilizerCode, adm: AdmissibleSet,
     closed admissible sets."""
     _check_k(code, adm)
     classes = adm.classes
+    r, mask, class_mask = _member_fields(code.n, code.k)
     diffs: dict[int, list[int]] = {}
-    for syn, _, d in _bucket_pairs(code, _labelled(code, errors)[1], {}):
+    for m in _bucket_pairs(code, _labelled(code, errors)[1], {}):
+        syn, d = m & mask, m >> r & class_mask
         # A pair (i, j) has product class diff_i ^ diff_j (the reference has 0),
         # so checking each new diff against the stored ones covers each pair once.
         seen = diffs.setdefault(syn, [0])
@@ -294,11 +308,11 @@ def effective_distance(code: StabilizerCode, adm: AdmissibleSet,
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     cap = min(cap, code.n)
-    hit = _narrow(adm.classes, _bucket_pairs(code, _labelled(code, ErrorBall(code.n, cap))[1],
-                                             {}), {}, group=adm.is_group)
+    hit = _narrow(code, adm.classes,
+                  _bucket_pairs(code, _labelled(code, ErrorBall(code.n, cap))[1], {}), {},
+                  group=adm.is_group)
     if hit is not None:
-        x, z = hit[1]
-        return DistanceResult(2 * (x | z).bit_count() - 1, True, cap)
+        return DistanceResult(2 * support_weight(code.n, hit >> (code.n + code.k)) - 1, True, cap)
     return DistanceResult(2 * cap + 1, cap >= code.n, cap)
 
 
@@ -392,11 +406,11 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
         raise ValueError(f"relabeling is limited to k <= 3, code has k={code.k}")
 
     checked, labelled = _labelled(code, errors)
-    pairs = list(_bucket_pairs(code, labelled, {}))
+    members = list(_bucket_pairs(code, labelled, {}))
     # Sp(2k,2) acts linearly, so every image of a group is a group.
     group = pattern.is_group
     for mapped, cols in _pattern_images(code.k, pattern.classes):
-        if _narrow(mapped, pairs, {}, group=group) is None:
+        if _narrow(code, mapped, members, {}, group=group) is None:
             new_x = [code.class_representative(cols[i]) for i in range(code.k)]
             new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]
             candidate = code.with_logicals(new_x, new_z)

@@ -171,7 +171,10 @@ def complete_logical_basis(
 ) -> tuple[list[PauliOp], list[PauliOp]]:
     """Extend seed X operators to a full logical basis (X_i, Z_i) for the stabilizer.
 
-    Seeds must commute with the generators and among themselves, and be
+    The generators must commute with each other. That is not checked here:
+    anticommuting generators still get a basis, which is meaningless.
+    `standard_form` checks it before completing, and `validate_code` reports
+    it. Seeds must commute with the generators and among themselves, and be
     independent modulo the stabilizer. Deterministic for fixed inputs.
     """
     seed_x = list(seed_x or [])

@@ -16,7 +16,7 @@ from qtransmute import catalog, channel
 from qtransmute.channel import (DepolarizingChannel, ExplicitChannel, TrialReport,
                                 class_distribution, run_trials, uniform_single_error_channel)
 from qtransmute.errors import DimensionMismatch
-from qtransmute.pauli import ErrorBall, PauliOp, errors_up_to_weight, parse_pauli
+from qtransmute.pauli import ErrorBall, PauliOp, errors_up_to_weight, parse_pauli, support_code
 from qtransmute.qet import (AdmissibleSet, PiMaps, RecoveryTable, build_recovery,
                             check_general_qet)
 from qtransmute.search import sample_generators
@@ -477,6 +477,74 @@ def test_run_trials_matches_reference(n, k, w, density, depol, count, seed, data
         assert got.render(k) == want.render(k)
 
 
+# -- per-error spreading ---------------------------------------------------------------
+#
+# Copied from class_distribution as it was when each listed error of an
+# explicit channel was spread over its options on its own.
+
+
+def per_error_distribution(code, table, model):
+    terms, missed = {}, []
+    pairs = [((e.x, e.z), p) for e, p in model.errors]
+    pairs.append(((0, 0), model.identity_probability))
+    for (x, z), p in pairs:
+        outcome = channel._outcome(code, table, x, z)
+        if outcome is None:
+            missed.append(p)
+            continue
+        options, base = outcome
+        share = p * (1.0 / len(options))
+        for o in options:
+            terms.setdefault(o ^ base, []).append(share)
+    dist = {c: math.fsum(masses) for c, masses in terms.items()}
+    return {c: v for c, v in dist.items() if v > 0.0}, math.fsum(missed)
+
+
+def weighted_channel(n, errors, rng):
+    """The listed (x, z) errors, each more than once, with uneven probabilities
+    that sum to 0.9: the identity keeps the rest."""
+    listed = [PauliOp(n, x, z) for x, z in errors] * 2
+    weights = [rng.random() for _ in listed]
+    total = sum(weights)
+    return ExplicitChannel(n, tuple((e, 0.9 * wt / total) for e, wt in zip(listed, weights)))
+
+
+@pytest.mark.parametrize("name,max_weight", [
+    ("table1-7q", 1), ("table2-6q", 1), ("css17", 1), ("compact:4", 1),
+    ("eq16-lattice:4x4", 1), ("rep:9", 2), ("toric:3", 1)])
+def test_grouped_spread_matches_per_error_spread_on_catalog_codes(name, max_weight):
+    cc = catalog.resolve(name)
+    code = cc.code
+    table = build_recovery(check_general_qet(code, cc.admissible, ErrorBall(code.n, max_weight)))
+    # the verified errors and, uncovered, errors one weight past them
+    errors = errors_up_to_weight(code.n, max_weight + 1)
+    for model in (uniform_single_error_channel(code.n),
+                  weighted_channel(code.n, errors[1:200], random.Random(name))):
+        assert class_distribution(code, table, model) == per_error_distribution(code, table, model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 6), k=st.integers(1, 3), w=st.integers(1, 2),
+       density=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_grouped_spread_matches_per_error_spread(n, k, w, density, seed, data):
+    k = min(k, n - 1)
+    rng = random.Random(seed)
+    code = standard_form(sample_generators(n, k, rng))
+    errors = errors_up_to_weight(n, w)
+    errors = rng.sample(errors, rng.randint(1, len(errors)))
+    adm = AdmissibleSet(k, frozenset(
+        [0, *(c for c in range(1, 1 << (2 * k)) if rng.random() < density)]))
+    verdict = check_general_qet(code, adm, errors)
+    if not verdict.passed:  # one error per syndrome always passes
+        errors = list({code.syndrome_bits(x, z): (x, z) for x, z in errors}.values())
+        verdict = check_general_qet(code, adm, errors)
+    table = build_recovery(verdict)
+    for model in (data.draw(explicit_channels(n, w)),
+                  weighted_channel(n, errors_up_to_weight(n, min(w + 1, n)), rng)):
+        assert class_distribution(code, table, model) == per_error_distribution(code, table, model)
+
+
 @pytest.mark.parametrize("name,model", [
     ("toric:3", DepolarizingChannel(18, 0.0)),
     ("toric:3", DepolarizingChannel(18, 1e-320)),
@@ -632,14 +700,16 @@ def test_chunk_cost_grows_with_outcomes_not_trials(table1, model, monkeypatch):
 def corrupted(code, table, syn):
     """`table` with the reference of syndrome syn's bucket swapped for an
     error of another syndrome, built through the check's own mapping with
-    every reference packed as x | z << n, as a ball's check keeps them."""
-    n = code.n
+    every reference packed as class | support code << 2k, as the check
+    keeps them."""
+    n, k = code.n, code.k
     bad = next(f for f in errors_up_to_weight(n, 1)[1:]
                if code.syndrome_bits(*f) != syn)
     pi = table.entries
     refs = {s: bad if s == syn else b.reference for s, b in pi.items()}
-    entries = PiMaps({s: x | z << n for s, (x, z) in refs.items()},
-                     {s: b.options for s, b in pi.items()}, pi.every, pi.members, n)
+    entries = PiMaps({s: code.class_bits(x, z) | support_code(n, x, z) << 2 * k
+                      for s, (x, z) in refs.items()},
+                     {s: b.options for s, b in pi.items()}, pi.every, pi.members, n, k)
     return RecoveryTable(entries=entries, support=table.support)
 
 
@@ -655,7 +725,7 @@ def test_corrupt_table_is_refused(table1, model):
         e = model.errors[0][0]
         syn = table1.syndrome_bits(e.x, e.z)
     else:
-        syn = table.entries.members[0][0]
+        syn = table.entries.members[0] & table1._syn_mask  # the first member's syndrome
     table = corrupted(table1, table, syn)
     with pytest.raises(AssertionError, match="nonzero syndrome; table is corrupt"):
         run_trials(table1, table, model, trials=2000, seed=3)

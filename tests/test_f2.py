@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtransmute.f2 import (BitMatrix, F2Span, fold, kernel_basis, mul_bt, parity, rref,
-                           solve, symplectic, transpose_rows)
+from qtransmute.f2 import (BitMatrix, F2Span, RrefResult, fold, kernel_basis, mul_bt, parity,
+                           rref, solve, symplectic, transpose_rows)
 from qtransmute.pauli import PauliOp, symplectic_product
 
 
@@ -163,3 +163,73 @@ def test_symplectic_and_mul_bt_match_references(n, data):
             want ^= ar
     assert fold(a_rows, bits) == want
     assert mul_bt([bits], transpose_rows(a_rows, n)) == [want]
+
+
+# -- column-by-column elimination ----------------------------------------------------
+#
+# Copied from f2 as it was when rref eliminated column by column and
+# kernel_basis scanned every reduced row once per free column.
+
+
+def column_rref(m):
+    rows = list(m.rows)
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r >= nrows:
+            break
+        bit = 1 << c
+        pivot = next((i for i in range(r, nrows) if rows[i] & bit), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(nrows):
+            if i != r and rows[i] & bit:
+                rows[i] ^= rows[r]
+        pivots.append(c)
+        r += 1
+    return RrefResult(BitMatrix(tuple(rows), m.cols), r, tuple(pivots))
+
+
+def scanned_kernel_basis(m):
+    red = column_rref(m)
+    pivot_set = set(red.pivots)
+    free_cols = [c for c in range(m.cols) if c not in pivot_set]
+    basis = []
+    for f in free_cols:
+        v = 1 << f
+        bit_f = 1 << f
+        for row, pcol in zip(red.reduced.rows, red.pivots):
+            if row & bit_f:
+                v |= 1 << pcol
+        basis.append(v)
+    return BitMatrix(tuple(basis), m.cols)
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Wide, tall and square matrices up to 12 x 12: random rows, random rows
+    with some zeroed, or rows of full rank min(rows, cols)."""
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "zero rows", "full rank"]))
+    rows = [draw(st.integers(0, (1 << ncols) - 1)) for _ in range(nrows)]
+    if kind == "zero rows":
+        rows = [v if draw(st.booleans()) else 0 for v in rows]
+    elif kind == "full rank":
+        # unit rows on distinct columns, each plus some later ones, stay independent
+        units = [1 << c for c in draw(st.permutations(range(ncols)))[:min(nrows, ncols)]]
+        for i in range(len(units)):
+            for j in range(i + 1, len(units)):
+                if draw(st.booleans()):
+                    units[i] ^= units[j]
+        rows = units + rows[len(units):]
+        rows = draw(st.permutations(rows))
+    return BitMatrix(tuple(rows), ncols)
+
+
+@given(shaped_matrices())
+@settings(max_examples=400)
+def test_rref_and_kernel_match_column_elimination(m):
+    assert rref(m) == column_rref(m)
+    assert kernel_basis(m) == scanned_kernel_basis(m)

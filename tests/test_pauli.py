@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from qtransmute.errors import DimensionMismatch, ParseError
 from qtransmute.pauli import (ErrorBall, PauliOp, enumerate_paulis, errors_up_to_weight,
-                              parse_pauli, render, symplectic_product)
+                              parse_pauli, render, support_code, support_weight, support_xz,
+                              symplectic_product)
 
 pauli_strings = st.text(alphabet="IXYZ", min_size=1, max_size=12)
 
@@ -156,3 +157,21 @@ def test_ball_length_and_membership_match_its_walk():
                 for z in (0, 1, x, 1 << n, -2):
                     assert ((x, z) in ball) == ((x, z) in members), (n, w, x, z)
 
+
+
+def test_support_codes_round_trip_in_walk_order():
+    # With unit label columns a labelled error's label is x | z << n, so the
+    # walk's (x, z) can be read off its label as well as decoded from its code.
+    for n in range(7):
+        cols = [1 << j for j in range(2 * n)]
+        for w in range(n + 1):
+            walked = []
+            for batch in ErrorBall(n, w).labelled(cols, 2 * n):
+                for v in batch:
+                    code = v >> 2 * n
+                    x, z = support_xz(n, code)
+                    assert v & ((1 << 2 * n) - 1) == x | z << n
+                    assert support_weight(n, code) == (x | z).bit_count()
+                    assert support_code(n, x, z) == code
+                    walked.append((x, z))
+            assert walked == errors_up_to_weight(n, w), (n, w)

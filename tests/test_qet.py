@@ -11,7 +11,7 @@ from qtransmute import catalog, qet
 from qtransmute.errors import DimensionMismatch
 from qtransmute.f2 import fold, symplectic
 from qtransmute.pauli import (ErrorBall, PauliOp, enumerate_paulis, errors_up_to_weight,
-                              parse_pauli, render)
+                              parse_pauli, render, support_xz)
 from qtransmute.qet import (AdmissibleSet, PiBucket, Verdict, _pattern_images,
                             build_recovery, check_general_qet, check_group_qet,
                             deff_lower_bound, effective_distance,
@@ -660,12 +660,21 @@ def test_walk_labels_are_syndrome_and_class(n, k, group, seed):
     code = random_code(rng, n, k)
     w = rng.randrange(n + 1)
     walked = []
-    for batch in ErrorBall(n, w).labelled(code._labels):
-        for v, s in batch:
-            x, z = v & ((1 << n) - 1), v >> n
-            assert s == code.syndrome_bits(x, z) | code.class_bits(x, z) << (n - k)
+    for batch in ErrorBall(n, w).labelled(code._labels, n + k):
+        for v in batch:
+            x, z = support_xz(n, v >> (n + k))
+            assert v & ((1 << (n + k)) - 1) == (code.syndrome_bits(x, z)
+                                                 | code.class_bits(x, z) << (n - k))
             walked.append((x, z))
     assert walked == errors_up_to_weight(n, w)
+
+
+def decoded(code, members):
+    """Each member int as the (syndrome, (x, z), class of reference·error)
+    tuple that the check kept before members were ints."""
+    n, k, r = code.n, code.k, len(code.generators)
+    for m in members:
+        yield m & code._syn_mask, support_xz(n, m >> (n + k)), m >> r & ((1 << 2 * k) - 1)
 
 
 # -- the bucket pass as it was before the labelled walk -------------------------------
@@ -720,7 +729,7 @@ def pauliop_check_general_qet(code, adm, errors):
     errs = pauliop_dedupe(code, errors)
     checked = tuple(errs.values())
     refs, options = {}, {}
-    hit = qet._narrow(adm.classes, old_bucket_pairs(code, errs, refs), options)
+    hit = per_pair_narrow(adm.classes, old_bucket_pairs(code, errs, refs), options)
     if hit is not None:
         return Verdict(False, witness=(errs[refs[hit[0]]], errs[hit[1]]), checked=checked)
     every = tuple(sorted(adm.classes))
@@ -736,7 +745,7 @@ def pauliop_relabel_search(code, pattern, errors):
     errs = pauliop_dedupe(code, errors)
     pairs = list(old_bucket_pairs(code, errs, {}))
     for mapped, cols in _pattern_images(code.k, pattern.classes):
-        if qet._narrow(mapped, pairs, {}) is None:
+        if per_pair_narrow(mapped, pairs, {}) is None:
             new_x = [code.class_representative(cols[i]) for i in range(code.k)]
             new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]
             candidate = code.with_logicals(new_x, new_z)
@@ -789,7 +798,7 @@ def eager_check_general_qet(code, adm, errors):
     errs = old_dedupe(code, errors)
     checked = frozenset(errs)
     refs, options = {}, {}
-    hit = qet._narrow(adm.classes, old_bucket_pairs(code, errs, refs), options)
+    hit = per_pair_narrow(adm.classes, old_bucket_pairs(code, errs, refs), options)
     if hit is not None:
         witness = (PauliOp(code.n, *refs[hit[0]]), PauliOp(code.n, *hit[1]))
         return Verdict(False, witness=witness, checked=checked)
@@ -824,7 +833,7 @@ def test_verdict_maps_match_eager_construction(n, k, group, seed):
     assert list(pi.items()) == list(old.pi_maps.items())
     assert len(pi) == len(old.pi_maps)
     # the kept members are the old pass's pairs: every error after its bucket's first
-    assert pi.members == list(old_bucket_pairs(code, old_dedupe(code, errs), {}))
+    assert list(decoded(code, pi.members)) == list(old_bucket_pairs(code, old_dedupe(code, errs), {}))
     assert all(syn in pi and pi.get(syn) == b for syn, b in old.pi_maps.items())
     unoccupied = next((s for s in range(1 << (n - k)) if s not in old.pi_maps), 1 << (n - k))
     assert unoccupied not in pi
@@ -857,20 +866,22 @@ def per_pair_check_general_qet(code, adm, errors):
     qet._check_k(code, adm)
     checked, labelled = qet._labelled(code, errors)
     refs, options, members = {}, {}, []
-    hit = per_pair_narrow(adm.classes, qet._bucket_pairs(code, labelled, refs), options, members)
+    hit = per_pair_narrow(adm.classes, decoded(code, qet._bucket_pairs(code, labelled, refs)),
+                          options, members)
     if hit is not None:
-        witness = (PauliOp(code.n, *qet._xz(refs[hit[0]], code.n)), PauliOp(code.n, *hit[1]))
+        ref = support_xz(code.n, refs[hit[0]] >> 2 * code.k)
+        witness = (PauliOp(code.n, *ref), PauliOp(code.n, *hit[1]))
         return Verdict(False, witness=witness, checked=checked)
     for syn, opts in options.items():
         options[syn] = tuple(sorted(opts))
     return Verdict(True, pi_maps=qet.PiMaps(refs, options, tuple(sorted(adm.classes)), members,
-                                            code.n), checked=checked)
+                                            code.n, code.k), checked=checked)
 
 
 def per_pair_relabel_search(code, pattern, errors):
     qet._check_k(code, pattern)
     checked, labelled = qet._labelled(code, errors)
-    pairs = list(qet._bucket_pairs(code, labelled, {}))
+    pairs = list(decoded(code, qet._bucket_pairs(code, labelled, {})))
     for mapped, cols in _pattern_images(code.k, pattern.classes):
         if per_pair_narrow(mapped, pairs, {}) is None:
             candidate = relabeled(code, cols)
@@ -878,7 +889,7 @@ def per_pair_relabel_search(code, pattern, errors):
     return None
 
 
-def assert_same_group_verdict(new, old):
+def assert_same_group_verdict(code, new, old):
     assert (new.passed, new.witness) == (old.passed, old.witness)
     if not old.passed:
         assert new.pi_maps is None
@@ -886,18 +897,18 @@ def assert_same_group_verdict(new, old):
     assert len(new.pi_maps) == len(old.pi_maps)
     assert ([(syn, b.reference, b.options) for syn, b in new.pi_maps.items()]
             == [(syn, b.reference, b.options) for syn, b in old.pi_maps.items()])
-    assert new.pi_maps.members == old.pi_maps.members
+    assert list(decoded(code, new.pi_maps.members)) == old.pi_maps.members
 
 
 def assert_group_narrowing_matches_per_pair(code, adm, errors):
     assert adm.is_group
-    assert_same_group_verdict(check_general_qet(code, adm, errors),
+    assert_same_group_verdict(code, check_general_qet(code, adm, errors),
                               per_pair_check_general_qet(code, adm, errors))
     hit, want = relabel_search(code, adm, errors), per_pair_relabel_search(code, adm, errors)
     assert (hit is None) == (want is None)
     if hit is not None:
         assert (hit[0].logical_x, hit[0].logical_z) == (want[0].logical_x, want[0].logical_z)
-        assert_same_group_verdict(hit[1], want[1])
+        assert_same_group_verdict(hit[0], hit[1], want[1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -940,8 +951,10 @@ def test_check_peak_memory_per_checked_error():
     assert peak / len(verdict.checked) <= 140
     # A ball is its own checked set, so no dedupe dict is kept; the walk
     # runs inside the traced region. The list path, with the list built in
-    # the traced region, peaked at 210 B per checked error here, and the ball
-    # with an (x, z) tuple as each reference at 185 B.
+    # the traced region, peaked at 210 B per checked error here, the ball
+    # with an (x, z) tuple as each reference at 185 B, and with a packed
+    # x | z << n as each reference at 115 B. A reference is now its class
+    # and support code, at most 22 bits here.
     del verdict, errs
     tracemalloc.start()
     try:
@@ -951,9 +964,26 @@ def test_check_peak_memory_per_checked_error():
         tracemalloc.stop()
     assert verdict.passed
     assert (len(verdict.checked), len(verdict.pi_maps)) == (43_072, 42_778)
-    assert peak / len(verdict.checked) <= 130
+    assert peak / len(verdict.checked) <= 110
     # Its references are packed ints, so the cyclic GC never walks the map.
     assert not gc.is_tracked(verdict.pi_maps._refs)
+
+
+@pytest.mark.slow
+def test_check_peak_memory_per_checked_error_at_weight_three():
+    # toric:7 at w <= 3: every error but 89,082 has a syndrome of its own.
+    # The peak was 112.0 B per checked error here (Python 3.11).
+    cc = catalog.resolve("toric:7")
+    check_general_qet(cc.code, cc.admissible, ErrorBall(cc.code.n, 1))  # fill the code's caches
+    tracemalloc.start()
+    try:
+        verdict = check_general_qet(cc.code, cc.admissible, ErrorBall(cc.code.n, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed
+    assert (len(verdict.checked), len(verdict.pi_maps)) == (4_149_664, 4_060_582)
+    assert peak / len(verdict.checked) <= 120
 
 
 @pytest.mark.parametrize("check", [check_general_qet, strong_conditions_hold, relabel_search])
