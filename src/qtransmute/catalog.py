@@ -1,8 +1,9 @@
 """Named code constructions with their canonical admissible sets.
 
 Entries are addressed as "name" or "name:params" (e.g. toric:3, compact:4,
-rep:5, eq16-lattice:4x4). Every entry carries a self-test block so the whole
-golden suite is reachable from `catalog selftest`.
+rep:5, eq16-lattice:4x4). Every entry states its claims; `catalog selftest`
+checks that the code validates and then each claim, so the whole golden suite
+is reachable from it.
 """
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ from .lattice import (compact_encoding, instantiate_torus, rate_half_cell,
 from .pauli import ErrorBall, PauliOp, enumerate_paulis, parse_pauli
 from .qet import (AdmissibleSet, check_general_qet, effective_distance,
                   strong_conditions_hold)
-from .stabilizer import (StabilizerCode, code_distance, complete_logical_basis,
-                         min_weight_in_class, scan_zero_syndrome, validate_code)
+from .stabilizer import (DistanceResult, StabilizerCode, code_distance,
+                         complete_logical_basis, min_weight_in_class, scan_zero_syndrome,
+                         validate_code)
 
 TABLE1_GENERATORS = ["XXYYZIZ", "IZXYYXY", "IIIIIZZ", "ZZIIZIZ", "ZZZZIII"]
 TABLE1_LOGICAL_X = ["IXXIXII", "IIXXIIZ"]
@@ -28,6 +30,8 @@ TABLE2_LOGICAL_X = ["IXIXXI", "ZIZIIZ"]
 TABLE2_LOGICAL_Z = ["ZZIIII", "IIIIXX"]
 
 FIVE_QUBIT_GENERATORS = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
+
+Claim = tuple[str, bool, str]  # (check, ok, info shown when it fails)
 
 
 @dataclass(frozen=True)
@@ -40,10 +44,11 @@ class CatalogCode:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
+    """A buildable code and the claims its self-test checks beyond "validates"."""
+
     summary: str
     build: Callable[..., CatalogCode]
-    selftest: Callable[[CatalogCode], list[tuple[str, bool, str]]]
+    claims: Callable[[CatalogCode], list[Claim]]
 
 
 def _paulis(strings: list[str]) -> list[PauliOp]:
@@ -96,61 +101,54 @@ def css17_code() -> StabilizerCode:
     return base.with_logicals(xs, zs)
 
 
-def _check(outcomes: list, name: str, ok: bool, info: str = "") -> None:
-    outcomes.append((name, bool(ok), info))
+def _exact(check: str, d: DistanceResult, want: int) -> Claim:
+    return check, d.value == want and d.exact, str(d)
+
+
+def _effective_distance(cc: CatalogCode, cap: int, want: int,
+                        check: str | None = None) -> Claim:
+    d = effective_distance(cc.code, cc.admissible, cap)
+    return _exact(check or f"effective distance {want}", d, want)
+
+
+def _distance(cc: CatalogCode, cap: int, want: int) -> Claim:
+    return _exact(f"distance {want}", code_distance(cc.code, cap), want)
 
 
 def _build_table1(*_args) -> CatalogCode:
-    code = table1_code()
-    return CatalogCode("table1-7q", code, AdmissibleSet.group_generated(2, ["ZI"]))
+    return CatalogCode("table1-7q", table1_code(), AdmissibleSet.group_generated(2, ["ZI"]))
 
 
-def _selftest_table1(cc: CatalogCode):
-    out = []
-    code, adm = cc.code, cc.admissible
-    _check(out, "validates", validate_code(code).ok)
-    _check(out, "weight-1 errors all detected",
-           all(code.syndrome_bits(p.x, p.z) for p in enumerate_paulis(7, 1)))
-    d = effective_distance(code, adm, 2)
-    _check(out, "effective distance 3", d.value == 3 and d.exact, str(d))
-    return out
+def _claims_table1(cc: CatalogCode) -> list[Claim]:
+    code = cc.code
+    return [("weight-1 errors all detected",
+             all(code.syndrome_bits(p.x, p.z) for p in enumerate_paulis(7, 1)), ""),
+            _effective_distance(cc, 2, 3)]
 
 
 def _build_table2(*_args) -> CatalogCode:
-    code = table2_code()
-    return CatalogCode("table2-6q", code, AdmissibleSet.from_strings(2, ["ZI", "IZ"]))
+    return CatalogCode("table2-6q", table2_code(), AdmissibleSet.from_strings(2, ["ZI", "IZ"]))
 
 
-def _selftest_table2(cc: CatalogCode):
-    out = []
-    code, adm = cc.code, cc.admissible
+def _claims_table2(cc: CatalogCode) -> list[Claim]:
     errs = ErrorBall(6, 1)
-    _check(out, "validates", validate_code(code).ok)
-    _check(out, "general conditions pass at weight 1",
-           check_general_qet(code, adm, errs).passed)
-    _check(out, "strong conditions fail (non-group separation)",
-           not strong_conditions_hold(code, adm, errs))
-    d = effective_distance(code, adm, 2)
-    _check(out, "effective distance 3", d.value == 3 and d.exact, str(d))
-    return out
+    return [("general conditions pass at weight 1",
+             check_general_qet(cc.code, cc.admissible, errs).passed, ""),
+            ("strong conditions fail (non-group separation)",
+             not strong_conditions_hold(cc.code, cc.admissible, errs), ""),
+            _effective_distance(cc, 2, 3)]
 
 
 def _build_css17(*_args) -> CatalogCode:
-    code = css17_code()
-    return CatalogCode("css17", code, AdmissibleSet.from_strings(2, ["XI", "IX"]))
+    return CatalogCode("css17", css17_code(), AdmissibleSet.from_strings(2, ["XI", "IX"]))
 
 
-def _selftest_css17(cc: CatalogCode):
-    out = []
-    code, adm = cc.code, cc.admissible
-    _check(out, "validates", validate_code(code).ok)
-    _check(out, "[17,2] parameters", (code.n, code.k) == (17, 2))
-    dx, dz = asymmetric_distances(code, 6)
-    _check(out, "asymmetric distances 3/5",
-           (dx.value, dz.value) == (3, 5) and dx.exact and dz.exact, f"{dx}/{dz}")
-    d = effective_distance(code, adm, 3)
-    _check(out, "effective distance 5", d.value == 5 and d.exact, str(d))
-    return out
+def _claims_css17(cc: CatalogCode) -> list[Claim]:
+    dx, dz = asymmetric_distances(cc.code, 6)
+    return [("[17,2] parameters", (cc.code.n, cc.code.k) == (17, 2), ""),
+            ("asymmetric distances 3/5",
+             (dx.value, dz.value) == (3, 5) and dx.exact and dz.exact, f"{dx}/{dz}"),
+            _effective_distance(cc, 3, 5)]
 
 
 def _build_eq16(arg: str | None = None) -> CatalogCode:
@@ -158,34 +156,23 @@ def _build_eq16(arg: str | None = None) -> CatalogCode:
     cell = rate_two_thirds_cell()
     torus = instantiate_torus(cell, lx, ly)
     adm = AdmissibleSet.from_operators(torus.code, torus.translates(cell.logical_z[0]))
-    return CatalogCode(f"eq16-lattice:{lx}x{ly}", torus.code, adm,
-                       extras={"torus": torus, "cell": cell})
+    return CatalogCode(f"eq16-lattice:{lx}x{ly}", torus.code, adm, extras={"torus": torus})
 
 
-def _selftest_eq16(cc: CatalogCode):
-    out = []
-    code, adm = cc.code, cc.admissible
-    _check(out, "validates", validate_code(code).ok)
-    _check(out, "two logical qubits per cell",
-           code.k == 2 * cc.extras["torus"].lx * cc.extras["torus"].ly, f"k={code.k}")
-    d = effective_distance(code, adm, 2)
-    _check(out, "effective distance 3", d.value == 3 and d.exact, str(d))
-    return out
+def _claims_eq16(cc: CatalogCode) -> list[Claim]:
+    torus, k = cc.extras["torus"], cc.code.k
+    return [("two logical qubits per cell", k == 2 * torus.lx * torus.ly, f"k={k}"),
+            _effective_distance(cc, 2, 3)]
 
 
 def _build_eq20(arg: str | None = None) -> CatalogCode:
     lx, ly = _parse_dims("eq20-lattice", arg, default=(4, 4))
     torus = instantiate_torus(rate_half_cell(), lx, ly)
-    return CatalogCode(f"eq20-lattice:{lx}x{ly}", torus.code, AdmissibleSet.trivial(torus.code.k),
-                       extras={"torus": torus})
+    return CatalogCode(f"eq20-lattice:{lx}x{ly}", torus.code, AdmissibleSet.trivial(torus.code.k))
 
 
-def _selftest_eq20(cc: CatalogCode):
-    out = []
-    _check(out, "validates", validate_code(cc.code).ok)
-    d = code_distance(cc.code, 3)
-    _check(out, "distance 3", d.value == 3 and d.exact, str(d))
-    return out
+def _claims_eq20(cc: CatalogCode) -> list[Claim]:
+    return [_distance(cc, 3, 3)]
 
 
 def _build_compact(arg: str | None = None) -> CatalogCode:
@@ -196,35 +183,25 @@ def _build_compact(arg: str | None = None) -> CatalogCode:
     return CatalogCode(f"compact:{length}", enc.code, adm, extras={"encoding": enc})
 
 
-def _selftest_compact(cc: CatalogCode):
-    out = []
-    code, adm = cc.code, cc.admissible
-    enc = cc.extras["encoding"]
-    _check(out, "validates", validate_code(code).ok)
-    _check(out, "vertex dephasing undetected",
-           all(code.syndrome_bits(0, 1 << q) == 0 for q in enc.vertex_qubits))
-    d = effective_distance(code, adm, 2)
-    _check(out, "effective distance 3", d.value == 3 and d.exact, str(d))
-    return out
+def _claims_compact(cc: CatalogCode) -> list[Claim]:
+    vertices = cc.extras["encoding"].vertex_qubits
+    return [("vertex dephasing undetected",
+             all(cc.code.syndrome_bits(0, 1 << q) == 0 for q in vertices), ""),
+            _effective_distance(cc, 2, 3)]
 
 
 def _build_toric(arg: str | None = None) -> CatalogCode:
     length = _int_param("toric", arg) if arg else 3
-    code = toric_code(length)
-    return CatalogCode(f"toric:{length}", code, AdmissibleSet.trivial(2),
+    return CatalogCode(f"toric:{length}", toric_code(length), AdmissibleSet.trivial(2),
                        extras={"length": length})
 
 
-def _selftest_toric(cc: CatalogCode):
-    out = []
-    code = cc.code
-    length = cc.extras["length"]
-    _check(out, "validates", validate_code(code).ok)
-    _check(out, "k = 2", code.k == 2)
+def _claims_toric(cc: CatalogCode) -> list[Claim]:
+    code, length = cc.code, cc.extras["length"]
     z1 = code.class_bits(code.logical_z[0].x, code.logical_z[0].z)
-    d = min_weight_in_class(code, z1, length, pure="z")
-    _check(out, "pure-Z weight of first cycle = L", d.value == length and d.exact, str(d))
-    return out
+    return [("k = 2", code.k == 2, ""),
+            _exact("pure-Z weight of first cycle = L",
+                   min_weight_in_class(code, z1, length, pure="z"), length)]
 
 
 def _build_rep(arg: str | None = None) -> CatalogCode:
@@ -235,30 +212,19 @@ def _build_rep(arg: str | None = None) -> CatalogCode:
                        AdmissibleSet.group_generated(1, ["Z"]))
 
 
-def _selftest_rep(cc: CatalogCode):
-    out = []
-    code, adm = cc.code, cc.admissible
-    n = code.n
-    _check(out, "validates", validate_code(code).ok)
-    if n % 2:
-        d = effective_distance(code, adm, (n + 1) // 2)
-        _check(out, "effective distance n", d.value == n and d.exact, str(d))
-    return out
+def _claims_rep(cc: CatalogCode) -> list[Claim]:
+    n = cc.code.n
+    return [_effective_distance(cc, (n + 1) // 2, n, "effective distance n")] if n % 2 else []
 
 
 def _build_inner5(*_args) -> CatalogCode:
     return CatalogCode("inner-5q", five_qubit_code(), AdmissibleSet.trivial(1))
 
 
-def _selftest_inner5(cc: CatalogCode):
-    out = []
-    code = cc.code
-    _check(out, "validates", validate_code(code).ok)
-    d = code_distance(code, 5)
-    _check(out, "distance 3", d.value == 3 and d.exact, str(d))
-    _check(out, "corrects single errors",
-           check_general_qet(code, cc.admissible, ErrorBall(5, 1)).passed)
-    return out
+def _claims_inner5(cc: CatalogCode) -> list[Claim]:
+    return [_distance(cc, 5, 3),
+            ("corrects single errors",
+             check_general_qet(cc.code, cc.admissible, ErrorBall(5, 1)).passed, "")]
 
 
 def _int_param(entry: str, arg: str) -> int:
@@ -285,32 +251,32 @@ def _parse_dims(entry: str, arg: str | None,
 
 ENTRIES: dict[str, CatalogEntry] = {
     "table1-7q": CatalogEntry(
-        "table1-7q", "[7,2] code transmuting single-qubit errors to the phase group on one logical qubit",
-        _build_table1, _selftest_table1),
+        "[7,2] code transmuting single-qubit errors to the phase group on one logical qubit",
+        _build_table1, _claims_table1),
     "table2-6q": CatalogEntry(
-        "table2-6q", "[6,2] code with the non-group admissible set {I, Z1, Z2}",
-        _build_table2, _selftest_table2),
+        "[6,2] code with the non-group admissible set {I, Z1, Z2}",
+        _build_table2, _claims_table2),
     "css17": CatalogEntry(
-        "css17", "[17,2,3/5] CSS code from the [17,9,5] QR code; weight-2 errors become single phase flips",
-        _build_css17, _selftest_css17),
+        "[17,2,3/5] CSS code from the [17,9,5] QR code; weight-2 errors become single phase flips",
+        _build_css17, _claims_css17),
     "eq16-lattice": CatalogEntry(
-        "eq16-lattice", "rate-2/3 translation-invariant code (params LxL, default 4x4)",
-        _build_eq16, _selftest_eq16),
+        "rate-2/3 translation-invariant code (params LxL, default 4x4)",
+        _build_eq16, _claims_eq16),
     "eq20-lattice": CatalogEntry(
-        "eq20-lattice", "rate-1/2 single-error-correcting translation-invariant code (default 4x4)",
-        _build_eq20, _selftest_eq20),
+        "rate-1/2 single-error-correcting translation-invariant code (default 4x4)",
+        _build_eq20, _claims_eq20),
     "compact": CatalogEntry(
-        "compact", "compact fermionic encoding on an LxL torus (param L, default 4)",
-        _build_compact, _selftest_compact),
+        "compact fermionic encoding on an LxL torus (param L, default 4)",
+        _build_compact, _claims_compact),
     "toric": CatalogEntry(
-        "toric", "toric code on an LxL torus (param L, default 3)",
-        _build_toric, _selftest_toric),
+        "toric code on an LxL torus (param L, default 3)",
+        _build_toric, _claims_toric),
     "rep": CatalogEntry(
-        "rep", "n-qubit repetition code with the phase-error admissible group (param n, default 3)",
-        _build_rep, _selftest_rep),
+        "n-qubit repetition code with the phase-error admissible group (param n, default 3)",
+        _build_rep, _claims_rep),
     "inner-5q": CatalogEntry(
-        "inner-5q", "the perfect [5,1,3] code (concatenation inner code)",
-        _build_inner5, _selftest_inner5),
+        "the perfect [5,1,3] code (concatenation inner code)",
+        _build_inner5, _claims_inner5),
 }
 
 
@@ -329,7 +295,9 @@ def resolve(spec: str) -> CatalogCode:
     return ENTRIES[name].build(arg or None)
 
 
-def selftest(spec: str) -> list[tuple[str, bool, str]]:
-    name = spec.partition(":")[0]
+def selftest(spec: str) -> list[Claim]:
+    """(check, ok, info) for "validates" and then each of the entry's claims."""
     cc = resolve(spec)
-    return ENTRIES[name].selftest(cc)
+    claims = [("validates", validate_code(cc.code).ok, "")]
+    claims += ENTRIES[spec.partition(":")[0]].claims(cc)
+    return [(check, bool(ok), info) for check, ok, info in claims]

@@ -159,15 +159,22 @@ def _emit_code(code, out: str | None) -> None:
 
 
 def _cmd_catalog(args) -> int:
+    names = args.names
+    extra = {"list": names, "emit": names[1:]}.get(args.action, [])
+    if extra:
+        wanted = "one entry name" if args.action == "emit" else "no entry names"
+        print(f"error: catalog {args.action} takes {wanted}; extra: {' '.join(extra)}",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.action == "list":
         for name in catalog.names():
             print(f"{name:14s} {catalog.ENTRIES[name].summary}")
         return EXIT_PASS
     if args.action == "emit":
-        if not args.name:
+        if not names:
             print("error: catalog emit needs an entry name", file=sys.stderr)
             return EXIT_USAGE
-        cc = catalog.resolve(args.name)
+        cc = catalog.resolve(names[0])
         _emit_code(cc.code, args.out)
         if args.admissible_out and cc.admissible is not None:
             with open(args.admissible_out, "w", encoding="utf-8") as fh:
@@ -175,10 +182,8 @@ def _cmd_catalog(args) -> int:
             print(f"wrote {args.admissible_out}")
         return EXIT_PASS
     # selftest
-    names = ([args.name] if args.name else []) + list(args.names)
-    names = names or catalog.names()
     failures = 0
-    for name in names:
+    for name in names or catalog.names():
         for check, ok, info in catalog.selftest(name):
             mark = "ok" if ok else "FAIL"
             print(f"{name}: {check}: {mark}" + (f" ({info})" if info and not ok else ""))
@@ -395,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="list, emit, or self-test the built-in codes")
     p.add_argument("action", choices=["list", "emit", "selftest"])
-    p.add_argument("name", nargs="?", help="entry name (emit)")
-    p.add_argument("names", nargs="*", help="entry names (selftest)")
+    p.add_argument("names", nargs="*", help="entry names: one for emit, any for selftest")
     p.add_argument("--out", help="write the code file here instead of stdout")
     p.add_argument("--admissible-out", help="also write the canonical admissible set")
     p.set_defaults(func=_cmd_catalog)

@@ -218,42 +218,35 @@ def _instantiate_vec(vec: LaurentVec, lx: int, ly: int, cx: int, cy: int,
     return PauliOp(total, packed & ((1 << total) - 1), packed >> total)
 
 
+def _independent_rows(rows: list[PauliOp]) -> list[PauliOp]:
+    """The rows independent of the rows before them, in order."""
+    span = F2Span()
+    return [p for p in rows if span.insert(p.x | (p.z << p.n))]
+
+
 def instantiate_torus(cell: UnitCellCode, lx: int, ly: int) -> TorusCode:
     """Tile the unit cell on the torus; dependent wrapped generator rows are
     dropped (later rows first) and counted."""
     if lx < 2 or ly < 2:
         raise CodeConstructionError("torus needs Lx, Ly >= 2")
     n = cell.n
-    rows: list[PauliOp] = []
-    span = F2Span()
-    dropped = 0
-    for cy in range(ly):
-        for cx in range(lx):
-            for col in cell.columns:
-                p = _instantiate_vec(col, lx, ly, cx, cy, n)
-                if span.insert(p.x | (p.z << p.n)):
-                    rows.append(p)
-                else:
-                    dropped += 1
+    placed = [_instantiate_vec(col, lx, ly, cx, cy, n)
+              for cy in range(ly) for cx in range(lx) for col in cell.columns]
+    rows = _independent_rows(placed)
     total = n * lx * ly
     k = total - len(rows)
     if cell.logical_z:
-        zs: list[PauliOp] = []
-        xs: list[PauliOp] = []
-        for cy in range(ly):
-            for cx in range(lx):
-                for az, bx in zip(cell.logical_z, cell.logical_x):
-                    zs.append(_instantiate_vec(az, lx, ly, cx, cy, n))
-                    xs.append(_instantiate_vec(bx, lx, ly, cx, cy, n))
-        if len(zs) != k:
+        pairs = [(_instantiate_vec(az, lx, ly, cx, cy, n), _instantiate_vec(bx, lx, ly, cx, cy, n))
+                 for cy in range(ly) for cx in range(lx)
+                 for az, bx in zip(cell.logical_z, cell.logical_x)]
+        if len(pairs) != k:
             raise CodeConstructionError(
-                f"cell logicals instantiate to {len(zs)} pairs but the torus code "
+                f"cell logicals instantiate to {len(pairs)} pairs but the torus code "
                 f"has k={k}; wrapped dependencies changed the count")
-        code = StabilizerCode(rows, xs, zs)
+        zs, xs = [z for z, _ in pairs], [x for _, x in pairs]
     else:
-        xs, zs = complete_logical_basis(rows)
-        code = StabilizerCode(rows, xs, zs)
-    return TorusCode(code, lx, ly, n, dropped)
+        xs, zs = complete_logical_basis(rows, n=total)
+    return TorusCode(StabilizerCode(rows, xs, zs), lx, ly, n, len(placed) - len(rows))
 
 
 # -- catalog lattice cells -------------------------------------------------------
@@ -348,21 +341,13 @@ def compact_encoding(length: int) -> CompactEncoding:
             zm ^= p.z
         return PauliOp(n, xm, zm)
 
-    rows = []
-    span = F2Span()
-
-    def keep(p: PauliOp) -> None:
-        if span.insert(p.x | (p.z << n)):
-            rows.append(p)
-
-    for y in range(lsize):
-        for x in range(lsize):
-            if (x + y) % 2 == 0:  # loop around each even face
-                keep(product([h_edge(x, y), v_edge(x + 1, y),
-                              h_edge(x, y + 1), v_edge(x, y)]))
-    # non-contractible torus loops: one horizontal, one vertical
-    keep(product([h_edge(x, 0) for x in range(lsize)]))
-    keep(product([v_edge(0, y) for y in range(lsize)]))
+    # a loop around each even face, then the non-contractible torus loops:
+    # one horizontal, one vertical
+    loops = [product([h_edge(x, y), v_edge(x + 1, y), h_edge(x, y + 1), v_edge(x, y)])
+             for y in range(lsize) for x in range(lsize) if (x + y) % 2 == 0]
+    loops.append(product([h_edge(x, 0) for x in range(lsize)]))
+    loops.append(product([v_edge(0, y) for y in range(lsize)]))
+    rows = _independent_rows(loops)
 
     xs, zs = complete_logical_basis(rows)
     code = StabilizerCode(rows, xs, zs)
@@ -377,8 +362,8 @@ def toric_code(length: int) -> StabilizerCode:
     """Standard toric code on an L x L periodic square lattice.
 
     Qubits on edges: horizontal edge (x, y) at index y*L+x, vertical at
-    L^2 + y*L + x. One dependent plaquette and one dependent vertex
-    generator are omitted; the logical basis is the usual homology cycles.
+    L^2 + y*L + x. The dependent last plaquette and last vertex star are
+    omitted; the logical basis is the usual homology cycles.
     """
     if length < 2:
         raise CodeConstructionError("toric code needs L >= 2")
@@ -391,34 +376,20 @@ def toric_code(length: int) -> StabilizerCode:
     def v(x: int, y: int) -> int:
         return lsize * lsize + (y % lsize) * lsize + (x % lsize)
 
-    gens = []
-    for y in range(lsize):
-        for x in range(lsize):
-            if (x, y) == (lsize - 1, lsize - 1):
-                continue  # product of all plaquettes is the identity
-            zm = (1 << h(x, y)) | (1 << h(x, y + 1)) | (1 << v(x, y)) | (1 << v(x + 1, y))
-            gens.append(PauliOp(n, 0, zm))
-    for y in range(lsize):
-        for x in range(lsize):
-            if (x, y) == (lsize - 1, lsize - 1):
-                continue  # product of all vertex stars is the identity
-            xm = (1 << h(x, y)) | (1 << h(x - 1, y)) | (1 << v(x, y)) | (1 << v(x, y - 1))
-            gens.append(PauliOp(n, xm, 0))
+    plaquettes = [PauliOp(n, 0, (1 << h(x, y)) | (1 << h(x, y + 1)) | (1 << v(x, y))
+                          | (1 << v(x + 1, y)))
+                  for y in range(lsize) for x in range(lsize)]
+    stars = [PauliOp(n, (1 << h(x, y)) | (1 << h(x - 1, y)) | (1 << v(x, y))
+                     | (1 << v(x, y - 1)), 0)
+             for y in range(lsize) for x in range(lsize)]
+    # the product of all plaquettes and that of all stars are the identity:
+    # the last of each is dropped
+    gens = _independent_rows(plaquettes + stars)
 
-    z1 = 0
-    for y in range(lsize):
-        z1 |= 1 << v(0, y)
-    z2 = 0
-    for x in range(lsize):
-        z2 |= 1 << h(x, 0)
-    x1 = 0
-    for x in range(lsize):
-        x1 |= 1 << v(x, 0)
-    x2 = 0
-    for y in range(lsize):
-        x2 |= 1 << h(0, y)
-    logical_z = [PauliOp(n, 0, z1), PauliOp(n, 0, z2)]
-    logical_x = [PauliOp(n, x1, 0), PauliOp(n, x2, 0)]
+    logical_z = [PauliOp(n, 0, sum(1 << v(0, y) for y in range(lsize))),
+                 PauliOp(n, 0, sum(1 << h(x, 0) for x in range(lsize)))]
+    logical_x = [PauliOp(n, sum(1 << v(x, 0) for x in range(lsize)), 0),
+                 PauliOp(n, sum(1 << h(0, y) for y in range(lsize)), 0)]
     return StabilizerCode(gens, logical_x, logical_z)
 
 

@@ -60,16 +60,9 @@ class AdmissibleSet:
     @classmethod
     def group_generated(cls, k: int, strings) -> "AdmissibleSet":
         """XOR-closure of the given logical Pauli strings."""
-        gens = _item_bits(k, strings)
         closed = {0}
-        frontier = [0]
-        while frontier:
-            base = frontier.pop()
-            for g in gens:
-                nxt = base ^ g
-                if nxt not in closed:
-                    closed.add(nxt)
-                    frontier.append(nxt)
+        for g in _item_bits(k, strings):
+            closed |= {c ^ g for c in closed}
         return cls(k, frozenset(closed))
 
     @classmethod

@@ -63,11 +63,6 @@ def _sym_vec(p: PauliOp) -> int:
     return p.x | (p.z << p.n)
 
 
-def _sym_twist(p: PauliOp) -> int:
-    """Row whose dot with a packed vector gives the symplectic product with p."""
-    return p.z | (p.x << p.n)
-
-
 def _unpack(v: int, n: int) -> PauliOp:
     return PauliOp(n, v & ((1 << n) - 1), v >> n)
 
@@ -100,7 +95,8 @@ class StabilizerCode:
         # block first) of the packed unit vector 1 << j, so folding the rows
         # an error's x | z << n selects gives its label.
         self._labels = transpose_rows(
-            [_sym_twist(p) for p in self.generators + self.logical_z + self.logical_x],
+            [_twist(_sym_vec(p), self.n)
+             for p in self.generators + self.logical_z + self.logical_x],
             2 * self.n)
         self._syn_mask = (1 << len(self.generators)) - 1
         self._span = F2Span(_sym_vec(g) for g in self.generators)
@@ -186,19 +182,19 @@ def complete_logical_basis(
     if len(seed_x) > k:
         raise CodeConstructionError(f"more seeds than logical qubits (k={k})")
 
-    gen_rows = rref(BitMatrix(tuple(_sym_vec(g) for g in generators), 2 * n))
-    if gen_rows.rank < len(generators):
+    gen_rows = [_sym_vec(g) for g in generators]
+    seed_span = F2Span(gen_rows)
+    if seed_span.rank < len(generators):
         raise CodeConstructionError("generators are dependent")
-    kern = kernel_basis(BitMatrix(tuple(_sym_twist(g) for g in generators), 2 * n))
+    kern = kernel_basis(BitMatrix(tuple(_twist(v, n) for v in gen_rows), 2 * n))
 
     xs = [_sym_vec(p) for p in seed_x]
     for v in xs:
-        if any(symplectic(_sym_vec(g), v, n) for g in generators):
+        if any(symplectic(g, v, n) for g in gen_rows):
             raise CodeConstructionError("seed operator is outside N(S)")
     for i, j in combinations(range(len(xs)), 2):
         if symplectic(xs[i], xs[j], n):
             raise CodeConstructionError(f"seed X operators {i} and {j} anticommute")
-    seed_span = F2Span(gen_rows.reduced.rows)
     for v in xs:
         if not seed_span.insert(v):
             raise CodeConstructionError("seed operators are dependent modulo the stabilizer")
@@ -206,7 +202,7 @@ def complete_logical_basis(
     # Solve for the Z partners: symplectic(x_j, z_i) = delta_ij over the
     # kernel, then Gram-Schmidt z_i against earlier partners. Row j of the
     # constraints holds x_j's symplectic form with each kernel row.
-    constraints = BitMatrix(tuple(mul_bt([_sym_twist(p) for p in seed_x], kern.rows)),
+    constraints = BitMatrix(tuple(mul_bt([_twist(v, n) for v in xs], kern.rows)),
                             kern.nrows)
     zs: list[int] = []
     for i in range(len(xs)):

@@ -43,6 +43,61 @@ def test_catalog_selftest_single(capsys):
     assert "effective distance 3: ok" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("catalog", "emit", "rep:3", "css17"),
+     "error: catalog emit takes one entry name; extra: css17"),
+    (("catalog", "emit", "rep:3", "css17", "toric"),
+     "error: catalog emit takes one entry name; extra: css17 toric"),
+    (("catalog", "list", "toric"), "error: catalog list takes no entry names; extra: toric"),
+])
+def test_catalog_refuses_entry_names_it_would_ignore(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message + "\n"
+
+
+# Every claim of `catalog selftest`, as (check, ok, info), taken from the
+# implementation in which each entry had its own self-test function.
+PINNED_CLAIMS = {
+    "table1-7q": [("validates", True, ""), ("weight-1 errors all detected", True, ""),
+                  ("effective distance 3", True, "3")],
+    "table2-6q": [("validates", True, ""), ("general conditions pass at weight 1", True, ""),
+                  ("strong conditions fail (non-group separation)", True, ""),
+                  ("effective distance 3", True, "3")],
+    "css17": [("validates", True, ""), ("[17,2] parameters", True, ""),
+              ("asymmetric distances 3/5", True, "3/5"), ("effective distance 5", True, "5")],
+    "eq16-lattice": [("validates", True, ""), ("two logical qubits per cell", True, "k=32"),
+                     ("effective distance 3", True, "3")],
+    "eq20-lattice": [("validates", True, ""), ("distance 3", True, "3")],
+    "compact": [("validates", True, ""), ("vertex dephasing undetected", True, ""),
+                ("effective distance 3", True, "3")],
+    "toric": [("validates", True, ""), ("k = 2", True, ""),
+              ("pure-Z weight of first cycle = L", True, "3")],
+    "rep": [("validates", True, ""), ("effective distance n", True, "3")],
+    "inner-5q": [("validates", True, ""), ("distance 3", True, "3"),
+                 ("corrects single errors", True, "")],
+    "rep:4": [("validates", True, "")],
+    "rep:9": [("validates", True, ""), ("effective distance n", True, "9")],
+    "toric:5": [("validates", True, ""), ("k = 2", True, ""),
+                ("pure-Z weight of first cycle = L", True, "5")],
+    "compact:6": [("validates", True, ""), ("vertex dephasing undetected", True, ""),
+                  ("effective distance 3", True, "3")],
+    "eq16-lattice:3x5": [("validates", True, ""), ("two logical qubits per cell", True, "k=30"),
+                         ("effective distance 3", True, "3")],
+    "eq20-lattice:6x6": [("validates", True, ""), ("distance 3", True, "3")],
+}
+
+
+def test_catalog_selftest_claims_are_pinned(capsys):
+    assert {spec: catalog.selftest(spec) for spec in PINNED_CLAIMS} == PINNED_CLAIMS
+    code, out, _ = run(capsys, "catalog", "selftest", *PINNED_CLAIMS)
+    assert code == 0
+    assert out.splitlines() == [f"{spec}: {check}: ok"
+                                for spec, claims in PINNED_CLAIMS.items()
+                                for check, _, _ in claims]
+
+
 def test_deff_table1(capsys):
     code, out, _ = run(capsys, "deff", "--code", "table1-7q",
                        "--admissible", "ZI", "--cap", "3")
@@ -212,6 +267,20 @@ def test_lattice_check_and_torus(tmp_path, capsys):
     assert code == 0
     assert "k=16" in out
     assert load_file(out_path).n == 32
+
+
+def test_torus_of_a_cell_without_generator_columns(tmp_path, capsys):
+    cell = tmp_path / "empty.cell"
+    cell.write_text("n 1 s 0\n")
+    code, out, _ = run(capsys, "lattice", "check", "--cell", str(cell))
+    assert code == 0 and "unit cell ok" in out
+    out_path = tmp_path / "empty.code"
+    code, out, _ = run(capsys, "lattice", "torus", "--cell", str(cell),
+                       "--L", "2,2", "--out", str(out_path))
+    assert code == 0
+    assert out.splitlines()[0] == "2x2 torus: n=4 k=4 (dropped 0 dependent rows)"
+    code, out, _ = run(capsys, "verify", "qec", "--code", str(out_path), "--max-weight", "0")
+    assert code == 0 and out.startswith("verdict: PASS")
 
 
 def test_lattice_check_refuses_repeated_block(tmp_path, capsys):

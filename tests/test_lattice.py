@@ -3,13 +3,16 @@ import re
 import pytest
 
 from qtransmute.errors import CodeConstructionError, ParseError
-from qtransmute.lattice import (CompactEncoding, LPoly, LaurentVec, UnitCellCode,
-                                compact_encoding, dumps_cell, instantiate_torus,
-                                loads_cell, rate_half_cell, rate_two_thirds_cell,
-                                symplectic_form, toric_code, validate_unit_cell)
+from qtransmute.f2 import F2Span
+from qtransmute.lattice import (CompactEncoding, LPoly, LaurentVec, TorusCode, UnitCellCode,
+                                _instantiate_vec, compact_encoding, dumps_cell,
+                                instantiate_torus, loads_cell, rate_half_cell,
+                                rate_two_thirds_cell, symplectic_form, toric_code,
+                                validate_unit_cell)
 from qtransmute.pauli import PauliOp, enumerate_paulis
 from qtransmute.qet import AdmissibleSet, effective_distance, scan_zero_syndrome
-from qtransmute.stabilizer import code_distance, min_weight_in_class, validate_code
+from qtransmute.stabilizer import (StabilizerCode, code_distance, complete_logical_basis,
+                                   min_weight_in_class, validate_code)
 
 
 def lp(s):
@@ -338,3 +341,203 @@ def test_cell_parse_errors():
     ]:
         with pytest.raises(ParseError, match=re.escape(message)):
             loads_cell("n 1 s 1\n0\n1\n" + blocks)
+
+
+# -- tori as they were when each builder dropped dependent rows its own way -------------
+#
+# Copied verbatim, less two docstrings, from lattice.toric_code,
+# lattice.compact_encoding and lattice.instantiate_torus as they were before
+# one filter kept the rows independent of the rows before them: the toric
+# code skipped its last plaquette and last star by hand, the compact encoding
+# kept rows through a closure, and the torus counted drops in an inline span
+# loop. Each builder must give the same generators, logicals and
+# dropped-row count.
+
+
+def parent_instantiate_torus(cell: UnitCellCode, lx: int, ly: int) -> TorusCode:
+    """Tile the unit cell on the torus; dependent wrapped generator rows are
+    dropped (later rows first) and counted."""
+    if lx < 2 or ly < 2:
+        raise CodeConstructionError("torus needs Lx, Ly >= 2")
+    n = cell.n
+    rows: list[PauliOp] = []
+    span = F2Span()
+    dropped = 0
+    for cy in range(ly):
+        for cx in range(lx):
+            for col in cell.columns:
+                p = _instantiate_vec(col, lx, ly, cx, cy, n)
+                if span.insert(p.x | (p.z << p.n)):
+                    rows.append(p)
+                else:
+                    dropped += 1
+    total = n * lx * ly
+    k = total - len(rows)
+    if cell.logical_z:
+        zs: list[PauliOp] = []
+        xs: list[PauliOp] = []
+        for cy in range(ly):
+            for cx in range(lx):
+                for az, bx in zip(cell.logical_z, cell.logical_x):
+                    zs.append(_instantiate_vec(az, lx, ly, cx, cy, n))
+                    xs.append(_instantiate_vec(bx, lx, ly, cx, cy, n))
+        if len(zs) != k:
+            raise CodeConstructionError(
+                f"cell logicals instantiate to {len(zs)} pairs but the torus code "
+                f"has k={k}; wrapped dependencies changed the count")
+        code = StabilizerCode(rows, xs, zs)
+    else:
+        xs, zs = complete_logical_basis(rows)
+        code = StabilizerCode(rows, xs, zs)
+    return TorusCode(code, lx, ly, n, dropped)
+
+
+def parent_compact_encoding(length: int) -> CompactEncoding:
+    if length % 2 or length < 4:
+        raise CodeConstructionError("compact encoding needs even L >= 4")
+    lsize = length
+    n_vertex = lsize * lsize
+    odd_faces = [(x, y) for y in range(lsize) for x in range(lsize) if (x + y) % 2 == 1]
+    face_index = {f: n_vertex + i for i, f in enumerate(odd_faces)}
+    n = n_vertex + len(odd_faces)
+
+    def vidx(x: int, y: int) -> int:
+        return (y % lsize) * lsize + (x % lsize)
+
+    def fidx(x: int, y: int) -> int:
+        return face_index[(x % lsize, y % lsize)]
+
+    def h_edge(x: int, y: int) -> PauliOp:
+        """Edge operator for the horizontal edge (x,y)-(x+1,y)."""
+        if (x + y) % 2:
+            # odd face above; its bottom edge runs against the x direction
+            tail, head, face = (x + 1, y), (x, y), fidx(x, y)
+        else:
+            # odd face below; its top edge runs along the x direction
+            tail, head, face = (x, y), (x + 1, y), fidx(x, y - 1)
+        xm = (1 << vidx(*tail)) | (1 << vidx(*head)) | (1 << face)
+        zm = (1 << vidx(*head)) | (1 << face)
+        return PauliOp(n, xm, zm)
+
+    def v_edge(x: int, y: int) -> PauliOp:
+        """Edge operator for the vertical edge (x,y)-(x,y+1)."""
+        if (x + y) % 2:
+            # odd face to the right; its left edge runs up
+            tail, head, face = (x, y), (x, y + 1), fidx(x, y)
+        else:
+            # odd face to the left; its right edge runs down
+            tail, head, face = (x, y + 1), (x, y), fidx(x - 1, y)
+        xm = (1 << vidx(*tail)) | (1 << vidx(*head)) | (1 << face)
+        zm = (1 << vidx(*head))
+        return PauliOp(n, xm, zm)
+
+    def product(ops) -> PauliOp:
+        xm = zm = 0
+        for p in ops:
+            xm ^= p.x
+            zm ^= p.z
+        return PauliOp(n, xm, zm)
+
+    rows = []
+    span = F2Span()
+
+    def keep(p: PauliOp) -> None:
+        if span.insert(p.x | (p.z << n)):
+            rows.append(p)
+
+    for y in range(lsize):
+        for x in range(lsize):
+            if (x + y) % 2 == 0:  # loop around each even face
+                keep(product([h_edge(x, y), v_edge(x + 1, y),
+                              h_edge(x, y + 1), v_edge(x, y)]))
+    # non-contractible torus loops: one horizontal, one vertical
+    keep(product([h_edge(x, 0) for x in range(lsize)]))
+    keep(product([v_edge(0, y) for y in range(lsize)]))
+
+    xs, zs = complete_logical_basis(rows)
+    code = StabilizerCode(rows, xs, zs)
+    return CompactEncoding(code, lsize, tuple(range(n_vertex)),
+                           tuple(range(n_vertex, n)))
+
+
+def parent_toric_code(length: int) -> StabilizerCode:
+    if length < 2:
+        raise CodeConstructionError("toric code needs L >= 2")
+    lsize = length
+    n = 2 * lsize * lsize
+
+    def h(x: int, y: int) -> int:
+        return (y % lsize) * lsize + (x % lsize)
+
+    def v(x: int, y: int) -> int:
+        return lsize * lsize + (y % lsize) * lsize + (x % lsize)
+
+    gens = []
+    for y in range(lsize):
+        for x in range(lsize):
+            if (x, y) == (lsize - 1, lsize - 1):
+                continue  # product of all plaquettes is the identity
+            zm = (1 << h(x, y)) | (1 << h(x, y + 1)) | (1 << v(x, y)) | (1 << v(x + 1, y))
+            gens.append(PauliOp(n, 0, zm))
+    for y in range(lsize):
+        for x in range(lsize):
+            if (x, y) == (lsize - 1, lsize - 1):
+                continue  # product of all vertex stars is the identity
+            xm = (1 << h(x, y)) | (1 << h(x - 1, y)) | (1 << v(x, y)) | (1 << v(x, y - 1))
+            gens.append(PauliOp(n, xm, 0))
+
+    z1 = 0
+    for y in range(lsize):
+        z1 |= 1 << v(0, y)
+    z2 = 0
+    for x in range(lsize):
+        z2 |= 1 << h(x, 0)
+    x1 = 0
+    for x in range(lsize):
+        x1 |= 1 << v(x, 0)
+    x2 = 0
+    for y in range(lsize):
+        x2 |= 1 << h(0, y)
+    logical_z = [PauliOp(n, 0, z1), PauliOp(n, 0, z2)]
+    logical_x = [PauliOp(n, x1, 0), PauliOp(n, x2, 0)]
+    return StabilizerCode(gens, logical_x, logical_z)
+
+
+def operators(code: StabilizerCode):
+    return code.generators, code.logical_x, code.logical_z
+
+
+# Z-type plaquettes (1+y on the horizontal edge, 1+x on the vertical one)
+# and X-type stars as a two-qubit cell: each torus has two relations, the
+# product of all plaquettes and that of all stars.
+TORIC_CELL = UnitCellCode(2, (LaurentVec.parse(["0", "0", "1+y", "1+x"]),
+                              LaurentVec.parse(["1+x^-1", "1+y^-1", "0", "0"])))
+
+
+@pytest.mark.parametrize("length", range(2, 8))
+def test_toric_code_matches_hand_skipped_rows(length):
+    assert operators(toric_code(length)) == operators(parent_toric_code(length))
+
+
+@pytest.mark.parametrize("length", [4, 6, 8])
+def test_compact_encoding_matches_closure_filter(length):
+    new, old = compact_encoding(length), parent_compact_encoding(length)
+    assert operators(new.code) == operators(old.code)
+    assert (new.vertex_qubits, new.face_qubits) == (old.vertex_qubits, old.face_qubits)
+
+
+@pytest.mark.parametrize("cell", [rate_two_thirds_cell(), rate_half_cell(), TORIC_CELL],
+                         ids=["eq16", "eq20", "toric-cell"])
+@pytest.mark.parametrize("lx,ly", [(2, 2), (3, 5), (4, 4), (6, 6), (3, 4), (5, 5)])
+def test_torus_matches_inline_span_loop(cell, lx, ly):
+    new, old = instantiate_torus(cell, lx, ly), parent_instantiate_torus(cell, lx, ly)
+    assert operators(new.code) == operators(old.code)
+    assert new.dropped_rows == old.dropped_rows
+    assert new.dropped_rows == (2 if cell is TORIC_CELL else 0)
+
+
+def test_toric_cell_drops_the_two_dependent_rows():
+    torus = instantiate_torus(TORIC_CELL, 3, 4)
+    assert validate_unit_cell(TORIC_CELL).ok
+    assert (torus.code.n, torus.code.k, torus.dropped_rows) == (24, 2, 2)
+    assert validate_code(torus.code).ok

@@ -1073,3 +1073,30 @@ def test_duplicate_errors_deduplicated(table1):
     errs = errors_up_to_weight(7, 1)
     verdict = check_general_qet(table1, PHASE1, errs + errs)
     assert len(verdict.checked) == len(errs)
+
+
+def bfs_group_generated(k, strings):
+    """AdmissibleSet.group_generated as it was before the closure doubled:
+    a breadth-first walk over products of the generators."""
+    gens = qet._item_bits(k, strings)
+    closed = {0}
+    frontier = [0]
+    while frontier:
+        base = frontier.pop()
+        for g in gens:
+            nxt = base ^ g
+            if nxt not in closed:
+                closed.add(nxt)
+                frontier.append(nxt)
+    return AdmissibleSet(k, frozenset(closed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3))
+def test_group_generated_matches_breadth_first_closure(data, k):
+    # repeats and the identity are drawn often: a letter alphabet of four
+    # and lists of up to eight strings
+    word = st.text("IXYZ", min_size=k, max_size=k)
+    strings = data.draw(st.lists(st.one_of(word, st.just("I" * k)), max_size=8))
+    strings += data.draw(st.lists(st.sampled_from(strings), max_size=3)) if strings else []
+    assert AdmissibleSet.group_generated(k, strings) == bfs_group_generated(k, strings)

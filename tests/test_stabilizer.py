@@ -15,7 +15,7 @@ from qtransmute.pauli import (PauliOp, enumerate_paulis, parse_pauli, render,
                               symplectic_product)
 from qtransmute.qet import deff_lower_bound
 from qtransmute.search import sample_generators
-from qtransmute.stabilizer import (StabilizerCode, _sym_twist, _sym_vec, _unpack,
+from qtransmute.stabilizer import (StabilizerCode, _sym_vec, _unpack,
                                    code_distance, complete_logical_basis, dumps,
                                    loads, min_weight_in_class, scan_zero_syndrome,
                                    standard_form, validate_code)
@@ -413,6 +413,12 @@ def test_seeded_completion_on_random_codes(n, k, seed):
     assert xs[:len(seeds)] == seeds
     assert validate_code(StabilizerCode(code.generators, xs, zs)).ok
     assert complete_logical_basis(code.generators, seed_x=seeds) == (xs, zs)
+
+
+def _sym_twist(p: PauliOp) -> int:
+    """Row whose dot with a packed vector gives the symplectic product with p:
+    the helper that the reference copies below were written against."""
+    return p.z | (p.x << p.n)
 
 
 def _reference_basis(generators, seed_x, n):
