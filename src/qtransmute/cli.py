@@ -300,7 +300,7 @@ def _cmd_concat(args) -> int:
     inner = _load_catalog_code(args.inner)
     code = concatenate(outer.code, inner.code)
     print(f"concatenated code: [{code.n},{code.k}]")
-    if args.scan_cap:
+    if args.scan_cap is not None:
         adm = _load_admissible(args.admissible, outer) if args.admissible else outer.admissible
         if adm is None:
             raise QTError("concat scan needs an admissible set (--admissible)")
@@ -463,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
     p.add_argument("--admissible", help="admissible set for the excluded-weight scan")
-    p.add_argument("--scan-cap", type=nonnegative_int, default=0)
+    p.add_argument("--scan-cap", type=nonnegative_int,
+                   help="scan for the least excluded weight up to this weight (no scan if absent)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_concat)
 

@@ -15,7 +15,8 @@ from .errors import DimensionMismatch, ParseError
 from .f2 import parity
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_XZ_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+# (x bit, z bit) of one qubit, as binary digits, to its letter
+_XZ_TO_LETTER = {("0", "0"): "I", ("1", "0"): "X", ("1", "1"): "Y", ("0", "1"): "Z"}
 
 
 @dataclass(frozen=True)
@@ -31,9 +32,6 @@ class PauliOp:
             raise ValueError("qubit count must be nonnegative")
         if self.x >> self.n or self.z >> self.n or self.x < 0 or self.z < 0:
             raise ValueError("support extends beyond the qubit count")
-
-    def letter(self, q: int) -> str:
-        return _XZ_TO_LETTER[((self.x >> q) & 1, (self.z >> q) & 1)]
 
     def __str__(self) -> str:
         return render(self)
@@ -55,7 +53,12 @@ def parse_pauli(s: str, *, line: int | None = None) -> PauliOp:
 
 
 def render(p: PauliOp) -> str:
-    return "".join(p.letter(q) for q in range(p.n))
+    """The string over I/X/Y/Z, qubit 0 leftmost."""
+    # A 1 at bit n keeps each mask's n binary digits (none when n = 0); the
+    # digits are read lowest first, without it.
+    top = 1 << p.n
+    return "".join(map(_XZ_TO_LETTER.__getitem__,
+                       zip(format(p.x | top, "b")[:0:-1], format(p.z | top, "b")[:0:-1])))
 
 
 def symplectic_product(a: PauliOp, b: PauliOp) -> int:

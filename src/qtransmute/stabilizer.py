@@ -303,6 +303,14 @@ def scan_zero_syndrome(code: StabilizerCode, w: int, visit,
     last. The order is prefix-major, so the prefix walk in scan order with
     each bucket in scan order gives exactly the order above; the work is
     about C(n,a)·3^a lookups rather than C(n,w)·3^w candidates.
+
+    Both halves close checks as a trellis search does (Wolf 1978): letters
+    are placed in increasing qubit order, so a syndrome bit on a generator
+    that no letter still to be placed can flip is final. The walk drops a
+    prefix with such a bit, and the table drops a suffix with a bit on a
+    generator that no letter below its lowest qubit flips, since no prefix
+    could cancel it. Only Paulis of nonzero syndrome are dropped, so the
+    visits and their order are those of the scan without it.
     """
     if pure not in _PURE_LETTERS:
         raise ValueError("pure must be None, 'x', or 'z'")
@@ -310,51 +318,98 @@ def scan_zero_syndrome(code: StabilizerCode, w: int, visit,
     if not 1 <= w <= n:
         return False
     a, b = w - w // 2, w // 2
-    labels, mask = code._labels, code._syn_mask
-    steps = []
+    steps, closed, above, at_or_below = _scan_tables(code, pure)
+    # At w = 1 the suffix is empty. A longer one follows at least a prefix
+    # qubits, so its lowest qubit is >= a.
+    table: dict[int, int | list[int]] = {} if b else {0: 0}
+    if b:
+        _tabulate(table, steps, closed, above, None, a, b, 0, 0)
+    return _join(table, steps, closed, at_or_below, b, visit, 0, a, 0, 0)
+
+
+def _scan_tables(code: StabilizerCode, pure: str | None) -> tuple:
+    """The scan's tables for `code` in one `pure` mode, built by the code's
+    first scan in that mode and kept on the code. Over qubits q:
+    - steps[q]: (syndrome, packed x | z << n) of each allowed letter at q;
+    - closed[q]: the generators that no allowed letter at q or above flips,
+      for q = 0..n, so closed[n] holds every generator;
+    - above[q]: the generators that no allowed letter below q flips;
+    - at_or_below[q]: support bits at or below q, in both halves of a packed
+      Pauli."""
+    try:
+        cache = code._scan_tables
+    except AttributeError:
+        cache = code._scan_tables = {}
+    if pure in cache:
+        return cache[pure]
+    n, labels, mask = code.n, code._labels, code._syn_mask
+    steps, flips = [], []
     for q in range(n):
         sx, sz, bit = labels[q] & mask, labels[n + q] & mask, 1 << q
         row = {"X": (sx, bit), "Y": (sx ^ sz, bit | bit << n), "Z": (sz, bit << n)}
         steps.append([row[letter] for letter in _PURE_LETTERS[pure]])
-
-    table: dict[int, int | list[int]] = {}
-    # A suffix follows at least a prefix qubits, so its lowest qubit is >= a.
-    _tabulate(table, steps, a, b, 0, 0)
-    # Support bits at or below qubit q, in both halves of a packed Pauli.
+        # the generators some allowed letter at q flips; Y flips none that X and Z miss
+        flips.append({None: sx | sz, "x": sx, "z": sz}[pure])
+    closed, above = [mask] * (n + 1), [mask] * (n + 1)
+    for q in range(n):
+        above[q + 1] = above[q] & ~flips[q]
+    for q in reversed(range(n)):
+        closed[q] = closed[q + 1] & ~flips[q]
     at_or_below = [((2 << q) - 1) * (1 | 1 << n) for q in range(n)]
-    return _join(table, steps, at_or_below, b, visit, 0, a, 0, 0)
+    cache[pure] = tables = steps, closed, above, at_or_below
+    return tables
 
 
-def _tabulate(table, steps, start: int, left: int, syn: int, v: int) -> None:
+def _tabulate(table, steps, closed, above, drop: int | None, start: int, left: int,
+              syn: int, v: int) -> None:
     """Store every extension of (syn, v) by `left` more letters on qubits from
-    `start` on in `table`, keyed by syndrome, in scan order. Not nested, so a
-    scan leaves no cycle."""
-    if left == 0:
-        old = table.get(syn)
-        if old is None:
-            table[syn] = v
-        elif type(old) is int:
-            table[syn] = [old, v]
-        else:
-            old.append(v)
-        return
+    `start` on in `table`, keyed by syndrome, in scan order, except those
+    whose syndrome has a bit of `drop` set: above[q1] for the suffix's lowest
+    qubit q1, the generators that no prefix flips (None before the suffix's
+    first letter). Not nested, so a scan leaves no cycle."""
     for q in range(start, len(steps) - left + 1):
+        d = above[q] if drop is None else drop
+        if left > 1:
+            # Bits that no later letter of the suffix flips are final.
+            dead = d & closed[q + 1]
+            for dsyn, dv in steps[q]:
+                nsyn = syn ^ dsyn
+                if not nsyn & dead:
+                    _tabulate(table, steps, closed, above, d, q + 1, left - 1, nsyn, v | dv)
+            continue
         for dsyn, dv in steps[q]:
-            _tabulate(table, steps, q + 1, left - 1, syn ^ dsyn, v | dv)
+            key = syn ^ dsyn
+            if key & d:
+                continue
+            old = table.get(key)
+            if old is None:
+                table[key] = v | dv
+            elif type(old) is int:
+                table[key] = [old, v | dv]
+            else:
+                old.append(v | dv)
 
 
-def _join(table, steps, at_or_below, b: int, visit, start: int, left: int, syn: int,
-          v: int) -> bool:
+def _join(table, steps, closed, at_or_below, b: int, visit, start: int, left: int,
+          syn: int, v: int) -> bool:
     """Extend the prefix (syn, v) by `left` more letters from `start` on and
     visit each full prefix's matching suffixes (those of `b` letters above
-    its last qubit), in scan order; True once a visit returns truthy."""
+    its last qubit), in scan order; True once a visit returns truthy. A
+    prefix whose syndrome has a bit of closed[q + 1] after its letter at q
+    is dropped, and the loop stops once the carried syndrome has a bit of
+    closed[q]."""
     n = len(steps)
     if left == 1:
         xmask = (1 << n) - 1
         for q in range(start, n - b):
-            low = at_or_below[q]
+            if syn & closed[q]:
+                break
+            dead, low = closed[q + 1], at_or_below[q]
             for dsyn, dv in steps[q]:
-                hit = table.get(syn ^ dsyn)
+                key = syn ^ dsyn
+                if key & dead:
+                    continue
+                hit = table.get(key)
                 if hit is None:
                     continue
                 for s in ((hit,) if type(hit) is int else hit):
@@ -364,8 +419,13 @@ def _join(table, steps, at_or_below, b: int, visit, start: int, left: int, syn: 
                             return True
         return False
     for q in range(start, n - b - left + 1):
+        if syn & closed[q]:
+            break
+        dead = closed[q + 1]
         for dsyn, dv in steps[q]:
-            if _join(table, steps, at_or_below, b, visit, q + 1, left - 1, syn ^ dsyn, v | dv):
+            nsyn = syn ^ dsyn
+            if not nsyn & dead and _join(table, steps, closed, at_or_below, b, visit,
+                                         q + 1, left - 1, nsyn, v | dv):
                 return True
     return False
 

@@ -255,8 +255,18 @@ def test_criterion_09_concatenation_bound():
     bound = deff_lower_bound(cc, PHASE1, 5)
     assert not bound.exact  # explicitly a bound, not an exact value
     assert bound.value == 6  # nothing outside the lifted set at weight <= 5
+    # The scan drops every prefix that no later letter can repair, so it
+    # reaches weight 9: the paper's d_eff >= 9 is an exact excluded weight.
+    exact = deff_lower_bound(cc, PHASE1, 9)
+    assert (exact.value, exact.exact) == (9, True)
+    witness = []
+    assert scan_zero_syndrome(cc, 9, lambda x, z: witness.append((x, z))
+                              or cc.class_bits(x, z) not in PHASE1.classes)
+    x, z = witness[-1]
+    assert (x | z).bit_count() == 9 and cc.syndrome_bits(x, z) == 0
+    assert cc.class_bits(x, z) not in PHASE1.classes
     elapsed = budget.check()
-    announce(9, "concatenated [35,2]: weight<=5 scan clean, consistent with d_eff >= 9",
+    announce(9, "concatenated [35,2]: weight<=5 scan clean, least excluded weight exactly 9",
              elapsed)
 
 

@@ -301,6 +301,21 @@ def test_concat_scan(capsys):
     assert "bound" in out
 
 
+@pytest.mark.parametrize("cap, line", [
+    (["--scan-cap", "0"], "min excluded weight: >=1 (cap 0) [bound]"),
+    ([], None),
+])
+def test_concat_scan_cap_zero_is_a_scan(capsys, cap, line):
+    # An explicit 0 scans no weight and prints its bound, as `deff --cap 0`
+    # does; with no flag there is no scan and no line.
+    code, out, _ = run(capsys, "concat", "--outer", "table1-7q", "--inner", "inner-5q",
+                       "--admissible", "ZI", *cap)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "concatenated code: [35,2]"
+    assert [l for l in lines if l.startswith("min excluded weight")] == ([line] if line else [])
+
+
 def test_search_cli(capsys):
     code, out, _ = run(capsys, "search", "--n", "6", "--k", "2",
                        "--pattern", "ZI,IZ", "--mode", "random",

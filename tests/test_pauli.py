@@ -43,6 +43,15 @@ def test_parse_render_round_trip(s):
     assert render(parse_pauli(s)) == s
 
 
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(0, 256))
+def test_render_matches_a_letter_per_qubit(data, n):
+    x = data.draw(st.integers(0, (1 << n) - 1), label="x")
+    z = data.draw(st.integers(0, (1 << n) - 1), label="z")
+    want = "".join("IXZY"[(x >> q & 1) + 2 * (z >> q & 1)] for q in range(n))
+    assert render(PauliOp(n, x, z)) == want
+
+
 def test_multiply_single_qubit():
     # the phase-blind product is the XOR of the masks: X·Z = Y
     x, z = parse_pauli("X"), parse_pauli("Z")

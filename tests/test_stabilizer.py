@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -15,7 +16,8 @@ from qtransmute.pauli import (PauliOp, enumerate_paulis, parse_pauli, render,
                               symplectic_product)
 from qtransmute.qet import deff_lower_bound
 from qtransmute.search import sample_generators
-from qtransmute.stabilizer import (StabilizerCode, _sym_vec, _unpack,
+from qtransmute.transforms import concatenate
+from qtransmute.stabilizer import (_PURE_LETTERS, StabilizerCode, _sym_vec, _unpack,
                                    code_distance, complete_logical_basis, dumps,
                                    loads, min_weight_in_class, scan_zero_syndrome,
                                    standard_form, validate_code)
@@ -377,6 +379,28 @@ def test_scan_leaves_no_cycle_behind():
         gc.enable()
 
 
+@pytest.mark.slow
+def test_toric7_class_distance_over_all_letters_is_exact_under_a_memory_bound():
+    # With all three letters, the weight-6 and weight-7 scans each hold one
+    # table of weight-3 suffixes; only the 641,726 of them that some prefix
+    # could cancel are kept. The whole search ran 92 s in a 567 MB process
+    # when every suffix was kept; it now runs ~12 s. Tracing it all would take
+    # ~3 min, so the peak is read from a weight-7 scan stopped at its first
+    # visit, which has built the same table: 73.1 MiB here (Python 3.11).
+    code = resolve("toric:7").code
+    z1 = 1 << code.k
+    result = min_weight_in_class(code, z1, 7)
+    assert (result.value, result.exact) == (7, True)
+    scan_zero_syndrome(code, 7, lambda x, z: True)  # build the code's scan tables
+    tracemalloc.start()
+    try:
+        assert scan_zero_syndrome(code, 7, lambda x, z: True) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * 2 ** 20
+
+
 def _random_small_code(rng, n, k):
     """standard_form of sampled standard-form generators on shuffled qubits."""
     perm = list(range(n))
@@ -714,6 +738,176 @@ def test_scan_matches_brute_force_order_on_random_codes(n, k, pure, seed, data):
 
         assert scan_zero_syndrome(code, w, visit, pure) is True
         assert stopped == want[:j]
+
+
+# -- the zero-syndrome scan as it was before it closed checks ----------------------
+#
+# Copied verbatim, the scan renamed, from stabilizer.scan_zero_syndrome,
+# _tabulate and _join as they were before the walk dropped prefixes and the
+# table dropped suffixes that no later letter can repair. The pruned scan must
+# visit the same Paulis in the same order, and stop at the same visit, on codes
+# whose generators close early: block-local concatenations, banded codes and
+# toric codes, and on a code with no generators.
+
+
+def parent_scan_zero_syndrome(code: StabilizerCode, w: int, visit,
+                              pure: str | None = None) -> bool:
+    """Call visit(x, z) for zero-syndrome Paulis of exact weight w until a
+    call returns a truthy value; True iff the scan stopped that way.
+
+    The visit order is lexicographic in the (qubit, letter) sequence, letters
+    X, Y, Z, so a pure scan visits supports in itertools.combinations order.
+    `pure` restricts to X-only or Z-only errors.
+
+    Meet in the middle (the split step of Leon's and Stern's low-weight
+    codeword searches): a Pauli of weight w splits one way into its a = w - w//2
+    lowest-qubit letters (the prefix) and its b = w//2 highest (the suffix),
+    and it has zero syndrome iff both halves have the same syndrome. One table
+    holds every weight-b suffix keyed by syndrome, each packed as x | z << n
+    (a list only where syndromes collide), in scan order. A depth-first walk
+    over the prefixes carries the syndrome and, at each full prefix, visits
+    the suffixes stored under it whose lowest qubit lies above the prefix's
+    last. The order is prefix-major, so the prefix walk in scan order with
+    each bucket in scan order gives exactly the order above; the work is
+    about C(n,a)·3^a lookups rather than C(n,w)·3^w candidates.
+    """
+    if pure not in _PURE_LETTERS:
+        raise ValueError("pure must be None, 'x', or 'z'")
+    n = code.n
+    if not 1 <= w <= n:
+        return False
+    a, b = w - w // 2, w // 2
+    labels, mask = code._labels, code._syn_mask
+    steps = []
+    for q in range(n):
+        sx, sz, bit = labels[q] & mask, labels[n + q] & mask, 1 << q
+        row = {"X": (sx, bit), "Y": (sx ^ sz, bit | bit << n), "Z": (sz, bit << n)}
+        steps.append([row[letter] for letter in _PURE_LETTERS[pure]])
+
+    table: dict[int, int | list[int]] = {}
+    # A suffix follows at least a prefix qubits, so its lowest qubit is >= a.
+    _tabulate(table, steps, a, b, 0, 0)
+    # Support bits at or below qubit q, in both halves of a packed Pauli.
+    at_or_below = [((2 << q) - 1) * (1 | 1 << n) for q in range(n)]
+    return _join(table, steps, at_or_below, b, visit, 0, a, 0, 0)
+
+
+def _tabulate(table, steps, start: int, left: int, syn: int, v: int) -> None:
+    """Store every extension of (syn, v) by `left` more letters on qubits from
+    `start` on in `table`, keyed by syndrome, in scan order. Not nested, so a
+    scan leaves no cycle."""
+    if left == 0:
+        old = table.get(syn)
+        if old is None:
+            table[syn] = v
+        elif type(old) is int:
+            table[syn] = [old, v]
+        else:
+            old.append(v)
+        return
+    for q in range(start, len(steps) - left + 1):
+        for dsyn, dv in steps[q]:
+            _tabulate(table, steps, q + 1, left - 1, syn ^ dsyn, v | dv)
+
+
+def _join(table, steps, at_or_below, b: int, visit, start: int, left: int, syn: int,
+          v: int) -> bool:
+    """Extend the prefix (syn, v) by `left` more letters from `start` on and
+    visit each full prefix's matching suffixes (those of `b` letters above
+    its last qubit), in scan order; True once a visit returns truthy."""
+    n = len(steps)
+    if left == 1:
+        xmask = (1 << n) - 1
+        for q in range(start, n - b):
+            low = at_or_below[q]
+            for dsyn, dv in steps[q]:
+                hit = table.get(syn ^ dsyn)
+                if hit is None:
+                    continue
+                for s in ((hit,) if type(hit) is int else hit):
+                    if not s & low:
+                        u = v | dv | s
+                        if visit(u & xmask, u >> n):
+                            return True
+        return False
+    for q in range(start, n - b - left + 1):
+        for dsyn, dv in steps[q]:
+            if _join(table, steps, at_or_below, b, visit, q + 1, left - 1, syn ^ dsyn, v | dv):
+                return True
+    return False
+
+
+def assert_scan_matches_parent(code, w, pure, stops):
+    want = []
+    assert parent_scan_zero_syndrome(code, w, lambda x, z: want.append((x, z)), pure) is False
+    seen = []
+    assert scan_zero_syndrome(code, w, lambda x, z: seen.append((x, z)), pure) is False
+    assert seen == want
+    for j in stops(len(want)):
+        stopped = []
+
+        def visit(x, z):
+            stopped.append((x, z))
+            return len(stopped) == j
+
+        assert scan_zero_syndrome(code, w, visit, pure) is True
+        assert stopped == want[:j]
+
+
+def _rng_stops(rng):
+    """Three stop indices drawn from 1..count, none when nothing is visited."""
+    return lambda count: [rng.randint(1, count) for _ in range(3)] if count else []
+
+
+def _concatenated(outer, inner="inner-5q"):
+    return concatenate(resolve(outer).code, resolve(inner).code)
+
+
+# (code, largest w of a scan over all three letters, of a pure scan): every w
+# where the parent's walk takes well under a second.
+_CLOSING_CODES = {
+    "rep:3*inner-5q": (lambda: _concatenated("rep:3"), 15, 15),
+    "table2-6q*inner-5q": (lambda: _concatenated("table2-6q"), 6, 8),
+    "toric:2": (lambda: resolve("toric:2").code, 8, 8),
+    "toric:3": (lambda: resolve("toric:3").code, 8, 18),
+    "toric:4": (lambda: resolve("toric:4").code, 6, 10),
+    "no generators": (lambda: _free_code(6), 6, 6),
+}
+
+
+@pytest.mark.parametrize("name", _CLOSING_CODES)
+def test_scan_matches_parent_on_codes_whose_checks_close(name):
+    build, cap, pure_cap = _CLOSING_CODES[name]
+    code = build()
+    rng = random.Random(name)
+    for pure in (None, "x", "z"):
+        for w in range(1, (pure_cap if pure else cap) + 1):
+            assert_scan_matches_parent(code, w, pure, _rng_stops(rng))
+
+
+def _banded_code(rng, n):
+    """Commuting independent generators, each inside a window of at most 4
+    consecutive qubits, with a completed logical basis."""
+    gens, span = [], F2Span()
+    for _ in range(4 * n):
+        width = rng.randint(1, min(4, n))
+        window = ((1 << width) - 1) << rng.randrange(n - width + 1)
+        g = PauliOp(n, rng.getrandbits(n) & window, rng.getrandbits(n) & window)
+        if not any(symplectic_product(g, h) for h in gens) and span.insert(_sym_vec(g)):
+            gens.append(g)
+    return StabilizerCode(gens, *complete_logical_basis(gens, n=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_scan_matches_parent_on_banded_codes(n, seed, data):
+    code = _banded_code(random.Random(seed), n)
+    for pure in (None, "x", "z"):
+        for w in range(1, n + 1):
+            assert_scan_matches_parent(
+                code, w, pure,
+                lambda count: [data.draw(st.integers(1, count), label=f"stop (w={w})")]
+                if count else [])
 
 
 def _in_row_space(rows, v, width):
