@@ -7,13 +7,13 @@ is reachable from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .classical import asymmetric_distances, css17_classical_pair, css_build
 from .errors import QTError
-from .lattice import (compact_encoding, instantiate_torus, rate_half_cell,
-                      rate_two_thirds_cell, toric_code)
+from .lattice import (CompactEncoding, TorusCode, compact_encoding, instantiate_torus,
+                      rate_half_cell, rate_two_thirds_cell, toric_code)
 from .pauli import ErrorBall, PauliOp, enumerate_paulis, parse_pauli
 from .qet import (AdmissibleSet, check_general_qet, effective_distance,
                   strong_conditions_hold)
@@ -36,10 +36,16 @@ Claim = tuple[str, bool, str]  # (check, ok, info shown when it fails)
 
 @dataclass(frozen=True)
 class CatalogCode:
+    """A built entry: its code and admissible set, and what its claims read
+    besides the code: the torus of a lattice entry, the qubit layout of a
+    compact encoding, the side length of a toric code."""
+
     name: str
     code: StabilizerCode
     admissible: AdmissibleSet | None = None
-    extras: dict = field(default_factory=dict)
+    torus: TorusCode | None = None
+    encoding: CompactEncoding | None = None
+    length: int | None = None
 
 
 @dataclass(frozen=True)
@@ -156,11 +162,11 @@ def _build_eq16(arg: str | None = None) -> CatalogCode:
     cell = rate_two_thirds_cell()
     torus = instantiate_torus(cell, lx, ly)
     adm = AdmissibleSet.from_operators(torus.code, torus.translates(cell.logical_z[0]))
-    return CatalogCode(f"eq16-lattice:{lx}x{ly}", torus.code, adm, extras={"torus": torus})
+    return CatalogCode(f"eq16-lattice:{lx}x{ly}", torus.code, adm, torus=torus)
 
 
 def _claims_eq16(cc: CatalogCode) -> list[Claim]:
-    torus, k = cc.extras["torus"], cc.code.k
+    torus, k = cc.torus, cc.code.k
     return [("two logical qubits per cell", k == 2 * torus.lx * torus.ly, f"k={k}"),
             _effective_distance(cc, 2, 3)]
 
@@ -180,11 +186,11 @@ def _build_compact(arg: str | None = None) -> CatalogCode:
     enc = compact_encoding(length)
     adm = AdmissibleSet.from_operators(
         enc.code, [PauliOp(enc.code.n, 0, 1 << q) for q in enc.vertex_qubits])
-    return CatalogCode(f"compact:{length}", enc.code, adm, extras={"encoding": enc})
+    return CatalogCode(f"compact:{length}", enc.code, adm, encoding=enc)
 
 
 def _claims_compact(cc: CatalogCode) -> list[Claim]:
-    vertices = cc.extras["encoding"].vertex_qubits
+    vertices = cc.encoding.vertex_qubits
     return [("vertex dephasing undetected",
              all(cc.code.syndrome_bits(0, 1 << q) == 0 for q in vertices), ""),
             _effective_distance(cc, 2, 3)]
@@ -193,11 +199,11 @@ def _claims_compact(cc: CatalogCode) -> list[Claim]:
 def _build_toric(arg: str | None = None) -> CatalogCode:
     length = _int_param("toric", arg) if arg else 3
     return CatalogCode(f"toric:{length}", toric_code(length), AdmissibleSet.trivial(2),
-                       extras={"length": length})
+                       length=length)
 
 
 def _claims_toric(cc: CatalogCode) -> list[Claim]:
-    code, length = cc.code, cc.extras["length"]
+    code, length = cc.code, cc.length
     z1 = code.class_bits(code.logical_z[0].x, code.logical_z[0].z)
     return [("k = 2", code.k == 2, ""),
             _exact("pure-Z weight of first cycle = L",

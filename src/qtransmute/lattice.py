@@ -14,6 +14,18 @@ from .pauli import PauliOp
 from .stabilizer import (Diagnostics, StabilizerCode, complete_logical_basis)
 from .f2 import F2Span
 
+# The most qubits a torus may have. Building one costs time that grows as a
+# power of its qubit count (compact:52, 4,056 qubits, builds in ~9 s), and
+# the tests, catalog and benchmark build none above 192 qubits.
+MAX_TORUS_QUBITS = 4096
+
+
+def _refuse_oversized(what: str, n: int) -> None:
+    """Refuse a torus of n qubits above `MAX_TORUS_QUBITS`, before any row is built."""
+    if n > MAX_TORUS_QUBITS:
+        raise CodeConstructionError(f"{what} would have {n} qubits, above the limit of "
+                                    f"{MAX_TORUS_QUBITS}")
+
 
 @dataclass(frozen=True)
 class LPoly:
@@ -230,6 +242,7 @@ def instantiate_torus(cell: UnitCellCode, lx: int, ly: int) -> TorusCode:
     if lx < 2 or ly < 2:
         raise CodeConstructionError("torus needs Lx, Ly >= 2")
     n = cell.n
+    _refuse_oversized(f"a {lx}x{ly} torus of {n}-qubit cells", n * lx * ly)
     placed = [_instantiate_vec(col, lx, ly, cx, cy, n)
               for cy in range(ly) for cx in range(lx) for col in cell.columns]
     rows = _independent_rows(placed)
@@ -300,6 +313,7 @@ def compact_encoding(length: int) -> CompactEncoding:
         raise CodeConstructionError("compact encoding needs even L >= 4")
     lsize = length
     n_vertex = lsize * lsize
+    _refuse_oversized(f"a {lsize}x{lsize} compact encoding", n_vertex + n_vertex // 2)
     odd_faces = [(x, y) for y in range(lsize) for x in range(lsize) if (x + y) % 2 == 1]
     face_index = {f: n_vertex + i for i, f in enumerate(odd_faces)}
     n = n_vertex + len(odd_faces)
@@ -369,6 +383,7 @@ def toric_code(length: int) -> StabilizerCode:
         raise CodeConstructionError("toric code needs L >= 2")
     lsize = length
     n = 2 * lsize * lsize
+    _refuse_oversized(f"a {lsize}x{lsize} toric code", n)
 
     def h(x: int, y: int) -> int:
         return (y % lsize) * lsize + (x % lsize)

@@ -11,10 +11,9 @@ so feasibility reduces to scanning candidate reference assignments.
 from __future__ import annotations
 
 from collections.abc import Collection, Mapping
-from copy import copy
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, tee
+from itertools import chain, islice
 
 from .errors import DimensionMismatch, ParseError, content_lines
 from .f2 import F2Span, fold, symplectic
@@ -191,15 +190,15 @@ def _labelled(code: StabilizerCode, errors):
     return errs, (fold(rows, x | z << n) | support_code(n, x, z) << width for x, z in errs)
 
 
-def _bucket_pairs(code: StabilizerCode, labelled, refs: dict[int, int]):
-    """Bucket labelled errors by syndrome in order. The first error of each
-    syndrome becomes its reference in `refs`, kept as its label with the
-    syndrome shifted out: class | support code << 2k. Every later error is
-    yielded as one member int, syndrome | d << (n - k) | support code <<
-    (n + k), where d is the class of reference·error. The class map is
+def _bucket_pairs(n: int, k: int, labelled, refs: dict[int, int]):
+    """Bucket the labelled errors of an [n, k] code by syndrome in order. The
+    first error of each syndrome becomes its reference in `refs`, kept as its
+    label with the syndrome shifted out: class | support code << 2k. Every
+    later error is yielded as one member int, syndrome | d << (n - k) |
+    support code << (n + k), where d is the class of reference·error. The class map is
     linear, so d is the error's class XOR the reference's: one XOR against
     the stored reference."""
-    r, mask, class_mask = _member_fields(code.n, code.k)
+    r, mask, class_mask = _member_fields(n, k)
     class_mask <<= r
     for v in labelled:
         syn = v & mask
@@ -259,10 +258,10 @@ def check_general_qet(code: StabilizerCode, adm: AdmissibleSet,
     reference image keeps every forced assignment admissible."""
     _check_k(code, adm)
     checked, labelled = _labelled(code, errors)
-    refs, options, members = {}, {}, []
-    hit = _narrow(code, adm.classes, _bucket_pairs(code, labelled, refs), options, members,
-                  group=adm.is_group)
     n, k = code.n, code.k
+    refs, options, members = {}, {}, []
+    hit = _narrow(code, adm.classes, _bucket_pairs(n, k, labelled, refs), options, members,
+                  group=adm.is_group)
     if hit is not None:
         ref = refs[hit & code._syn_mask]
         witness = (PauliOp(n, *support_xz(n, ref >> 2 * k)),
@@ -283,7 +282,7 @@ def strong_conditions_hold(code: StabilizerCode, adm: AdmissibleSet,
     classes = adm.classes
     r, mask, class_mask = _member_fields(code.n, code.k)
     diffs: dict[int, list[int]] = {}
-    for m in _bucket_pairs(code, _labelled(code, errors)[1], {}):
+    for m in _bucket_pairs(code.n, code.k, _labelled(code, errors)[1], {}):
         syn, d = m & mask, m >> r & class_mask
         # A pair (i, j) has product class diff_i ^ diff_j (the reference has 0),
         # so checking each new diff against the stored ones covers each pair once.
@@ -300,13 +299,13 @@ def effective_distance(code: StabilizerCode, adm: AdmissibleSet,
     _check_k(code, adm)
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    cap = min(cap, code.n)
-    hit = _narrow(code, adm.classes,
-                  _bucket_pairs(code, _labelled(code, ErrorBall(code.n, cap))[1], {}), {},
-                  group=adm.is_group)
+    n, k = code.n, code.k
+    cap = min(cap, n)
+    hit = _narrow(code, adm.classes, _bucket_pairs(n, k, _labelled(code, ErrorBall(n, cap))[1], {}),
+                  {}, group=adm.is_group)
     if hit is not None:
-        return DistanceResult(2 * support_weight(code.n, hit >> (code.n + code.k)) - 1, True, cap)
-    return DistanceResult(2 * cap + 1, cap >= code.n, cap)
+        return DistanceResult(2 * support_weight(n, hit >> (n + k)) - 1, True, cap)
+    return DistanceResult(2 * cap + 1, cap >= n, cap)
 
 
 def deff_lower_bound(code: StabilizerCode, adm: AdmissibleSet,
@@ -353,65 +352,150 @@ def _breadth_first_orbit(k: int, classes: frozenset[int]):
     identity under the transvections (u -> u ^ v when u and v anticommute),
     which generate the group. Each image comes with the column-tuple transform
     that first reaches it."""
-    try:
-        size = 1 << (2 * k)
-        moves = [[u ^ v if symplectic(u, v, k) else u for u in range(size)]
-                 for v in range(1, size)]
-        queue = [(classes, tuple(1 << i for i in range(2 * k)))]
-        seen = {classes}
-        for image, cols in queue:
-            yield image, cols
-            for move in moves:
-                nxt = frozenset(move[u] for u in image)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append((nxt, tuple(move[c] for c in cols)))
-    except (Exception, KeyboardInterrupt):
-        _orbit.cache_clear()  # a dead generator would replay a truncated orbit
-        raise
+    size = 1 << (2 * k)
+    moves = [[u ^ v if symplectic(u, v, k) else u for u in range(size)]
+             for v in range(1, size)]
+    queue = [(classes, tuple(1 << i for i in range(2 * k)))]
+    seen = {classes}
+    for image, cols in queue:
+        yield image, cols
+        for move in moves:
+            nxt = frozenset(move[u] for u in image)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, tuple(move[c] for c in cols)))
+
+
+_MAX_SHAPES = 1024  # fit masks one orbit keeps before it drops them all
+
+
+class _Orbit:
+    """One pattern's orbit, found lazily in `_breadth_first_orbit` order: the
+    images and transforms found so far, and per class-difference set S (0
+    included, kept as a bitmask with bit d set for each d in S) a fit mask
+    over them, whose bit i is set iff some o in image i has o ^ S inside image
+    i. A bucket with difference set S keeps a reference image exactly when
+    such an o exists, so an image passes iff its bit is set in the mask of
+    every bucket's S."""
+
+    __slots__ = ("_rest", "images", "transforms", "_holding", "_masks")
+
+    def __init__(self, k: int, classes: frozenset[int]):
+        self._rest = _breadth_first_orbit(k, classes)
+        self.images: list[frozenset[int]] = []
+        self.transforms: list[tuple[int, ...]] = []
+        self._holding = [0] * (1 << 2 * k)  # class c -> bit i set iff image i holds c
+        self._masks: dict[int, tuple[int, int]] = {}  # S -> (mask, images covered)
+
+    def grow(self, count: int) -> bool:
+        """Find up to `count` more images; False iff the orbit was already whole."""
+        found = len(self.images)
+        try:
+            for image, cols in islice(self._rest, count):
+                bit = 1 << len(self.images)
+                for c in image:
+                    self._holding[c] |= bit
+                self.images.append(image)
+                self.transforms.append(cols)
+        except (Exception, KeyboardInterrupt):
+            _orbit.cache_clear()  # a dead generator would replay a truncated orbit
+            raise
+        return len(self.images) > found
+
+    def _fit_mask(self, shape: int) -> int:
+        mask, covered = self._masks.get(shape, (0, 0))
+        if covered < len(self.images):
+            # the images holding o ^ S are those holding every o ^ d, d in S
+            holding = self._holding
+            diffs = [d for d in range(1, shape.bit_length()) if shape >> d & 1]
+            mask = 0
+            for o, fits in enumerate(holding):
+                for d in diffs:
+                    fits &= holding[o ^ d]
+                mask |= fits
+            if len(self._masks) >= _MAX_SHAPES:
+                self._masks.clear()
+            self._masks[shape] = mask, len(self.images)
+        return mask
+
+    def first_fit(self, shapes: Collection[int]) -> int | None:
+        """Index of the first image that every shape fits, or None. The images
+        found so far are tried first; the orbit is doubled only while none of
+        them fits."""
+        while True:
+            fits = (1 << len(self.images)) - 1
+            for shape in shapes:
+                fits &= self._fit_mask(shape)
+                if not fits:
+                    break
+            if fits:
+                return (fits & -fits).bit_length() - 1
+            if not self.grow(max(1, len(self.images))):
+                return None
 
 
 @lru_cache(maxsize=8)
-def _orbit(k: int, classes: frozenset[int]):
-    """The replay cache for (k, classes): a tee that is never advanced, so it
-    keeps every image found so far."""
-    return tee(_breadth_first_orbit(k, classes), 1)[0]
+def _orbit(k: int, classes: frozenset[int]) -> _Orbit:
+    """The orbit of (k, classes), kept with its fit masks for later calls."""
+    return _Orbit(k, classes)
 
 
 def _pattern_images(k: int, classes: frozenset[int]):
     """(image, transform) pairs in `_breadth_first_orbit` order. Replays the
     images found by earlier calls and extends the search only as far as the
     caller reads."""
-    return copy(_orbit(k, classes))
+    orbit, i = _orbit(k, classes), 0
+    while i < len(orbit.images) or orbit.grow(1):
+        yield orbit.images[i], orbit.transforms[i]
+        i += 1
+
+
+def _shapes(n: int, k: int, labelled) -> set[int]:
+    """The class-difference set of every bucket of the labelled errors that
+    holds two classes, as a bitmask: bit d is set for each member's difference
+    d from the reference, and bit 0 for the reference."""
+    r, mask, class_mask = _member_fields(n, k)
+    diffs: dict[int, int] = {}
+    for m in _bucket_pairs(n, k, labelled, {}):
+        syn = m & mask
+        diffs[syn] = diffs.get(syn, 1) | 1 << (m >> r & class_mask)
+    return {d for d in diffs.values() if d != 1}
+
+
+def first_relabeling(n: int, k: int, pattern: AdmissibleSet, labelled) -> int | None:
+    """Index, in `_breadth_first_orbit` order, of the first image of `pattern`
+    under which errors of an [n, k] code pass the general check, or None.
+    `labelled` holds each error as `_labelled` yields it: its label syndrome |
+    class << (n - k), with any bits from n + k up ignored. So a caller that
+    holds only a label table decides relabeling with no code built."""
+    return _orbit(k, pattern.classes).first_fit(_shapes(n, k, labelled))
 
 
 def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
                    ) -> tuple[StabilizerCode, Verdict] | None:
     """Search logical relabelings for one under which the pattern passes.
 
-    For k <= 3, tries each distinct image of the pattern under Sp(2k,2) once,
-    in `_pattern_images` order, and relabels with the transform stored for the
-    first image under which the pattern passes. Returns the relabeled code and
-    its verdict, or None.
+    For k <= 3, takes the first image of the pattern under Sp(2k,2), in
+    `_pattern_images` order, under which the pattern passes
+    (`first_relabeling`), and relabels with the transform stored for it.
+    Returns the relabeled code and its verdict, or None.
     """
     _check_k(code, pattern)
     if code.k > 3:
         raise ValueError(f"relabeling is limited to k <= 3, code has k={code.k}")
 
     checked, labelled = _labelled(code, errors)
-    members = list(_bucket_pairs(code, labelled, {}))
-    # Sp(2k,2) acts linearly, so every image of a group is a group.
-    group = pattern.is_group
-    for mapped, cols in _pattern_images(code.k, pattern.classes):
-        if _narrow(code, mapped, members, {}, group=group) is None:
-            new_x = [code.class_representative(cols[i]) for i in range(code.k)]
-            new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]
-            candidate = code.with_logicals(new_x, new_z)
-            verdict = check_general_qet(candidate, pattern, checked)
-            if not verdict.passed:
-                raise AssertionError("relabel replay disagrees with direct check")
-            return candidate, verdict
-    return None
+    first = first_relabeling(code.n, code.k, pattern, labelled)
+    if first is None:
+        return None
+    cols = _orbit(code.k, pattern.classes).transforms[first]
+    new_x = [code.class_representative(cols[i]) for i in range(code.k)]
+    new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]
+    candidate = code.with_logicals(new_x, new_z)
+    verdict = check_general_qet(candidate, pattern, checked)
+    if not verdict.passed:
+        raise AssertionError("relabel replay disagrees with direct check")
+    return candidate, verdict
 
 
 # -- recovery -------------------------------------------------------------------

@@ -20,7 +20,8 @@ Nielsen and Chuang, §10.5.7), here with the C1 block kept:
     Z = [ 0  0    0 | A2^T  0  I ]
 
 A candidate stays packed (x, z) ints until it detects every weight-1
-error; only then are `PauliOp`s and a `StabilizerCode` built.
+error and its packed label table admits a relabeling; only then are
+`PauliOp`s and a `StabilizerCode` built.
 """
 from __future__ import annotations
 
@@ -28,12 +29,13 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import QTError
 from .f2 import fold, transpose_rows
 from .pauli import ErrorBall, PauliOp
-from .qet import AdmissibleSet, Verdict, relabel_search
-from .stabilizer import StabilizerCode, complete_logical_basis
+from .qet import AdmissibleSet, Verdict, first_relabeling, relabel_search
+from .stabilizer import StabilizerCode, complete_logical_basis, label_table
 
 _EXHAUSTIVE_N_LIMIT = 12
 _PROGRESS_EVERY = 50_000  # candidates between run_search progress callbacks
@@ -208,6 +210,16 @@ def _candidates(spec: SearchSpec, start_index: int):
         offset = max(0, offset - block)
 
 
+def _relabels(n: int, k: int, decoded, pattern: AdmissibleSet, errors: ErrorBall) -> bool:
+    """Whether relabel_search finds a hit on the decoded candidate under its
+    closed-form basis, decided from the candidate's packed label table with
+    no code built."""
+    gens, xs, zs = decoded
+    labels = label_table(n, [x | z << n for x, z in chain(gens, zs, xs)])
+    return first_relabeling(n, k, pattern,
+                            chain.from_iterable(errors.labelled(labels, n + k))) is not None
+
+
 def run_search(spec: SearchSpec, start_index: int = 0, progress=None) -> SearchOutcome:
     """Hunt for codes whose weight-1 errors detect and whose classes admit the
     pattern under some relabeling. Replay-deterministic under a fixed seed;
@@ -231,10 +243,13 @@ def run_search(spec: SearchSpec, start_index: int = 0, progress=None) -> SearchO
         if decoded is None:
             continue
         outcome.detection_passed += 1
+        if not _relabels(n, spec.k, decoded, spec.pattern, errors):
+            continue
         gens, xs, zs = (_ops(n, rows) for rows in decoded)
         # relabel_search tries every image of the pattern under Sp(2k,2), so
         # whether a hit exists does not depend on the logical basis. The hit
-        # is reported under the completed basis, which fixes its logicals.
+        # is replayed under the closed-form basis, then reported under the
+        # completed basis, which fixes its logicals.
         if relabel_search(StabilizerCode(gens, xs, zs), spec.pattern, errors) is None:
             continue
         code = StabilizerCode(gens, *complete_logical_basis(gens))

@@ -90,14 +90,8 @@ class StabilizerCode:
         self._init_tables()
 
     def _init_tables(self) -> None:
-        # Transposed symplectic check matrix of the generators, then logical Z
-        # and X: row j is the label (syndrome | class << (n - k), class bits Z
-        # block first) of the packed unit vector 1 << j, so folding the rows
-        # an error's x | z << n selects gives its label.
-        self._labels = transpose_rows(
-            [_twist(_sym_vec(p), self.n)
-             for p in self.generators + self.logical_z + self.logical_x],
-            2 * self.n)
+        self._labels = label_table(
+            self.n, [_sym_vec(p) for p in self.generators + self.logical_z + self.logical_x])
         self._syn_mask = (1 << len(self.generators)) - 1
         self._span = F2Span(_sym_vec(g) for g in self.generators)
 
@@ -247,6 +241,15 @@ def complete_logical_basis(
         zs.append(b)
 
     return [_unpack(v, n) for v in xs], [_unpack(v, n) for v in zs]
+
+
+def label_table(n: int, rows) -> list[int]:
+    """The label table of packed x | z << n rows: the generators, then logical
+    Z, then logical X. It is their twisted rows transposed, so row j is the
+    label (syndrome | class << (n - k), class bits Z block first) of the unit
+    vector 1 << j, and folding the rows an error's x | z << n selects gives
+    its label."""
+    return transpose_rows([_twist(v, n) for v in rows], 2 * n)
 
 
 def _twist(v: int, n: int) -> int:

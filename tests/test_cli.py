@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qtransmute import catalog, cli, report
+from qtransmute import catalog, cli, lattice, report
 from qtransmute.channel import ExplicitChannel, class_distribution, uniform_single_error_channel
 from qtransmute.cli import main
 from qtransmute.errors import content_lines
@@ -637,6 +637,28 @@ def test_bad_numeric_input_exit_code(capsys, argv, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,what", [
+    (("verify", "qet", "--code", "toric:3000", "--max-weight", "0"),
+     "a 3000x3000 toric code would have 18000000 qubits"),
+    (("verify", "qet", "--code", "eq16-lattice:2000x2000", "--max-weight", "0"),
+     "a 2000x2000 torus of 3-qubit cells would have 12000000 qubits"),
+    (("verify", "qet", "--code", "eq20-lattice:2000x2000", "--max-weight", "0"),
+     "a 2000x2000 torus of 2-qubit cells would have 8000000 qubits"),
+    (("verify", "qet", "--code", "compact:3000", "--max-weight", "0"),
+     "a 3000x3000 compact encoding would have 13500000 qubits"),
+    (("lattice", "torus", "--cell", "eq16", "--L", "100000,100000"),
+     "a 100000x100000 torus of 3-qubit cells would have 30000000000 qubits"),
+], ids=["toric", "eq16-lattice", "eq20-lattice", "compact", "lattice-torus"])
+def test_an_oversized_torus_is_refused_before_any_row_is_built(capsys, monkeypatch, argv, what):
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(lattice, "PauliOp", no_rows)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {what}, above the limit of {lattice.MAX_TORUS_QUBITS}\n"
 
 
 def test_distance_of_a_code_without_logical_qubits_is_refused(tmp_path, capsys):

@@ -4,9 +4,9 @@ import pytest
 
 from qtransmute.errors import CodeConstructionError, ParseError
 from qtransmute.f2 import F2Span
-from qtransmute.lattice import (CompactEncoding, LPoly, LaurentVec, TorusCode, UnitCellCode,
-                                _instantiate_vec, compact_encoding, dumps_cell,
-                                instantiate_torus, loads_cell, rate_half_cell,
+from qtransmute.lattice import (MAX_TORUS_QUBITS, CompactEncoding, LPoly, LaurentVec,
+                                TorusCode, UnitCellCode, _instantiate_vec, compact_encoding,
+                                dumps_cell, instantiate_torus, loads_cell, rate_half_cell,
                                 rate_two_thirds_cell, symplectic_form, toric_code,
                                 validate_unit_cell)
 from qtransmute.pauli import PauliOp, enumerate_paulis
@@ -273,6 +273,16 @@ def test_compact_requires_even_l():
         compact_encoding(5)
     with pytest.raises(CodeConstructionError):
         compact_encoding(2)
+
+
+def test_every_torus_builder_refuses_past_the_qubit_limit():
+    # 2*46^2 = 4232, 54^2 * 3/2 = 4374 and 2*46*45 = 4140 qubits: each just past the limit
+    assert MAX_TORUS_QUBITS == 4096
+    for build, qubits in ((lambda: toric_code(46), 4232), (lambda: compact_encoding(54), 4374),
+                          (lambda: instantiate_torus(rate_half_cell(), 46, 45), 4140)):
+        with pytest.raises(CodeConstructionError, match=f"would have {qubits} qubits"):
+            build()
+    assert toric_code(45).n == 4050
 
 
 def test_compact_shape(compact4):

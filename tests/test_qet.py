@@ -381,13 +381,17 @@ def test_relabel_search_returns_first_passing_transform(n, k, group, seed):
         return brute_force_general(relabeled(code, cols), adm, as_ops(n, errs))[0] is None
 
     exists = any(passes(cols) for cols in symplectic_transforms(k))
+    qet._orbit.cache_clear()
+    hit = relabel_search(code, adm, errs)  # from a fresh orbit, found as far as it needs
     first = next((cols for _, cols in _pattern_images(k, adm.classes) if passes(cols)), None)
-    hit = relabel_search(code, adm, errs)
-    assert (hit is not None) == exists == (first is not None)
+    list(_pattern_images(k, adm.classes))  # find the whole orbit
+    again = relabel_search(code, adm, errs)  # with every image known
+    assert (hit is not None) == exists == (first is not None) == (again is not None)
     if hit is not None:
         got, verdict = hit
         want = relabeled(code, first)
         assert (got.logical_x, got.logical_z) == (want.logical_x, want.logical_z)
+        assert (again[0].logical_x, again[0].logical_z) == (want.logical_x, want.logical_z)
         assert validate_code(got).ok
         assert verdict.passed
 
@@ -866,8 +870,8 @@ def per_pair_check_general_qet(code, adm, errors):
     qet._check_k(code, adm)
     checked, labelled = qet._labelled(code, errors)
     refs, options, members = {}, {}, []
-    hit = per_pair_narrow(adm.classes, decoded(code, qet._bucket_pairs(code, labelled, refs)),
-                          options, members)
+    pairs = decoded(code, qet._bucket_pairs(code.n, code.k, labelled, refs))
+    hit = per_pair_narrow(adm.classes, pairs, options, members)
     if hit is not None:
         ref = support_xz(code.n, refs[hit[0]] >> 2 * code.k)
         witness = (PauliOp(code.n, *ref), PauliOp(code.n, *hit[1]))
@@ -881,7 +885,7 @@ def per_pair_check_general_qet(code, adm, errors):
 def per_pair_relabel_search(code, pattern, errors):
     qet._check_k(code, pattern)
     checked, labelled = qet._labelled(code, errors)
-    pairs = list(decoded(code, qet._bucket_pairs(code, labelled, {})))
+    pairs = list(decoded(code, qet._bucket_pairs(code.n, code.k, labelled, {})))
     for mapped, cols in _pattern_images(code.k, pattern.classes):
         if per_pair_narrow(mapped, pairs, {}) is None:
             candidate = relabeled(code, cols)

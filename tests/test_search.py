@@ -5,11 +5,12 @@ import pytest
 
 import qtransmute.search
 from qtransmute.f2 import mul_bt, transpose_rows
-from qtransmute.pauli import PauliOp, enumerate_paulis, errors_up_to_weight, symplectic_product
+from qtransmute.pauli import (ErrorBall, PauliOp, enumerate_paulis, errors_up_to_weight,
+                              symplectic_product)
 from qtransmute.qet import AdmissibleSet, check_general_qet, relabel_search
 from qtransmute.search import (SearchOutcome, SearchSpec, _candidates, _decode, _detects,
-                               _free_bits, read_checkpoint, run_search, sample_generators,
-                               write_checkpoint)
+                               _free_bits, _relabels, read_checkpoint, run_search,
+                               sample_generators, write_checkpoint)
 from qtransmute.stabilizer import StabilizerCode, complete_logical_basis, validate_code
 
 PHASE1 = AdmissibleSet.group_generated(2, ["ZI"])
@@ -292,6 +293,28 @@ def test_hit_existence_does_not_depend_on_the_logical_basis():
     assert checked > 500 and hits > 20
 
 
+def test_packed_relabel_decision_matches_relabel_search():
+    # run_search decides relabeling from the candidate's packed label table;
+    # relabel_search decides it on the code built under the closed-form basis
+    hits = checked = 0
+    cases = [(n, k, all_candidates(n, k)) for n, k in SMALL_SPACES]
+    cases += [(n, k, reference_candidates(n, k, random.Random(n + 7 * k), 150))
+              for n, k in SAMPLED if n < 7]
+    for n, k, candidates in cases:
+        errors = ErrorBall(n, 1)
+        for r, value in candidates:
+            decoded = _decode(n, k, r, value, detect=True)
+            if decoded is None:
+                continue
+            gens, xs, zs = ([PauliOp(n, x, z) for x, z in rows] for rows in decoded)
+            for pattern in _patterns(k):
+                want = relabel_search(StabilizerCode(gens, xs, zs), pattern, errors) is not None
+                assert _relabels(n, k, decoded, pattern, errors) == want
+                hits += want
+                checked += 1
+    assert checked > 500 and hits > 20
+
+
 @pytest.mark.parametrize("seed,want", [(2, (29, 1)), (8, (26, 2)), (20, (19, 2)),
                                        (33, (22, 2))])
 def test_fixed_n6_seeds_find_their_hits_under_both_bases(seed, want):
@@ -324,6 +347,22 @@ def test_basis_completion_runs_once_per_hit(monkeypatch):
     assert out.detection_passed == 26
     assert len(out.found) == len(calls) == 2
     assert [c.generators for c, _ in out.found] == calls
+
+
+def test_codes_are_built_for_hits_only(monkeypatch):
+    built = []
+
+    def counted(generators, logical_x, logical_z):
+        built.append(generators)
+        return StabilizerCode(generators, logical_x, logical_z)
+
+    monkeypatch.setattr(qtransmute.search, "StabilizerCode", counted)
+    spec = SearchSpec(n=6, k=2, pattern=BOTH_PHASES, seed=8, budget=125, limit=125)
+    out = run_search(spec)
+    assert (out.detection_passed, len(out.found)) == (26, 2)
+    hits = [c.generators for c, _ in out.found]
+    # each hit is replayed under its closed-form basis, then built under the completed one
+    assert built == [hits[0], hits[0], hits[1], hits[1]]
 
 
 def test_a_hit_under_one_basis_only_is_refused(monkeypatch):
