@@ -19,9 +19,15 @@ Nielsen and Chuang, §10.5.7), here with the C1 block kept:
     X = [ 0  E^T  I | C^T   0  0 ]      with C = C2 + C1 E
     Z = [ 0  0    0 | A2^T  0  I ]
 
-A candidate stays packed (x, z) ints until it detects every weight-1
-error and its packed label table admits a relabeling; only then are
-`PauliOp`s and a `StabilizerCode` built.
+A candidate is decoded by columns, straight into its label table: the label
+of X_q or Z_q is the syndrome and logical classes that the q-th column pair
+of the check matrix gives. Detection comes first, cheapest check first: Z
+errors on qubits r.. from one mask per A1 and A2 column of the candidate's
+bits, then X and Y errors on the last k qubits from its E, C2 and A2 column
+masks. Only a candidate that passes both reads its blocks, to check X and Y
+errors on qubits i < r. The label table of a detecting candidate labels the
+error ball and decides relabeling; only a hit is transposed back into
+generator rows and built into `PauliOp`s and a `StabilizerCode`.
 """
 from __future__ import annotations
 
@@ -29,13 +35,13 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 
 from .errors import QTError
 from .f2 import fold, transpose_rows
 from .pauli import ErrorBall, PauliOp
 from .qet import AdmissibleSet, Verdict, first_relabeling, relabel_search
-from .stabilizer import StabilizerCode, complete_logical_basis, label_table
+from .stabilizer import StabilizerCode, complete_logical_basis
 
 _EXHAUSTIVE_N_LIMIT = 12
 _PROGRESS_EVERY = 50_000  # candidates between run_search progress callbacks
@@ -90,7 +96,8 @@ def read_checkpoint(path: str, spec: SearchSpec) -> int:
         saved = json.load(fh)
     saved = saved if isinstance(saved, dict) else {}
     for name, value in _index_fields(spec).items():
-        if saved.get(name) != value:
+        # compared as JSON text, so a true, 1.0 or "1" is not the integer 1
+        if json.dumps(saved.get(name)) != json.dumps(value):
             raise QTError(f"checkpoint {path} is for another search: "
                           f"{name} is {saved.get(name)!r} there, {value!r} here")
     index = saved.get("next_index")
@@ -114,69 +121,86 @@ def _free_bits(n: int, k: int, r: int) -> int:
     return r * w + r * k + w * k + r * w + r * k + r * (r + 1) // 2
 
 
-def _take(bits: int, nrows: int, width: int) -> list[int]:
-    """`nrows` rows of `width` bits from the low end of `bits`, row 0 lowest."""
-    mask = (1 << width) - 1
-    return [bits >> (i * width) & mask for i in range(nrows)]
+def _take(value: int, fields: list[tuple[int, int]]) -> list[int]:
+    """The field `value >> shift & mask` of each (shift, mask) in `fields`."""
+    return [value >> shift & mask for shift, mask in fields]
 
 
-def _detects(rows: list[tuple[int, int]], n: int) -> bool:
-    """True iff every weight-1 Pauli anticommutes with some (x, z) row."""
-    col_x = col_z = col_y = 0
-    for x, z in rows:
-        col_x |= z
-        col_z |= x
-        col_y |= x ^ z
-    return (col_x & col_z & col_y) == (1 << n) - 1
+class _Layout:
+    """Where the r block's free entries sit in a candidate's bits, and the
+    column masks that decide detection. The blocks are read from the low bits
+    in the order A1, A2, E, C1, C2 (each row by row, row 0 lowest), then the
+    lower triangle of S0 row by row; `fields` holds each row's (shift, mask)
+    in that order. `columns` holds one mask per A1 and A2 column, `tail` one
+    (E, C2, A2) column-mask triple per qubit m + l, and C2 sits `shift` bits
+    above A2 in the same r x k shape."""
+
+    __slots__ = ("n", "k", "r", "fields", "columns", "tail", "shift")
+
+    def __init__(self, n: int, k: int, r: int):
+        w = n - k - r
+        self.n, self.k, self.r = n, k, r
+        widths = [w] * r + [k] * r + [k] * w + [w] * r + [k] * r + list(range(1, r + 1))
+        self.fields = [(at, (1 << width) - 1)
+                       for at, width in zip(accumulate(widths, initial=0), widths)]
+        # column 0 of A1, A2, E and C2; column j is that mask shifted up by j
+        a1, a2, e, c2 = (sum(1 << at for at, _ in self.fields[start:stop])
+                         for start, stop in ((0, r), (r, 2 * r), (2 * r, 2 * r + w),
+                                             (3 * r + w, 4 * r + w)))
+        self.columns = [a1 << j for j in range(w)] + [a2 << l for l in range(k)]
+        self.tail = [(e << l, c2 << l, a2 << l) for l in range(k)]
+        self.shift = r * k + w * k + r * w  # past A2, E and C1
 
 
-def _decode(n: int, k: int, r: int, value: int, detect: bool = False):
-    """Candidate `value` of the r block as packed (x, z) rows: the generators
-    in standard-form row order, then the closed-form logical X and Z rows.
+def _labels(layout: _Layout, value: int, detect: bool = False) -> list[int] | None:
+    """The label table of candidate `value`, as `stabilizer.label_table` gives
+    it for (generators, Z̄, X̄) in the closed-form basis: X_q at q, Z_q at
+    n + q, each syndrome | Z̄-class << (n - k) | X̄-class << n.
 
-    The free blocks are read from the low bits of `value` in the order A1,
-    A2, E, C1, C2 (each row by row, row 0 lowest), then the lower triangle of
-    S0 row by row. With `detect`, None as soon as some weight-1 error is seen
-    to commute with every generator: Z errors need only A1 and A2, so they
-    are tested before any dependent block is built.
+    With `detect`, None once some weight-1 error is seen to have syndrome 0,
+    cheapest check first: Z errors on qubits r.. from the A1 and A2 column
+    masks; X and Y errors on qubits m.. from the E, C2 and A2 masks (those on
+    qubits r..m-1 are always detected); then X and Y errors on qubits i < r,
+    the first check that reads the blocks. X_i's syndrome is
+    B^T row i | D^T row i << r, and Y_i's is that plus 1 << i.
     """
+    n, k, r = layout.n, layout.k, layout.r
+    if detect:
+        for col in layout.columns:
+            if not value & col:
+                return None
+        moved = value ^ value >> layout.shift  # C2 + A2 at A2's bits
+        for e_col, c2_col, a2_col in layout.tail:
+            if not value & e_col and not (value & c2_col and moved & a2_col):
+                return None
     m = n - k
     w = m - r
-    a1 = _take(value, r, w)
-    value >>= r * w
-    a2 = _take(value, r, k)
-    value >>= r * k
-    xs = [1 << i | a1[i] << r | a2[i] << m for i in range(r)]
-    if detect:
-        cover = 0
-        for x in xs:
-            cover |= x
-        if cover != (1 << n) - 1:
+    rows = _take(value, layout.fields)
+    a1, a2, e = rows[:r], rows[r:2 * r], rows[2 * r:2 * r + w]
+    c1, c2, low = rows[2 * r + w:3 * r + w], rows[3 * r + w:4 * r + w], rows[4 * r + w:]
+    et, c1t, c2t = transpose_rows(e, k), transpose_rows(c1, w), transpose_rows(c2, k)
+    labels = []
+    # B^T = A1 C1^T + A2 C2^T + S0 and D^T = A1 + A2 E^T, row by row; C = C2 + C1 E
+    for i, up in enumerate(transpose_rows(low, r)):
+        syndrome = (fold(c1t, a1[i]) ^ fold(c2t, a2[i]) ^ (low[i] | up)
+                    | (a1[i] ^ fold(et, a2[i])) << r)
+        if detect and (syndrome == 0 or syndrome == 1 << i):
             return None
-    e = _take(value, w, k)
-    value >>= w * k
-    c1 = _take(value, r, w)
-    value >>= r * w
-    c2 = _take(value, r, k)
-    value >>= r * k
-    low = []
-    for i in range(r):
-        low.append(value & ((2 << i) - 1))
-        value >>= i + 1
-    s0 = [lo | up for lo, up in zip(low, transpose_rows(low, r))]
-    # B = C1 A1^T + C2 A2^T + S0 and D = A1^T + E A2^T, row by row.
-    a1t = transpose_rows(a1, w)
-    a2t = transpose_rows(a2, k)
-    gens = [(x, (fold(a1t, c1[i]) ^ fold(a2t, c2[i]) ^ s0[i]) | c1[i] << r | c2[i] << m)
-            for i, x in enumerate(xs)]
-    gens += [(0, (a1t[j] ^ fold(a2t, e[j])) | 1 << (r + j) | e[j] << m) for j in range(w)]
-    if detect and not _detects(gens, n):
-        return None
-    et = transpose_rows(e, k)
-    ct = transpose_rows([c2[i] ^ fold(e, c1[i]) for i in range(r)], k)  # C = C2 + C1 E
-    logical_x = [(et[l] << r | 1 << (m + l), ct[l]) for l in range(k)]
-    logical_z = [(0, a2t[l] | 1 << (m + l)) for l in range(k)]
-    return gens, logical_x, logical_z
+        labels.append(syndrome | a2[i] << m | (c2[i] ^ fold(e, c1[i])) << n)
+    a1t, a2t = transpose_rows(a1, w), transpose_rows(a2, k)
+    return (labels + [c1t[j] | 1 << (r + j) for j in range(w)]
+            + [c2t[l] | et[l] << r | 1 << (m + l) for l in range(k)]
+            + [1 << i for i in range(r)]
+            + [a1t[j] | e[j] << n for j in range(w)]
+            + [a2t[l] | 1 << (n + l) for l in range(k)])
+
+
+def _rows(n: int, k: int, labels: list[int]):
+    """(generators, X̄, Z̄) as packed (x, z) rows, from a label table: its
+    transpose is the twisted rows z | x << n, generators then Z̄ then X̄."""
+    z_mask = (1 << n) - 1
+    rows = [(t >> n, t & z_mask) for t in transpose_rows(labels, n + k)]
+    return rows[:n - k], rows[n:], rows[n - k:n]
 
 
 def _ops(n: int, rows: list[tuple[int, int]]) -> list[PauliOp]:
@@ -191,7 +215,8 @@ def _draw(n: int, k: int, rng: random.Random) -> tuple[int, int]:
 
 
 def sample_generators(n: int, k: int, rng: random.Random) -> list[PauliOp]:
-    return _ops(n, _decode(n, k, *_draw(n, k, rng))[0])
+    r, value = _draw(n, k, rng)
+    return _ops(n, _rows(n, k, _labels(_Layout(n, k, r), value))[0])
 
 
 def _candidates(spec: SearchSpec, start_index: int):
@@ -210,12 +235,10 @@ def _candidates(spec: SearchSpec, start_index: int):
         offset = max(0, offset - block)
 
 
-def _relabels(n: int, k: int, decoded, pattern: AdmissibleSet, errors: ErrorBall) -> bool:
-    """Whether relabel_search finds a hit on the decoded candidate under its
-    closed-form basis, decided from the candidate's packed label table with
-    no code built."""
-    gens, xs, zs = decoded
-    labels = label_table(n, [x | z << n for x, z in chain(gens, zs, xs)])
+def _relabels(n: int, k: int, labels: list[int], pattern: AdmissibleSet,
+              errors: ErrorBall) -> bool:
+    """Whether relabel_search finds a hit on the candidate with label table
+    `labels` under its closed-form basis, decided with no code built."""
     return first_relabeling(n, k, pattern,
                             chain.from_iterable(errors.labelled(labels, n + k))) is not None
 
@@ -226,7 +249,8 @@ def run_search(spec: SearchSpec, start_index: int = 0, progress=None) -> SearchO
     `progress(examined, index)` fires every `_PROGRESS_EVERY` candidates."""
     if start_index < 0:
         raise ValueError(f"start_index must be >= 0, got {start_index}")
-    n = spec.n
+    n, k = spec.n, spec.k
+    layouts = [_Layout(n, k, r) for r in range(n - k + 1)]
     outcome = SearchOutcome(next_index=start_index)
     errors = ErrorBall(n, spec.error_weight)
     stride = 1 if spec.mode == "exhaustive" else 0  # random draws leave the index put
@@ -239,13 +263,14 @@ def run_search(spec: SearchSpec, start_index: int = 0, progress=None) -> SearchO
         outcome.examined += 1
         if progress and outcome.examined % _PROGRESS_EVERY == 0:
             progress(outcome.examined, start_index + stride * outcome.examined)
-        decoded = _decode(n, spec.k, *candidate, detect=True)
-        if decoded is None:
+        r, value = candidate
+        labels = _labels(layouts[r], value, detect=True)
+        if labels is None:
             continue
         outcome.detection_passed += 1
-        if not _relabels(n, spec.k, decoded, spec.pattern, errors):
+        if not _relabels(n, k, labels, spec.pattern, errors):
             continue
-        gens, xs, zs = (_ops(n, rows) for rows in decoded)
+        gens, xs, zs = (_ops(n, rows) for rows in _rows(n, k, labels))
         # relabel_search tries every image of the pattern under Sp(2k,2), so
         # whether a hit exists does not depend on the logical basis. The hit
         # is replayed under the closed-form basis, then reported under the

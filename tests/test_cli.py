@@ -367,6 +367,27 @@ def test_search_checkpoint_refuses_other_spec(tmp_path, capsys, argv, field):
     assert ckpt.read_bytes() == before
 
 
+@pytest.mark.parametrize("field", ["k", "error_weight"])
+@pytest.mark.parametrize("text", ["true", "1.0", '"1"'])
+def test_search_checkpoint_refuses_a_spec_field_of_another_json_type(tmp_path, capsys, field,
+                                                                     text):
+    # each of these equals the integer 1 under ==, and so used to resume the scan
+    argv = ("search", "--n", "4", "--k", "1", "--pattern", "Z", "--mode", "exhaustive",
+            "--expect-empty", "--budget", "100")
+    ckpt = tmp_path / "scan.json"
+    code, _, _ = run(capsys, *argv, "--checkpoint", str(ckpt))
+    assert code == 0
+    saved = json.loads(ckpt.read_text())
+    assert saved[field] == 1 and saved["next_index"] == 100
+    ckpt.write_text(json.dumps(saved).replace(f'"{field}": 1', f'"{field}": {text}'))
+    before = ckpt.read_bytes()
+    code, out, err = run(capsys, *argv, "--checkpoint", str(ckpt))
+    assert code == 2
+    assert "resuming" not in out
+    assert f"is for another search: {field} is {json.loads(text)!r} there, 1 here" in err
+    assert ckpt.read_bytes() == before
+
+
 def test_search_checkpoint_refuses_random_mode(tmp_path, capsys):
     # A random scan has no resume index, so it neither reads nor writes a checkpoint.
     old, new = tmp_path / "scan.json", tmp_path / "new.json"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -8,13 +9,23 @@ from qtransmute.f2 import mul_bt, transpose_rows
 from qtransmute.pauli import (ErrorBall, PauliOp, enumerate_paulis, errors_up_to_weight,
                               symplectic_product)
 from qtransmute.qet import AdmissibleSet, check_general_qet, relabel_search
-from qtransmute.search import (SearchOutcome, SearchSpec, _candidates, _decode, _detects,
-                               _free_bits, _relabels, read_checkpoint, run_search,
+from qtransmute.search import (SearchOutcome, SearchSpec, _candidates, _free_bits, _labels,
+                               _Layout, _relabels, _rows, read_checkpoint, run_search,
                                sample_generators, write_checkpoint)
-from qtransmute.stabilizer import StabilizerCode, complete_logical_basis, validate_code
+from qtransmute.stabilizer import (StabilizerCode, complete_logical_basis, label_table,
+                                   validate_code)
 
 PHASE1 = AdmissibleSet.group_generated(2, ["ZI"])
 BOTH_PHASES = AdmissibleSet.from_strings(2, ["ZI", "IZ"])
+
+
+def labels_of(n: int, k: int, r: int, value: int, detect: bool = False):
+    return _labels(_Layout(n, k, r), value, detect)
+
+
+def rows_of(n: int, k: int, r: int, value: int):
+    """(generators, logical X, logical Z) of a candidate as packed (x, z) rows."""
+    return _rows(n, k, labels_of(n, k, r, value))
 
 
 def test_sampled_generators_always_valid():
@@ -36,7 +47,7 @@ def test_exhaustive_enumeration_is_complete_and_valid():
     size = 0
     seen = set()
     for r, value in _candidates(spec, 0):
-        gens = [PauliOp(n, x, z) for x, z in _decode(n, k, r, value)[0]]
+        gens = [PauliOp(n, x, z) for x, z in rows_of(n, k, r, value)[0]]
         for a, b in combinations(gens, 2):
             assert symplectic_product(a, b) == 0
         seen.add(tuple((g.x, g.z) for g in gens))
@@ -46,13 +57,12 @@ def test_exhaustive_enumeration_is_complete_and_valid():
 
 
 def test_detection_filter_matches_direct_check():
-    rng = random.Random(5)
-    for _ in range(50):
-        gens = sample_generators(6, 2, rng)
+    for r, value in reference_candidates(6, 2, random.Random(5), 50):
+        gens = reference_decode(6, 2, r, value)
         code_check = all(
             any(symplectic_product(p, g) for g in gens)
             for p in enumerate_paulis(6, 1))
-        assert _detects([(g.x, g.z) for g in gens], 6) == code_check
+        assert (labels_of(6, 2, r, value, detect=True) is not None) == code_check
 
 
 def test_finds_seven_qubit_phase_transmuter():
@@ -175,18 +185,20 @@ def _xor_rows(a, b):
     return [x ^ y for x, y in zip(a, b)]
 
 
+def reference_blocks(n: int, k: int, r: int, value: int):
+    """The free blocks A1, A2, E, C1, C2 and S0 read from `value` bit by bit."""
+    reader = _ReferenceBitReader(value)
+    w = n - k - r
+    return (reader.take_rows(r, w), reader.take_rows(r, k), reader.take_rows(w, k),
+            reader.take_rows(r, w), reader.take_rows(r, k), reader.take_symmetric(r))
+
+
 def reference_decode(n: int, k: int, r: int, value: int) -> list[PauliOp]:
     """Bit reader and `mul_bt` parities: D^T = A1 + A2 E^T and
     B = (A1 C1^T + A2 C2^T)^T + S0, assembled into generators."""
     m = n - k
     w = m - r
-    reader = _ReferenceBitReader(value)
-    a1 = reader.take_rows(r, w)
-    a2 = reader.take_rows(r, k)
-    e = reader.take_rows(w, k)
-    c1 = reader.take_rows(r, w)
-    c2 = reader.take_rows(r, k)
-    s0 = reader.take_symmetric(r)
+    a1, a2, e, c1, c2, s0 = reference_blocks(n, k, r, value)
     dt = _xor_rows(a1, mul_bt(a2, e)) if r else []
     d = transpose_rows(dt, w)
     nmat = _xor_rows(mul_bt(a1, c1), mul_bt(a2, c2)) if r else []
@@ -195,6 +207,19 @@ def reference_decode(n: int, k: int, r: int, value: int) -> list[PauliOp]:
             for i in range(r)]
     gens += [PauliOp(n, 0, d[j] | (1 << (r + j)) | (e[j] << m)) for j in range(w)]
     return gens
+
+
+def reference_logicals(n: int, k: int, r: int, value: int) -> tuple[list[PauliOp], list[PauliOp]]:
+    """The closed-form logicals X = [0 E^T I | C^T 0 0] and Z = [0 0 0 | A2^T 0 I]
+    with C = C2 + C1 E, from `mul_bt` products."""
+    m = n - k
+    _, a2, e, c1, c2, _ = reference_blocks(n, k, r, value)
+    et = transpose_rows(e, k)
+    ct = transpose_rows(_xor_rows(c2, mul_bt(c1, et)), k)
+    a2t = transpose_rows(a2, k)
+    xs = [PauliOp(n, et[l] << r | 1 << (m + l), ct[l]) for l in range(k)]
+    zs = [PauliOp(n, 0, a2t[l] | 1 << (m + l)) for l in range(k)]
+    return xs, zs
 
 
 def reference_candidates(n: int, k: int, rng: random.Random, count: int):
@@ -211,8 +236,13 @@ def all_candidates(n: int, k: int):
             yield r, value
 
 
+def undetected(gens: list[PauliOp], n: int) -> list[PauliOp]:
+    """The weight-1 Paulis that commute with every generator."""
+    return [p for p in enumerate_paulis(n, 1) if not any(symplectic_product(p, g) for g in gens)]
+
+
 def detects_directly(gens: list[PauliOp], n: int) -> bool:
-    return all(any(symplectic_product(p, g) for g in gens) for p in enumerate_paulis(n, 1))
+    return not undetected(gens, n)
 
 
 SMALL_SPACES = [(n, k) for n in (3, 4) for k in range(1, n) if k <= 3]
@@ -220,14 +250,18 @@ SAMPLED = [(n, k) for n in (5, 6, 7) for k in (1, 2, 3)]
 
 
 def _check_candidate(n: int, k: int, r: int, value: int) -> None:
-    """Rows, detection and the closed-form basis of one candidate."""
+    """Label table, rows, detection and the closed-form basis of one candidate."""
     want = reference_decode(n, k, r, value)
-    gens, xs, zs = _decode(n, k, r, value)
+    want_xs, want_zs = reference_logicals(n, k, r, value)
+    labels = labels_of(n, k, r, value)
+    assert labels == label_table(n, [p.x | p.z << n for p in want + want_zs + want_xs])
+    gens, xs, zs = _rows(n, k, labels)
     assert gens == [(g.x, g.z) for g in want]
-    detected = _decode(n, k, r, value, detect=True)
+    assert (xs, zs) == ([(p.x, p.z) for p in want_xs], [(p.x, p.z) for p in want_zs])
+    detected = labels_of(n, k, r, value, detect=True)
     assert (detected is not None) == detects_directly(want, n)
     if detected is not None:
-        assert detected == (gens, xs, zs)
+        assert detected == labels
     code = StabilizerCode(want, [PauliOp(n, x, z) for x, z in xs],
                           [PauliOp(n, x, z) for x, z in zs])
     assert validate_code(code).ok
@@ -260,9 +294,18 @@ def test_packed_decode_matches_reference_on_sampled_indices(n, k):
     assert ours.getstate() == ref.getstate()  # the sampler draws exactly as before
 
 
+def test_labels_match_reference_on_draws_up_to_twelve_qubits():
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randrange(3, 13)
+        k = rng.randrange(1, min(4, n))
+        for r, value in reference_candidates(n, k, rng, 1):
+            _check_candidate(n, k, r, value)
+
+
 def _hit_under_both_bases(n, k, r, value, pattern, errors):
     """(hit under the closed-form basis, hit under the completed basis)."""
-    gens, xs, zs = ([PauliOp(n, x, z) for x, z in rows] for rows in _decode(n, k, r, value))
+    gens, xs, zs = ([PauliOp(n, x, z) for x, z in rows] for rows in rows_of(n, k, r, value))
     closed = relabel_search(StabilizerCode(gens, xs, zs), pattern, errors)
     completed = relabel_search(StabilizerCode(gens, *complete_logical_basis(gens)),
                                pattern, errors)
@@ -283,7 +326,7 @@ def test_hit_existence_does_not_depend_on_the_logical_basis():
     for n, k, candidates in cases:
         errors = errors_up_to_weight(n, 1)
         for r, value in candidates:
-            if _decode(n, k, r, value, detect=True) is None:
+            if labels_of(n, k, r, value, detect=True) is None:
                 continue
             for pattern in _patterns(k):
                 closed, completed = _hit_under_both_bases(n, k, r, value, pattern, errors)
@@ -303,13 +346,13 @@ def test_packed_relabel_decision_matches_relabel_search():
     for n, k, candidates in cases:
         errors = ErrorBall(n, 1)
         for r, value in candidates:
-            decoded = _decode(n, k, r, value, detect=True)
-            if decoded is None:
+            labels = labels_of(n, k, r, value, detect=True)
+            if labels is None:
                 continue
-            gens, xs, zs = ([PauliOp(n, x, z) for x, z in rows] for rows in decoded)
+            gens, xs, zs = ([PauliOp(n, x, z) for x, z in rows] for rows in _rows(n, k, labels))
             for pattern in _patterns(k):
                 want = relabel_search(StabilizerCode(gens, xs, zs), pattern, errors) is not None
-                assert _relabels(n, k, decoded, pattern, errors) == want
+                assert _relabels(n, k, labels, pattern, errors) == want
                 hits += want
                 checked += 1
     assert checked > 500 and hits > 20
@@ -322,7 +365,7 @@ def test_fixed_n6_seeds_find_their_hits_under_both_bases(seed, want):
     errors = errors_up_to_weight(6, 1)
     detected = hits = 0
     for r, value in reference_candidates(6, 2, random.Random(seed), 125):
-        if _decode(6, 2, r, value, detect=True) is None:
+        if labels_of(6, 2, r, value, detect=True) is None:
             continue
         detected += 1
         closed, completed = _hit_under_both_bases(6, 2, r, value, pattern, errors)
@@ -332,6 +375,43 @@ def test_fixed_n6_seeds_find_their_hits_under_both_bases(seed, want):
     spec = SearchSpec(n=6, k=2, pattern=pattern, seed=seed, budget=125, limit=125)
     out = run_search(spec)
     assert (out.detection_passed, len(out.found)) == want
+
+
+def test_masks_refuse_before_any_block_is_read_and_hits_alone_build_rows(monkeypatch):
+    # A candidate that misses a Z error, or an X or Y error on qubits m.., is
+    # refused from column masks alone; only X and Y errors on qubits i < r
+    # need the blocks. Only a hit is turned back into generator rows.
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(qtransmute.search, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+        return call
+
+    for name in ("_take", "transpose_rows", "_rows"):
+        monkeypatch.setattr(qtransmute.search, name, counted(name))
+    early = late = 0
+    cases = [(4, 2, all_candidates(4, 2)), (6, 2, reference_candidates(6, 2, random.Random(8), 300))]
+    for n, k, candidates in cases:
+        for r, value in candidates:
+            missed = undetected(reference_decode(n, k, r, value), n)
+            calls.clear()
+            labels = labels_of(n, k, r, value, detect=True)
+            assert (labels is None) == bool(missed)
+            if any(p.z >> r or p.x >> (n - k) for p in missed):
+                assert calls["_take"] == calls["transpose_rows"] == 0
+                early += 1
+            elif missed:
+                late += 1
+    assert early > 1000 and late > 100
+    calls.clear()
+    spec = SearchSpec(n=6, k=2, pattern=BOTH_PHASES, seed=8, budget=125, limit=125)
+    out = run_search(spec)
+    assert (out.detection_passed, len(out.found)) == (26, 2)
+    assert calls["_rows"] == 2
 
 
 def test_basis_completion_runs_once_per_hit(monkeypatch):
