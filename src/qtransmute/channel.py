@@ -180,7 +180,7 @@ def _outcome(code: StabilizerCode, table: RecoveryTable, x: int, z: int):
     class o ^ class(reference·error)."""
     if (x, z) not in table.support:
         return None
-    entry = table.entries[code.syndrome_bits(x, z)]
+    entry = table.entries.bucket(code.syndrome_bits(x, z), x, z)
     rx, rz = entry.reference[0] ^ x, entry.reference[1] ^ z
     if code.syndrome_bits(rx, rz):
         raise AssertionError("reference left a nonzero syndrome; table is corrupt")

@@ -216,6 +216,7 @@ def _cmd_verify(args) -> int:
     if verdict.passed:
         print(f"verdict: PASS ({len(verdict.checked)} errors, "
               f"{len(verdict.pi_maps)} occupied syndromes)")
+        fields.update(occupied=len(verdict.pi_maps), visited=verdict.pi_maps.visited)
     else:
         a, b = verdict.witness
         print(f"verdict: FAIL witness pair ({render(a)}, {render(b)})")

@@ -7,12 +7,12 @@ tracked; products and commutators are phase-blind throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from math import comb
 from typing import Iterator
 
 from .errors import DimensionMismatch, ParseError
-from .f2 import parity
+from .f2 import fold, parity
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # (x bit, z bit) of one qubit, as binary digits, to its letter
@@ -138,27 +138,121 @@ class ErrorBall:
         # The walk over z | x << n, which divmod by 1 << n splits into (x, z).
         n = self.n
         steps = [(1 << (n + q), 1 << (n + q) | 1 << q, 1 << q) for q in range(n)]
-        return map(divmod, chain.from_iterable(self._walk([steps] * self.w)), repeat(1 << n))
+        return map(divmod, chain.from_iterable(self.walk(steps)), repeat(1 << n))
 
-    def labelled(self, cols, width: int) -> Iterator[list[int]]:
+    def labelled(self, cols, width: int, lo: int = 0) -> Iterator[list[int]]:
         """Batches of ints in iteration order, each an error's label s below
-        its support code shifted up by `width`. s is the XOR of cols[q] over
-        the X bits q and cols[n + q] over the Z bits: the fold of cols by
-        x | z << n, which must fit in `width` bits. The i-th support qubit's
-        step values carry its label and its field at depth i, so labels and
-        code both arrive by one XOR per (qubit, letter) step."""
+        its support code shifted up by `width`, over the errors of weight lo
+        and up. s is the XOR of cols[q] over the X bits q and cols[n + q] over
+        the Z bits: the fold of cols by x | z << n, which must fit in `width`
+        bits. The i-th support qubit's step values carry its label and its
+        field at depth i, so labels and code both arrive by one XOR per
+        (qubit, letter) step."""
         n, b = self.n, _field_bits(self.n)
         return self._walk([[(cols[q] ^ (3 * q + 1) << f, cols[q] ^ cols[n + q] ^ (3 * q + 2) << f,
                              cols[n + q] ^ (3 * q + 3) << f) for q in range(n)]
-                           for f in (width + b * d for d in range(self.w))])
+                           for f in (width + b * d for d in range(self.w))], lo)
 
-    def _walk(self, steps):
+    def walk(self, rows) -> Iterator[list[int]]:
+        """Batches of ints in iteration order, over the errors whose letters
+        `rows` offers: rows[q] holds one step value per letter of qubit q, and
+        an error's int is the XOR of its letters' values. Three letters per
+        qubit walk the ball; one letter walks the pure half-ball of it."""
+        return self._walk([rows] * self.w)
+
+    def colliding(self, cols, mask: int, width: int) -> list[int] | None:
+        """The ball's errors of weight w >= 1 that share a syndrome with
+        another error of the ball, in iteration order, each labelled as
+        `labelled` labels it; None once they are more than `_DENSE_SHARE` of
+        the ball, or finding them takes four times as many pairs of colliding
+        halves and halves b' tried. A syndrome is a label's bits in `mask`.
+
+        The X columns cols[:n] and the Z columns cols[n:] must set disjoint
+        syndrome bits (a CSS code), so two errors collide exactly when their X
+        halves collide or are equal, and so do their Z halves. Each half of a
+        ball error lies in the pure half-ball of radius w, so every colliding
+        pair is found from two distinct halves a, a' of one letter that
+        collide in their half-ball, |a| <= |a'|: every b' of the other letter
+        with |a' | b'| <= w, then every b colliding with or equal to b', with
+        |a | b| <= w."""
+        n, w = self.n, self.w
+        limit = _DENSE_SHARE * len(self)
+        syns = [c & mask for c in cols[:n]], [c & mask for c in cols[n:]]
+        halves, steps = [], 0
+        for syn in syns:  # syndrome -> the masks of two or more errors of one letter
+            seen, groups = {}, {}
+            for v in chain.from_iterable(self.walk([(t | 1 << (width + q),)
+                                                    for q, t in enumerate(syn)])):
+                first = seen.setdefault(v & mask, v)
+                if first != v:
+                    group = groups.setdefault(v & mask, [first >> width])
+                    steps += len(group)
+                    if steps > 4 * limit:
+                        return None
+                    group.append(v >> width)
+            halves.append(groups)
+        found = set()  # x | z << n of each colliding error of weight w
+        for swap in (0, 1):
+            own, groups, syn = halves[swap], halves[1 - swap], syns[1 - swap]
+            light = [[] for _ in range(w)]  # (mask, syndrome) of the other letter by weight < w
+            for v in chain.from_iterable(ErrorBall(n, w - 1).walk(
+                    [(1 << q | t << n,) for q, t in enumerate(syn)])):
+                light[(v & ~(-1 << n)).bit_count()].append((v & ~(-1 << n), v >> n))
+            for a, a2 in chain.from_iterable(map(combinations, own.values(), repeat(2))):
+                if a.bit_count() > a2.bit_count():
+                    a, a2 = a2, a
+                heavy = a2.bit_count()
+                steps += sum(comb(n - heavy, j) for j in range(w - heavy + 1)) << heavy
+                if steps > 4 * limit:
+                    return None
+                subs, rest = [(0, 0)], a2
+                while rest:
+                    q = rest.bit_length() - 1
+                    subs += [(m | 1 << q, t ^ syn[q]) for m, t in subs]
+                    rest ^= 1 << q
+                for out, t in chain.from_iterable(light[:w - heavy + 1]):
+                    if out & a2:
+                        continue
+                    for m, u in subs:
+                        b2 = m | out
+                        for b in groups.get(t ^ u, (b2,)):
+                            if (a | b).bit_count() <= w:  # (a, b) collides with (a2, b2)
+                                for c, d in ((a, b), (a2, b2)):
+                                    if (c | d).bit_count() == w:
+                                        found.add(d | c << n if swap else c | d << n)
+                if len(found) > limit:
+                    return None
+        fb = _field_bits(n)
+        return sorted((fold(cols, p) | support_code(n, p & ~(-1 << n), p >> n) << width
+                       for p in found), key=lambda v: _ball_key(v >> width, fb, w))
+
+    def _walk(self, steps, lo: int = 0):
         """Batches of ints, each the XOR of one step value per support qubit:
-        the i-th support qubit q's from steps[i][q], one per letter."""
+        the i-th support qubit q's from steps[i][q], one per letter, over the
+        errors of weight lo and up."""
         identity = [0]
-        yield identity
-        for w in range(1, self.w + 1):
+        if lo == 0:
+            yield identity
+        for w in range(max(lo, 1), self.w + 1):
             yield from _extend(steps, identity, 0, 0, w)
+
+
+# The share of a ball that `colliding` may find: an error it finds costs
+# about as much as ten walked ones (toric:5 and toric:7 at w <= 3), so past
+# it walking is as fast. It tries about four pairs of halves per error found.
+_DENSE_SHARE = 1 / 16
+
+
+def _ball_key(code: int, b: int, w: int) -> int:
+    """The ball's iteration order among errors of weight w, from a support
+    code of b-bit fields: the support qubits, then their letters, each read
+    first qubit first."""
+    qubits = letters = 0
+    while code:
+        q, letter = divmod((code & ~(-1 << b)) - 1, 3)
+        qubits, letters = qubits << b | q, letters << 2 | letter
+        code >>= b
+    return qubits << 2 * w | letters
 
 
 def _extend(steps, prefix, depth: int, start: int, left: int):

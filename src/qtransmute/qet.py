@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, islice
+from operator import or_
 
 from .errors import DimensionMismatch, ParseError, content_lines
 from .f2 import F2Span, fold, symplectic
@@ -117,28 +118,47 @@ def _member_fields(n: int, k: int) -> tuple[int, int, int]:
 
 
 class PiMaps(Mapping):
-    """Syndrome -> PiBucket of a passing check on an [n, k] code, read through
-    the check's own maps: `refs` (syndrome -> reference, in reference order,
-    each one int class | support code << 2k, decoded on lookup) and
-    `narrowed` (sorted options of the syndromes a class difference narrowed;
-    empty for an XOR-closed admissible set, where a passing check narrows
-    none). Every other syndrome keeps `every` admissible class. A bucket is
-    built on lookup; none is stored. `members` keeps, in input order, one int
-    syndrome | d << (n - k) | support code << (n + k) for every error after
-    its bucket's first, where d is the class of reference·error. So the
-    syndromes it names are those of the buckets of two or more errors: for a
-    set that is not closed, exactly the narrowed ones."""
+    """Syndrome -> PiBucket of a passing check on an [n, k] code, built on
+    lookup from the check's own maps: `refs` (syndrome -> reference, in
+    reference order, each an int class | support code << 2k) and `narrowed`
+    (sorted options of the syndromes a class difference narrowed; none for an
+    XOR-closed set). Every other syndrome keeps `every` admissible class.
+    `members` keeps, in input order, one int syndrome | d << (n - k) | support
+    code << (n + k) for every error after its bucket's first, d the class of
+    reference·error: it names the buckets of two or more errors, for a set
+    that is not closed exactly the narrowed ones.
 
-    __slots__ = ("_refs", "_narrowed", "every", "members", "n", "k")
+    When the check left out errors alone in their bucket, `lone` is (ball,
+    code) (`_narrowed`): `bucket` gives such an error's bucket with no walk,
+    and iteration or a lookup by its syndrome walks the ball once.
+    `visited` counts the errors the check bucketed; the length is the
+    occupied count."""
+
+    __slots__ = ("_refs", "_narrowed", "every", "members", "n", "k", "_lone", "visited")
 
     def __init__(self, refs: dict[int, int], narrowed: dict[int, tuple[int, ...]],
-                 every: tuple[int, ...], members: list[int], n: int, k: int):
+                 every: tuple[int, ...], members: list[int], n: int, k: int, lone=None):
         self._refs, self._narrowed, self.every, self.members = refs, narrowed, every, members
-        self.n, self.k = n, k
+        self.n, self.k, self._lone = n, k, lone
+        self.visited = len(refs) + len(members)
+
+    def _every_ref(self) -> dict[int, int]:
+        if self._lone is not None:
+            (ball, code), refs = self._lone, {}
+            for _ in _bucket_pairs(self.n, self.k, _labelled(code, ball)[1], refs):
+                pass
+            self._refs, self._lone = refs, None
+        return self._refs
 
     def __getitem__(self, syn: int) -> PiBucket:
-        return PiBucket(support_xz(self.n, self._refs[syn] >> 2 * self.k),
-                        self._narrowed.get(syn, self.every))
+        ref = self._refs[syn] if syn in self._refs else self._every_ref()[syn]
+        return PiBucket(support_xz(self.n, ref >> 2 * self.k), self._narrowed.get(syn, self.every))
+
+    def bucket(self, syn: int, x: int, z: int) -> PiBucket:
+        """The bucket of the checked error (x, z) of syndrome syn."""
+        if self._lone is None or syn in self._refs:
+            return self[syn]
+        return PiBucket((x, z), self.every)
 
     def member_fields(self):
         """(syndrome, class difference, weight) of each member, in order."""
@@ -148,13 +168,10 @@ class PiMaps(Mapping):
                 for m in self.members)
 
     def __iter__(self):
-        return iter(self._refs)
+        return iter(self._every_ref())
 
     def __len__(self) -> int:
-        return len(self._refs)
-
-    def __contains__(self, syn) -> bool:
-        return syn in self._refs
+        return len(self._lone[0]) - len(self.members) if self._lone else len(self._refs)
 
 
 @dataclass(frozen=True)
@@ -252,16 +269,38 @@ def check_group_qet(code: StabilizerCode, adm: AdmissibleSet,
     return check_general_qet(code, adm, errors)
 
 
+def _narrowed(code: StabilizerCode, adm: AdmissibleSet, errors, refs, options, kept=None):
+    """(checked, hit, lone): `_narrow` over `_bucket_pairs` of the errors. A
+    ball of radius w >= 2 on a CSS code (its X and Z label columns set
+    disjoint syndrome bits) is walked below weight w, then only its
+    `colliding` errors, unless too many collide: an error alone in its bucket
+    keeps every option and cannot fail, so leaving it out changes no verdict,
+    option or member, and lone = (ball, code) says it did."""
+    n, k, cols, mask = code.n, code.k, code._labels, code._syn_mask
+
+    def narrow(labelled):
+        return _narrow(code, adm.classes, _bucket_pairs(n, k, labelled, refs), options, kept,
+                       adm.is_group)
+    if not (isinstance(errors, ErrorBall) and errors.w >= 2
+            and not reduce(or_, cols[:n]) & reduce(or_, cols[n:]) & mask):
+        checked, labelled = _labelled(code, errors)
+        return checked, narrow(labelled), None
+    hit = narrow(_labelled(code, ErrorBall(errors.n, errors.w - 1))[1])
+    if hit is not None:
+        return errors, hit, None
+    top = errors.colliding(cols, mask, n + k)
+    if top is None:
+        return errors, narrow(chain.from_iterable(errors.labelled(cols, n + k, errors.w))), None
+    return errors, narrow(top), (errors, code)
+
+
 def check_general_qet(code: StabilizerCode, adm: AdmissibleSet,
                       errors) -> Verdict:
     """General-case conditions over (x, z) errors: per bucket, some admissible
     reference image keeps every forced assignment admissible."""
     _check_k(code, adm)
-    checked, labelled = _labelled(code, errors)
-    n, k = code.n, code.k
-    refs, options, members = {}, {}, []
-    hit = _narrow(code, adm.classes, _bucket_pairs(n, k, labelled, refs), options, members,
-                  group=adm.is_group)
+    n, k, refs, options, members = code.n, code.k, {}, {}, []
+    checked, hit, lone = _narrowed(code, adm, errors, refs, options, members)
     if hit is not None:
         ref = refs[hit & code._syn_mask]
         witness = (PauliOp(n, *support_xz(n, ref >> 2 * k)),
@@ -270,7 +309,7 @@ def check_general_qet(code: StabilizerCode, adm: AdmissibleSet,
     for syn, opts in options.items():
         options[syn] = tuple(sorted(opts))
     return Verdict(True, pi_maps=PiMaps(refs, options, tuple(sorted(adm.classes)), members,
-                                        n, k), checked=checked)
+                                        n, k, lone), checked=checked)
 
 
 def strong_conditions_hold(code: StabilizerCode, adm: AdmissibleSet,
@@ -301,8 +340,7 @@ def effective_distance(code: StabilizerCode, adm: AdmissibleSet,
         raise ValueError(f"cap must be >= 0, got {cap}")
     n, k = code.n, code.k
     cap = min(cap, n)
-    hit = _narrow(code, adm.classes, _bucket_pairs(n, k, _labelled(code, ErrorBall(n, cap))[1], {}),
-                  {}, group=adm.is_group)
+    hit = _narrowed(code, adm, ErrorBall(n, cap), {}, {})[1]
     if hit is not None:
         return DistanceResult(2 * support_weight(n, hit >> (n + k)) - 1, True, cap)
     return DistanceResult(2 * cap + 1, cap >= n, cap)
@@ -453,13 +491,16 @@ def _pattern_images(k: int, classes: frozenset[int]):
 def _shapes(n: int, k: int, labelled) -> set[int]:
     """The class-difference set of every bucket of the labelled errors that
     holds two classes, as a bitmask: bit d is set for each member's difference
-    d from the reference, and bit 0 for the reference."""
+    d from the bucket's first class, and bit 0 for the first."""
     r, mask, class_mask = _member_fields(n, k)
+    first: dict[int, int] = {}
     diffs: dict[int, int] = {}
-    for m in _bucket_pairs(n, k, labelled, {}):
-        syn = m & mask
-        diffs[syn] = diffs.get(syn, 1) | 1 << (m >> r & class_mask)
-    return {d for d in diffs.values() if d != 1}
+    for v in labelled:
+        syn, c = v & mask, v >> r & class_mask
+        c0 = first.setdefault(syn, c)
+        if c0 != c:
+            diffs[syn] = diffs.get(syn, 1) | 1 << (c ^ c0)
+    return set(diffs.values())
 
 
 def first_relabeling(n: int, k: int, pattern: AdmissibleSet, labelled) -> int | None:

@@ -239,8 +239,8 @@ def _relabels(n: int, k: int, labels: list[int], pattern: AdmissibleSet,
               errors: ErrorBall) -> bool:
     """Whether relabel_search finds a hit on the candidate with label table
     `labels` under its closed-form basis, decided with no code built."""
-    return first_relabeling(n, k, pattern,
-                            chain.from_iterable(errors.labelled(labels, n + k))) is not None
+    rows = [(x, x ^ z, z) for x, z in zip(labels[:n], labels[n:])]
+    return first_relabeling(n, k, pattern, chain.from_iterable(errors.walk(rows))) is not None
 
 
 def run_search(spec: SearchSpec, start_index: int = 0, progress=None) -> SearchOutcome:

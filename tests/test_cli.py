@@ -203,14 +203,14 @@ def test_verify_relabel(capsys, tmp_path):
      "verdict = fail\nmax_weight = 1\nerrors = 22\nwitness_a = ZIIIIII\nwitness_b = IZIIIII\n"),
     (("verify", "qet", "--code", "table2-6q", "--admissible", "ZI,IZ", "--max-weight", "1"), 0,
      "verdict: PASS (19 errors, 14 occupied syndromes)\n",
-     "verdict = pass\nmax_weight = 1\nerrors = 19\n"),
+     "verdict = pass\nmax_weight = 1\nerrors = 19\noccupied = 14\nvisited = 19\n"),
     (("verify", "qet", "--code", "GENS", "--admissible", "ZI", "--max-weight", "1",
       "--relabel"), 0,
      "verdict: PASS (after relabeling)\n"
      "  X1 = IXXIXII   Z1 = ZZIIIII\n"
      "  X2 = IIIIXXX   Z2 = YYIIZII\n"
      "verdict: PASS (22 errors, 18 occupied syndromes)\n",
-     "verdict = pass\nmax_weight = 1\nerrors = 22\n"),
+     "verdict = pass\nmax_weight = 1\nerrors = 22\noccupied = 18\nvisited = 22\n"),
 ])
 def test_verify_output_is_pinned(tmp_path, capsys, argv, exit_code, stdout, report_text):
     # GENS is table1-7q's generators alone, as in test_verify_relabel

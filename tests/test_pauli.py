@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from itertools import combinations, product
 from math import comb
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtransmute import pauli
 from qtransmute.errors import DimensionMismatch, ParseError
 from qtransmute.pauli import (ErrorBall, PauliOp, enumerate_paulis, errors_up_to_weight,
                               parse_pauli, render, support_code, support_weight, support_xz,
@@ -184,3 +187,56 @@ def test_support_codes_round_trip_in_walk_order():
                     assert support_code(n, x, z) == code
                     walked.append((x, z))
             assert walked == errors_up_to_weight(n, w), (n, w)
+
+
+def test_walk_from_a_weight_is_the_tail_of_the_whole_walk():
+    for n in range(6):
+        cols = [1 << j for j in range(2 * n)]
+        for w in range(n + 1):
+            ball = ErrorBall(n, w)
+            whole = [v for batch in ball.labelled(cols, 2 * n) for v in batch]
+            for lo in range(w + 1):
+                tail = [v for batch in ball.labelled(cols, 2 * n, lo) for v in batch]
+                assert tail == [v for v in whole if support_weight(n, v >> 2 * n) >= lo], (n, w, lo)
+
+
+def test_one_letter_rows_walk_the_pure_half_ball():
+    # rows[q] offers each letter's XOR value; one letter per qubit walks the
+    # errors of that letter alone, in the ball's order
+    for n in range(7):
+        for w in range(n + 1):
+            ball = ErrorBall(n, w)
+            for letter, (xb, zb) in (("X", (1, 0)), ("Y", (1, 1)), ("Z", (0, 1))):
+                rows = [((xb << q) | (zb << q) << n,) for q in range(n)]
+                walked = [divmod(v, 1 << n)[::-1] for batch in ball.walk(rows) for v in batch]
+                assert walked == [(x, z) for x, z in ball
+                                  if x == (x | z if xb else 0) and z == (x | z if zb else 0)]
+            three = [(1 << q, 1 << q | 1 << (n + q), 1 << (n + q)) for q in range(n)]
+            assert [divmod(v, 1 << n)[::-1] for batch in ball.walk(three) for v in batch] == list(ball)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_colliding_errors_are_those_of_shared_syndromes(monkeypatch, seed):
+    # Random CSS-shaped label columns: the X columns' syndromes in the low
+    # bits, the Z columns' above them, and random bits above the syndromes.
+    # The colliding weight-w errors are those whose syndrome some other ball
+    # error shares, in walk order and labelled as the walk labels them.
+    rng = random.Random(seed)
+    n = rng.randrange(2, 8)
+    w = rng.randrange(1, min(n, 3) + 1)
+    sx, sz, extra = rng.randrange(0, 5), rng.randrange(0, 5), rng.randrange(0, 3)
+    mask, width = (1 << (sx + sz)) - 1, sx + sz + extra
+    cols = ([rng.randrange(1 << sx) | rng.randrange(1 << extra) << (sx + sz) for _ in range(n)]
+            + [rng.randrange(1 << sz) << sx | rng.randrange(1 << extra) << (sx + sz)
+               for _ in range(n)])
+    ball = ErrorBall(n, w)
+    walked = [v for batch in ball.labelled(cols, width) for v in batch]
+    count = Counter(v & mask for v in walked)
+    want = [v for v in walked if count[v & mask] > 1 and support_weight(n, v >> width) == w]
+    monkeypatch.setattr(pauli, "_DENSE_SHARE", float("inf"))
+    assert ball.colliding(cols, mask, width) == want
+    monkeypatch.setattr(pauli, "_DENSE_SHARE", len(want) / len(ball))
+    assert ball.colliding(cols, mask, width) in (want, None)
+    if want:
+        monkeypatch.setattr(pauli, "_DENSE_SHARE", (len(want) - 1) / len(ball))
+        assert ball.colliding(cols, mask, width) is None

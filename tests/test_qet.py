@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qtransmute import catalog, qet
+from qtransmute import catalog, pauli, qet
 from qtransmute.errors import DimensionMismatch
-from qtransmute.f2 import fold, symplectic
+from qtransmute.f2 import F2Span, fold, symplectic
 from qtransmute.pauli import (ErrorBall, PauliOp, enumerate_paulis, errors_up_to_weight,
-                              parse_pauli, render, support_xz)
+                              parse_pauli, render, support_weight, support_xz)
 from qtransmute.qet import (AdmissibleSet, PiBucket, Verdict, _pattern_images,
                             build_recovery, check_general_qet, check_group_qet,
                             deff_lower_bound, effective_distance,
@@ -937,6 +937,133 @@ def test_group_narrowing_matches_per_pair_narrowing_on_rep9(kind):
     assert_group_narrowing_matches_per_pair(cc.code, adm, ErrorBall(9, 4))
 
 
+# -- CSS balls: the colliding errors against the whole walk ----------------------------
+#
+# `walked_check` and `walked_effective_distance` are the check and the
+# effective distance as they were before a CSS ball left out its lone errors:
+# every error of the ball bucketed in walk order.
+
+
+def walked_check(code, adm, errors):
+    checked, labelled = qet._labelled(code, errors)
+    n, k = code.n, code.k
+    refs, options, members = {}, {}, []
+    hit = qet._narrow(code, adm.classes, qet._bucket_pairs(n, k, labelled, refs), options,
+                      members, group=adm.is_group)
+    if hit is not None:
+        ref = refs[hit & code._syn_mask]
+        witness = (PauliOp(n, *support_xz(n, ref >> 2 * k)),
+                   PauliOp(n, *support_xz(n, hit >> (n + k))))
+        return Verdict(False, witness=witness, checked=checked)
+    options = {syn: tuple(sorted(opts)) for syn, opts in options.items()}
+    return Verdict(True, pi_maps=qet.PiMaps(refs, options, tuple(sorted(adm.classes)), members,
+                                            n, k), checked=checked)
+
+
+def walked_effective_distance(code, adm, cap):
+    n, k = code.n, code.k
+    hit = qet._narrow(code, adm.classes,
+                      qet._bucket_pairs(n, k, qet._labelled(code, ErrorBall(n, cap))[1], {}), {},
+                      group=adm.is_group)
+    if hit is not None:
+        return DistanceResult(2 * support_weight(n, hit >> (n + k)) - 1, True, cap)
+    return DistanceResult(2 * cap + 1, cap >= n, cap)
+
+
+def random_css_code(rng, n, k, kinds):
+    """A random [n, k] CSS code: independent Z-type checks, then independent
+    X-type checks that commute with them. kinds "x" or "z" keeps checks of
+    that type alone."""
+    r = n - k
+    rz = {"x": 0, "z": r}.get(kinds, rng.randrange(r + 1))
+    zs, span = [], F2Span()
+    while len(zs) < rz:
+        v = rng.randrange(1, 1 << n)
+        if span.insert(v):
+            zs.append(v)
+    kernel = [v for v in range(1, 1 << n) if not any((v & z).bit_count() & 1 for z in zs)]
+    xs, span = [], F2Span()
+    while len(xs) < r - rz:
+        v = rng.choice(kernel)
+        if span.insert(v):
+            xs.append(v)
+    gens = [PauliOp(n, x=v) for v in xs] + [PauliOp(n, z=v) for v in zs]
+    return StabilizerCode(gens, *complete_logical_basis(gens))
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(2, 8), k=st.integers(1, 2), kinds=st.sampled_from(["x", "z", "both"]),
+       adm_kind=st.sampled_from(["trivial", "group", "other"]), every_share=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_css_ball_check_matches_the_whole_walk(n, k, kinds, adm_kind, every_share, seed):
+    # every_share lets `colliding` find any share of the ball, so every ball
+    # of weight >= 2 whose lower weights pass is checked over its colliding
+    # errors alone; otherwise dense balls are walked as the code chooses.
+    assume(k < n)
+    rng = random.Random(seed)
+    code = random_css_code(rng, n, k, kinds)
+    adm = (AdmissibleSet.trivial(k) if adm_kind == "trivial"
+           else spread_admissible(rng, k, adm_kind == "group"))
+    share = pauli._DENSE_SHARE
+    pauli._DENSE_SHARE = float("inf") if every_share else share
+    try:
+        for w in range(min(n, 3) + 1):
+            ball = ErrorBall(n, w)
+            new, old = check_general_qet(code, adm, ball), walked_check(code, adm, ball)
+            assert (new.passed, new.witness) == (old.passed, old.witness)
+            assert new.checked is ball
+            if old.passed:
+                pi, want = new.pi_maps, old.pi_maps
+                if every_share:
+                    assert (pi._lone is not None) == (w >= 2)
+                assert len(pi) == len(want)
+                assert pi.members == want.members
+                assert len(want) + len(pi.members) == len(ball)
+                assert pi.visited <= len(ball)
+                # the channel's lookup by error needs no walk of the ball
+                lone = pi._lone
+                for x, z in ball:
+                    syn = code.syndrome_bits(x, z)
+                    assert pi.bucket(syn, x, z) == want[syn]
+                assert pi._lone is lone
+                assert ([(syn, b.reference, b.options) for syn, b in pi.items()]
+                        == [(syn, b.reference, b.options) for syn, b in want.items()])
+                assert pi._lone is None and len(pi) == len(want)
+            got = effective_distance(code, adm, w)
+            assert got == walked_effective_distance(code, adm, w)
+    finally:
+        pauli._DENSE_SHARE = share
+
+
+def test_toric_ball_visits_its_colliding_errors_alone():
+    # toric:7 at w <= 2: the 295 errors of weight <= 1, then the 588 pure
+    # weight-2 errors that share a syndrome: half a plaquette or a star
+    cc = catalog.resolve("toric:7")
+    ball = ErrorBall(cc.code.n, 2)
+    pi = check_general_qet(cc.code, cc.admissible, ball).pi_maps
+    assert (len(pi), pi.visited, len(pi.members)) == (42_778, 295 + 588, 294)
+    assert pi._lone == (ball, cc.code)
+    assert effective_distance(cc.code, cc.admissible, 2) == DistanceResult(5, False, 2)
+
+
+@pytest.mark.parametrize("name,cap,want", [("toric:4", 4, 3), ("css17", 5, 5), ("rep:9", 4, 9)])
+def test_ball_checks_walk_a_half_ball_only_when_the_lower_weights_pass(
+        monkeypatch, name, cap, want):
+    # toric:4 and css17 fail below their cap, so no half-ball is walked; on
+    # rep:9 every Z error has syndrome 0, so the pairs of colliding Z halves
+    # alone pass the share and the weight-4 errors are walked
+    calls = []
+    colliding = ErrorBall.colliding
+    monkeypatch.setattr(ErrorBall, "colliding",
+                        lambda *args: calls.append(args) or colliding(*args))
+    cc = catalog.resolve(name)
+    got = effective_distance(cc.code, cc.admissible, cap)
+    assert (got.value, got.exact) == (want, want < 2 * cap + 1)
+    assert len(calls) == (name == "rep:9")
+    if calls:
+        assert colliding(*calls[0]) is None
+
+
 def test_check_peak_memory_per_checked_error():
     # A passing verdict keeps the check's own reference map, narrowed options
     # and dedupe dict. One PiBucket per occupied syndrome plus a frozenset copy
@@ -958,7 +1085,9 @@ def test_check_peak_memory_per_checked_error():
     # the traced region, peaked at 210 B per checked error here, the ball
     # with an (x, z) tuple as each reference at 185 B, and with a packed
     # x | z << n as each reference at 115 B. A reference is now its class
-    # and support code, at most 22 bits here.
+    # and support code, at most 22 bits here. toric:7 is a CSS code, so only
+    # the errors of weight <= 1 and the 588 colliding ones of weight 2 get a
+    # reference: 18.5 B per checked error, bounded here with a third more.
     del verdict, errs
     tracemalloc.start()
     try:
@@ -968,7 +1097,7 @@ def test_check_peak_memory_per_checked_error():
         tracemalloc.stop()
     assert verdict.passed
     assert (len(verdict.checked), len(verdict.pi_maps)) == (43_072, 42_778)
-    assert peak / len(verdict.checked) <= 110
+    assert peak / len(verdict.checked) <= 24
     # Its references are packed ints, so the cyclic GC never walks the map.
     assert not gc.is_tracked(verdict.pi_maps._refs)
 
@@ -976,7 +1105,10 @@ def test_check_peak_memory_per_checked_error():
 @pytest.mark.slow
 def test_check_peak_memory_per_checked_error_at_weight_three():
     # toric:7 at w <= 3: every error but 89,082 has a syndrome of its own.
-    # The peak was 112.0 B per checked error here (Python 3.11).
+    # The peak was 112.0 B per checked error here (Python 3.11) while every
+    # error got a reference. Now a weight-3 error is bucketed only when it
+    # shares a syndrome: 15.4 B per checked error, bounded here with a third
+    # more.
     cc = catalog.resolve("toric:7")
     check_general_qet(cc.code, cc.admissible, ErrorBall(cc.code.n, 1))  # fill the code's caches
     tracemalloc.start()
@@ -987,7 +1119,7 @@ def test_check_peak_memory_per_checked_error_at_weight_three():
         tracemalloc.stop()
     assert verdict.passed
     assert (len(verdict.checked), len(verdict.pi_maps)) == (4_149_664, 4_060_582)
-    assert peak / len(verdict.checked) <= 120
+    assert peak / len(verdict.checked) <= 20
 
 
 @pytest.mark.parametrize("check", [check_general_qet, strong_conditions_hold, relabel_search])
