@@ -13,11 +13,13 @@ identity remainder. For depolarizing noise the covered mass is the closed
 form sum over j <= w of C(n, j) p^j (1 - p)^(n - j) for a weight-w ball, and
 the sum of the errors' probabilities (p/3)^w (1 - p)^(n - w) over any other
 support. Only the buckets of two or more supported errors, which the check
-kept as members, are summed error by error; every other supported error is
-its bucket's reference, and the rest of the covered mass goes uniformly over
-the admissible classes. Each class's probability, the uncovered mass and that
-rest are each one `math.fsum` of their terms, so their rounding does not grow
-with the support.
+kept as members, are summed error by error, from an integer tally of the
+members by (syndrome, class difference, weight); every other supported error
+is its bucket's reference, and the rest of the covered mass goes uniformly
+over the admissible classes. Each class's probability, the uncovered mass
+and that rest are each one `math.fsum` of their terms, a mass counted c
+times being c terms, so their rounding does not grow with the support and
+does not depend on how the terms are grouped.
 
 `run_trials` draws a run's tallies, not its trials: one multinomial over the
 distribution's classes and "uncovered", a chain of conditional binomials
@@ -29,8 +31,11 @@ and has no effect.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, groupby, repeat
 from math import comb, fabs, floor, fsum, lgamma, log, log2, sqrt
+from operator import itemgetter
 
 from .errors import DimensionMismatch
 from .pauli import ErrorBall, PauliOp, enumerate_paulis
@@ -196,37 +201,54 @@ def _spread(terms: dict[int, list[float]], masses: list[float], options, base: i
         terms.setdefault(o ^ base, []).extend(shares)
 
 
+def _fsum_tally(tally) -> float:
+    """The exact sum, rounded once, of each (mass, count) pair's mass taken
+    count times."""
+    return fsum(chain.from_iterable(repeat(m, c) for m, c in tally))
+
+
 def _depolarizing(code: StabilizerCode, table: RecoveryTable, model: DepolarizingChannel,
                   terms: dict[int, list[float]]) -> float:
     """Add the covered depolarizing mass to terms; return the uncovered mass.
     Only a bucket of two or more supported errors, named by the check's kept
-    members, is summed error by error. Every other bucket's lone error is its
-    own reference and leaves each of the shared `every` options alike, so the
-    rest of the covered mass is spread over them at once."""
+    members, is summed error by error, one syndrome at a time from the
+    members' tally by (syndrome, class difference, weight): errors of one
+    weight have one mass, so each sum is over (mass, count) pairs. Every
+    other bucket's lone error is its own reference and leaves each of the
+    shared `every` options alike, so the rest of the covered mass, less the
+    errors summed by bucket, is spread over them at once."""
     n, p = model.n, model.p
     by_weight = [(p / 3) ** w * (1.0 - p) ** (n - w) for w in range(n + 1)]  # one error's
     support, entries = table.support, table.entries
     if isinstance(support, ErrorBall):
-        rest = [comb(n, j) * p ** j * (1.0 - p) ** (n - j) for j in range(support.w + 1)]
+        rest = [(comb(n, j) * p ** j * (1.0 - p) ** (n - j), 1) for j in range(support.w + 1)]
     else:
-        rest = [by_weight[(x | z).bit_count()] for x, z in support]
-    uncovered = 0.0 if len(support) == 4 ** n else max(0.0, 1.0 - fsum(rest))
-    shared: dict[int, dict[int, list[float]]] = {}  # syndrome -> class difference -> terms
-    for syn, diff, weight in entries.member_fields():
-        diffs = shared.get(syn)
-        if diffs is None:
-            rx, rz = entries[syn].reference
-            if code.syndrome_bits(rx, rz) != syn:
-                raise AssertionError("reference left a nonzero syndrome; table is corrupt")
-            diffs = shared[syn] = {0: [by_weight[(rx | rz).bit_count()]]}
-        diffs.setdefault(diff, []).append(by_weight[weight])
-    for syn, diffs in shared.items():
-        options = entries[syn].options
+        weights = Counter((x | z).bit_count() for x, z in support)
+        rest = [(by_weight[w], c) for w, c in weights.items()]
+    uncovered = 0.0 if len(support) == 4 ** n else max(0.0, 1.0 - _fsum_tally(rest))
+    tally = entries.member_tally()
+    summed = Counter()  # weight -> errors summed bucket by bucket
+    shared = 0  # buckets summed
+    # sorted, a syndrome's keys are adjacent: one bucket's sums are held at a time
+    for syn, keys in groupby(sorted(tally), itemgetter(0)):
+        shared += 1
+        entry = entries[syn]
+        rx, rz = entry.reference
+        if code.syndrome_bits(rx, rz) != syn:
+            raise AssertionError("reference left a nonzero syndrome; table is corrupt")
+        ref_weight = (rx | rz).bit_count()
+        summed[ref_weight] += 1
+        diffs = {0: [(by_weight[ref_weight], 1)]}  # class difference -> (mass, count)
+        for key in keys:
+            _, diff, weight = key
+            count = tally[key]
+            diffs.setdefault(diff, []).append((by_weight[weight], count))
+            summed[weight] += count
         for diff, masses in diffs.items():
-            rest += [-m for m in masses]
-            _spread(terms, [fsum(masses)], options, diff)
-    if len(shared) < len(entries):
-        _spread(terms, [fsum(rest)], entries.every, 0)
+            _spread(terms, [_fsum_tally(masses)], entry.options, diff)
+    if shared < len(entries):
+        rest += [(-by_weight[w], c) for w, c in summed.items()]
+        _spread(terms, [_fsum_tally(rest)], entries.every, 0)
     return uncovered
 
 

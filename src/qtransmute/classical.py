@@ -7,6 +7,8 @@ full-rank parity-check matrix with G P^T = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import CodeConstructionError, ParseError
 from .f2 import BitMatrix, kernel_basis, parity, rref
@@ -203,7 +205,10 @@ def css_build(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
 
 
 def is_css(code: StabilizerCode) -> bool:
-    return all(g.x == 0 or g.z == 0 for g in code.generators)
+    """True iff every generator is pure X or pure Z: iff the syndrome bits
+    that some X error flips and those that some Z error flips are disjoint."""
+    n, cols = code.n, code._labels
+    return not reduce(or_, cols[:n]) & reduce(or_, cols[n:]) & code._syn_mask
 
 
 def asymmetric_distances(code: StabilizerCode, cap: int) -> tuple[DistanceResult, DistanceResult]:

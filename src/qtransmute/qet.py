@@ -10,15 +10,17 @@ so feasibility reduces to scanning candidate reference assignments.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import chain, islice
-from operator import or_
 
+from .classical import is_css
 from .errors import DimensionMismatch, ParseError, content_lines
 from .f2 import F2Span, fold, symplectic
-from .pauli import ErrorBall, PauliOp, render, support_code, support_weight, support_xz
+from .pauli import (ErrorBall, PauliOp, _field_bits, render, support_code, support_weight,
+                    support_xz)
 from .stabilizer import (DistanceResult, StabilizerCode, _min_weight,
                          class_bits_from_string, class_bits_to_string,
                          scan_zero_syndrome)
@@ -160,12 +162,14 @@ class PiMaps(Mapping):
             return self[syn]
         return PiBucket((x, z), self.every)
 
-    def member_fields(self):
-        """(syndrome, class difference, weight) of each member, in order."""
-        n, k = self.n, self.k
+    def member_tally(self) -> Counter:
+        """How many members share each (syndrome, class difference, weight),
+        in the order of each triple's first member. A support code's weight
+        is its field count: its bit length over the field width, rounded up."""
+        n, k, b = self.n, self.k, _field_bits(self.n)
         r, mask, class_mask = _member_fields(n, k)
-        return ((m & mask, m >> r & class_mask, support_weight(n, m >> (n + k)))
-                for m in self.members)
+        return Counter((m & mask, m >> r & class_mask, -(-(m >> (n + k)).bit_length() // b))
+                       for m in self.members)
 
     def __iter__(self):
         return iter(self._every_ref())
@@ -271,18 +275,16 @@ def check_group_qet(code: StabilizerCode, adm: AdmissibleSet,
 
 def _narrowed(code: StabilizerCode, adm: AdmissibleSet, errors, refs, options, kept=None):
     """(checked, hit, lone): `_narrow` over `_bucket_pairs` of the errors. A
-    ball of radius w >= 2 on a CSS code (its X and Z label columns set
-    disjoint syndrome bits) is walked below weight w, then only its
-    `colliding` errors, unless too many collide: an error alone in its bucket
-    keeps every option and cannot fail, so leaving it out changes no verdict,
-    option or member, and lone = (ball, code) says it did."""
+    ball of radius w >= 2 on a CSS code is walked below weight w, then only
+    its `colliding` errors, unless too many collide: an error alone in its
+    bucket keeps every option and cannot fail, so leaving it out changes no
+    verdict, option or member, and lone = (ball, code) says it did."""
     n, k, cols, mask = code.n, code.k, code._labels, code._syn_mask
 
     def narrow(labelled):
         return _narrow(code, adm.classes, _bucket_pairs(n, k, labelled, refs), options, kept,
                        adm.is_group)
-    if not (isinstance(errors, ErrorBall) and errors.w >= 2
-            and not reduce(or_, cols[:n]) & reduce(or_, cols[n:]) & mask):
+    if not (isinstance(errors, ErrorBall) and errors.w >= 2 and is_css(code)):
         checked, labelled = _labelled(code, errors)
         return checked, narrow(labelled), None
     hit = narrow(_labelled(code, ErrorBall(errors.n, errors.w - 1))[1])
@@ -351,8 +353,7 @@ def deff_lower_bound(code: StabilizerCode, adm: AdmissibleSet,
     """Minimum weight of an N(S) element whose class is not admissible."""
     _check_k(code, adm)
     classes = adm.classes
-    return _min_weight(scan_zero_syndrome, code, cap,
-                       lambda x, z: code.class_bits(x, z) not in classes)
+    return _min_weight(scan_zero_syndrome, code, cap, lambda c: c not in classes)
 
 
 # -- logical relabeling ---------------------------------------------------------

@@ -35,6 +35,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, chain
 
 from .errors import QTError
@@ -152,6 +153,13 @@ class _Layout:
         self.shift = r * k + w * k + r * w  # past A2, E and C1
 
 
+@lru_cache(maxsize=16)
+def _layouts(n: int, k: int) -> tuple[_Layout, ...]:
+    """The `_Layout` of each r = 0..n - k, built once per (n, k) and never
+    changed."""
+    return tuple(_Layout(n, k, r) for r in range(n - k + 1))
+
+
 def _labels(layout: _Layout, value: int, detect: bool = False) -> list[int] | None:
     """The label table of candidate `value`, as `stabilizer.label_table` gives
     it for (generators, Z̄, X̄) in the closed-form basis: X_q at q, Z_q at
@@ -216,7 +224,7 @@ def _draw(n: int, k: int, rng: random.Random) -> tuple[int, int]:
 
 def sample_generators(n: int, k: int, rng: random.Random) -> list[PauliOp]:
     r, value = _draw(n, k, rng)
-    return _ops(n, _rows(n, k, _labels(_Layout(n, k, r), value))[0])
+    return _ops(n, _rows(n, k, _labels(_layouts(n, k)[r], value))[0])
 
 
 def _candidates(spec: SearchSpec, start_index: int):
@@ -250,7 +258,7 @@ def run_search(spec: SearchSpec, start_index: int = 0, progress=None) -> SearchO
     if start_index < 0:
         raise ValueError(f"start_index must be >= 0, got {start_index}")
     n, k = spec.n, spec.k
-    layouts = [_Layout(n, k, r) for r in range(n - k + 1)]
+    layouts = _layouts(n, k)
     outcome = SearchOutcome(next_index=start_index)
     errors = ErrorBall(n, spec.error_weight)
     stride = 1 if spec.mode == "exhaustive" else 0  # random draws leave the index put

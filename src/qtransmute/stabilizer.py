@@ -22,8 +22,7 @@ _PURE_LETTERS = {None: ("X", "Y", "Z"), "x": ("X",), "z": ("Z",)}
 
 def class_bits_to_string(k: int, bits: int) -> str:
     """Render class bits as a logical Pauli string over k qubits."""
-    return "".join("IXZY"[((bits >> i) & 1) + 2 * ((bits >> (k + i)) & 1)]
-                   for i in range(k))
+    return render(PauliOp(k, bits & ((1 << k) - 1), bits >> k))
 
 
 def class_bits_from_string(s: str, k: int, *, line: int | None = None) -> int:
@@ -449,23 +448,23 @@ def min_weight_in_class(
                          "so no distance")
     if target is not None and not 0 <= target < 1 << (2 * code.k):
         raise ValueError(f"class bits {target} exceed 2k = {2 * code.k}")
-    found = ((lambda x, z: not code.in_stabilizer_bits(x, z)) if target is None
-             else (lambda x, z: code.class_bits(x, z) == target))
-    return _min_weight(scan_zero_syndrome, code, cap, found, pure)
+    accept = (lambda c: c != 0) if target is None else (lambda c: c == target)
+    return _min_weight(scan_zero_syndrome, code, cap, accept, pure)
 
 
-def _min_weight(scan, code: StabilizerCode, cap: int, found,
+def _min_weight(scan, code: StabilizerCode, cap: int, accept,
                 pure: str | None = None) -> DistanceResult:
-    """Least weight w <= min(cap, n) of a zero-syndrome Pauli that
-    found(x, z) accepts, the identity (w = 0) included; cap + 1, not exact,
-    when there is none. Each caller passes the `scan_zero_syndrome` that its
-    own module names, so replacing that name, as the benchmark's
+    """Least weight w <= min(cap, n) of a zero-syndrome Pauli whose class c
+    accept(c) accepts (class 0 is S's, the identity's at w = 0); cap + 1, not
+    exact, when there is none. Each caller passes the `scan_zero_syndrome`
+    that its own module names, so replacing that name, as the benchmark's
     truncated-scan check does in `qet`, reaches the caller's scans."""
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     cap = min(cap, code.n)
-    if found(0, 0):
+    if accept(0):
         return DistanceResult(0, True, cap)
+    found = lambda x, z: accept(code.class_bits(x, z))
     for w in range(1, cap + 1):
         if scan(code, w, found, pure):
             return DistanceResult(w, True, cap)

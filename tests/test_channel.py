@@ -1,8 +1,10 @@
+import functools
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate
 from pathlib import Path
@@ -12,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtransmute import catalog, channel
+from qtransmute import catalog, channel, pauli
 from qtransmute.channel import (DepolarizingChannel, ExplicitChannel, TrialReport,
                                 class_distribution, run_trials, uniform_single_error_channel)
 from qtransmute.errors import DimensionMismatch
-from qtransmute.pauli import ErrorBall, PauliOp, errors_up_to_weight, parse_pauli, support_code
-from qtransmute.qet import (AdmissibleSet, PiMaps, RecoveryTable, build_recovery,
+from qtransmute.pauli import (ErrorBall, PauliOp, errors_up_to_weight, parse_pauli, support_code,
+                              support_weight)
+from qtransmute.qet import (AdmissibleSet, PiMaps, RecoveryTable, _member_fields, build_recovery,
                             check_general_qet)
 from qtransmute.search import sample_generators
 from qtransmute.stabilizer import standard_form
@@ -543,6 +546,124 @@ def test_grouped_spread_matches_per_error_spread(n, k, w, density, seed, data):
     for model in (data.draw(explicit_channels(n, w)),
                   weighted_channel(n, errors_up_to_weight(n, min(w + 1, n)), rng)):
         assert class_distribution(code, table, model) == per_error_distribution(code, table, model)
+
+
+# -- per-member depolarizing sums ------------------------------------------------------
+#
+# Copied from class_distribution's depolarizing sum as it was when each kept
+# member's mass was listed on its own, before the members were tallied.
+
+
+def per_member_distribution(code, table, model):
+    n, k, p = model.n, code.k, model.p
+    by_weight = [(p / 3) ** w * (1.0 - p) ** (n - w) for w in range(n + 1)]
+    support, entries = table.support, table.entries
+    if isinstance(support, ErrorBall):
+        rest = [math.comb(n, j) * p ** j * (1.0 - p) ** (n - j) for j in range(support.w + 1)]
+    else:
+        rest = [by_weight[(x | z).bit_count()] for x, z in support]
+    uncovered = 0.0 if len(support) == 4 ** n else max(0.0, 1.0 - math.fsum(rest))
+    r, mask, class_mask = _member_fields(n, k)
+    shared, terms = {}, {}
+    for m in entries.members:
+        syn, diff, weight = m & mask, m >> r & class_mask, support_weight(n, m >> (n + k))
+        diffs = shared.get(syn)
+        if diffs is None:
+            rx, rz = entries[syn].reference
+            diffs = shared[syn] = {0: [by_weight[(rx | rz).bit_count()]]}
+        diffs.setdefault(diff, []).append(by_weight[weight])
+
+    def spread(mass, options, base):
+        share = mass * (1.0 / len(options))
+        for o in options:
+            terms.setdefault(o ^ base, []).append(share)
+    for syn, diffs in shared.items():
+        for diff, masses in diffs.items():
+            rest += [-m for m in masses]
+            spread(math.fsum(masses), entries[syn].options, diff)
+    if len(shared) < len(entries):
+        spread(math.fsum(rest), entries.every, 0)
+    dist = {c: math.fsum(masses) for c, masses in terms.items()}
+    return {c: v for c, v in dist.items() if v > 0.0}, uncovered
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_table(name, w, lift_share):
+    """(code, recovery table) of a catalog code's ball of radius w; with
+    `lift_share`, `colliding` may find any share of the ball, so a CSS ball
+    leaves out its lone errors. A toric code takes the every-class set: its
+    own set fails at w = 2."""
+    cc = catalog.resolve(name)
+    adm = AdmissibleSet.full(cc.code.k) if name.startswith("toric") else cc.admissible
+    share = pauli._DENSE_SHARE
+    pauli._DENSE_SHARE = float("inf") if lift_share else share
+    try:
+        verdict = check_general_qet(cc.code, adm, ErrorBall(cc.code.n, w))
+    finally:
+        pauli._DENSE_SHARE = share
+    return cc.code, build_recovery(verdict)
+
+
+# rep:n passes up to w = (n - 1) // 2, which is n // 2 for odd n
+CATALOG_BALLS = ([(f"rep:{n}", w, False) for n in range(3, 12) for w in range(1, (n + 1) // 2)]
+                 + [("toric:4", 2, True), ("toric:3", 2, False), ("css17", 2, False)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(ball=st.sampled_from(CATALOG_BALLS),
+       p=st.one_of(st.sampled_from([0.0, 1e-320, 0.5, 1.0]), st.floats(0.0, 1.0)))
+def test_depolarizing_sum_matches_per_member_reference_on_catalog_balls(ball, p):
+    # dense rep:n balls, whose members are most of the ball; toric:4 at
+    # w = 2 leaves its lone errors out; on toric:3 and css17 too many
+    # weight-2 errors collide, so the whole ball is walked. Every float is
+    # compared with ==.
+    code, table = catalog_table(*ball)
+    assert (table.entries._lone is not None) == ball[2]
+    model = DepolarizingChannel(code.n, p)
+    assert class_distribution(code, table, model) == per_member_distribution(code, table, model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 6), k=st.integers(1, 3), w=st.integers(1, 3), group=st.booleans(),
+       ball=st.booleans(), p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_depolarizing_sum_matches_per_member_reference(n, k, w, group, ball, p, seed):
+    # random codes, mostly not CSS, so each ball is walked whole; a shuffled
+    # list support takes the uncovered mass from its errors' weights
+    k, w = min(k, n - 1), min(w, n)
+    rng = random.Random(seed)
+    code = standard_form(sample_generators(n, k, rng))
+    classes = {0}
+    for c in range(1, 1 << (2 * k)):
+        if rng.random() < 0.5:
+            classes |= {a ^ c for a in classes} if group else {c}
+    adm = AdmissibleSet(k, frozenset(classes))
+    everything = list(ErrorBall(n, w))
+    support = ErrorBall(n, w) if ball else rng.sample(everything, rng.randint(1, len(everything)))
+    verdict = check_general_qet(code, adm, support)
+    if not verdict.passed:  # one error per syndrome always passes
+        support = list({code.syndrome_bits(x, z): (x, z) for x, z in everything}.values())
+        verdict = check_general_qet(code, adm, support)
+    table = build_recovery(verdict)
+    model = DepolarizingChannel(n, p)
+    assert class_distribution(code, table, model) == per_member_distribution(code, table, model)
+
+
+def test_rep9_distribution_holds_no_float_per_member():
+    # The w <= 4 ball keeps 12,570 members; listing two floats for each
+    # peaked at 628 KB. The tally by (syndrome, class difference, weight)
+    # has 871 keys.
+    code, table = catalog_table("rep:9", 4, False)
+    assert len(table.entries.members) == 12_570
+    assert len(table.entries.member_tally()) == 871
+    model = DepolarizingChannel(9, 0.01)
+    tracemalloc.start()
+    try:
+        class_distribution(code, table, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 250 * 1024, peak
 
 
 @pytest.mark.parametrize("name,model", [

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtransmute import catalog, pauli, qet
+from qtransmute.classical import is_css
 from qtransmute.errors import DimensionMismatch
 from qtransmute.f2 import F2Span, fold, symplectic
 from qtransmute.pauli import (ErrorBall, PauliOp, enumerate_paulis, errors_up_to_weight,
@@ -989,6 +990,28 @@ def random_css_code(rng, n, k, kinds):
             xs.append(v)
     gens = [PauliOp(n, x=v) for v in xs] + [PauliOp(n, z=v) for v in zs]
     return StabilizerCode(gens, *complete_logical_basis(gens))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 8), k=st.integers(0, 2), kinds=st.sampled_from(["x", "z", "both"]),
+       mix=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_is_css_matches_the_generator_test(n, k, kinds, mix, seed):
+    # A random CSS code; with `mix`, one generator times one of the other
+    # type, the same group under one mixed generator. Then a random code,
+    # which is seldom CSS.
+    assume(k < n)
+    rng = random.Random(seed)
+    code = random_css_code(rng, n, k, kinds)
+    gens = list(code.generators)
+    xs, zs = [g for g in gens if g.x], [g for g in gens if g.z]
+    if mix and xs and zs:
+        a, b = rng.choice(xs), rng.choice(zs)
+        gens[gens.index(a)] = PauliOp(n, a.x ^ b.x, a.z ^ b.z)
+        code = StabilizerCode(gens, code.logical_x, code.logical_z)
+        assert validate_code(code).ok
+    codes = [code, random_code(rng, n, k)] if k else [code]
+    for c in codes:
+        assert is_css(c) == all(g.x == 0 or g.z == 0 for g in c.generators)
 
 
 @settings(max_examples=120, deadline=None)

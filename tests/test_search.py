@@ -10,7 +10,7 @@ from qtransmute.pauli import (ErrorBall, PauliOp, enumerate_paulis, errors_up_to
                               symplectic_product)
 from qtransmute.qet import AdmissibleSet, check_general_qet, relabel_search
 from qtransmute.search import (SearchOutcome, SearchSpec, _candidates, _free_bits, _labels,
-                               _Layout, _relabels, _rows, read_checkpoint, run_search,
+                               _Layout, _layouts, _relabels, _rows, read_checkpoint, run_search,
                                sample_generators, write_checkpoint)
 from qtransmute.stabilizer import (StabilizerCode, complete_logical_basis, label_table,
                                    validate_code)
@@ -94,6 +94,27 @@ def test_replay_determinism():
     assert a.examined == b.examined
     assert [(c.generators, v.passed) for c, v in a.found] \
         == [(c.generators, v.passed) for c, v in b.found]
+
+
+def test_layouts_are_built_once_per_shape_and_left_unchanged():
+    # Two searches share one tuple of layouts, whose fields stay those of a
+    # freshly built layout, and find what a search with new layouts finds.
+    spec = SearchSpec(n=6, k=2, pattern=BOTH_PHASES, mode="random",
+                      seed=20, budget=1000, limit=2)
+    _layouts.cache_clear()
+    first = run_search(spec)
+    layouts = _layouts(6, 2)
+    second = run_search(spec)
+    assert _layouts(6, 2) is layouts
+    assert len(first.found) == 2
+    assert [layout.r for layout in layouts] == [0, 1, 2, 3, 4]
+    for layout in layouts:
+        fresh = _Layout(6, 2, layout.r)
+        assert all(getattr(layout, name) == getattr(fresh, name) for name in _Layout.__slots__)
+    assert [(c.generators, c.logical_x, c.logical_z) for c, _ in first.found] \
+        == [(c.generators, c.logical_x, c.logical_z) for c, _ in second.found]
+    assert ((first.examined, first.detection_passed, first.next_index, first.exhausted)
+            == (second.examined, second.detection_passed, second.next_index, second.exhausted))
 
 
 def test_budget_exhaustion_returns_statistics():

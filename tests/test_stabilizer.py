@@ -18,8 +18,8 @@ from qtransmute.qet import deff_lower_bound
 from qtransmute.search import sample_generators
 from qtransmute.transforms import concatenate
 from qtransmute.stabilizer import (_PURE_LETTERS, StabilizerCode, _sym_vec, _unpack,
-                                   code_distance, complete_logical_basis, dumps,
-                                   loads, min_weight_in_class, scan_zero_syndrome,
+                                   class_bits_to_string, code_distance, complete_logical_basis,
+                                   dumps, loads, min_weight_in_class, scan_zero_syndrome,
                                    standard_form, validate_code)
 
 
@@ -34,6 +34,18 @@ def stabilizer_elements(code):
     for g in code.generators:
         elems |= {(x ^ g.x, z ^ g.z) for (x, z) in elems}
     return elems
+
+
+def per_letter_class_string(k, bits):
+    """class_bits_to_string as it was: one letter per logical qubit."""
+    return "".join("IXZY"[((bits >> i) & 1) + 2 * ((bits >> (k + i)) & 1)] for i in range(k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(0, 130), data=st.data())
+def test_class_bits_render_as_the_per_letter_reference(k, data):
+    bits = data.draw(st.integers(0, (1 << 2 * k) - 1))
+    assert class_bits_to_string(k, bits) == per_letter_class_string(k, bits)
 
 
 def test_table_codes_validate(table1, table2):
