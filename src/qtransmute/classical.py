@@ -11,7 +11,7 @@ from functools import reduce
 from operator import or_
 
 from .errors import CodeConstructionError, ParseError
-from .f2 import BitMatrix, kernel_basis, parity, rref
+from .f2 import BitMatrix, kernel_basis, parity
 from .pauli import PauliOp
 from .stabilizer import (DistanceResult, StabilizerCode, complete_logical_basis,
                          min_weight_in_class)
@@ -35,9 +35,6 @@ class Poly2:
 
     def is_zero(self) -> bool:
         return self.bits == 0
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        return Poly2(self.bits ^ other.bits)
 
     def __mul__(self, other: "Poly2") -> "Poly2":
         a, b, out = self.bits, other.bits, 0
@@ -114,14 +111,10 @@ class LinearCode:
     @classmethod
     def from_generator_rows(cls, n: int, rows) -> "LinearCode":
         rows = tuple(rows)
-        gmat = BitMatrix(rows, n)
-        if rref(gmat).rank < len(rows):
+        pc = kernel_basis(BitMatrix(rows, n)).rows
+        if n - len(pc) < len(rows):  # the rank is n less the kernel's dimension
             raise CodeConstructionError("generator rows are dependent")
-        pc = kernel_basis(gmat).rows
-        return cls(n, rows, tuple(pc))
-
-    def contains(self, word: int) -> bool:
-        return all(parity(row & word) == 0 for row in self.parity_check)
+        return cls(n, rows, pc)
 
 
 def cyclic_code(n: int, g: Poly2) -> LinearCode:

@@ -82,20 +82,12 @@ class RrefResult:
 def rref(m: BitMatrix) -> RrefResult:
     """Reduced row-echelon form over GF(2); preserves the row space.
 
-    Each row is reduced by lowest set bit against the rows kept so far, as
-    `F2Span` does, and kept when it does not vanish. Back-substitution, from
-    the highest pivot down, then clears every other pivot bit of each kept
-    row: its higher pivots' rows are final by then and hold no other pivot
-    bit. The RREF of a matrix is unique, so this is the column-by-column
+    The rows' `F2Span` keeps one row per lowest set bit. Back-substitution,
+    from the highest pivot down, then clears every other pivot bit of each
+    kept row: its higher pivots' rows are final by then and hold no other
+    pivot bit. The RREF of a matrix is unique, so this is the column-by-column
     elimination's result."""
-    by_pivot: dict[int, int] = {}
-    for v in m.rows:
-        while v:
-            row = by_pivot.get(v & -v)
-            if row is None:
-                by_pivot[v & -v] = v
-                break
-            v ^= row
+    by_pivot = F2Span(m.rows)._by_pivot
     pivot_bits = sorted(by_pivot)
     all_pivots = sum(pivot_bits)
     for p in reversed(pivot_bits):

@@ -410,40 +410,38 @@ _MAX_SHAPES = 1024  # fit masks one orbit keeps before it drops them all
 
 class _Orbit:
     """One pattern's orbit, found lazily in `_breadth_first_orbit` order: the
-    images and transforms found so far, and per class-difference set S (0
-    included, kept as a bitmask with bit d set for each d in S) a fit mask
-    over them, whose bit i is set iff some o in image i has o ^ S inside image
-    i. A bucket with difference set S keeps a reference image exactly when
-    such an o exists, so an image passes iff its bit is set in the mask of
-    every bucket's S."""
+    transforms found so far, per class a bitmask of the images that hold it,
+    and per class-difference set S (0 included, kept as a bitmask with bit d
+    set for each d in S) a fit mask over the images, whose bit i is set iff
+    some o in image i has o ^ S inside image i. A bucket with difference set S
+    keeps a reference image exactly when such an o exists, so an image passes
+    iff its bit is set in the mask of every bucket's S."""
 
-    __slots__ = ("_rest", "images", "transforms", "_holding", "_masks")
+    __slots__ = ("_rest", "transforms", "_holding", "_masks")
 
     def __init__(self, k: int, classes: frozenset[int]):
         self._rest = _breadth_first_orbit(k, classes)
-        self.images: list[frozenset[int]] = []
         self.transforms: list[tuple[int, ...]] = []
         self._holding = [0] * (1 << 2 * k)  # class c -> bit i set iff image i holds c
         self._masks: dict[int, tuple[int, int]] = {}  # S -> (mask, images covered)
 
     def grow(self, count: int) -> bool:
         """Find up to `count` more images; False iff the orbit was already whole."""
-        found = len(self.images)
+        found = len(self.transforms)
         try:
             for image, cols in islice(self._rest, count):
-                bit = 1 << len(self.images)
+                bit = 1 << len(self.transforms)
                 for c in image:
                     self._holding[c] |= bit
-                self.images.append(image)
                 self.transforms.append(cols)
         except (Exception, KeyboardInterrupt):
             _orbit.cache_clear()  # a dead generator would replay a truncated orbit
             raise
-        return len(self.images) > found
+        return len(self.transforms) > found
 
     def _fit_mask(self, shape: int) -> int:
         mask, covered = self._masks.get(shape, (0, 0))
-        if covered < len(self.images):
+        if covered < len(self.transforms):
             # the images holding o ^ S are those holding every o ^ d, d in S
             holding = self._holding
             diffs = [d for d in range(1, shape.bit_length()) if shape >> d & 1]
@@ -454,22 +452,22 @@ class _Orbit:
                 mask |= fits
             if len(self._masks) >= _MAX_SHAPES:
                 self._masks.clear()
-            self._masks[shape] = mask, len(self.images)
+            self._masks[shape] = mask, len(self.transforms)
         return mask
 
-    def first_fit(self, shapes: Collection[int]) -> int | None:
-        """Index of the first image that every shape fits, or None. The images
-        found so far are tried first; the orbit is doubled only while none of
-        them fits."""
+    def first_fit(self, shapes: Collection[int]) -> tuple[int, ...] | None:
+        """Transform of the first image that every shape fits, or None. The
+        images found so far are tried first; the orbit is doubled only while
+        none of them fits."""
         while True:
-            fits = (1 << len(self.images)) - 1
+            fits = (1 << len(self.transforms)) - 1
             for shape in shapes:
                 fits &= self._fit_mask(shape)
                 if not fits:
                     break
             if fits:
-                return (fits & -fits).bit_length() - 1
-            if not self.grow(max(1, len(self.images))):
+                return self.transforms[(fits & -fits).bit_length() - 1]
+            if not self.grow(max(1, len(self.transforms))):
                 return None
 
 
@@ -477,16 +475,6 @@ class _Orbit:
 def _orbit(k: int, classes: frozenset[int]) -> _Orbit:
     """The orbit of (k, classes), kept with its fit masks for later calls."""
     return _Orbit(k, classes)
-
-
-def _pattern_images(k: int, classes: frozenset[int]):
-    """(image, transform) pairs in `_breadth_first_orbit` order. Replays the
-    images found by earlier calls and extends the search only as far as the
-    caller reads."""
-    orbit, i = _orbit(k, classes), 0
-    while i < len(orbit.images) or orbit.grow(1):
-        yield orbit.images[i], orbit.transforms[i]
-        i += 1
 
 
 def _shapes(n: int, k: int, labelled) -> set[int]:
@@ -504,9 +492,9 @@ def _shapes(n: int, k: int, labelled) -> set[int]:
     return set(diffs.values())
 
 
-def first_relabeling(n: int, k: int, pattern: AdmissibleSet, labelled) -> int | None:
-    """Index, in `_breadth_first_orbit` order, of the first image of `pattern`
-    under which errors of an [n, k] code pass the general check, or None.
+def first_relabeling(n: int, k: int, pattern: AdmissibleSet, labelled) -> tuple[int, ...] | None:
+    """Transform of the first image of `pattern`, in `_breadth_first_orbit`
+    order, under which errors of an [n, k] code pass the general check, or None.
     `labelled` holds each error as `_labelled` yields it: its label syndrome |
     class << (n - k), with any bits from n + k up ignored. So a caller that
     holds only a label table decides relabeling with no code built."""
@@ -517,9 +505,9 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
                    ) -> tuple[StabilizerCode, Verdict] | None:
     """Search logical relabelings for one under which the pattern passes.
 
-    For k <= 3, takes the first image of the pattern under Sp(2k,2), in
-    `_pattern_images` order, under which the pattern passes
-    (`first_relabeling`), and relabels with the transform stored for it.
+    For k <= 3, relabels with the transform of the first image of the
+    pattern under Sp(2k,2), in `_breadth_first_orbit` order, under which the
+    pattern passes (`first_relabeling`).
     Returns the relabeled code and its verdict, or None.
     """
     _check_k(code, pattern)
@@ -527,10 +515,9 @@ def relabel_search(code: StabilizerCode, pattern: AdmissibleSet, errors,
         raise ValueError(f"relabeling is limited to k <= 3, code has k={code.k}")
 
     checked, labelled = _labelled(code, errors)
-    first = first_relabeling(code.n, code.k, pattern, labelled)
-    if first is None:
+    cols = first_relabeling(code.n, code.k, pattern, labelled)
+    if cols is None:
         return None
-    cols = _orbit(code.k, pattern.classes).transforms[first]
     new_x = [code.class_representative(cols[i]) for i in range(code.k)]
     new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]
     candidate = code.with_logicals(new_x, new_z)

@@ -9,13 +9,18 @@ from qtransmute.classical import (LinearCode, Poly2, _capped_distance,
                                   css_build, cyclic_code, dual, qr17_code,
                                   subcode_from_rows, x_power_minus_one)
 from qtransmute.errors import CodeConstructionError
-from qtransmute.f2 import fold
+from qtransmute.f2 import fold, parity
 from qtransmute.lattice import toric_code
 from qtransmute.stabilizer import validate_code
 
 
 def codeword_set(code):
     return {fold(code.generator, m) for m in range(1 << code.k)}
+
+
+def contains(code, word):
+    """Whether `word` is a codeword: it passes every parity check."""
+    return all(parity(row & word) == 0 for row in code.parity_check)
 
 
 def test_poly_parse_render_round_trip():
@@ -66,7 +71,7 @@ def test_cyclic_shift_closure():
     for m in range(0, 1 << qr.k, 37):
         w = fold(qr.generator, m)
         shifted = ((w << 1) | (w >> (n - 1))) & mask
-        assert qr.contains(shifted)
+        assert contains(qr, shifted)
 
 
 def test_dual_involution():
@@ -143,6 +148,28 @@ def test_capped_scan_matches_gray_walk(code):
     assert (scanned.value, scanned.exact) == (walked.value, walked.exact)
 
 
+@given(n=st.integers(1, 8), rows=st.lists(st.integers(0, 255), min_size=1, max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_generator_rows_are_refused_iff_dependent(n, rows):
+    # independent rows get n - rank independent parity checks, each
+    # orthogonal to every row; dependent rows are refused
+    rows = [row & ((1 << n) - 1) for row in rows]
+    span = {0}
+    for row in rows:
+        span |= {v ^ row for v in span}
+    rank = len(span).bit_length() - 1
+    if rank < len(rows):
+        with pytest.raises(CodeConstructionError):
+            LinearCode.from_generator_rows(n, rows)
+        return
+    code = LinearCode.from_generator_rows(n, rows)
+    checks = {0}
+    for row in code.parity_check:
+        checks |= {v ^ row for v in checks}
+    assert len(code.parity_check) == n - rank and len(checks) == 1 << (n - rank)
+    assert all(contains(code, row) for row in rows)
+
+
 def test_repetition_distance():
     rep = LinearCode.from_generator_rows(3, (0b111,))
     assert classical_distance(rep, 3).value == 3
@@ -153,8 +180,8 @@ def test_css17_pair_properties():
     assert (c2.n, c2.k) == (17, 10)
     assert classical_distance(c2, 17).value == 3
     # mutual dual containment
-    assert all(c2.contains(row) for row in dual(qr).generator)
-    assert all(qr.contains(row) for row in dual(c2).generator)
+    assert all(contains(c2, row) for row in dual(qr).generator)
+    assert all(contains(qr, row) for row in dual(c2).generator)
 
 
 def test_css_build_17():
@@ -170,7 +197,7 @@ def test_css_build_17():
 def test_css_self_dual_containing():
     # Hamming [7,4] contains its dual: the Steane-style construction
     hamming = cyclic_code(7, Poly2.parse("1+x+x^3"))
-    assert all(hamming.contains(row) for row in hamming.parity_check)
+    assert all(contains(hamming, row) for row in hamming.parity_check)
     css = css_build(hamming, hamming)
     assert (css.n, css.k) == (7, 1)
     assert validate_code(css).ok

@@ -6,9 +6,13 @@
   API, and each question is asked one way, from the module that answers it.
 - Every public function and method in src/ has a caller in src/ or in
   perfbench/, or is on `UNCALLED` with the reason it stays.
+- Every public method name that another src/ class or a module function
+  also defines is on `SHARED_METHOD_NAMES` with the reason it stays: the
+  caller gate matches a method by its bare name, so one caller counts for
+  every definition of that name, and each has to be checked by hand.
 """
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,6 +25,16 @@ UNCALLED = {
     "AdmissibleSet.full": "the every-class admissible set, counterpart of trivial()",
     "lattice.dumps_cell": "writer of the unit-cell format that loads_cell reads",
     "report.parse": "tests read `--report` files back with it",
+}
+
+# Public method names defined more than once in src/, with the reason each
+# stays; every definition has a caller of its own (checked by hand).
+SHARED_METHOD_NAMES = {
+    "parse": "Poly2, LPoly and LaurentVec each read their own text form (cli, lattice); "
+             "report.parse is on UNCALLED",
+    "is_zero": "Poly2 (cyclic_code, divides) and LPoly (the lattice reductions) "
+                "each test their own zero",
+    "render": "pauli.render writes an operator, TrialReport.render cli simulate's report",
 }
 
 
@@ -156,3 +170,35 @@ def test_callers_are_matched_by_module():
 def test_every_public_definition_has_a_caller():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert uncalled(sources, perfbench_names()) == sorted(UNCALLED)
+
+
+def shared_method_names(sources: dict[str, str]) -> list[str]:
+    """Public method names in `sources` (module name -> source) that another
+    class, or a module function, also defines."""
+    owners = defaultdict(set)
+    methods = set()
+    for module, source in sources.items():
+        for qual, _ in public_definitions(module, ast.parse(source)):
+            owner, name = qual.split(".")
+            owners[name].add(qual)
+            if owner != module:
+                methods.add(name)
+    return sorted(name for name in methods if len(owners[name]) > 1)
+
+
+def test_shared_method_scanner():
+    # two module functions of one name are told apart by module; a method
+    # is not, whether the other definition is a method or a function
+    sources = {"report": "def parse(text):\n    return text\n",
+               "poly": "class Poly:\n    def parse(self):\n        return self\n"
+                       "    def degree(self):\n        return 0\n",
+               "f2": "class Span:\n    def contains(self, v):\n        return v\n",
+               "codes": "class Code:\n    def contains(self, v):\n        return v\n"
+                        "def degree_of(p):\n    return 0\n",
+               "lattice": "def degree_of(p):\n    return 1\n"}
+    assert shared_method_names(sources) == ["contains", "parse"]
+
+
+def test_shared_method_names_are_pinned():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert shared_method_names(sources) == sorted(SHARED_METHOD_NAMES)

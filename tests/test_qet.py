@@ -13,7 +13,7 @@ from qtransmute.errors import DimensionMismatch
 from qtransmute.f2 import F2Span, fold, symplectic
 from qtransmute.pauli import (ErrorBall, PauliOp, enumerate_paulis, errors_up_to_weight,
                               parse_pauli, render, support_weight, support_xz)
-from qtransmute.qet import (AdmissibleSet, PiBucket, Verdict, _pattern_images,
+from qtransmute.qet import (AdmissibleSet, PiBucket, Verdict, _breadth_first_orbit,
                             build_recovery, check_general_qet, check_group_qet,
                             deff_lower_bound, effective_distance,
                             relabel_search, strong_conditions_hold,
@@ -65,6 +65,12 @@ def as_ops(n, errors):
 
 def image_of(cols, pattern):
     return frozenset(fold(cols, c) for c in pattern.classes)
+
+
+def grow_whole(orbit):
+    """Find the rest of a cached orbit."""
+    while orbit.grow(4096):
+        pass
 
 
 def brute_force_qec_ok(code, errors):
@@ -384,8 +390,8 @@ def test_relabel_search_returns_first_passing_transform(n, k, group, seed):
     exists = any(passes(cols) for cols in symplectic_transforms(k))
     qet._orbit.cache_clear()
     hit = relabel_search(code, adm, errs)  # from a fresh orbit, found as far as it needs
-    first = next((cols for _, cols in _pattern_images(k, adm.classes) if passes(cols)), None)
-    list(_pattern_images(k, adm.classes))  # find the whole orbit
+    first = next((cols for _, cols in _breadth_first_orbit(k, adm.classes) if passes(cols)), None)
+    grow_whole(qet._orbit(k, adm.classes))  # find the whole orbit
     again = relabel_search(code, adm, errs)  # with every image known
     assert (hit is not None) == exists == (first is not None) == (again is not None)
     if hit is not None:
@@ -537,7 +543,7 @@ def test_relabel_search_table2(table2):
 def test_pattern_images_are_the_orbit(k, group, seed):
     pattern = spread_admissible(random.Random(seed), k, group)
     transforms = set(symplectic_transforms(k))
-    images = list(_pattern_images(k, pattern.classes))
+    images = list(_breadth_first_orbit(k, pattern.classes))
     got = [image for image, _ in images]
     assert len(set(got)) == len(got)
     for image, cols in images:
@@ -551,7 +557,48 @@ def test_pattern_image_counts():
                              (2, AdmissibleSet.full(2), 1), (3, PHASES3, 3780),
                              (3, AdmissibleSet.group_generated(3, ["ZII", "IZI"]), 315),
                              (3, AdmissibleSet.full(3), 1)):
-        assert sum(1 for _ in _pattern_images(k, pattern.classes)) == size
+        assert sum(1 for _ in _breadth_first_orbit(k, pattern.classes)) == size
+        orbit = qet._orbit(k, pattern.classes)
+        grow_whole(orbit)
+        assert len(orbit.transforms) == size
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 2), group=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_orbit_cache_grows_in_breadth_first_order(k, group, seed):
+    # grown in steps of any size, the cache keeps the definitional orbit's
+    # transforms in order, and per class the images that hold it
+    rng = random.Random(seed)
+    pattern = spread_admissible(rng, k, group)
+    qet._orbit.cache_clear()
+    orbit = qet._orbit(k, pattern.classes)
+    while orbit.grow(rng.randrange(1, 8)):
+        pass
+    want = list(_breadth_first_orbit(k, pattern.classes))
+    assert orbit.transforms == [cols for _, cols in want]
+    for c, holding in enumerate(orbit._holding):
+        assert holding == sum(1 << i for i, (image, _) in enumerate(want) if c in image)
+
+
+@settings(max_examples=60, deadline=None)
+@random_instances
+def test_first_relabeling_is_the_first_fitting_orbit_transform(n, k, group, seed):
+    # brute force over the orbit: an image fits a difference set S when some
+    # o in it has o ^ d in it for every d in S; the first image every bucket's
+    # S fits names the transform, from a fresh orbit and from a whole one
+    assume(k < n)
+    rng = random.Random(seed)
+    code = random_code(rng, n, k)
+    pattern = spread_admissible(rng, k, group)
+    labelled = list(qet._labelled(code, shuffled_errors(rng, n, rng.randrange(1, 3)))[1])
+    shapes = [[d for d in range(1 << 2 * k) if s >> d & 1] for s in qet._shapes(n, k, labelled)]
+    want = next((cols for image, cols in _breadth_first_orbit(k, pattern.classes)
+                 if all(any(all(o ^ d in image for d in diffs) for o in image)
+                        for diffs in shapes)), None)
+    qet._orbit.cache_clear()
+    assert qet.first_relabeling(n, k, pattern, labelled) == want
+    grow_whole(qet._orbit(k, pattern.classes))
+    assert qet.first_relabeling(n, k, pattern, labelled) == want
 
 
 def test_relabel_search_k3_stops_at_the_first_passing_transform(monkeypatch):
@@ -584,9 +631,12 @@ def test_an_interrupted_orbit_search_starts_again(monkeypatch):
     qet._orbit.cache_clear()
     monkeypatch.setattr(qet, "symplectic", interrupt)
     with pytest.raises(KeyboardInterrupt):
-        next(_pattern_images(2, BOTH_PHASES.classes))
+        qet._orbit(2, BOTH_PHASES.classes).grow(1)
     monkeypatch.undo()
-    assert sum(1 for _ in _pattern_images(2, BOTH_PHASES.classes)) == 45
+    orbit = qet._orbit(2, BOTH_PHASES.classes)
+    grow_whole(orbit)
+    assert orbit.transforms == [cols for _, cols in _breadth_first_orbit(2, BOTH_PHASES.classes)]
+    assert len(orbit.transforms) == 45
 
 
 @settings(max_examples=25, deadline=None)
@@ -604,7 +654,7 @@ def test_relabel_search_k3_finds_sampled_relabelings(n, kind, seed):
                "group": AdmissibleSet.group_generated(
                    3, [class_bits_to_string(3, c) for c in picks])}[kind]
     errs = rng.sample(errors_up_to_weight(n, 1), rng.randrange(1, 3 * n + 2))
-    orbit = {image for image, _ in _pattern_images(3, pattern.classes)}
+    orbit = {image for image, _ in _breadth_first_orbit(3, pattern.classes)}
     hit = relabel_search(code, pattern, errs)
     for _ in range(10):
         cols = tuple(1 << i for i in range(6))
@@ -749,7 +799,7 @@ def pauliop_relabel_search(code, pattern, errors):
         raise ValueError(f"relabeling is limited to k <= 3, code has k={code.k}")
     errs = pauliop_dedupe(code, errors)
     pairs = list(old_bucket_pairs(code, errs, {}))
-    for mapped, cols in _pattern_images(code.k, pattern.classes):
+    for mapped, cols in _breadth_first_orbit(code.k, pattern.classes):
         if per_pair_narrow(mapped, pairs, {}) is None:
             new_x = [code.class_representative(cols[i]) for i in range(code.k)]
             new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]
@@ -887,7 +937,7 @@ def per_pair_relabel_search(code, pattern, errors):
     qet._check_k(code, pattern)
     checked, labelled = qet._labelled(code, errors)
     pairs = list(decoded(code, qet._bucket_pairs(code.n, code.k, labelled, {})))
-    for mapped, cols in _pattern_images(code.k, pattern.classes):
+    for mapped, cols in _breadth_first_orbit(code.k, pattern.classes):
         if per_pair_narrow(mapped, pairs, {}) is None:
             candidate = relabeled(code, cols)
             return candidate, per_pair_check_general_qet(candidate, pattern, checked)
