@@ -369,6 +369,9 @@ def _cmd_simulate(args) -> int:
                 if p is None or not p >= 0:
                     raise ParseError(f"probability must be a number >= 0, got {parts[1]!r}",
                                      line=lineno)
+                if p > 1:
+                    raise ParseError(f"probability must be at most 1, got {parts[1]!r}",
+                                     line=lineno)
                 err = parse_pauli(parts[0], line=lineno)
                 if err.n != code.n:
                     raise ParseError(f"channel error has {err.n} letters, expected {code.n}",

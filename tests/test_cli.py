@@ -730,7 +730,7 @@ def test_bad_inline_admissible_names_the_item(capsys, argv, message):
     assert message in err
 
 
-@pytest.mark.parametrize("value", ["nan", "-0.1", "x"])
+@pytest.mark.parametrize("value", ["nan", "-0.1", "x", "inf", "2"])
 def test_bad_channel_probability_names_the_line(tmp_path, capsys, value):
     channel = tmp_path / "bad.channel"
     channel.write_text(f"# weights\nXIIIIII 0.1\nZIIIIII {value}\n")
@@ -739,8 +739,8 @@ def test_bad_channel_probability_names_the_line(tmp_path, capsys, value):
                          "--threads", "1")
     assert code == 2
     assert out == ""
-    assert (f"parse error: probability must be a number >= 0, got {value!r} at line 3"
-            in err)
+    rule = "at most 1" if value in ("inf", "2") else "a number >= 0"
+    assert f"parse error: probability must be {rule}, got {value!r} at line 3" in err
 
 
 def test_channel_error_of_wrong_length_names_the_line(tmp_path, capsys):

@@ -10,6 +10,10 @@
   also defines is on `SHARED_METHOD_NAMES` with the reason it stays: the
   caller gate matches a method by its bare name, so one caller counts for
   every definition of that name, and each has to be checked by hand.
+- Every function under tests/ named like a copy of replaced code or a
+  reference (`COPY_PREFIXES`) is on `REFERENCES` with the concept it checks
+  and the reason it stays: one reference per concept, so a new copy is
+  added by hand.
 """
 import ast
 from collections import Counter, defaultdict
@@ -35,6 +39,68 @@ SHARED_METHOD_NAMES = {
     "is_zero": "Poly2 (cyclic_code, divides) and LPoly (the lattice reductions) "
                 "each test their own zero",
     "render": "pauli.render writes an operator, TrialReport.render cli simulate's report",
+}
+
+COPY_PREFIXES = ("parent_", "reference_", "brute_force_", "old_", "eager_", "pauliop_",
+                 "per_pair_", "walked_", "span_per_pair_", "per_error_", "per_member_")
+
+# Test functions named by COPY_PREFIXES, as test_module.function, with the
+# concept each checks and the reason it stays.
+REFERENCES = {
+    "test_channel.per_error_distribution": (
+        "class_distribution on an explicit channel",
+        "each listed error spread on its own, before errors sharing an outcome were grouped"),
+    "test_channel.per_member_distribution": (
+        "class_distribution's depolarizing sum",
+        "each kept member's mass listed on its own, before the members were tallied"),
+    "test_channel.reference_run_chunk": (
+        "run_trials",
+        "a trial loop that shares no code with channel; agrees exactly where outcomes are forced"),
+    "test_channel.reference_sample_error": (
+        "run_trials' error draw",
+        "the per-trial draw of reference_run_chunk"),
+    "test_lattice.parent_compact_encoding": (
+        "lattice.compact_encoding",
+        "verbatim parent from before one filter kept the torus rows independent"),
+    "test_lattice.parent_instantiate_torus": (
+        "lattice.instantiate_torus",
+        "verbatim parent from before one filter kept the torus rows independent"),
+    "test_lattice.parent_toric_code": (
+        "lattice.toric_code",
+        "verbatim parent from before one filter kept the torus rows independent"),
+    "test_pauli.reference_walk": (
+        "ErrorBall's walk order",
+        "the enumeration support by support with itertools, before the walk"),
+    "test_qet.brute_force_effective_distance": (
+        "qet.effective_distance",
+        "the first ball weight on which brute_force_general fails"),
+    "test_qet.brute_force_general": (
+        "the general QET condition: check_general_qet's verdict, buckets and members",
+        "the definition over (x, z) errors from syndrome_bits and class_bits alone"),
+    "test_qet.brute_force_qec_ok": (
+        "the QEC case of the check (trivial admissible set)",
+        "tests pair products against the stabilizer span, not the class map"),
+    "test_qet.brute_force_relabeling": (
+        "qet.relabel_search and first_relabeling",
+        "the first orbit transform whose image brute_force_general passes"),
+    "test_search.reference_blocks": (
+        "the standard-form candidate's free blocks",
+        "read bit by bit, before the packed decode"),
+    "test_search.reference_candidates": (
+        "the sampler's (r, value) draws",
+        "drawn as the sampler draws them, as inputs to the decode references"),
+    "test_search.reference_decode": (
+        "the standard-form candidate's generators",
+        "block products with mul_bt, before the packed decode"),
+    "test_search.reference_logicals": (
+        "the standard-form candidate's logicals",
+        "the closed form from mul_bt products, before the packed decode"),
+    "test_stabilizer.parent_scan_zero_syndrome": (
+        "stabilizer.scan_zero_syndrome's visit order",
+        "verbatim parent from before the scan closed checks"),
+    "test_stabilizer.span_per_pair_completion": (
+        "stabilizer.complete_logical_basis, its operators and its messages",
+        "verbatim parent from before one span served every logical pair"),
 }
 
 
@@ -202,3 +268,29 @@ def test_shared_method_scanner():
 def test_shared_method_names_are_pinned():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert shared_method_names(sources) == sorted(SHARED_METHOD_NAMES)
+
+
+def copy_named(sources: dict[str, str]) -> list[str]:
+    """module.function of every function in `sources` (module name ->
+    source), at any depth, whose name less its leading underscores starts
+    with one of COPY_PREFIXES."""
+    return sorted(f"{module}.{node.name}" for module, source in sources.items()
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name.lstrip("_").startswith(COPY_PREFIXES))
+
+
+def test_copy_name_scanner():
+    # private, nested and method copies count; a test that names its
+    # reference, and a name that only contains a prefix, do not
+    sources = {"test_a": "def _old_walk():\n    pass\n"
+                         "def test_matches_old_walk():\n    def parent_step():\n        pass\n",
+               "test_b": "class Reader:\n    def reference_take(self):\n        pass\n"
+                         "def scan_parent_rows():\n    pass\n"}
+    assert copy_named(sources) == ["test_a._old_walk", "test_a.parent_step",
+                                   "test_b.reference_take"]
+
+
+def test_references_are_pinned():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))}
+    assert copy_named(sources) == sorted(REFERENCES)

@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from collections import namedtuple
 from itertools import combinations
 
 import pytest
@@ -11,9 +12,9 @@ from qtransmute import catalog, pauli, qet
 from qtransmute.classical import is_css
 from qtransmute.errors import DimensionMismatch
 from qtransmute.f2 import F2Span, fold, symplectic
-from qtransmute.pauli import (ErrorBall, PauliOp, enumerate_paulis, errors_up_to_weight,
-                              parse_pauli, render, support_weight, support_xz)
-from qtransmute.qet import (AdmissibleSet, PiBucket, Verdict, _breadth_first_orbit,
+from qtransmute.pauli import (ErrorBall, PauliOp, errors_up_to_weight, parse_pauli, render,
+                              support_xz)
+from qtransmute.qet import (AdmissibleSet, PiBucket, _breadth_first_orbit,
                             build_recovery, check_general_qet, check_group_qet,
                             deff_lower_bound, effective_distance,
                             relabel_search, strong_conditions_hold,
@@ -85,39 +86,102 @@ def brute_force_qec_ok(code, errors):
     return ok
 
 
-def brute_force_group_witness(code, adm, errors):
-    """Group-case condition, pair by pair: the first error whose product with
-    an earlier same-syndrome error has an inadmissible class, paired with the
-    first error of its syndrome; None when every pair is admissible."""
-    for j, b in enumerate(errors):
-        same = [a for a in errors[:j]
-                if code.syndrome_bits(a.x, a.z) == code.syndrome_bits(b.x, b.z)]
-        if any(code.class_bits(a.x ^ b.x, a.z ^ b.z) not in adm.classes for a in same):
-            return same[0], b
-    return None
+Definition = namedtuple("Definition", "checked witness buckets members")
 
 
 def brute_force_general(code, adm, errors):
-    """General-case condition straight from its definition, bucket by bucket:
-    the witness is the first error, in input order, whose bucket prefix has no
-    reference image o with o ^ class(ref.e) admissible for every e in it; the
-    pi-maps are each bucket's images computed over the whole bucket."""
-    buckets = {}
-    for e in errors:
-        members = buckets.setdefault(code.syndrome_bits(e.x, e.z), [])
-        if (e.x, e.z) in {(f.x, f.z) for f in members}:
+    """The general-case condition straight from its definition, over (x, z)
+    errors, with only `syndrome_bits` and `class_bits`. The distinct errors
+    are bucketed by syndrome in input order, each bucket's first error its
+    reference; an image o of the reference stays while o ^ class(ref.e) is
+    admissible for every member e of the bucket so far. `checked` holds the
+    distinct errors in input order, and `witness` the (reference, error) pair
+    of the first error that leaves its bucket no image, or None. On a pass,
+    `buckets` maps each syndrome, in reference order, to its reference and
+    its images, and `members` holds every error after its bucket's first, in
+    input order, as (syndrome, (x, z), class of reference.error)."""
+    checked = list(dict.fromkeys(errors))
+    buckets, members = {}, []
+    for x, z in checked:
+        syn = code.syndrome_bits(x, z)
+        if syn not in buckets:
+            buckets[syn] = (x, z), tuple(sorted(adm.classes))
             continue
-        members.append(e)
-        if not reference_images(code, adm, members):
-            return (members[0], e), None
-    return None, {syn: (m[0], reference_images(code, adm, m)) for syn, m in buckets.items()}
+        ref, images = buckets[syn]
+        diff = code.class_bits(ref[0] ^ x, ref[1] ^ z)
+        images = tuple(o for o in images if o ^ diff in adm.classes)
+        if not images:
+            return Definition(checked, (PauliOp(code.n, *ref), PauliOp(code.n, x, z)), None, None)
+        buckets[syn] = ref, images
+        members.append((syn, (x, z), diff))
+    return Definition(checked, None, buckets, members)
 
 
-def reference_images(code, adm, members):
-    ref = members[0]
-    return tuple(o for o in sorted(adm.classes)
-                 if all(o ^ code.class_bits(ref.x ^ e.x, ref.z ^ e.z) in adm.classes
-                        for e in members))
+def brute_force_relabeling(code, pattern, errors):
+    """The first `_breadth_first_orbit` transform whose image of the pattern
+    the definition passes on the errors, or None."""
+    return next((cols for image, cols in _breadth_first_orbit(code.k, pattern.classes)
+                 if brute_force_general(code, AdmissibleSet(code.k, image), errors).witness
+                 is None), None)
+
+
+def brute_force_effective_distance(code, adm, cap):
+    """2w - 1 at the first ball weight w <= cap on which the definition fails;
+    else 2 cap + 1, exact iff the cap reaches n."""
+    cap = min(cap, code.n)
+    for w in range(1, cap + 1):
+        if brute_force_general(code, adm, ErrorBall(code.n, w)).witness is not None:
+            return DistanceResult(2 * w - 1, True, cap)
+    return DistanceResult(2 * cap + 1, cap >= code.n, cap)
+
+
+def decoded(code, members):
+    """Each member int as the (syndrome, (x, z), class of reference.error)
+    tuple that the definition gives."""
+    n, k, r = code.n, code.k, len(code.generators)
+    for m in members:
+        yield m & code._syn_mask, support_xz(n, m >> (n + k)), m >> r & ((1 << 2 * k) - 1)
+
+
+def assert_verdict_is(code, verdict, want):
+    """The verdict is the definition's: witness, checked order and, on a
+    pass, every bucket and member in order, and no bucket at a syndrome that
+    no error has."""
+    assert (verdict.passed, verdict.witness) == (want.witness is None, want.witness)
+    assert list(verdict.checked) == want.checked
+    if want.witness is not None:
+        assert verdict.pi_maps is None
+        return
+    pi = verdict.pi_maps
+    assert len(pi) == len(want.buckets)
+    assert list(pi.items()) == [(syn, PiBucket(*b)) for syn, b in want.buckets.items()]
+    assert list(decoded(code, pi.members)) == want.members
+    unoccupied = next((s for s in range(1 << (code.n - code.k)) if s not in want.buckets),
+                      1 << (code.n - code.k))
+    assert unoccupied not in pi
+    assert pi.get(unoccupied) is None
+    assert pi.get(unoccupied, "absent") == "absent"
+    with pytest.raises(KeyError):
+        pi[unoccupied]
+
+
+def assert_relabeling_is(code, pattern, errors, hit):
+    """The relabel hit is the definition's: the first passing orbit
+    transform's logicals, and the definition's verdict on them."""
+    cols = brute_force_relabeling(code, pattern, errors)
+    assert (hit is None) == (cols is None)
+    if hit is not None:
+        got, verdict = hit
+        want = relabeled(code, cols)
+        assert (got.logical_x, got.logical_z) == (want.logical_x, want.logical_z)
+        assert validate_code(got).ok
+        assert_verdict_is(got, verdict, brute_force_general(got, pattern, errors))
+
+
+def assert_check_matches_definition(code, adm, errors):
+    assert_verdict_is(code, check_general_qet(code, adm, errors),
+                      brute_force_general(code, adm, errors))
+    assert_relabeling_is(code, adm, errors, relabel_search(code, adm, errors))
 
 
 def spread_admissible(rng, k, group):
@@ -132,9 +196,12 @@ def spread_admissible(rng, k, group):
 
 
 def shuffled_errors(rng, n, w):
+    """The errors of weight <= w shuffled, with up to five of them repeated anywhere."""
     errs = errors_up_to_weight(n, w)
     rng.shuffle(errs)
-    return errs + errs[:rng.randrange(3)]
+    for _ in range(rng.randrange(6)):
+        errs.insert(rng.randrange(len(errs) + 1), rng.choice(errs))
+    return errs
 
 
 random_instances = given(n=st.integers(2, 6), k=st.integers(1, 2), group=st.booleans(),
@@ -268,7 +335,7 @@ def test_group_and_general_agree_on_groups():
         a = check_group_qet(code, adm, errs)
         b = check_general_qet(code, adm, errs)
         assert a.passed == b.passed
-        assert a.witness == b.witness == brute_force_group_witness(code, adm, as_ops(n, errs))
+        assert a.witness == b.witness == brute_force_general(code, adm, errs).witness
 
 
 def test_strong_implies_general():
@@ -294,22 +361,20 @@ def test_qec_specialization_matches_brute_force():
         assert fast == brute_force_qec_ok(code, as_ops(n, errs))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @random_instances
 def test_general_check_matches_definition(n, k, group, seed):
+    # on a shuffled list with repeats anywhere and on a ball, the check and
+    # the relabel search give the definition's answers, on a code with a
+    # completed basis or in standard form
     assume(k < n)
     rng = random.Random(seed)
-    code = random_code(rng, n, k)
+    code = random_code(rng, n, k) if rng.random() < 0.5 else standard_form(
+        sample_generators(n, k, rng))
     adm = spread_admissible(rng, k, group)
-    errs = shuffled_errors(rng, n, rng.choice([1, 2]))
-    witness, pi = brute_force_general(code, adm, as_ops(n, errs))
-    verdict = check_general_qet(code, adm, errs)
-    assert verdict.witness == witness
-    assert verdict.passed == (witness is None)
-    if pi is not None:
-        assert ({syn: (PauliOp(n, *b.reference), b.options)
-                 for syn, b in verdict.pi_maps.items()} == pi)
-        assert list(verdict.pi_maps) == list(pi)
+    w = rng.choice([1, 2])
+    for errors in (shuffled_errors(rng, n, w), ErrorBall(n, w)):
+        assert_check_matches_definition(code, adm, errors)
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,81 +391,37 @@ def test_strong_conditions_match_definition(n, k, group, seed):
     assert strong_conditions_hold(code, adm, errs) == want
 
 
-@settings(max_examples=40, deadline=None)
-@random_instances
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), k=st.integers(1, 3), group=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
 def test_effective_distance_matches_layered_checks(n, k, group, seed):
     assume(k < n)
     rng = random.Random(seed)
     code = random_code(rng, n, k)
     adm = spread_admissible(rng, k, group)
-    cap = rng.randrange(n + 1)
-    want = (2 * cap + 1, cap >= n)
-    for w in range(1, cap + 1):
-        if not check_general_qet(code, adm, errors_up_to_weight(n, w)).passed:
-            want = (2 * w - 1, True)
-            break
-    got = effective_distance(code, adm, cap)
-    assert (got.value, got.exact, got.cap) == (*want, cap)
-
-
-def reference_effective_distance(code, adm, cap):
-    """effective_distance as computed on PauliOps: one bucketing pass over the
-    identity and every error up to weight cap, narrowing each bucket's
-    admissible reference images until one bucket has none left."""
-    cap = min(cap, code.n)
-    refs, options = {}, {}
-    for e in [PauliOp(code.n), *enumerate_paulis(code.n, cap)]:
-        syn = code.syndrome_bits(e.x, e.z)
-        ref = refs.setdefault(syn, e)
-        if ref is e:
-            continue
-        diff = code.class_bits(ref.x ^ e.x, ref.z ^ e.z)
-        options[syn] = {o for o in options.get(syn, adm.classes) if o ^ diff in adm.classes}
-        if not options[syn]:
-            return DistanceResult(2 * (e.x | e.z).bit_count() - 1, True, cap)
-    return DistanceResult(2 * cap + 1, cap >= code.n, cap)
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 6), k=st.integers(1, 3), group=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_effective_distance_matches_pauliop_reference(n, k, group, seed):
-    assume(k < n)
-    rng = random.Random(seed)
-    code = random_code(rng, n, k)
-    adm = spread_admissible(rng, k, group)
     cap = rng.randrange(n + 2)
-    assert effective_distance(code, adm, cap) == reference_effective_distance(code, adm, cap)
+    assert effective_distance(code, adm, cap) == brute_force_effective_distance(code, adm, cap)
 
 
 @settings(max_examples=60, deadline=None)
 @random_instances
 def test_relabel_search_returns_first_passing_transform(n, k, group, seed):
     # a hit exists iff brute force over all of Sp(2k,2) finds a passing
-    # relabeling, and it is the one stored for the first passing image
+    # relabeling, and it is the definition's first passing orbit transform,
+    # from a fresh orbit found as far as it needs and from a whole one
     assume(k < n)
     rng = random.Random(seed)
     code = random_code(rng, n, k)
     adm = spread_admissible(rng, k, group)
     errs = shuffled_errors(rng, n, 1)
-
-    def passes(cols):
-        return brute_force_general(relabeled(code, cols), adm, as_ops(n, errs))[0] is None
-
-    exists = any(passes(cols) for cols in symplectic_transforms(k))
+    exists = any(brute_force_general(relabeled(code, cols), adm, errs).witness is None
+                 for cols in symplectic_transforms(k))
     qet._orbit.cache_clear()
-    hit = relabel_search(code, adm, errs)  # from a fresh orbit, found as far as it needs
-    first = next((cols for _, cols in _breadth_first_orbit(k, adm.classes) if passes(cols)), None)
-    grow_whole(qet._orbit(k, adm.classes))  # find the whole orbit
-    again = relabel_search(code, adm, errs)  # with every image known
-    assert (hit is not None) == exists == (first is not None) == (again is not None)
-    if hit is not None:
-        got, verdict = hit
-        want = relabeled(code, first)
-        assert (got.logical_x, got.logical_z) == (want.logical_x, want.logical_z)
-        assert (again[0].logical_x, again[0].logical_z) == (want.logical_x, want.logical_z)
-        assert validate_code(got).ok
-        assert verdict.passed
+    hit = relabel_search(code, adm, errs)
+    assert_relabeling_is(code, adm, errs, hit)
+    assert (hit is not None) == exists
+    grow_whole(qet._orbit(k, adm.classes))
+    assert_relabeling_is(code, adm, errs, relabel_search(code, adm, errs))
 
 
 def test_relabeling_invariance(table2):
@@ -583,18 +604,15 @@ def test_orbit_cache_grows_in_breadth_first_order(k, group, seed):
 @settings(max_examples=60, deadline=None)
 @random_instances
 def test_first_relabeling_is_the_first_fitting_orbit_transform(n, k, group, seed):
-    # brute force over the orbit: an image fits a difference set S when some
-    # o in it has o ^ d in it for every d in S; the first image every bucket's
-    # S fits names the transform, from a fresh orbit and from a whole one
+    # from the labels alone, with a fresh orbit and with a whole one, the
+    # decision names the definition's first passing orbit transform
     assume(k < n)
     rng = random.Random(seed)
     code = random_code(rng, n, k)
     pattern = spread_admissible(rng, k, group)
-    labelled = list(qet._labelled(code, shuffled_errors(rng, n, rng.randrange(1, 3)))[1])
-    shapes = [[d for d in range(1 << 2 * k) if s >> d & 1] for s in qet._shapes(n, k, labelled)]
-    want = next((cols for image, cols in _breadth_first_orbit(k, pattern.classes)
-                 if all(any(all(o ^ d in image for d in diffs) for o in image)
-                        for diffs in shapes)), None)
+    errs = shuffled_errors(rng, n, rng.randrange(1, 3))
+    labelled = list(qet._labelled(code, errs)[1])
+    want = brute_force_relabeling(code, pattern, errs)
     qet._orbit.cache_clear()
     assert qet.first_relabeling(n, k, pattern, labelled) == want
     grow_whole(qet._orbit(k, pattern.classes))
@@ -724,246 +742,11 @@ def test_walk_labels_are_syndrome_and_class(n, k, group, seed):
     assert walked == errors_up_to_weight(n, w)
 
 
-def decoded(code, members):
-    """Each member int as the (syndrome, (x, z), class of reference·error)
-    tuple that the check kept before members were ints."""
-    n, k, r = code.n, code.k, len(code.generators)
-    for m in members:
-        yield m & code._syn_mask, support_xz(n, m >> (n + k)), m >> r & ((1 << 2 * k) - 1)
-
-
-# -- the bucket pass as it was before the labelled walk -------------------------------
+# -- closed sets: narrowing by the difference alone ----------------------------------
 #
-# Copied from qet as it was when the bucket pass computed each error's
-# syndrome and each class difference with a fold of their own: the references
-# below stay that code.
-
-
-def old_dedupe(code, errors):
-    """The distinct (x, z) errors as dict keys, in input order."""
-    errs = dict.fromkeys(errors)
-    if any((x | z) >> code.n for x, z in errs):  # also nonzero for a negative mask
-        raise DimensionMismatch(f"an error acts outside the code's {code.n} qubits")
-    return errs
-
-
-def old_bucket_pairs(code, errors, refs):
-    """Bucket distinct (x, z) errors by syndrome in input order. The first
-    error of each syndrome becomes its reference in `refs`; every later error
-    is yielded as (syndrome, (x, z), class of reference·error)."""
-    syndrome_bits, class_bits = code.syndrome_bits, code.class_bits
-    for e in errors:
-        x, z = e
-        syn = syndrome_bits(x, z)
-        ref = refs.get(syn)
-        if ref is None:
-            refs[syn] = e
-        else:
-            yield syn, e, class_bits(ref[0] ^ x, ref[1] ^ z)
-
-
-# -- the PauliOp-fed path these checkers replace ------------------------------------
-#
-# Copied from the checkers as they were when errors were PauliOps: _dedupe kept
-# the first PauliOp of each (x, z), and verdicts, buckets and the relabel
-# replay mapped the packed references and witnesses back to those PauliOps.
-# The bucketing helper they call is the copy above.
-
-
-def pauliop_dedupe(code, errors):
-    out = {}
-    for e in errors:
-        if e.n != code.n:
-            raise DimensionMismatch(f"error on {e.n} qubits, code on {code.n}")
-        out.setdefault((e.x, e.z), e)
-    return out
-
-
-def pauliop_check_general_qet(code, adm, errors):
-    qet._check_k(code, adm)
-    errs = pauliop_dedupe(code, errors)
-    checked = tuple(errs.values())
-    refs, options = {}, {}
-    hit = per_pair_narrow(adm.classes, old_bucket_pairs(code, errs, refs), options)
-    if hit is not None:
-        return Verdict(False, witness=(errs[refs[hit[0]]], errs[hit[1]]), checked=checked)
-    every = tuple(sorted(adm.classes))
-    pi = {syn: PiBucket(errs[ref], tuple(sorted(options[syn])) if syn in options else every)
-          for syn, ref in refs.items()}
-    return Verdict(True, pi_maps=pi, checked=checked)
-
-
-def pauliop_relabel_search(code, pattern, errors):
-    qet._check_k(code, pattern)
-    if code.k > 3:
-        raise ValueError(f"relabeling is limited to k <= 3, code has k={code.k}")
-    errs = pauliop_dedupe(code, errors)
-    pairs = list(old_bucket_pairs(code, errs, {}))
-    for mapped, cols in _breadth_first_orbit(code.k, pattern.classes):
-        if per_pair_narrow(mapped, pairs, {}) is None:
-            new_x = [code.class_representative(cols[i]) for i in range(code.k)]
-            new_z = [code.class_representative(cols[code.k + i]) for i in range(code.k)]
-            candidate = code.with_logicals(new_x, new_z)
-            verdict = pauliop_check_general_qet(candidate, pattern, errs.values())
-            if not verdict.passed:
-                raise AssertionError("relabel replay disagrees with direct check")
-            return candidate, verdict
-    return None
-
-
-def assert_same_verdict(new, old):
-    assert new.passed == old.passed
-    assert new.witness == old.witness
-    assert new.checked.keys() == frozenset((e.x, e.z) for e in old.checked)
-    if old.pi_maps is None:
-        assert new.pi_maps is None
-    else:
-        assert list(new.pi_maps.items()) == [
-            (syn, PiBucket((b.reference.x, b.reference.z), b.options))
-            for syn, b in old.pi_maps.items()]
-
-
-@settings(max_examples=100, deadline=None)
-@random_instances
-def test_packed_checkers_match_pauliop_path(n, k, group, seed):
-    assume(k < n)
-    rng = random.Random(seed)
-    code = standard_form(sample_generators(n, k, rng))
-    adm = spread_admissible(rng, k, group)
-    errs = shuffled_errors(rng, n, rng.choice([1, 2]))
-    ops = as_ops(n, errs)
-    assert_same_verdict(check_general_qet(code, adm, errs),
-                        pauliop_check_general_qet(code, adm, ops))
-    hit = relabel_search(code, adm, errs)
-    old = pauliop_relabel_search(code, adm, ops)
-    assert (hit is None) == (old is None)
-    if hit is not None:
-        assert (hit[0].logical_x, hit[0].logical_z) == (old[0].logical_x, old[0].logical_z)
-        assert_same_verdict(hit[1], old[1])
-
-
-# -- the eager verdict these maps replace -------------------------------------------
-#
-# Copied from check_general_qet as it was when a passing verdict stored one
-# PiBucket per occupied syndrome and a frozenset copy of the distinct errors.
-
-
-def eager_check_general_qet(code, adm, errors):
-    qet._check_k(code, adm)
-    errs = old_dedupe(code, errors)
-    checked = frozenset(errs)
-    refs, options = {}, {}
-    hit = per_pair_narrow(adm.classes, old_bucket_pairs(code, errs, refs), options)
-    if hit is not None:
-        witness = (PauliOp(code.n, *refs[hit[0]]), PauliOp(code.n, *hit[1]))
-        return Verdict(False, witness=witness, checked=checked)
-    every = tuple(sorted(adm.classes))
-    pi = {syn: PiBucket(ref, tuple(sorted(options[syn])) if syn in options else every)
-          for syn, ref in refs.items()}
-    return Verdict(True, pi_maps=pi, checked=checked)
-
-
-@settings(max_examples=150, deadline=None)
-@random_instances
-def test_verdict_maps_match_eager_construction(n, k, group, seed):
-    assume(k < n)
-    rng = random.Random(seed)
-    code = standard_form(sample_generators(n, k, rng))
-    adm = spread_admissible(rng, k, group)
-    errs = shuffled_errors(rng, n, rng.choice([1, 2]))
-    for _ in range(rng.randrange(1, 6)):  # duplicates anywhere in the input
-        errs.insert(rng.randrange(len(errs) + 1), rng.choice(errs))
-    new = check_general_qet(code, adm, errs)
-    old = eager_check_general_qet(code, adm, errs)
-    assert new.passed == old.passed
-    assert new.witness == old.witness
-    assert new.checked.keys() == old.checked
-    assert list(new.checked) == list(dict.fromkeys(errs))  # input order
-    assert len(new.checked) == len(old.checked)
-    assert (1 << n, 0) not in new.checked
-    if not old.passed:
-        assert new.pi_maps is None
-        return
-    pi = new.pi_maps
-    assert list(pi.items()) == list(old.pi_maps.items())
-    assert len(pi) == len(old.pi_maps)
-    # the kept members are the old pass's pairs: every error after its bucket's first
-    assert list(decoded(code, pi.members)) == list(old_bucket_pairs(code, old_dedupe(code, errs), {}))
-    assert all(syn in pi and pi.get(syn) == b for syn, b in old.pi_maps.items())
-    unoccupied = next((s for s in range(1 << (n - k)) if s not in old.pi_maps), 1 << (n - k))
-    assert unoccupied not in pi
-    assert pi.get(unoccupied) is None
-    assert pi.get(unoccupied, "absent") == "absent"
-    with pytest.raises(KeyError):
-        pi[unoccupied]
-
-
-# -- per-pair narrowing of closed sets --------------------------------------------
-#
-# Copied from qet as it was when every admissible set, closed or not, was
-# narrowed pair by pair into an option set per syndrome: a check, and a
-# relabel search that replays its hit with that check.
-
-
-def per_pair_narrow(classes, pairs, options, kept=None):
-    for pair in pairs:
-        if kept is not None:
-            kept.append(pair)
-        syn, _, diff = pair
-        opts = options[syn] = {o for o in options.get(syn, classes)
-                               if o ^ diff in classes}
-        if not opts:
-            return pair
-    return None
-
-
-def per_pair_check_general_qet(code, adm, errors):
-    qet._check_k(code, adm)
-    checked, labelled = qet._labelled(code, errors)
-    refs, options, members = {}, {}, []
-    pairs = decoded(code, qet._bucket_pairs(code.n, code.k, labelled, refs))
-    hit = per_pair_narrow(adm.classes, pairs, options, members)
-    if hit is not None:
-        ref = support_xz(code.n, refs[hit[0]] >> 2 * code.k)
-        witness = (PauliOp(code.n, *ref), PauliOp(code.n, *hit[1]))
-        return Verdict(False, witness=witness, checked=checked)
-    for syn, opts in options.items():
-        options[syn] = tuple(sorted(opts))
-    return Verdict(True, pi_maps=qet.PiMaps(refs, options, tuple(sorted(adm.classes)), members,
-                                            code.n, code.k), checked=checked)
-
-
-def per_pair_relabel_search(code, pattern, errors):
-    qet._check_k(code, pattern)
-    checked, labelled = qet._labelled(code, errors)
-    pairs = list(decoded(code, qet._bucket_pairs(code.n, code.k, labelled, {})))
-    for mapped, cols in _breadth_first_orbit(code.k, pattern.classes):
-        if per_pair_narrow(mapped, pairs, {}) is None:
-            candidate = relabeled(code, cols)
-            return candidate, per_pair_check_general_qet(candidate, pattern, checked)
-    return None
-
-
-def assert_same_group_verdict(code, new, old):
-    assert (new.passed, new.witness) == (old.passed, old.witness)
-    if not old.passed:
-        assert new.pi_maps is None
-        return
-    assert len(new.pi_maps) == len(old.pi_maps)
-    assert ([(syn, b.reference, b.options) for syn, b in new.pi_maps.items()]
-            == [(syn, b.reference, b.options) for syn, b in old.pi_maps.items()])
-    assert list(decoded(code, new.pi_maps.members)) == old.pi_maps.members
-
-
-def assert_group_narrowing_matches_per_pair(code, adm, errors):
-    assert adm.is_group
-    assert_same_group_verdict(code, check_general_qet(code, adm, errors),
-                              per_pair_check_general_qet(code, adm, errors))
-    hit, want = relabel_search(code, adm, errors), per_pair_relabel_search(code, adm, errors)
-    assert (hit is None) == (want is None)
-    if hit is not None:
-        assert (hit[0].logical_x, hit[0].logical_z) == (want[0].logical_x, want[0].logical_z)
-        assert_same_group_verdict(hit[0], hit[1], want[1])
+# For an XOR-closed set the check tests each class difference for membership
+# and keeps no options; the definition narrows every bucket's images member
+# by member, whatever the set.
 
 
 @settings(max_examples=100, deadline=None)
@@ -975,9 +758,10 @@ def test_group_narrowing_matches_per_pair_narrowing(n, k, kind, seed):
     code = random_code(rng, n, k)
     adm = {"trivial": AdmissibleSet.trivial(k), "full": AdmissibleSet.full(k),
            "closed": random_admissible(rng, k, True)}[kind]
+    assert adm.is_group
     w = rng.choice([1, 2])
     for errors in (shuffled_errors(rng, n, w), ErrorBall(n, w)):
-        assert_group_narrowing_matches_per_pair(code, adm, errors)
+        assert_check_matches_definition(code, adm, errors)
 
 
 @pytest.mark.parametrize("kind", ["catalog", "trivial", "full"])
@@ -985,40 +769,14 @@ def test_group_narrowing_matches_per_pair_narrowing_on_rep9(kind):
     cc = catalog.resolve("rep:9")
     adm = {"catalog": cc.admissible, "trivial": AdmissibleSet.trivial(1),
            "full": AdmissibleSet.full(1)}[kind]
-    assert_group_narrowing_matches_per_pair(cc.code, adm, ErrorBall(9, 4))
+    assert adm.is_group
+    assert_check_matches_definition(cc.code, adm, ErrorBall(9, 4))
 
 
 # -- CSS balls: the colliding errors against the whole walk ----------------------------
 #
-# `walked_check` and `walked_effective_distance` are the check and the
-# effective distance as they were before a CSS ball left out its lone errors:
-# every error of the ball bucketed in walk order.
-
-
-def walked_check(code, adm, errors):
-    checked, labelled = qet._labelled(code, errors)
-    n, k = code.n, code.k
-    refs, options, members = {}, {}, []
-    hit = qet._narrow(code, adm.classes, qet._bucket_pairs(n, k, labelled, refs), options,
-                      members, group=adm.is_group)
-    if hit is not None:
-        ref = refs[hit & code._syn_mask]
-        witness = (PauliOp(n, *support_xz(n, ref >> 2 * k)),
-                   PauliOp(n, *support_xz(n, hit >> (n + k))))
-        return Verdict(False, witness=witness, checked=checked)
-    options = {syn: tuple(sorted(opts)) for syn, opts in options.items()}
-    return Verdict(True, pi_maps=qet.PiMaps(refs, options, tuple(sorted(adm.classes)), members,
-                                            n, k), checked=checked)
-
-
-def walked_effective_distance(code, adm, cap):
-    n, k = code.n, code.k
-    hit = qet._narrow(code, adm.classes,
-                      qet._bucket_pairs(n, k, qet._labelled(code, ErrorBall(n, cap))[1], {}), {},
-                      group=adm.is_group)
-    if hit is not None:
-        return DistanceResult(2 * support_weight(n, hit >> (n + k)) - 1, True, cap)
-    return DistanceResult(2 * cap + 1, cap >= n, cap)
+# The definition buckets every error of the ball in walk order; a CSS ball of
+# weight w >= 2 whose lower weights pass buckets only its colliding errors.
 
 
 def random_css_code(rng, n, k, kinds):
@@ -1082,28 +840,25 @@ def test_css_ball_check_matches_the_whole_walk(n, k, kinds, adm_kind, every_shar
     try:
         for w in range(min(n, 3) + 1):
             ball = ErrorBall(n, w)
-            new, old = check_general_qet(code, adm, ball), walked_check(code, adm, ball)
-            assert (new.passed, new.witness) == (old.passed, old.witness)
-            assert new.checked is ball
-            if old.passed:
-                pi, want = new.pi_maps, old.pi_maps
+            verdict, want = check_general_qet(code, adm, ball), brute_force_general(code, adm, ball)
+            assert verdict.checked is ball
+            pi = verdict.pi_maps
+            if want.witness is None:
                 if every_share:
                     assert (pi._lone is not None) == (w >= 2)
-                assert len(pi) == len(want)
-                assert pi.members == want.members
-                assert len(want) + len(pi.members) == len(ball)
+                assert len(want.buckets) + len(pi.members) == len(ball)
                 assert pi.visited <= len(ball)
                 # the channel's lookup by error needs no walk of the ball
                 lone = pi._lone
                 for x, z in ball:
                     syn = code.syndrome_bits(x, z)
-                    assert pi.bucket(syn, x, z) == want[syn]
+                    assert pi.bucket(syn, x, z) == PiBucket(*want.buckets[syn])
                 assert pi._lone is lone
-                assert ([(syn, b.reference, b.options) for syn, b in pi.items()]
-                        == [(syn, b.reference, b.options) for syn, b in want.items()])
-                assert pi._lone is None and len(pi) == len(want)
+            assert_verdict_is(code, verdict, want)
+            if want.witness is None:
+                assert pi._lone is None and len(pi) == len(want.buckets)
             got = effective_distance(code, adm, w)
-            assert got == walked_effective_distance(code, adm, w)
+            assert got == brute_force_effective_distance(code, adm, w)
     finally:
         pauli._DENSE_SHARE = share
 

@@ -167,24 +167,11 @@ def test_adjoined_code_distance(table1):
     assert code_distance(adj, 7).value == 3
 
 
-def _brute_force_distance(code):
-    elems = stabilizer_elements(code)
-    best = None
-    for p in all_paulis(code.n):
-        if not (p.x | p.z) or code.syndrome_bits(p.x, p.z):
-            continue
-        if (p.x, p.z) in elems:
-            continue
-        w = (p.x | p.z).bit_count()
-        best = w if best is None else min(best, w)
-    return best
-
-
 def test_distance_matches_brute_force(five_qubit, table2):
     result = code_distance(five_qubit, 5)
-    assert result.exact and result.value == _brute_force_distance(five_qubit) == 3
+    assert result.exact and result.value == _brute_minima(five_qubit)[None, None] == 3
     result = code_distance(table2, 6)
-    assert result.exact and result.value == _brute_force_distance(table2) == 2
+    assert result.exact and result.value == _brute_minima(table2)[None, None] == 2
 
 
 def test_distance_cap_marker(five_qubit):
@@ -451,73 +438,13 @@ def test_seeded_completion_on_random_codes(n, k, seed):
     assert complete_logical_basis(code.generators, seed_x=seeds) == (xs, zs)
 
 
-def _sym_twist(p: PauliOp) -> int:
-    """Row whose dot with a packed vector gives the symplectic product with p:
-    the helper that the reference copies below were written against."""
-    return p.z | (p.x << p.n)
-
-
-def _reference_basis(generators, seed_x, n):
-    """complete_logical_basis for valid inputs as it was written before the
-    corrected kernel rows were kept: every round corrects every kernel row
-    against every pair chosen so far."""
-    k = n - len(generators)
-    gen_rows = rref(BitMatrix(tuple(_sym_vec(g) for g in generators), 2 * n))
-    kern = kernel_basis(BitMatrix(tuple(_sym_twist(g) for g in generators), 2 * n))
-    xs = [_sym_vec(p) for p in seed_x]
-    constraints = BitMatrix(tuple(mul_bt([_sym_twist(p) for p in seed_x], kern.rows)),
-                            kern.nrows)
-    zs = []
-    for i in range(len(xs)):
-        z = fold(kern.rows, solve(constraints, 1 << i))
-        for l in range(i):
-            if symplectic(z, zs[l], n):
-                z ^= xs[l]
-        zs.append(z)
-    while len(xs) < k:
-        span = F2Span(gen_rows.reduced.rows)
-        pool = []
-        for v in kern.rows:
-            for x, z in zip(xs, zs):
-                if symplectic(v, z, n):
-                    v ^= x
-                if symplectic(v, x, n):
-                    v ^= z
-            if span.insert(v):
-                pool.append(v)
-        a = pool[0]
-        b = next(c for c in pool[1:] if symplectic(a, c, n))
-        xs.append(a)
-        zs.append(b)
-    return [_unpack(v, n) for v in xs], [_unpack(v, n) for v in zs]
-
-
-@settings(max_examples=80, deadline=None)
-@given(n=st.integers(2, 8), k=st.integers(1, 4), seeded=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_completion_matches_reference_on_random_codes(n, k, seeded, seed):
-    assume(k < n)
-    rng = random.Random(seed)
-    code = _random_small_code(rng, n, k)
-    seeds = _random_seeds(rng, code) if seeded else []
-    assert (complete_logical_basis(code.generators, seed_x=seeds, n=n)
-            == _reference_basis(code.generators, seeds, n))
-
-
-@pytest.mark.parametrize("spec", ["compact:8", "eq20-lattice:6x6"])
-def test_completion_matches_reference_on_catalog_codes(spec):
-    code = resolve(spec).code
-    for seeds in ([], code.logical_x[:3]):
-        assert (complete_logical_basis(code.generators, seed_x=seeds)
-                == _reference_basis(code.generators, seeds, code.n))
-
-
 # -- basis completion as it was when each pair rebuilt the span ------------------
 #
-# Copied verbatim from stabilizer.complete_logical_basis as it was when every
-# logical pair it added built a new span of the generator rows and re-inserted
-# the kernel rows up to the pair's partner. The one-pass completion must give
-# the same operators, or raise the same message, on every input.
+# Copied verbatim, its twist helper written out, from
+# stabilizer.complete_logical_basis as it was when every logical pair it added
+# built a new span of the generator rows and re-inserted the kernel rows up to
+# the pair's partner. The one-pass completion must give the same operators, or
+# raise the same message, on every input.
 
 
 def span_per_pair_completion(
@@ -542,7 +469,7 @@ def span_per_pair_completion(
     gen_rows = rref(BitMatrix(tuple(_sym_vec(g) for g in generators), 2 * n))
     if gen_rows.rank < len(generators):
         raise CodeConstructionError("generators are dependent")
-    kern = kernel_basis(BitMatrix(tuple(_sym_twist(g) for g in generators), 2 * n))
+    kern = kernel_basis(BitMatrix(tuple(g.z | g.x << n for g in generators), 2 * n))
 
     xs = [_sym_vec(p) for p in seed_x]
     for v in xs:
@@ -559,7 +486,7 @@ def span_per_pair_completion(
     # Solve for the Z partners: symplectic(x_j, z_i) = delta_ij over the
     # kernel, then Gram-Schmidt z_i against earlier partners. Row j of the
     # constraints holds x_j's symplectic form with each kernel row.
-    constraints = BitMatrix(tuple(mul_bt([_sym_twist(p) for p in seed_x], kern.rows)),
+    constraints = BitMatrix(tuple(mul_bt([p.z | p.x << n for p in seed_x], kern.rows)),
                             kern.nrows)
     zs: list[int] = []
     for i in range(len(xs)):
@@ -653,6 +580,27 @@ def test_completion_matches_span_per_pair_on_catalog_codes(spec):
     code = resolve(spec).code
     # css17's basis is completed from two seeds, its first logical X operators.
     seeds = code.logical_x[:2] if spec == "css17" else []
+    assert (complete_logical_basis(code.generators, seed_x=seeds)
+            == span_per_pair_completion(code.generators, seed_x=seeds))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 8), k=st.integers(1, 4), seeded=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_completion_matches_reference_on_random_codes(n, k, seeded, seed):
+    assume(k < n)
+    rng = random.Random(seed)
+    code = _random_small_code(rng, n, k)
+    seeds = _random_seeds(rng, code) if seeded else []
+    assert (complete_logical_basis(code.generators, seed_x=seeds, n=n)
+            == span_per_pair_completion(code.generators, seed_x=seeds, n=n))
+
+
+@pytest.mark.parametrize("spec", ["compact:8", "eq20-lattice:6x6"])
+def test_completion_matches_reference_on_catalog_codes(spec):
+    # seeded with three logical X operators; unseeded in the test above
+    code = resolve(spec).code
+    seeds = code.logical_x[:3]
     assert (complete_logical_basis(code.generators, seed_x=seeds)
             == span_per_pair_completion(code.generators, seed_x=seeds))
 
